@@ -80,7 +80,7 @@ def best_of(repeats: int, run):
     return best, result
 
 
-def bench(rows: int, repeats: int) -> dict:
+def bench(rows: int, repeats: int) -> dict[str, object]:
     table = make_sales(rows)
     table.build_dictionaries()
     pairs = two_column_queries(COLUMNS)

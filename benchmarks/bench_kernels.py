@@ -79,7 +79,9 @@ def legacy_group(table: Table, keys: list[str]) -> Table:
     return Table.wrap("legacy_" + "_".join(keys), columns)
 
 
-def run_legacy(table: Table, queries) -> tuple[float, dict]:
+def run_legacy(
+    table: Table, queries
+) -> tuple[float, dict[frozenset[str], Table]]:
     results = {}
     started = monotonic()
     for query in queries:
@@ -88,7 +90,9 @@ def run_legacy(table: Table, queries) -> tuple[float, dict]:
     return monotonic() - started, results
 
 
-def run_cached(table: Table, queries) -> tuple[float, dict, dict]:
+def run_cached(
+    table: Table, queries
+) -> tuple[float, dict[frozenset[str], Table], dict[str, int]]:
     shared = fresh_view(table)
     cache = DictionaryCache()
     results = {}
@@ -135,7 +139,7 @@ def run_executors(maker, rows: int, queries, parallelism: int):
 
 def bench_workload(
     name: str, rows: int, repeats: int, parallelism: int
-) -> dict:
+) -> dict[str, object]:
     maker = WORKLOAD_BUILDERS[name]
     table = maker(rows)
     columns = list(table.column_names)[:5]

@@ -91,7 +91,7 @@ def run_mode(session, plan, repeats: int, **execute_kwargs):
 
 def bench_workload(
     name: str, rows: int, repeats: int, parallelism: int, smoke: bool
-) -> dict:
+) -> dict[str, object]:
     maker, query_maker = WORKLOADS[name]
     table = maker(rows)
     session = Session.for_table(table, statistics="exact")

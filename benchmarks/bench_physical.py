@@ -111,7 +111,7 @@ def execute_timed(session: Session, physical: PhysicalPlan):
 
 def bench_workload(
     name: str, rows: int, repeats: int, parallelism: int
-) -> dict:
+) -> dict[str, object]:
     maker = WORKLOAD_BUILDERS[name]
     table = maker(rows)
     columns = list(table.column_names)[:5]

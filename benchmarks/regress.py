@@ -61,7 +61,6 @@ SUITES: dict[str, tuple[str, str]] = {
     "analysis": ("bench_analysis.py", "BENCH_analysis.json"),
     "obs": ("bench_obs.py", "BENCH_obs.json"),
     "morsel": ("bench_morsel.py", "BENCH_morsel.json"),
-    "adaptive": ("bench_adaptive.py", "BENCH_adaptive.json"),
     "cache": ("bench_cache.py", "BENCH_cache.json"),
 }
 

@@ -64,7 +64,6 @@ from repro.physical.plan import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.costmodel.engine_model import EngineCostModel
     from repro.engine.catalog import Catalog
     from repro.engine.indexes import Index
     from repro.stats.cardinality import CardinalityEstimator
@@ -144,15 +143,12 @@ class AnalysisContext:
         base_table: name of the base relation R (scan cardinality).
         estimator: per-column-set distinct counts from ``repro.stats``
             (enables the interval rules PV019 / PV022).
-        model: the cost model the plan was lowered against (enables the
-            calibration-consistency rule PV024).
         epsilon: relative slack for interval containment checks.
     """
 
     catalog: Catalog | None = None
     base_table: str | None = None
     estimator: CardinalityEstimator | None = None
-    model: "EngineCostModel | None" = None
     epsilon: float = 1e-6
 
 
@@ -751,74 +747,6 @@ def check_query_answer_keys(
                 f"({','.join(expected)})",
                 hint="an operator can only directly answer the query "
                 "equal to its own grouping keys.",
-            )
-
-
-# -- PV024: calibrated costs consistent with cardinality intervals -----------
-
-
-@physical_rule(
-    "PV024",
-    "calibration-consistency",
-    "Every grouping operator's (possibly calibrated) cost estimate lies "
-    "inside the costs implied by the abstract interpreter's input "
-    "cardinality interval.",
-    severity=Severity.WARNING,
-    requires=("model",),
-)
-def check_calibration_consistency(
-    analysis: DataflowAnalysis, out: DiagnosticCollector
-) -> None:
-    """Cross-check ``est_cost`` against interval-endpoint recosting.
-
-    Grouping cost is monotone in input rows, so costing the operator's
-    keys at the input interval's endpoints — through the *same* model
-    the plan was lowered against, calibration factors included — bounds
-    any honest ``est_cost``.  A violation means the plan was lowered
-    under different calibration state than the context carries (a stale
-    physical plan), or the cost annotations were tampered with.
-    """
-    model = analysis.context.model
-    if model is None:  # pragma: no cover - gated by ``requires``
-        return
-    epsilon = analysis.context.epsilon
-    for op in analysis.plan.operators:
-        if not isinstance(op, GroupingOperator):
-            continue
-        if op.est_cost <= 0:
-            continue
-        if isinstance(op, SortGroupBy) and op.input_sorted:
-            continue  # ordered boundary detection is costed separately
-        interval = analysis.state_of(op.source).rows
-        if math.isinf(interval.hi):
-            continue
-        if isinstance(op, Reaggregate):
-            regime = op.strategy
-            operator = "reaggregate"
-        elif isinstance(op, HashGroupBy):
-            regime = "hash"
-            operator = None
-        else:
-            regime = "sort"
-            operator = None
-
-        def cost_at(rows: float) -> float:
-            choice = model.grouping_choice(op.keys, rows, operator=operator)
-            return (
-                choice.hash_cost if regime == "hash" else choice.sort_cost
-            )
-
-        bounds = Interval(cost_at(interval.lo), cost_at(interval.hi))
-        if not bounds.contains(op.est_cost, epsilon):
-            out.emit(
-                "PV024",
-                Severity.WARNING,
-                _where(op),
-                f"estimated cost {op.est_cost:.0f} falls outside "
-                f"{bounds} implied by input rows {interval}",
-                hint="the plan was lowered under different calibration "
-                "state than the verifying context carries — re-lower "
-                "after refreshing the layered cost model.",
             )
 
 

@@ -9,8 +9,7 @@ advanced use, but the examples and experiments go through this facade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.optimizer import (
@@ -27,27 +26,15 @@ from repro.core.scheduling import (
 from repro.core.storage import estimator_size_fn
 from repro.costmodel.base import CostModel, PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
-from repro.costmodel.engine_model import (
-    CALIBRATION_FACTOR_BAND,
-    CALIBRATION_MIN_RUNS,
-    EngineCostModel,
-)
-from repro.costmodel.layers import (
-    ADAPTIVE_MIN_OBSERVATIONS,
-    AdaptiveThresholdLayer,
-    CalibrationLayer,
-    CostLayer,
-    LayeredCostModel,
-)
+from repro.costmodel.engine_model import EngineCostModel
 from repro.cache import CacheConfig, ResultCache
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.engine.indexes import IndexSpec
 from repro.engine.table import Table
-from repro.obs.history import PlanHistoryStore
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.obs.tracer import NOOP_TRACER, Span, Tracer
+from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.stats.cardinality import (
     CardinalityEstimator,
     ExactCardinalityEstimator,
@@ -74,49 +61,6 @@ class RunOutcome:
     execution: ExecutionResult
 
 
-@dataclass(frozen=True)
-class FeedbackConfig:
-    """Knobs of the Session's estimate→actual feedback loop.
-
-    Passing a config (or ``feedback=True`` for the defaults) to
-    :class:`Session` closes the loop automatically: every ``execute()``
-    records est-vs-actual per node into the history store, and the
-    session's single layered cost model refreshes its correction layers
-    on the configured cadence — so later ``optimize()`` calls plan with
-    calibrated costs.
-
-    Args:
-        history: where run records go — a
-            :class:`~repro.obs.history.PlanHistoryStore`, a JSONL path
-            (persistent across processes), or None for a session-scoped
-            in-memory store.
-        refresh_every: refresh the correction layers after every N
-            recorded executions (default 1 — immediate feedback).
-        min_runs: minimum observations per (operator, regime) group
-            before the calibration layer trusts it.
-        clamp: ``(lower, upper)`` band calibration factors clamp to.
-        adaptive: also attach the metrics-driven
-            :class:`~repro.costmodel.layers.AdaptiveThresholdLayer`
-            (hash-vs-sort factor, morsel mode floor re-tuning).
-        min_observations: minimum metric-histogram count the adaptive
-            layer needs on both sides of a comparison.
-    """
-
-    history: "PlanHistoryStore | str | Path | None" = None
-    refresh_every: int = 1
-    min_runs: int = CALIBRATION_MIN_RUNS
-    clamp: tuple[float, float] = CALIBRATION_FACTOR_BAND
-    adaptive: bool = True
-    min_observations: int = ADAPTIVE_MIN_OBSERVATIONS
-    extra_layers: tuple[CostLayer, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.refresh_every < 1:
-            raise ValueError(
-                f"refresh_every must be >= 1, got {self.refresh_every}"
-            )
-
-
 class Session:
     """One base relation plus everything needed to plan and run on it.
 
@@ -133,16 +77,7 @@ class Session:
         metrics: metrics registry threaded through the same layers for
             aggregate counters/histograms (see :mod:`repro.obs.metrics`).
             Defaults to the process-wide registry, which is the no-op
-            singleton unless explicitly enabled.  With feedback enabled
-            and no explicitly-enabled registry available, the session
-            creates a private recording registry so the adaptive layer
-            has distributions to read.
-        feedback: False (default — today's behavior, bit-identical),
-            True for the default estimate→actual feedback loop, or a
-            :class:`FeedbackConfig` for full control.  When enabled the
-            session holds ONE layered cost model across optimize calls,
-            records every ``execute()`` into its history store, and
-            refreshes the correction layers on the configured cadence.
+            singleton unless explicitly enabled.
         cache: False (default — bit-identical to a cache-less session),
             True for a semantic result cache with the default
             :class:`~repro.cache.CacheConfig`, or a config for full
@@ -154,8 +89,12 @@ class Session:
             dependent entries atomically.
 
     Sessions are context managers: ``with Session.for_table(t) as s:``
-    releases held resources (history file handle, cached results,
-    cached dictionaries) on exit via :meth:`close`.
+    releases held resources (cached results, cached dictionaries) on
+    exit via :meth:`close`.
+
+    Concurrency: ``execute()`` may be called from several threads, but
+    plan runs on one catalog serialise (see
+    :class:`~repro.engine.executor.PlanExecutor`).
     """
 
     def __init__(
@@ -168,7 +107,6 @@ class Session:
         enable_plan_cache: bool = False,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        feedback: bool | FeedbackConfig = False,
         cache: bool | CacheConfig = False,
     ) -> None:
         self.catalog = catalog
@@ -178,24 +116,6 @@ class Session:
         self.use_indexes = use_indexes
         self.tracer = tracer or NOOP_TRACER
         self.metrics = metrics if metrics is not None else get_metrics()
-        if feedback is True:
-            self._feedback: FeedbackConfig | None = FeedbackConfig()
-        elif isinstance(feedback, FeedbackConfig):
-            self._feedback = feedback
-        else:
-            self._feedback = None
-        self._history: PlanHistoryStore | None = None
-        if self._feedback is not None:
-            source = self._feedback.history
-            self._history = (
-                source
-                if isinstance(source, PlanHistoryStore)
-                else PlanHistoryStore(source)
-            )
-            if self._feedback.adaptive and not self.metrics.enabled:
-                # The adaptive layer reads latency distributions; a
-                # no-op registry would starve it, so record privately.
-                self.metrics = MetricsRegistry()
         self._result_cache: ResultCache | None = None
         if cache:
             config = cache if isinstance(cache, CacheConfig) else None
@@ -208,7 +128,6 @@ class Session:
             )
         self._cost_model: CostModel | None = None
         self._coster: PlanCoster | None = None
-        self.executions_recorded = 0
         #: Plan cache: (queries, options) -> OptimizationResult, keyed
         #: per physical-design version.  Off by default so experiment
         #: timings stay honest; enable for serving workloads.
@@ -233,7 +152,6 @@ class Session:
         use_indexes: bool = True,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        feedback: bool | FeedbackConfig = False,
         cache: bool | CacheConfig = False,
     ) -> "Session":
         """Build a session around one table.
@@ -249,9 +167,6 @@ class Session:
             tracer: span tracer for the whole session (no-op default).
             metrics: metrics registry for the whole session (defaults
                 to the process-wide registry).
-            feedback: the estimate→actual feedback loop — off (False,
-                default), default config (True), or a
-                :class:`FeedbackConfig`.
             cache: the semantic result cache — off (False, default),
                 default config (True), or a
                 :class:`~repro.cache.CacheConfig`.
@@ -274,21 +189,8 @@ class Session:
             use_indexes=use_indexes,
             tracer=tracer,
             metrics=metrics,
-            feedback=feedback,
             cache=cache,
         )
-
-    # -- cost model / coster ------------------------------------------------------
-
-    @property
-    def history(self) -> PlanHistoryStore | None:
-        """The feedback loop's history store (None when feedback is off)."""
-        return self._history
-
-    @property
-    def feedback_enabled(self) -> bool:
-        """Whether the estimate→actual feedback loop is active."""
-        return self._feedback is not None
 
     # -- result cache ----------------------------------------------------------
 
@@ -329,13 +231,11 @@ class Session:
     def close(self) -> None:
         """Release session-held resources.
 
-        Closes the feedback history's append handle, drops every result
-        cache entry, clears the plan cache, and drops cached column
-        dictionaries from the catalog's tables.  The session stays
-        usable afterwards — the caches simply start cold again.
+        Drops every result cache entry, clears the plan cache, and drops
+        cached column dictionaries from the catalog's tables.  The
+        session stays usable afterwards — the caches simply start cold
+        again.
         """
-        if self._history is not None:
-            self._history.close()
         if self._result_cache is not None:
             self._result_cache.clear()
         self._plan_cache.clear()
@@ -348,63 +248,30 @@ class Session:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    # -- cost model / coster ------------------------------------------------------
+
     def cost_model(self) -> CostModel:
         """The session's single cost-model instance.
 
         Built once and reused across every ``optimize()`` / ``coster()``
-        call, so calibration state survives across queries (the coster's
-        *caches* are dropped on invalidation, the model is not).  With
-        feedback enabled this is a
-        :class:`~repro.costmodel.layers.LayeredCostModel` carrying the
-        calibration and adaptive layers over the session's history store
-        and metrics registry.
+        call (the coster's *caches* are dropped on invalidation, the
+        model is not).
         """
         if self._cost_model is None:
             if self.cost_model_name == "cardinality":
                 self._cost_model = CardinalityCostModel(self.estimator)
             elif self.cost_model_name == "engine":
-                if self._feedback is not None:
-                    self._cost_model = LayeredCostModel(
-                        self.estimator,
-                        layers=self._build_layers(),
-                        catalog=self.catalog,
-                        base_table=self.base_table,
-                        use_indexes=self.use_indexes,
-                    )
-                else:
-                    self._cost_model = EngineCostModel(
-                        self.estimator,
-                        catalog=self.catalog,
-                        base_table=self.base_table,
-                        use_indexes=self.use_indexes,
-                    )
+                self._cost_model = EngineCostModel(
+                    self.estimator,
+                    catalog=self.catalog,
+                    base_table=self.base_table,
+                    use_indexes=self.use_indexes,
+                )
             else:
                 raise ValueError(
                     f"unknown cost model {self.cost_model_name!r}"
                 )
         return self._cost_model
-
-    def _build_layers(self) -> tuple[CostLayer, ...]:
-        config = self._feedback
-        assert config is not None and self._history is not None
-        layers: list[CostLayer] = [
-            CalibrationLayer(
-                self._history,
-                relation=self.base_table,
-                min_runs=config.min_runs,
-                clamp=config.clamp,
-            )
-        ]
-        if config.adaptive:
-            layers.append(
-                AdaptiveThresholdLayer(
-                    self.metrics,
-                    relation=self.base_table,
-                    min_observations=config.min_observations,
-                )
-            )
-        layers.extend(config.extra_layers)
-        return tuple(layers)
 
     def coster(self) -> PlanCoster:
         """The session's plan coster (caches rebuilt after invalidation)."""
@@ -418,66 +285,15 @@ class Session:
         """Drop cached costs and plans (after physical-design changes).
 
         The cost-model *instance* is kept — only the coster's memoized
-        edge/sub-plan costs and the plan cache are dropped, so feedback
-        calibration state survives the invalidation.
+        edge/sub-plan costs and the plan cache are dropped.
         """
         self._coster = None
         self._design_version += 1
 
     def reset_cost_model(self) -> None:
-        """Drop the cost-model instance itself (and all cached costs).
-
-        The rebuilt model starts from the static constants; with
-        feedback enabled its layers re-derive from the (unchanged)
-        history store on the next refresh.
-        """
+        """Drop the cost-model instance itself (and all cached costs)."""
         self._cost_model = None
         self.invalidate_coster()
-
-    def refresh_feedback(self) -> bool:
-        """Refresh the layered model's corrections from recorded data.
-
-        Returns True when any factor or threshold changed — cached plan
-        costs are dropped in that case so the next ``optimize()`` plans
-        with the new state.  No-op (False) when feedback is off or the
-        model is not layered.
-        """
-        model = self.cost_model()
-        if not isinstance(model, LayeredCostModel):
-            return False
-        changed = model.refresh()
-        if changed:
-            self.invalidate_coster()
-        return changed
-
-    def adaptive_state(self) -> dict[str, object]:
-        """JSON-friendly snapshot of the feedback loop (CLI ``adaptive``).
-
-        Includes per-layer state, the merged corrections/thresholds,
-        and the recording counters.  With feedback off, reports only
-        ``{"feedback": False}``.
-        """
-        if self._feedback is None:
-            return {"feedback": False}
-        model = self.cost_model()
-        state: dict[str, object] = {
-            "feedback": True,
-            "executions_recorded": self.executions_recorded,
-            "refresh_every": self._feedback.refresh_every,
-            "history_runs": (
-                self._history.calibration(relation=self.base_table).runs
-                if self._history is not None
-                else 0
-            ),
-            "history_path": (
-                str(self._history.path)
-                if self._history is not None and self._history.path is not None
-                else None
-            ),
-        }
-        if isinstance(model, LayeredCostModel):
-            state["model"] = model.describe()
-        return state
 
     # -- physical design -----------------------------------------------------------
 
@@ -554,15 +370,6 @@ class Session:
         memory_budget_bytes: float | None,
         mode: str = "auto",
     ) -> PlanExecutor:
-        # With feedback on, the executor lowers and auto-resolves modes
-        # against the session's calibrated model instead of building
-        # fresh uncalibrated ones; with feedback off the executor keeps
-        # building its own — today's exact (bit-identical) path.
-        model: EngineCostModel | None = None
-        if self._feedback is not None:
-            candidate = self.cost_model()
-            if isinstance(candidate, EngineCostModel):
-                model = candidate
         return PlanExecutor(
             self.catalog,
             self.base_table,
@@ -574,7 +381,6 @@ class Session:
             memory_budget_bytes=memory_budget_bytes,
             metrics=self.metrics,
             mode=mode,
-            model=model,
             result_cache=self._result_cache,
         )
 
@@ -617,64 +423,12 @@ class Session:
                 driven two-phase aggregation when the base relation and
                 grouping count clear the cost model's thresholds.  The
                 resolved mode is reported on ``result.metrics.mode``.
-
-        With feedback enabled the run is additionally recorded into the
-        session's history store (est-vs-actual per node, from a span
-        window over this run only) and the correction layers refresh on
-        the configured cadence — results are unchanged; only *future*
-        plan choices move.
         """
         steps = self._schedule_steps(plan, schedule, parallelism, mode)
-        if self._feedback is None:
-            executor = self._executor(
-                aggregates, tracer, parallelism, memory_budget_bytes, mode
-            )
-            return executor.execute(plan, steps)
-        run_tracer = tracer or self.tracer
-        if run_tracer.enabled:
-            record_tracer: Tracer = run_tracer
-            window_start = len(run_tracer.spans)
-        else:
-            record_tracer = Tracer()
-            window_start = 0
         executor = self._executor(
-            aggregates, record_tracer, parallelism, memory_budget_bytes, mode
+            aggregates, tracer, parallelism, memory_budget_bytes, mode
         )
-        result = executor.execute(plan, steps)
-        self._record_execution(
-            plan, result, record_tracer.spans[window_start:], parallelism
-        )
-        return result
-
-    def _record_execution(
-        self,
-        plan: LogicalPlan,
-        execution: ExecutionResult,
-        spans: list[Span],
-        parallelism: int,
-    ) -> None:
-        """Append one run's est-vs-actual record; refresh on cadence."""
-        from repro.obs.analyze import SpanSlice, analyze_execution
-
-        if self._history is None:  # pragma: no cover - guarded by caller
-            return
-        analysis = analyze_execution(
-            plan,
-            execution,
-            SpanSlice(spans),
-            self.coster(),
-            self.estimator,
-        )
-        self._history.append_analysis(
-            analysis, plan, parallelism=parallelism
-        )
-        self.executions_recorded += 1
-        config = self._feedback
-        if (
-            config is not None
-            and self.executions_recorded % config.refresh_every == 0
-        ):
-            self.refresh_feedback()
+        return executor.execute(plan, steps)
 
     def lower(
         self,

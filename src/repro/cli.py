@@ -10,7 +10,6 @@ Subcommands::
     python -m repro.cli trace --workload sales --out trace.jsonl
     python -m repro.cli flamegraph --workload sales --out profile.collapsed
     python -m repro.cli calibration history.jsonl [--relation R]
-    python -m repro.cli adaptive --workload sales --runs 5 [--no-feedback]
     python -m repro.cli analyze-plan --workload sales [--states]
     python -m repro.cli cache --workload sales --runs 3 [--max-bytes N]
     python -m repro.cli lint-plan plan.json [--max-storage-bytes N]
@@ -28,18 +27,13 @@ counter/histogram snapshots, ``--prom-out`` writes the Prometheus
 exposition); ``flamegraph`` converts a run's span tree — or an exported
 trace JSONL — into collapsed-stack format plus a per-operator self-time
 table; ``calibration`` rolls a plan-history store up into the q-error
-calibration report and the cost-correction factors it implies
-(``--min-runs``/``--clamp`` control the rollup knobs); ``adaptive``
-runs a workload repeatedly under the Session feedback loop and shows
-how the layered cost model drifts run over run (``--no-feedback``
-re-runs the same loop with the loop disabled as an A/B escape hatch);
-``analyze-plan`` optimizes, lowers, and runs the abstract-interpretation
-dataflow analyzer (PV012+) over the physical plan with full catalog and
-cardinality context; ``cache`` runs a workload repeatedly with the
-semantic result cache enabled and reports hit/eviction accounting plus
-the resident entries; ``lint-plan`` runs the static plan verifier over
-a serialized plan; ``lint-code`` runs the custom AST lints over the
-repro sources.
+calibration report; ``analyze-plan`` optimizes, lowers, and runs the
+abstract-interpretation dataflow analyzer (PV012+) over the physical
+plan with full catalog and cardinality context; ``cache`` runs a
+workload repeatedly with the semantic result cache enabled and reports
+hit/eviction accounting plus the resident entries; ``lint-plan`` runs
+the static plan verifier over a serialized plan; ``lint-code`` runs the
+custom AST lints over the repro sources.
 
 The observability subcommands accept ``--cache`` to enable the semantic
 result cache for the run (repeated groupings are served from cached
@@ -71,10 +65,6 @@ from repro.analysis.verifier import VerifyContext, verify_payload
 from repro.api import Session
 from repro.baselines.grouping_sets import CommercialGroupingSetsPlanner
 from repro.core.visualize import plan_to_dot
-from repro.costmodel.engine_model import (
-    CALIBRATION_FACTOR_BAND,
-    CALIBRATION_MIN_RUNS,
-)
 from repro.engine.csv_io import load_csv
 from repro.engine.sqlgen import plan_to_sql
 from repro.obs import (
@@ -211,7 +201,6 @@ def _obs_session(
     args,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    feedback=False,
     cache=None,
 ) -> tuple[Session, list[frozenset[str]]]:
     """Session + workload for the observability subcommands.
@@ -233,7 +222,6 @@ def _obs_session(
         statistics=args.statistics,
         tracer=tracer,
         metrics=metrics,
-        feedback=feedback,
         cache=cache,
     )
     columns = args.columns.split(",") if args.columns else list(table.column_names)
@@ -286,8 +274,6 @@ def cmd_explain(args) -> int:
     else:
         print("\n-- EXPLAIN --")
         print(session.explain(result.plan).render())
-    if args.history:
-        _print_calibration_corrections(session, args.history)
     print("\n-- PHYSICAL --")
     physical = session.lower(
         result.plan,
@@ -297,38 +283,6 @@ def cmd_explain(args) -> int:
     )
     print(physical.render())
     return 0
-
-
-def _print_calibration_corrections(session, history: str) -> None:
-    """Active per-(operator, regime) cost corrections from run history.
-
-    The ``--history`` store accumulates estimated-vs-actual records;
-    rolled through :meth:`EngineCostModel.with_calibration` they become
-    the multiplicative factors the next plan choice would be charged
-    with — shown here so ``explain --history`` closes the loop.
-    """
-    from repro.costmodel.engine_model import EngineCostModel
-
-    path = Path(history)
-    if not path.exists():
-        return
-    report = PlanHistoryStore(path).calibration(
-        relation=session.base_table
-    )
-    if report.runs == 0:
-        return
-    model = EngineCostModel(
-        session.estimator,
-        catalog=session.catalog,
-        base_table=session.base_table,
-    ).with_calibration(report)
-    corrections = model.corrections
-    print(f"\n-- CALIBRATION ({report.runs} runs) --")
-    if not corrections:
-        print("no per-(operator, regime) corrections active")
-        return
-    for (operator, regime), factor in sorted(corrections.items()):
-        print(f"{operator} [{regime or '-'}]  cost x{factor:.2f}")
 
 
 def cmd_trace(args) -> int:
@@ -402,8 +356,6 @@ def cmd_flamegraph(args) -> int:
 
 
 def cmd_calibration(args) -> int:
-    from repro.costmodel.engine_model import calibration_corrections
-
     path = Path(args.history)
     if not path.exists():
         print(f"error: no history file at {path}", file=sys.stderr)
@@ -413,138 +365,10 @@ def cmd_calibration(args) -> int:
     if report.runs == 0:
         print(f"error: no matching records in {path}", file=sys.stderr)
         return 2
-    try:
-        corrections = calibration_corrections(
-            report, min_runs=args.min_runs, clamp=tuple(args.clamp)
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if args.format == "json":
-        payload = report.as_dict()
-        payload["corrections"] = {
-            f"{operator}/{regime}": factor
-            for (operator, regime), factor in sorted(corrections.items())
-        }
-        payload["min_runs"] = args.min_runs
-        payload["clamp"] = list(args.clamp)
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.as_dict(), indent=2))
         return 0
     print(report.render())
-    print(
-        f"\ncorrections (min-runs {args.min_runs}, "
-        f"clamp [{args.clamp[0]:g}, {args.clamp[1]:g}]):"
-    )
-    if not corrections:
-        print("  none active")
-    else:
-        for (operator, regime), factor in sorted(corrections.items()):
-            print(f"  {operator} [{regime or '-'}]  cost x{factor:.2f}")
-    return 0
-
-
-def _render_adaptive_state(state: dict[str, object]) -> str:
-    """Human-readable form of ``Session.adaptive_state()``."""
-    if not state.get("feedback"):
-        return "feedback: disabled"
-    lines = [
-        f"feedback: enabled  "
-        f"(recorded {state['executions_recorded']} executions, "
-        f"refresh every {state['refresh_every']}, "
-        f"history runs {state['history_runs']})",
-    ]
-    model = state.get("model")
-    if not isinstance(model, dict):
-        return "\n".join(lines)
-    for layer in model.get("layers", []):
-        factors = layer.get("factors") or {}
-        factor_text = (
-            "  ".join(f"{k} x{v:.2f}" for k, v in sorted(factors.items()))
-            or "no factors"
-        )
-        lines.append(f"layer {layer['layer']}: {factor_text}")
-        ratio = layer.get("observed_sort_hash_ratio")
-        if ratio is not None:
-            lines.append(f"  observed sort/hash op-time ratio {ratio:.2f}")
-        mode_ratio = layer.get("observed_morsel_serial_ratio")
-        if mode_ratio is not None:
-            lines.append(
-                f"  observed morsel/serial run-time ratio {mode_ratio:.2f}"
-            )
-    merged = model.get("merged", {})
-    base = model.get("base", {})
-    corrections = merged.get("corrections") or {}
-    origins = merged.get("origins") or {}
-    if corrections:
-        lines.append("merged corrections:")
-        for key, factor in sorted(corrections.items()):
-            lines.append(
-                f"  {key}  cost x{factor:.2f}  (by {origins.get(key, '?')})"
-            )
-    else:
-        lines.append("merged corrections: none")
-    floor = merged.get("morsel_min_rows")
-    static_floor = base.get("morsel_min_rows")
-    if floor is not None and static_floor is not None and floor != static_floor:
-        lines.append(
-            f"morsel row floor re-tuned: {static_floor:,.0f} -> {floor:,.0f}"
-        )
-    lines.append(f"layer refreshes: {model.get('refreshes', 0)}")
-    return "\n".join(lines)
-
-
-def cmd_adaptive(args) -> int:
-    from repro.api import FeedbackConfig
-
-    if not _require_source(args):
-        return 2
-    if args.runs < 1:
-        print(f"error: --runs must be >= 1, got {args.runs}", file=sys.stderr)
-        return 2
-    feedback: bool | FeedbackConfig = False
-    if not args.no_feedback:
-        feedback = FeedbackConfig(history=args.history)
-    session, queries = _obs_session(args, feedback=feedback)
-    runs: list[dict[str, object]] = []
-    first_render: str | None = None
-    for index in range(args.runs):
-        result = session.optimize(queries)
-        execution = session.execute(
-            result.plan, parallelism=args.parallelism, mode=args.mode
-        )
-        render = result.plan.render()
-        if first_render is None:
-            first_render = render
-        runs.append(
-            {
-                "run": index + 1,
-                "est_cost": result.cost,
-                "wall_seconds": execution.wall_seconds,
-                "plan_changed": render != first_render,
-            }
-        )
-    state = session.adaptive_state()
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"runs": runs, "adaptive_state": state}, indent=2
-            )
-        )
-        return 0
-    print(f"{'run':>3}  {'est cost':>14}  {'wall ms':>8}  plan")
-    for record in runs:
-        marker = "changed" if record["plan_changed"] else "as run 1"
-        print(
-            f"{record['run']:>3}  {record['est_cost']:>14,.0f}  "
-            f"{record['wall_seconds'] * 1e3:>8.2f}  {marker}"
-        )
-    first_cost = float(runs[0]["est_cost"])  # type: ignore[arg-type]
-    last_cost = float(runs[-1]["est_cost"])  # type: ignore[arg-type]
-    if first_cost > 0:
-        drift = (last_cost - first_cost) / first_cost
-        print(f"\nest-cost drift run 1 -> {len(runs)}: {drift:+.1%}")
-    print("\n-- adaptive state --")
-    print(_render_adaptive_state(state))
     return 0
 
 
@@ -1005,56 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     calibration.add_argument(
         "--relation", help="restrict to runs over this base relation"
     )
-    calibration.add_argument(
-        "--min-runs",
-        type=int,
-        default=CALIBRATION_MIN_RUNS,
-        help="minimum observations per (operator, regime) group before "
-        f"a correction factor is derived (default {CALIBRATION_MIN_RUNS})",
-    )
-    calibration.add_argument(
-        "--clamp",
-        type=float,
-        nargs=2,
-        metavar=("LOWER", "UPPER"),
-        default=list(CALIBRATION_FACTOR_BAND),
-        help="band every correction factor is clamped to (default "
-        f"{CALIBRATION_FACTOR_BAND[0]:g} {CALIBRATION_FACTOR_BAND[1]:g})",
-    )
     format_option(calibration)
     calibration.set_defaults(fn=cmd_calibration)
-
-    adaptive = sub.add_parser(
-        "adaptive",
-        help="run a workload under the feedback loop and show model drift",
-        description="Optimize + execute the workload --runs times inside "
-        "one Session with the estimate->actual feedback loop enabled: "
-        "each execution is recorded into the history store and the "
-        "layered cost model refreshes its calibration/adaptive layers, "
-        "so later runs may pick different plans.  Prints per-run "
-        "estimated cost, wall time, and whether the plan drifted from "
-        "run 1, then the final layer state.  --no-feedback runs the "
-        "same loop with the feedback loop disabled (the static model).",
-    )
-    obs_common(adaptive)
-    adaptive.add_argument(
-        "--runs",
-        type=int,
-        default=5,
-        help="optimize + execute iterations (default 5)",
-    )
-    adaptive.add_argument(
-        "--no-feedback",
-        action="store_true",
-        help="disable the feedback loop (static cost model baseline)",
-    )
-    adaptive.add_argument(
-        "--history",
-        help="persist run records to this plan-history JSONL store "
-        "(default: session-scoped in-memory store)",
-    )
-    format_option(adaptive)
-    adaptive.set_defaults(fn=cmd_adaptive)
 
     sql = sub.add_parser(
         "sql", help="run a GROUPING SETS / CUBE / ROLLUP statement"

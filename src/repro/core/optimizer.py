@@ -371,10 +371,6 @@ class GbMqoOptimizer:
         from repro.engine.aggregation import AggregateSpec
         from repro.physical.lowering import lower
 
-        # Lower against the coster's own model (calibration factors and
-        # re-tuned thresholds included) and hand the same model to the
-        # verification context, so the PV024 calibration-consistency
-        # cross-check closes over exactly the state that shaped the plan.
         physical = lower(
             plan,
             catalog=catalog,
@@ -382,7 +378,6 @@ class GbMqoOptimizer:
             aggregates=[AggregateSpec.count_star("cnt")],
             use_indexes=getattr(model, "use_indexes", True),
             estimator=getattr(model, "estimator", None),
-            model=model,
         )
         diagnostics = verify_physical_plan(
             physical,
@@ -390,7 +385,6 @@ class GbMqoOptimizer:
                 catalog=catalog,
                 base_table=base_table,
                 estimator=getattr(model, "estimator", None),
-                model=model,
                 epsilon=self.options.epsilon,
             ),
         )

@@ -9,32 +9,15 @@
 * :class:`~repro.costmodel.base.PlanCoster` — caches edge and sub-plan
   costs and counts optimizer calls, the optimization-cost metric of
   Figures 10 and 11.
-* :mod:`~repro.costmodel.layers` — composable correction layers
-  (:class:`~repro.costmodel.layers.CalibrationLayer`,
-  :class:`~repro.costmodel.layers.AdaptiveThresholdLayer`) merged by
-  :class:`~repro.costmodel.layers.LayeredCostModel`, closing the
-  estimate→actual feedback loop.
 """
 
 from repro.costmodel.base import CostModel, PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
 from repro.costmodel.engine_model import EngineCostModel
-from repro.costmodel.layers import (
-    AdaptiveThresholdLayer,
-    CalibrationLayer,
-    CostLayer,
-    LayeredCostModel,
-    ThresholdOverrides,
-)
 
 __all__ = [
-    "AdaptiveThresholdLayer",
-    "CalibrationLayer",
     "CardinalityCostModel",
-    "CostLayer",
     "CostModel",
     "EngineCostModel",
-    "LayeredCostModel",
     "PlanCoster",
-    "ThresholdOverrides",
 ]

@@ -15,16 +15,13 @@ wall-clock seconds; only relative costs matter for plan choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.core.plan import NodeKind, PlanNode
 from repro.engine.catalog import Catalog
 from repro.engine.morsel import morsel_count
 from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.whatif import WhatIfRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.history import CalibrationReport
 
 #: Cost per byte read from a stored table.
 READ_BYTE = 1.0
@@ -73,11 +70,6 @@ MORSEL_MIN_GROUPINGS = 2
 MORSEL_PARTIAL_CPU = 8.0
 #: Fixed scheduling cost per morsel dispatched to the worker pool.
 MORSEL_DISPATCH_COST = 50_000.0
-#: Calibration guard rails: a per-(operator, regime) correction factor
-#: needs at least this many observed runs, and is clamped to this band,
-#: so a short or noisy history cannot invert the model's decisions.
-CALIBRATION_MIN_RUNS = 3
-CALIBRATION_FACTOR_BAND = (0.2, 5.0)
 
 
 @dataclass(frozen=True)
@@ -92,10 +84,6 @@ class GroupingChoice:
         domain: estimated composite key domain (product of per-column
             cardinalities).
         mem_bytes: transient memory estimate of the chosen regime.
-        decided_by: which cost layer settled the decision — ``'static'``
-            when the uncorrected constants already picked this regime,
-            otherwise the name of the correction layer (``'calibration'``,
-            ``'adaptive'``, ...) whose factors flipped it.
     """
 
     strategy: str
@@ -103,7 +91,6 @@ class GroupingChoice:
     sort_cost: float
     domain: float
     mem_bytes: float
-    decided_by: str = "static"
 
 
 @dataclass(frozen=True)
@@ -117,9 +104,6 @@ class ModeChoice:
         morsels: morsel count the morsel mode would use.
         serial_cost / wavefront_cost / morsel_cost: modeled costs.
         reason: one-line explanation of the decision (EXPLAIN output).
-        decided_by: which cost layer settled the decision — ``'static'``
-            when the built-in floors already picked this mode, otherwise
-            the name of the layer whose re-tuned floors flipped it.
     """
 
     mode: str
@@ -128,56 +112,6 @@ class ModeChoice:
     wavefront_cost: float
     morsel_cost: float
     reason: str
-    decided_by: str = "static"
-
-
-def calibration_corrections(
-    report: "CalibrationReport",
-    min_runs: int = CALIBRATION_MIN_RUNS,
-    clamp: tuple[float, float] = CALIBRATION_FACTOR_BAND,
-) -> dict[tuple[str, str], float]:
-    """Per-(operator, regime) multiplicative factors from run history.
-
-    A group with a consistent estimate bias and enough runs yields its
-    q-error geometric mean as the factor — multiplied in when the model
-    under-estimates, divided out when it over-estimates — clamped to
-    ``clamp``.  Mixed-bias or thin groups yield no correction.
-
-    Args:
-        report: the across-runs q-error rollup.
-        min_runs: minimum observations a (operator, regime) group needs
-            before it is trusted (default
-            :data:`CALIBRATION_MIN_RUNS`).
-        clamp: ``(lower, upper)`` band every factor is clamped to
-            (default :data:`CALIBRATION_FACTOR_BAND`), so a short or
-            noisy history cannot invert the model's decisions.
-    """
-    lower, upper = clamp
-    if min_runs < 1:
-        raise ValueError(f"min_runs must be >= 1, got {min_runs}")
-    if not 0.0 < lower <= upper:
-        raise ValueError(f"clamp band must satisfy 0 < lower <= upper, got {clamp}")
-    factors: dict[tuple[str, str], float] = {}
-    for (operator, regime), stats in report.groups.items():
-        if stats.count < min_runs:
-            continue
-        gmean = stats.geometric_mean
-        if gmean <= 1.0:
-            continue
-        if stats.bias == "under":
-            factor = gmean
-        elif stats.bias == "over":
-            factor = 1.0 / gmean
-        else:
-            continue
-        factors[(operator, regime)] = min(max(factor, lower), upper)
-    return factors
-
-
-def _join_origins(origins: Iterable[str]) -> str:
-    """Deterministic display name for the layers behind a flipped call."""
-    unique = sorted(set(origins))
-    return "+".join(unique) if unique else "calibration"
 
 
 def default_execution_mode(
@@ -208,19 +142,6 @@ class EngineCostModel:
         base_table: name of the base relation R in the catalog.
         whatif: registry where hypothetical intermediate tables are
             declared as they are first costed (mirrors the what-if API).
-        corrections: per-(operator, regime) multiplicative cost factors
-            from :func:`calibration_corrections`; normally installed via
-            :meth:`with_calibration` rather than passed directly.
-        correction_origins: per-(operator, regime) name of the cost
-            layer each correction came from (``'calibration'`` when
-            absent) — surfaced as ``decided_by`` on flipped decisions.
-        morsel_min_rows: base-row floor for the morsel mode; defaults to
-            the static :data:`MORSEL_MIN_ROWS`.  An adaptive layer may
-            re-tune it from observed run-time distributions.
-        morsel_min_groupings: grouping-count floor for the morsel mode;
-            defaults to the static :data:`MORSEL_MIN_GROUPINGS`.
-        threshold_origin: name of the layer that supplied non-default
-            floors (``decided_by`` on mode decisions they flip).
     """
 
     def __init__(
@@ -231,29 +152,11 @@ class EngineCostModel:
         whatif: WhatIfRegistry | None = None,
         base_row_width: float | None = None,
         use_indexes: bool = True,
-        corrections: dict[tuple[str, str], float] | None = None,
-        correction_origins: dict[tuple[str, str], str] | None = None,
-        morsel_min_rows: float | None = None,
-        morsel_min_groupings: int | None = None,
-        threshold_origin: str = "adaptive",
     ) -> None:
         self._estimator = estimator
         self._catalog = catalog
         self._base_table = base_table
         self._use_indexes = use_indexes
-        self._corrections = dict(corrections or {})
-        self._correction_origins = dict(correction_origins or {})
-        self._morsel_min_rows = (
-            float(morsel_min_rows)
-            if morsel_min_rows is not None
-            else float(MORSEL_MIN_ROWS)
-        )
-        self._morsel_min_groupings = (
-            int(morsel_min_groupings)
-            if morsel_min_groupings is not None
-            else MORSEL_MIN_GROUPINGS
-        )
-        self._threshold_origin = threshold_origin
         if base_row_width is not None:
             self._base_row_width = float(base_row_width)
         elif catalog is not None and base_table is not None:
@@ -281,99 +184,6 @@ class EngineCostModel:
     def use_indexes(self) -> bool:
         """Whether covering indexes participate in scan costing."""
         return self._use_indexes
-
-    # -- calibration -----------------------------------------------------------
-
-    @property
-    def corrections(self) -> dict[tuple[str, str], float]:
-        """Active per-(operator, regime) calibration factors (a copy)."""
-        return dict(self._corrections)
-
-    @property
-    def correction_origins(self) -> dict[tuple[str, str], str]:
-        """Layer name behind each active correction factor (a copy)."""
-        return dict(self._correction_origins)
-
-    @property
-    def morsel_min_rows(self) -> float:
-        """Active base-row floor for the morsel execution mode."""
-        return self._morsel_min_rows
-
-    @property
-    def morsel_min_groupings(self) -> int:
-        """Active grouping-count floor for the morsel execution mode."""
-        return self._morsel_min_groupings
-
-    def _corrected(self, cost: float, operator: str, regime: str) -> float:
-        return cost * self._corrections.get((operator, regime), 1.0)
-
-    def _origin_for(self, *keys: tuple[str, str]) -> str:
-        """Name(s) of the layer(s) whose factors touch ``keys``."""
-        return _join_origins(
-            self._correction_origins.get(key, "calibration")
-            for key in keys
-            if key in self._corrections
-        )
-
-    def _producer_key(
-        self, columns: frozenset[str], from_base: bool
-    ) -> tuple[str, str]:
-        """(operator, regime) of the grouping that produces ``columns``.
-
-        Calibration factors are keyed by the operator whose *output
-        cardinality estimate* drives a cost component; this classifies
-        a column set the way the lowering would: a base grouping lowers
-        to ``hash_group_by``/``sort_group_by`` by domain regime, an
-        intermediate one to ``reaggregate``.
-        """
-        regime = (
-            "hash"
-            if self.grouping_domain(columns) <= HASH_DOMAIN_LIMIT
-            else "sort"
-        )
-        if not from_base:
-            return ("reaggregate", regime)
-        return (
-            ("hash_group_by", "hash")
-            if regime == "hash"
-            else ("sort_group_by", "sort")
-        )
-
-    def with_calibration(
-        self,
-        report: "CalibrationReport",
-        min_runs: int = CALIBRATION_MIN_RUNS,
-        clamp: tuple[float, float] = CALIBRATION_FACTOR_BAND,
-    ) -> "EngineCostModel":
-        """A copy of this model with history-derived cost corrections.
-
-        Closes the estimate→actual loop: per-(operator, regime) q-error
-        bias accumulated by ``explain_analyze(history=...)`` runs (the
-        :class:`~repro.obs.history.CalibrationReport`) becomes
-        multiplicative factors on the matching operator costs, so a
-        regime the model consistently under-estimates gets charged more
-        on the next plan choice.  The receiver is left untouched.
-
-        Args:
-            report: the across-runs q-error rollup.
-            min_runs: minimum observations per (operator, regime) group
-                (see :func:`calibration_corrections`).
-            clamp: ``(lower, upper)`` factor clamp band.
-        """
-        return EngineCostModel(
-            self._estimator,
-            catalog=self._catalog,
-            base_table=self._base_table,
-            whatif=self.whatif,
-            base_row_width=self._base_row_width,
-            use_indexes=self._use_indexes,
-            corrections=calibration_corrections(
-                report, min_runs=min_runs, clamp=clamp
-            ),
-            morsel_min_rows=self._morsel_min_rows,
-            morsel_min_groupings=self._morsel_min_groupings,
-            threshold_origin=self._threshold_origin,
-        )
 
     # -- scan model -----------------------------------------------------------
 
@@ -458,7 +268,6 @@ class EngineCostModel:
         self,
         columns: Iterable[str],
         input_rows: float,
-        operator: str | None = None,
     ) -> GroupingChoice:
         """Cost the hash and sort regimes for one grouping and pick one.
 
@@ -471,40 +280,23 @@ class EngineCostModel:
         Args:
             columns: the grouping keys.
             input_rows: estimated input cardinality.
-            operator: physical operator kind the choice lowers to, for
-                calibration-factor lookup: None keys the default base
-                pair (``hash_group_by``/``sort_group_by``); pass
-                ``'reaggregate'`` when costing an intermediate grouping
-                so its own (operator, regime) corrections apply.
         """
         columns = list(columns)
         ncols = max(len(columns), 1)
         domain = self.grouping_domain(columns)
         rows = max(float(input_rows), 0.0)
-        raw_sort = rows * (ncols * HASH_CPU + SORT_GROUP_CPU)
+        sort_cost = rows * (ncols * HASH_CPU + SORT_GROUP_CPU)
         if domain > HASH_DOMAIN_LIMIT:
-            raw_hash = float("inf")
+            hash_cost = float("inf")
         else:
-            raw_hash = rows * ncols * HASH_CPU + domain * BINCOUNT_INIT_CPU
-        hash_key = (operator or "hash_group_by", "hash")
-        sort_key = (operator or "sort_group_by", "sort")
-        hash_cost = self._corrected(raw_hash, *hash_key)
-        sort_cost = self._corrected(raw_sort, *sort_key)
-        raw_strategy = "hash" if raw_hash <= raw_sort else "sort"
+            hash_cost = rows * ncols * HASH_CPU + domain * BINCOUNT_INIT_CPU
         strategy = "hash" if hash_cost <= sort_cost else "sort"
-        decided_by = (
-            "static"
-            if strategy == raw_strategy
-            else self._origin_for(hash_key, sort_key)
-        )
         mem = (
             domain * HASH_SLOT_BYTES + rows * 8.0
             if strategy == "hash"
             else rows * SORT_ROW_BYTES
         )
-        return GroupingChoice(
-            strategy, hash_cost, sort_cost, domain, mem, decided_by
-        )
+        return GroupingChoice(strategy, hash_cost, sort_cost, domain, mem)
 
     def scan_op_cost(self, rows: float, width: float) -> float:
         """Cost of one physical scan: ``rows * width`` bytes read."""
@@ -561,33 +353,24 @@ class EngineCostModel:
             + groupings * (group_cpu + rows * MORSEL_PARTIAL_CPU)
             + morsels * MORSEL_DISPATCH_COST
         )
-
-        def decide(
-            min_rows: float, min_groupings: int
-        ) -> tuple[str, str]:
-            if rows < min_rows:
-                return "serial", (
-                    f"base rows {int(rows)} below the morsel floor "
-                    f"{int(min_rows)}"
-                )
-            if groupings < min_groupings:
-                return "serial", (
-                    f"{groupings} grouping(s): no scan sharing to win"
-                )
-            if morsel_cost >= serial_cost:
-                return "serial", (
-                    "two-phase overhead exceeds shared-scan savings"
-                )
-            return "morsel", (
+        if rows < MORSEL_MIN_ROWS:
+            mode, reason = "serial", (
+                f"base rows {int(rows)} below the morsel floor "
+                f"{MORSEL_MIN_ROWS}"
+            )
+        elif groupings < MORSEL_MIN_GROUPINGS:
+            mode, reason = "serial", (
+                f"{groupings} grouping(s): no scan sharing to win"
+            )
+        elif morsel_cost >= serial_cost:
+            mode, reason = "serial", (
+                "two-phase overhead exceeds shared-scan savings"
+            )
+        else:
+            mode, reason = "morsel", (
                 f"{groupings} groupings share each of {morsels} "
                 f"morsel scans"
             )
-
-        mode, reason = decide(
-            self._morsel_min_rows, self._morsel_min_groupings
-        )
-        static_mode, _ = decide(MORSEL_MIN_ROWS, MORSEL_MIN_GROUPINGS)
-        decided_by = "static" if mode == static_mode else self._threshold_origin
         return ModeChoice(
             mode=mode,
             morsels=morsels,
@@ -595,7 +378,6 @@ class EngineCostModel:
             wavefront_cost=wavefront_cost,
             morsel_cost=morsel_cost,
             reason=reason,
-            decided_by=decided_by,
         )
 
     # -- public API -------------------------------------------------------------
@@ -603,31 +385,13 @@ class EngineCostModel:
     def group_by_cost(
         self, parent: PlanNode | None, columns: frozenset[str], materialize: bool
     ) -> float:
-        """Cost of one plain Group By on ``columns`` from ``parent``.
-
-        Calibration factors apply to the components driven by an
-        *estimated* cardinality, keyed by the operator producing it: an
-        intermediate scan reads the parent's output (scaled by the
-        parent producer's factor), and a materialization writes this
-        node's output (scaled by its own producer's factor).  Base-scan
-        bytes ride on the exact base-row count and are never scaled.
-        With no corrections installed every factor is 1.0 and this is
-        byte-identical to the uncalibrated model.
-        """
+        """Cost of one plain Group By on ``columns`` from ``parent``."""
         if parent is None:
             cost = self._base_scan_cost(columns)
-            from_base = True
         else:
-            cost = self._corrected(
-                self._intermediate_scan_cost(parent, columns),
-                *self._producer_key(parent.columns, from_base=True),
-            )
-            from_base = False
+            cost = self._intermediate_scan_cost(parent, columns)
         if materialize:
-            cost += self._corrected(
-                self._materialize_cost(columns),
-                *self._producer_key(columns, from_base=from_base),
-            )
+            cost += self._materialize_cost(columns)
         return cost
 
     def edge_cost(

@@ -32,6 +32,12 @@ class Catalog:
         # map: the parallel wavefront executor materializes temps from
         # worker threads.
         self._temp_lock = threading.Lock()
+        #: Held by the executor across one whole plan run.  Temp names
+        #: are deterministic per plan node and the storage meter is read
+        #: as before/after deltas, so two interleaved runs would collide
+        #: on both; runs on one catalog therefore serialise.  Always
+        #: taken before ``_temp_lock``, never while holding it.
+        self.run_lock = threading.Lock()
         # Per-table mutation counter.  Any operation that changes a base
         # table's contents or physical order bumps it; the semantic
         # result cache pins entries to the version they were computed

@@ -76,7 +76,6 @@ from repro.obs.tracer import NOOP_TRACER, Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow import AnalysisContext
-    from repro.costmodel.engine_model import EngineCostModel
     from repro.physical.plan import (
         CubeExpand,
         DropTemp,
@@ -168,10 +167,6 @@ class PlanExecutor:
             and regime.  Defaults to the process-wide registry, which is
             the no-op singleton unless explicitly enabled — recording is
             read-only and never changes results.
-        model: cost model for auto-mode resolution and lowering (e.g. a
-            session's calibrated :class:`~repro.costmodel.layers.
-            LayeredCostModel`); None builds fresh uncalibrated models
-            from ``estimator`` as before — bit-identical behavior.
         result_cache: semantic result cache
             (:class:`~repro.cache.ResultCache`).  When given, the
             lowering substitutes ``CacheRead`` operators for groupings
@@ -180,6 +175,12 @@ class PlanExecutor:
             every finished grouping result is offered back to the
             cache.  None (the default) runs cache-unaware —
             bit-identical to the pre-cache behavior.
+
+    Concurrency: plan runs on one catalog serialise — every
+    :meth:`execute_physical` holds ``catalog.run_lock`` from its first
+    operator to its temp sweep — and each run drops only the temporary
+    tables it materialised itself.  Executors over *different* catalogs
+    run fully concurrently.
     """
 
     def __init__(
@@ -195,7 +196,6 @@ class PlanExecutor:
         memory_budget_bytes: float | None = None,
         metrics: MetricsRegistry | None = None,
         mode: str = "auto",
-        model: "EngineCostModel | None" = None,
         result_cache: ResultCache | None = None,
     ) -> None:
         if parallelism < 1:
@@ -217,7 +217,6 @@ class PlanExecutor:
         self._memory_budget_bytes = memory_budget_bytes
         self._metrics = metrics if metrics is not None else get_metrics()
         self._mode = mode
-        self._model = model
         self._result_cache = result_cache
         self._agg_sig = aggregate_signature(self._aggregates)
 
@@ -239,10 +238,6 @@ class PlanExecutor:
         if self._parallelism <= 1:
             return "serial"
         n_groupings = plan.node_count()
-        if self._model is not None:
-            return self._model.execution_mode_choice(
-                n_groupings, self._parallelism
-            ).mode
         if self._estimator is not None:
             from repro.costmodel.engine_model import EngineCostModel
 
@@ -292,7 +287,6 @@ class PlanExecutor:
                 steps=steps,
                 mode=mode,
                 parallelism=self._parallelism,
-                model=self._model,
                 result_cache=self._result_cache,
             )
         except PhysicalPlanError as exc:
@@ -332,13 +326,21 @@ class PlanExecutor:
             catalog=self._catalog,
             base_table=self._base_table,
             estimator=self._estimator,
-            model=self._model,
         )
 
     # -- physical interpretation -------------------------------------------------
 
     def execute_physical(self, physical: "PhysicalPlan") -> ExecutionResult:
-        """Interpret a lowered physical plan (serial/wavefront/morsel)."""
+        """Interpret a lowered physical plan (serial/wavefront/morsel).
+
+        Holds the catalog's run lock for the whole run, so concurrent
+        callers on one catalog execute one after the other (wavefront
+        and morsel workers *inside* a run are unaffected).
+        """
+        with self._catalog.run_lock:
+            return self._run_physical(physical)
+
+    def _run_physical(self, physical: "PhysicalPlan") -> ExecutionResult:
         parallel = physical.waves is not None
         dictionaries = self._dictionary_cache or DictionaryCache(
             metrics=self._metrics
@@ -351,6 +353,7 @@ class PlanExecutor:
         started = monotonic()
         peak_before = self._catalog.peak_temp_bytes
         current_before = self._catalog.current_temp_bytes
+        temps_before = set(self._catalog.temp_names())
         with self._tracer.span(
             "execute.plan",
             relation=physical.relation,
@@ -376,9 +379,10 @@ class PlanExecutor:
                         physical, result, dictionaries, current_before
                     )
             finally:
-                # Leave no temporaries behind even on failure.
+                # Leave none of this run's temporaries behind, even on
+                # failure; temps that predate the run are not ours.
                 for name in self._catalog.temp_names():
-                    if name.startswith("tmp__"):
+                    if name not in temps_before:
                         self._catalog.drop_temp(name)
             plan_span.set(
                 work=result.metrics.work,

@@ -95,11 +95,15 @@ class Table:
         integer columns take the O(n) fast path of
         :func:`repro.engine.dictcache.encode_column`.
         """
-        if column not in self._dictionaries:
+        # Return the local tuple, never a second lookup: another thread
+        # may drop_dictionaries() between the store and the read.
+        dictionary = self._dictionaries.get(column)
+        if dictionary is None:
             from repro.engine.dictcache import encode_column
 
-            self._dictionaries[column] = encode_column(self[column])
-        return self._dictionaries[column]
+            dictionary = encode_column(self[column])
+            self._dictionaries[column] = dictionary
+        return dictionary
 
     def cached_dictionary(
         self, column: str
@@ -232,10 +236,12 @@ class Table:
         projection = Table.wrap(
             name or self.name, {c: self._columns[c] for c in columns}
         )
-        # The projection shares arrays, so cached dictionaries carry over.
+        # The projection shares arrays, so cached dictionaries carry over
+        # (from a snapshot: another thread may drop them meanwhile).
+        dictionaries = self._dictionaries.copy()
         for column in columns:
-            if column in self._dictionaries:
-                projection._dictionaries[column] = self._dictionaries[column]
+            if column in dictionaries:
+                projection._dictionaries[column] = dictionaries[column]
         return projection
 
     def take(self, selector: np.ndarray, name: str | None = None) -> "Table":
@@ -273,7 +279,7 @@ class Table:
                 f"expected {self._num_rows}"
             )
         derived = Table.wrap(self.name, columns)
-        for name, dictionary in self._dictionaries.items():
+        for name, dictionary in self._dictionaries.copy().items():
             if name != column:
                 derived._dictionaries[name] = dictionary
         return derived

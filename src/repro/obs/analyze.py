@@ -140,23 +140,6 @@ class PlanAnalysis:
         }
 
 
-class SpanSlice:
-    """A read-only window over recorded spans.
-
-    Duck-types the two :class:`~repro.obs.tracer.Tracer` methods the
-    analysis needs (``spans`` and ``children_of``), so a caller that
-    executed under a shared long-lived tracer can analyze just the
-    spans its run appended — the ``Session`` feedback loop does this
-    when the caller supplied its own recording tracer.
-    """
-
-    def __init__(self, spans: list[Span]) -> None:
-        self.spans = list(spans)
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-
 def _node_spans_by_label(tracer: Tracer) -> dict[str, list[Span]]:
     by_label: dict[str, list[Span]] = {}
     for span in tracer.spans:
@@ -190,16 +173,15 @@ def _operator_of(tracer: Tracer, span: Span) -> tuple[str, str]:
 def analyze_execution(
     plan: LogicalPlan,
     execution: "ExecutionResult",
-    tracer: Tracer | SpanSlice,
+    tracer: Tracer,
     coster,
     estimator,
 ) -> PlanAnalysis:
     """Join a traced execution's actuals with the optimizer's estimates.
 
     The pure-analysis half of :func:`explain_analyze`: callers that
-    already ran the plan under a recording tracer (the ``Session``
-    feedback loop records every ``execute()``) reuse it without paying
-    a second execution.
+    already ran the plan under a recording tracer reuse it without
+    paying a second execution.
 
     Args:
         plan: the logical plan that was executed.

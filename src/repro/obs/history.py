@@ -181,30 +181,20 @@ class PlanHistoryStore:
     """Append-only store of estimated-vs-actual run records.
 
     Args:
-        path: the JSONL file, created (with parents) on first append;
-            None keeps records in memory only — the session-scoped
-            default for the :class:`~repro.api.Session` feedback loop,
-            gone when the process exits.
+        path: the JSONL file, created (with parents) on first append.
 
-    File-backed stores keep one lazily-opened append handle for their
-    lifetime (every record is flushed as it is written, so concurrent
-    readers always see complete lines); :meth:`close` releases it —
-    :meth:`repro.api.Session.close` calls it on session teardown.
+    The store keeps one lazily-opened append handle for its lifetime
+    (every record is flushed as it is written, so concurrent readers
+    always see complete lines); :meth:`close` releases it.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._records: list[dict[str, object]] = []
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
         self._handle: TextIO | None = None
         self._seq = self._last_seq() + 1
 
-    @property
-    def in_memory(self) -> bool:
-        """True when records live only in this process."""
-        return self.path is None
-
     def _last_seq(self) -> int:
-        if self.path is None or not self.path.exists():
+        if not self.path.exists():
             return -1
         last = -1
         for record in self.records():
@@ -254,18 +244,15 @@ class PlanHistoryStore:
         return record
 
     def _append(self, record: dict[str, object]) -> None:
-        if self.path is None:
-            self._records.append(record)
-        else:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.flush()
         self._seq += 1
 
     def flush(self) -> None:
-        """Flush any buffered appended records to disk (no-op in memory)."""
+        """Flush any buffered appended records to disk."""
         if self._handle is not None:
             self._handle.flush()
 
@@ -279,9 +266,6 @@ class PlanHistoryStore:
 
     def records(self) -> Iterable[dict[str, object]]:
         """Every record in append order (empty if the file is absent)."""
-        if self.path is None:
-            yield from self._records
-            return
         if not self.path.exists():
             return
         with open(self.path, encoding="utf-8") as handle:

@@ -95,7 +95,6 @@ class _Lowering:
         memory_budget_bytes: float | None,
         mode: str = "serial",
         parallelism: int = 1,
-        model: EngineCostModel | None = None,
         result_cache: ResultCache | None = None,
     ) -> None:
         self.plan = plan
@@ -109,19 +108,16 @@ class _Lowering:
         self.parallelism = parallelism
         self.result_cache = result_cache
         self.agg_sig = aggregate_signature(aggregates)
-        if model is not None:
-            self.model: EngineCostModel | None = model
-        else:
-            self.model = (
-                EngineCostModel(
-                    estimator,
-                    catalog=catalog,
-                    base_table=base_table,
-                    use_indexes=use_indexes,
-                )
-                if estimator is not None
-                else None
+        self.model: EngineCostModel | None = (
+            EngineCostModel(
+                estimator,
+                catalog=catalog,
+                base_table=base_table,
+                use_indexes=use_indexes,
             )
+            if estimator is not None
+            else None
+        )
         self.ops: list[PhysicalOperator] = []
         self.pipelines: list[PhysicalPipeline] = []
         self.materialized: dict[PlanNode, int] = {}
@@ -147,21 +143,17 @@ class _Lowering:
         return float(self.catalog.get(self.base_table).num_rows)
 
     def choose_grouping(
-        self,
-        keys: Sequence[str],
-        input_rows: float,
-        operator: str | None = None,
+        self, keys: Sequence[str], input_rows: float
     ) -> tuple[str, float, float, int]:
         """(strategy, est_cost, est_mem, partitions) for one grouping.
 
         Applies the budget fallback chain: hash -> sort when the hash
         state is over budget, then partitioned sort when even the sort
-        state is.  ``operator`` keys calibration-factor lookup in the
-        cost model (pass ``'reaggregate'`` for intermediate groupings).
+        state is.
         """
         if self.model is None:
             return "hash", 0.0, 0.0, 1
-        choice = self.model.grouping_choice(keys, input_rows, operator=operator)
+        choice = self.model.grouping_choice(keys, input_rows)
         strategy = choice.strategy
         cost = choice.hash_cost if strategy == "hash" else choice.sort_cost
         mem = choice.mem_bytes
@@ -224,7 +216,7 @@ class _Lowering:
                 )
             input_rows = self.est_rows(step.parent.columns)
             strategy, cost, mem, partitions = self.choose_grouping(
-                keys, input_rows, operator="reaggregate"
+                keys, input_rows
             )
             group_id = self.add_op(
                 Reaggregate(
@@ -325,7 +317,7 @@ class _Lowering:
             return read_id
         entry_rows = float(entry.rows)
         strategy, cost, mem, partitions = self.choose_grouping(
-            keys, entry_rows, operator="reaggregate"
+            keys, entry_rows
         )
         if not self._cache_wins(keys, entry_rows, cost):
             cache.note_miss()
@@ -594,7 +586,6 @@ def lower(
     parallel: bool = False,
     mode: str | None = None,
     parallelism: int = 1,
-    model: EngineCostModel | None = None,
     result_cache: ResultCache | None = None,
 ) -> PhysicalPlan:
     """Lower a logical plan to a :class:`PhysicalPlan`.
@@ -607,9 +598,10 @@ def lower(
         aggregates: the workload's aggregate list (used for covering-
             index resolution and lowered pipelines' aggregate flavor).
         use_indexes: allow covering-index access paths.
-        estimator: column statistics for the hash-vs-sort choice and
-            operator estimates; None lowers structurally (hash-preferred
-            groupings, zero estimates).
+        estimator: column statistics the lowering builds its
+            :class:`EngineCostModel` from, for the hash-vs-sort choice
+            and operator estimates; None lowers structurally
+            (hash-preferred groupings, zero estimates).
         memory_budget_bytes: plan-wide transient-memory budget; grouping
             operators estimated over it are demoted hash -> sort ->
             partitioned execution.
@@ -623,10 +615,6 @@ def lower(
             additionally splits grouping inputs into row-range morsels
             sized from ``parallelism``.
         parallelism: worker count the morsel split targets.
-        model: cost model to lower against (e.g. a session's calibrated
-            :class:`~repro.costmodel.layers.LayeredCostModel`); None
-            builds a fresh uncalibrated :class:`EngineCostModel` from
-            ``estimator`` — today's behavior, bit-identical.
         result_cache: semantic result cache to probe for exact and
             derivable hits; None (the default) lowers cache-unaware —
             bit-identical to the pre-cache behavior.
@@ -648,7 +636,6 @@ def lower(
         memory_budget_bytes,
         mode=mode,
         parallelism=parallelism,
-        model=model,
         result_cache=result_cache,
     )
     waves: tuple[PhysicalWave, ...] | None = None
@@ -692,7 +679,6 @@ def lower_shared_scan(
     catalog: Catalog,
     base_table: str,
     estimator: CardinalityEstimator | None = None,
-    model: EngineCostModel | None = None,
 ) -> PhysicalPlan:
     """Lower shared-scan batches onto physical operators.
 
@@ -701,12 +687,11 @@ def lower_shared_scan(
     pass over R no matter how many aggregation states it fills, which
     is exactly the shared-scan cost semantics.
     """
-    if model is None:
-        model = (
-            EngineCostModel(estimator, catalog=catalog, base_table=base_table)
-            if estimator is not None
-            else None
-        )
+    model = (
+        EngineCostModel(estimator, catalog=catalog, base_table=base_table)
+        if estimator is not None
+        else None
+    )
     base = catalog.get(base_table)
     input_rows = (
         float(estimator.base_rows)

@@ -208,10 +208,8 @@ class StaleStatisticsEstimator:
     while reporting the live table's row count: real systems track the
     rowcount cheaply on every load but refresh per-column statistics
     lazily, so after a refresh that changes the data's shape the group
-    counts are systematically wrong in a consistent direction.  That is
-    exactly the bias the Session feedback loop is built to correct —
-    this class reproduces it deterministically for the convergence
-    benchmark and tests.
+    counts are systematically wrong in a consistent direction.  This
+    class reproduces that bias deterministically.
 
     Args:
         snapshot: estimator built over the pre-refresh snapshot (its

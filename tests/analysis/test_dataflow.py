@@ -514,94 +514,6 @@ class TestPV023:
         assert verify_physical_plan(plan, rules=["PV023"], context=context) == []
 
 
-class TestPV024:
-    def _model(self, tiny_session, corrections=None):
-        from repro.costmodel.engine_model import EngineCostModel
-
-        return EngineCostModel(
-            tiny_session.estimator,
-            catalog=tiny_session.catalog,
-            base_table=tiny_session.base_table,
-            corrections=corrections,
-        )
-
-    def _context(self, tiny_session, model):
-        return AnalysisContext(
-            catalog=tiny_session.catalog,
-            base_table=tiny_session.base_table,
-            estimator=tiny_session.estimator,
-            model=model,
-        )
-
-    def _plan(self, est_cost):
-        return one_pipeline_plan(
-            Scan(op_id=0, table="t"),
-            HashGroupBy(
-                op_id=1,
-                source=0,
-                keys=("a",),
-                output="tmp",
-                est_cost=est_cost,
-            ),
-        )
-
-    def test_honest_cost_clean(self, tiny_session):
-        model = self._model(tiny_session)
-        honest = model.grouping_choice(fs("a"), 12.0).hash_cost
-        context = self._context(tiny_session, model)
-        plan = self._plan(honest)
-        assert verify_physical_plan(plan, rules=["PV024"], context=context) == []
-
-    def test_tampered_cost_warns(self, tiny_session):
-        model = self._model(tiny_session)
-        honest = model.grouping_choice(fs("a"), 12.0).hash_cost
-        context = self._context(tiny_session, model)
-        diagnostics = verify_physical_plan(
-            self._plan(honest * 10.0), rules=["PV024"], context=context
-        )
-        assert fired(diagnostics) == ["PV024"]
-        assert diagnostics[0].severity is Severity.WARNING
-        assert "calibration" in diagnostics[0].hint
-
-    def test_stale_calibration_state_warns(self, tiny_session):
-        # Plan lowered under the uncorrected model, verified against a
-        # model whose hash costs were recalibrated x5: PV024 catches the
-        # estimate/model mismatch.
-        cold = self._model(tiny_session)
-        honest = cold.grouping_choice(fs("a"), 12.0).hash_cost
-        calibrated = self._model(
-            tiny_session, corrections={("hash_group_by", "hash"): 5.0}
-        )
-        context = self._context(tiny_session, calibrated)
-        diagnostics = verify_physical_plan(
-            self._plan(honest), rules=["PV024"], context=context
-        )
-        assert fired(diagnostics) == ["PV024"]
-
-    def test_unset_cost_skipped(self, tiny_session):
-        model = self._model(tiny_session)
-        context = self._context(tiny_session, model)
-        assert verify_physical_plan(
-            self._plan(0.0), rules=["PV024"], context=context
-        ) == []
-
-    def test_no_model_skips_rule(self, context):
-        # The shared context fixture carries no model: requires gating.
-        assert verify_physical_plan(
-            self._plan(1e12), rules=["PV024"], context=context
-        ) == []
-
-    def test_lowered_plan_passes_with_session_model(self, tiny_session):
-        queries = [fs("a"), fs("b"), fs("a", "b")]
-        result = tiny_session.optimize(queries)
-        model = tiny_session.cost_model()
-        physical = tiny_session.lower(result.plan)
-        context = self._context(tiny_session, model)
-        assert verify_physical_plan(
-            physical, rules=["PV024"], context=context
-        ) == []
-
-
 class TestDiagnosticDedup:
     def test_identical_records_collapse(self):
         out = DiagnosticCollector()

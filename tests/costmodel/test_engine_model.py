@@ -191,159 +191,3 @@ class TestExecutionModeChoice:
         assert default_execution_mode(
             MORSEL_MIN_ROWS, MORSEL_MIN_GROUPINGS - 1, 2
         ) == "serial"
-
-
-class TestCalibration:
-    def _report(self, groups):
-        from repro.obs.history import CalibrationReport, QErrorStats
-
-        stats = {}
-        for key, (q_errors, direction) in groups.items():
-            s = QErrorStats()
-            for q in q_errors:
-                if direction == "under":
-                    s.add(q, est_rows=1.0, actual_rows=q)
-                else:
-                    s.add(q, est_rows=q, actual_rows=1.0)
-            stats[key] = s
-        return CalibrationReport(
-            groups=stats, runs=sum(s.count for s in stats.values()),
-            fingerprints=1,
-        )
-
-    def test_under_estimates_charged_more(self):
-        from repro.costmodel.engine_model import calibration_corrections
-
-        report = self._report(
-            {("hash_group_by", "hash"): ([2.0, 2.0, 2.0], "under")}
-        )
-        factors = calibration_corrections(report)
-        assert factors[("hash_group_by", "hash")] == pytest.approx(2.0)
-
-    def test_over_estimates_discounted(self):
-        from repro.costmodel.engine_model import calibration_corrections
-
-        report = self._report(
-            {("sort_group_by", "sort"): ([4.0, 4.0, 4.0], "over")}
-        )
-        factors = calibration_corrections(report)
-        assert factors[("sort_group_by", "sort")] == pytest.approx(0.25)
-
-    def test_thin_groups_ignored_and_band_clamped(self):
-        from repro.costmodel.engine_model import (
-            CALIBRATION_FACTOR_BAND,
-            calibration_corrections,
-        )
-
-        report = self._report(
-            {
-                ("reaggregate", "hash"): ([9.0, 9.0], "under"),
-                ("hash_group_by", "hash"): ([50.0, 50.0, 50.0], "under"),
-            }
-        )
-        factors = calibration_corrections(report)
-        assert ("reaggregate", "hash") not in factors
-        assert factors[("hash_group_by", "hash")] == CALIBRATION_FACTOR_BAND[1]
-
-    def test_with_calibration_returns_corrected_copy(self):
-        catalog, _ = make_catalog()
-        estimator = FakeEstimator(1000, {"b": 7, "c": 3})
-        model = EngineCostModel(estimator, catalog, "t")
-        report = self._report(
-            {("hash_group_by", "hash"): ([3.0, 3.0, 3.0], "under")}
-        )
-        calibrated = model.with_calibration(report)
-        assert model.corrections == {}
-        assert calibrated.corrections == {
-            ("hash_group_by", "hash"): pytest.approx(3.0)
-        }
-
-    def test_min_runs_parameter(self):
-        from repro.costmodel.engine_model import calibration_corrections
-
-        report = self._report(
-            {("hash_group_by", "hash"): ([2.0], "under")}
-        )
-        assert calibration_corrections(report) == {}
-        factors = calibration_corrections(report, min_runs=1)
-        assert factors[("hash_group_by", "hash")] == pytest.approx(2.0)
-
-    def test_clamp_parameter(self):
-        from repro.costmodel.engine_model import calibration_corrections
-
-        report = self._report(
-            {("hash_group_by", "hash"): ([50.0] * 3, "under")}
-        )
-        factors = calibration_corrections(report, clamp=(0.1, 10.0))
-        assert factors[("hash_group_by", "hash")] == 10.0
-
-    def test_knob_validation(self):
-        from repro.costmodel.engine_model import calibration_corrections
-
-        report = self._report({})
-        with pytest.raises(ValueError, match="min_runs"):
-            calibration_corrections(report, min_runs=0)
-        with pytest.raises(ValueError, match="clamp"):
-            calibration_corrections(report, clamp=(-1.0, 2.0))
-        with pytest.raises(ValueError, match="clamp"):
-            calibration_corrections(report, clamp=(2.0, 1.0))
-
-    def test_with_calibration_threads_knobs(self):
-        catalog, _ = make_catalog()
-        estimator = FakeEstimator(1000, {"b": 7, "c": 3})
-        model = EngineCostModel(estimator, catalog, "t")
-        report = self._report(
-            {("hash_group_by", "hash"): ([50.0], "under")}
-        )
-        calibrated = model.with_calibration(
-            report, min_runs=1, clamp=(0.5, 3.0)
-        )
-        assert calibrated.corrections == {("hash_group_by", "hash"): 3.0}
-
-
-class TestDecisionAttribution:
-    def _model(self, corrections=None, origins=None, **kwargs):
-        catalog, _ = make_catalog()
-        estimator = FakeEstimator(200_000, {"b": 7, "c": 3})
-        return EngineCostModel(
-            estimator,
-            catalog,
-            "t",
-            corrections=corrections,
-            correction_origins=origins,
-            **kwargs,
-        )
-
-    def test_uncorrected_choice_is_static(self):
-        choice = self._model().grouping_choice(fs("b", "c"), 1000.0)
-        assert choice.decided_by == "static"
-
-    def test_correction_that_does_not_flip_is_static(self):
-        # Inflating the already-losing sort regime changes no outcome.
-        choice = self._model(
-            corrections={("sort_group_by", "sort"): 5.0}
-        ).grouping_choice(fs("b", "c"), 1000.0)
-        assert choice.strategy == "hash"
-        assert choice.decided_by == "static"
-
-    def test_correction_that_flips_is_attributed(self):
-        # Discounting sort below hash flips the regime decision.
-        choice = self._model(
-            corrections={("sort_group_by", "sort"): 0.001},
-            origins={("sort_group_by", "sort"): "calibration"},
-        ).grouping_choice(fs("b", "c"), 1000.0)
-        assert choice.strategy == "sort"
-        assert choice.decided_by == "calibration"
-
-    def test_mode_floor_override_attributed(self):
-        from repro.costmodel.engine_model import MORSEL_MIN_ROWS
-
-        static = self._model().execution_mode_choice(12, parallelism=4)
-        assert static.decided_by == "static"
-        # A raised floor turns a static morsel pick back into serial.
-        tuned = self._model(
-            morsel_min_rows=MORSEL_MIN_ROWS * 100,
-            threshold_origin="adaptive",
-        ).execution_mode_choice(12, parallelism=4)
-        assert tuned.mode == "serial"
-        assert tuned.decided_by == "adaptive"

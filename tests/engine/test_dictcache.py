@@ -205,15 +205,30 @@ class TestEviction:
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 6 * 20
 
-    def test_concurrent_executor_runs_with_eviction(self):
+    @pytest.mark.parametrize("attempt", range(20))
+    @pytest.mark.parametrize("one_run_fails", [False, True])
+    def test_concurrent_executor_runs_with_eviction(
+        self, attempt, one_run_fails
+    ):
         from repro.api import Session
+        from repro.obs import Tracer
         from repro.workloads.sales import make_sales
+
+        class FailingTracer(Tracer):
+            """Raises once the plan's temp is materialized."""
+
+            def span_under(self, parent, name, **attributes):
+                if name == "execute.reaggregate":
+                    raise RuntimeError("injected mid-plan failure")
+                return super().span_under(parent, name, **attributes)
 
         table = make_sales(5_000)
         session = Session.for_table(table, statistics="exact")
+        catalog = session.catalog
         queries = [frozenset({"state"}), frozenset({"region", "state"})]
         plan = session.optimize(queries).plan
         expected = session.execute(plan)
+        temp_bytes_before = catalog.current_temp_bytes
         errors = []
 
         def runner(seed: int):
@@ -229,12 +244,26 @@ class TestEviction:
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
+        def failing_runner():
+            try:
+                for _ in range(3):
+                    with pytest.raises(RuntimeError, match="injected"):
+                        session.execute(plan, tracer=FailingTracer())
+            # BaseException: pytest.raises reports a miss with one.
+            except BaseException as error:  # pragma: no cover - failure path
+                errors.append(error)
+
         threads = [
             threading.Thread(target=runner, args=(seed,))
             for seed in range(8)
         ]
+        if one_run_fails:
+            threads.append(threading.Thread(target=failing_runner))
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         assert not errors
+        assert catalog.temp_names() == ()
+        assert catalog.current_temp_bytes == temp_bytes_before

@@ -60,6 +60,20 @@ class TestStore:
         seqs = [r["seq"] for r in reopened.records()]
         assert seqs == [0, 1]
 
+    def test_append_reopens_after_close(self, sales_session, tmp_path):
+        session, plan = sales_session
+        path = tmp_path / "history.jsonl"
+        store = PlanHistoryStore(path)
+        analysis = session.explain_analyze(plan)
+        store.append_analysis(analysis, plan)
+        store.close()
+        assert store._handle is None
+        # The store stays usable: appends lazily reopen the handle.
+        store.append_analysis(analysis, plan)
+        assert store._handle is not None
+        assert len(path.read_text().splitlines()) == 2
+        store.close()
+
     def test_runs_for_filters_by_fingerprint(self, sales_session, tmp_path):
         session, plan = sales_session
         store = PlanHistoryStore(tmp_path / "history.jsonl")
@@ -81,28 +95,6 @@ class TestStore:
         store = PlanHistoryStore(tmp_path / "absent.jsonl")
         assert list(store.records()) == []
         assert store.calibration().runs == 0
-
-
-class TestInMemoryStore:
-    def test_defaults_to_in_memory(self):
-        store = PlanHistoryStore()
-        assert store.in_memory
-        assert store.path is None
-        assert list(store.records()) == []
-
-    def test_round_trip_without_a_file(self, sales_session):
-        session, plan = sales_session
-        store = PlanHistoryStore()
-        analysis = session.explain_analyze(plan)
-        store.append_analysis(analysis, plan)
-        store.append_analysis(analysis, plan)
-        seqs = [r["seq"] for r in store.records()]
-        assert seqs == [0, 1]
-        assert store.calibration().runs == 2
-
-    def test_path_store_not_in_memory(self, tmp_path):
-        store = PlanHistoryStore(tmp_path / "history.jsonl")
-        assert not store.in_memory
 
 
 class TestCalibration:

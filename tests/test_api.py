@@ -56,6 +56,19 @@ class TestCosterLifecycle:
         session.invalidate_coster()
         assert session.coster() is not before
 
+    def test_one_cost_model_instance(self, session, queries):
+        model = session.cost_model()
+        assert type(model) is EngineCostModel
+        session.optimize(queries)
+        assert session.coster().model is model
+        session.invalidate_coster()
+        assert session.cost_model() is model
+        session.create_index(("low",))
+        session.optimize(queries)
+        assert session.coster().model is model
+        session.reset_cost_model()
+        assert session.cost_model() is not model
+
 
 class TestRun:
     def test_run_returns_both(self, session, queries):
@@ -120,154 +133,14 @@ class TestPerStepAttribution:
         assert sum(attributed.values()) == run.metrics.work
 
 
-class TestFeedbackLoop:
-    def _feedback_session(self, random_table, **config_kwargs):
-        from repro.api import FeedbackConfig
-
-        return Session.for_table(
-            random_table,
-            statistics="exact",
-            feedback=FeedbackConfig(**config_kwargs) if config_kwargs else True,
-        )
-
-    def test_off_by_default(self, session):
-        assert not session.feedback_enabled
-        assert session.history is None
-        assert session.adaptive_state() == {"feedback": False}
-        assert session.executions_recorded == 0
-
-    def test_single_model_instance_survives_invalidation(self, random_table):
-        session = self._feedback_session(random_table)
-        model = session.cost_model()
-        coster = session.coster()
-        session.invalidate_coster()
-        assert session.cost_model() is model
-        assert session.coster() is not coster
-        session.reset_cost_model()
-        assert session.cost_model() is not model
-
-    def test_plain_session_also_reuses_model(self, session):
-        model = session.cost_model()
-        session.invalidate_coster()
-        assert session.cost_model() is model
-        assert session.coster().model is model
-
-    def test_layered_model_when_enabled(self, random_table):
-        from repro.costmodel.layers import LayeredCostModel
-
-        session = self._feedback_session(random_table)
-        model = session.cost_model()
-        assert isinstance(model, LayeredCostModel)
-        assert [layer.name for layer in model.layers] == [
-            "calibration",
-            "adaptive",
-        ]
-
-    def test_every_execute_is_recorded(self, random_table, queries):
-        session = self._feedback_session(random_table)
-        plan = session.optimize(queries).plan
-        session.execute(plan)
-        session.execute(plan)
-        assert session.executions_recorded == 2
-        assert session.history.calibration(relation="r").runs == 2
-
-    def test_in_memory_store_by_default(self, random_table, queries):
-        session = self._feedback_session(random_table)
-        session.execute(session.optimize(queries).plan)
-        assert session.history.in_memory
-        state = session.adaptive_state()
-        assert state["feedback"] is True
-        assert state["history_path"] is None
-        assert state["executions_recorded"] == 1
-
-    def test_history_path_persists(self, random_table, queries, tmp_path):
-        from repro.obs.history import PlanHistoryStore
-
-        path = tmp_path / "history.jsonl"
-        session = self._feedback_session(random_table, history=path)
-        session.execute(session.optimize(queries).plan)
-        assert path.exists()
-        assert PlanHistoryStore(path).calibration().runs == 1
-
-    def test_refresh_cadence(self, random_table, queries):
-        session = self._feedback_session(random_table, refresh_every=2)
-        model = session.cost_model()
-        plan = session.optimize(queries).plan
-        session.execute(plan)
-        assert model.refreshes == 0
-        session.execute(plan)
-        assert model.refreshes == 1
-
-    def test_results_bit_identical_with_feedback(self, random_table, queries):
-        import numpy as np
-
-        plain = Session.for_table(random_table, statistics="exact")
-        fed = self._feedback_session(random_table)
-        plan = plain.optimize(queries).plan
-        baseline = plain.execute(plan)
-        for _ in range(3):
-            observed = fed.execute(plan)
-            for query, expected in baseline.results.items():
-                actual = observed.results[query]
-                assert list(actual.column_names) == list(
-                    expected.column_names
-                )
-                for column in expected.column_names:
-                    assert np.array_equal(actual[column], expected[column])
-
-    def test_explain_analyze_records_once(self, random_table, queries):
-        session = self._feedback_session(random_table)
-        plan = session.optimize(queries).plan
-        session.explain_analyze(plan)
-        assert session.executions_recorded == 1
-        assert session.history.calibration(relation="r").runs == 1
-
-    def test_caller_tracer_still_sees_spans(self, random_table, queries):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-        session = Session.for_table(
-            random_table, statistics="exact", tracer=tracer, feedback=True
-        )
-        plan = session.optimize(queries).plan
-        session.execute(plan)
-        session.execute(plan)
-        assert any(s.name == "execute.node" for s in tracer.spans)
-        assert session.executions_recorded == 2
-
-    def test_refresh_config_validation(self):
-        from repro.api import FeedbackConfig
-
-        with pytest.raises(ValueError, match="refresh_every"):
-            FeedbackConfig(refresh_every=0)
-
-    def test_adaptive_state_shape(self, random_table, queries):
-        session = self._feedback_session(random_table)
-        session.execute(session.optimize(queries).plan)
-        state = session.adaptive_state()
-        assert state["history_runs"] == 1
-        model_state = state["model"]
-        assert set(model_state) == {"base", "layers", "merged", "refreshes"}
-
-
 class TestLifecycle:
-    def test_context_manager_closes_resources(self, random_table, tmp_path):
-        from repro.api import FeedbackConfig
-
-        history_path = tmp_path / "history.jsonl"
+    def test_context_manager_closes_resources(self, random_table):
         with Session.for_table(
-            random_table,
-            statistics="exact",
-            feedback=FeedbackConfig(history=history_path),
-            cache=True,
+            random_table, statistics="exact", cache=True
         ) as session:
             queries = single_column_queries(random_table.column_names[:2])
             session.execute(session.optimize(queries).plan)
-            assert session.history is not None
-            assert session.history._handle is not None
             assert session.cache_stats()["entries"] > 0
-        assert session.history._handle is None
-        assert history_path.exists()
         assert session.cache_stats()["entries"] == 0
 
     def test_close_drops_plan_cache_and_dictionaries(self, random_table):
@@ -282,25 +155,6 @@ class TestLifecycle:
         session.close()
         assert not session._plan_cache
         assert random_table.cached_dictionary(column) is None
-
-    def test_history_reopens_after_close(self, random_table, tmp_path):
-        from repro.api import FeedbackConfig
-
-        history_path = tmp_path / "history.jsonl"
-        session = Session.for_table(
-            random_table,
-            statistics="exact",
-            feedback=FeedbackConfig(history=history_path),
-        )
-        queries = single_column_queries(random_table.column_names[:1])
-        plan = session.optimize(queries).plan
-        session.execute(plan)
-        session.close()
-        # The session stays usable: appends lazily reopen the handle.
-        session.execute(plan)
-        assert session.history._handle is not None
-        assert len(history_path.read_text().splitlines()) == 2
-        session.close()
 
     def test_session_usable_after_close(self, random_table):
         session = Session.for_table(

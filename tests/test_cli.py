@@ -498,144 +498,12 @@ class TestHistoryAndCalibration:
         capsys.readouterr()
         assert main(["calibration", str(history), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"runs", "fingerprints", "groups"}
         assert payload["runs"] == 1
         assert payload["groups"]
 
     def test_calibration_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["calibration", str(tmp_path / "absent.jsonl")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def _recorded_history(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        assert (
-            main(
-                [
-                    "explain",
-                    "--workload", "sales",
-                    "--rows", "2000",
-                    "--analyze",
-                    "--history", str(history),
-                ]
-            )
-            == 0
-        )
-        return history
-
-    def test_calibration_prints_corrections_section(self, tmp_path, capsys):
-        history = self._recorded_history(tmp_path)
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "calibration", str(history),
-                    "--min-runs", "1",
-                    "--clamp", "0.5", "2.0",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "corrections (min-runs 1, clamp [0.5, 2])" in out
-
-    def test_calibration_knobs_in_json(self, tmp_path, capsys):
-        import json
-
-        history = self._recorded_history(tmp_path)
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "calibration", str(history),
-                    "--min-runs", "1",
-                    "--format", "json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["min_runs"] == 1
-        assert payload["clamp"] == [0.2, 5.0]
-        assert isinstance(payload["corrections"], dict)
-
-    def test_calibration_bad_clamp_exits_2(self, tmp_path, capsys):
-        history = self._recorded_history(tmp_path)
-        capsys.readouterr()
-        assert (
-            main(["calibration", str(history), "--clamp", "5.0", "0.2"]) == 2
-        )
-        assert "error:" in capsys.readouterr().err
-
-
-class TestAdaptive:
-    def test_feedback_loop_runs(self, capsys):
-        code = main(
-            [
-                "adaptive",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--runs", "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "feedback: enabled" in out
-        assert "recorded 2 executions" in out
-        assert "est-cost drift" in out
-
-    def test_no_feedback_escape_hatch(self, capsys):
-        code = main(
-            [
-                "adaptive",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--runs", "2",
-                "--no-feedback",
-            ]
-        )
-        assert code == 0
-        assert "feedback: disabled" in capsys.readouterr().out
-
-    def test_json_format(self, capsys):
-        import json
-
-        code = main(
-            [
-                "adaptive",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--runs", "2",
-                "--format", "json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["runs"]) == 2
-        assert payload["adaptive_state"]["feedback"] is True
-        assert payload["adaptive_state"]["model"]["refreshes"] == 2
-
-    def test_history_flag_persists_runs(self, tmp_path, capsys):
-        history = tmp_path / "adaptive.jsonl"
-        code = main(
-            [
-                "adaptive",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--runs", "2",
-                "--history", str(history),
-            ]
-        )
-        assert code == 0
-        assert history.exists()
-        assert len(history.read_text().splitlines()) == 2
-
-    def test_requires_source(self, capsys):
-        assert main(["adaptive", "--runs", "1"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_rejects_nonpositive_runs(self, capsys):
-        assert (
-            main(["adaptive", "--workload", "sales", "--runs", "0"]) == 2
-        )
         assert "error:" in capsys.readouterr().err
 
 
@@ -758,20 +626,13 @@ class TestFormatContract:
     def _argv(self, command, tmp_path):
         if command == "calibration":
             return ["calibration", str(self._history(tmp_path))]
-        if command == "adaptive":
-            return [
-                "adaptive",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--runs", "1",
-            ]
         if command == "analyze-plan":
             return ["analyze-plan", "--workload", "sales", "--rows", "800"]
         assert command == "cache"
         return ["cache", "--workload", "sales", "--rows", "2000"]
 
     @pytest.mark.parametrize(
-        "command", ["calibration", "adaptive", "analyze-plan", "cache"]
+        "command", ["calibration", "analyze-plan", "cache"]
     )
     def test_json_parses_and_text_does_not(self, command, tmp_path, capsys):
         import json
@@ -786,7 +647,7 @@ class TestFormatContract:
             json.loads(text)
 
     @pytest.mark.parametrize(
-        "command", ["calibration", "adaptive", "analyze-plan", "cache"]
+        "command", ["calibration", "analyze-plan", "cache"]
     )
     def test_bad_format_value_exits_2(self, command, tmp_path, capsys):
         argv = self._argv(command, tmp_path)
@@ -799,7 +660,6 @@ class TestFormatContract:
         "argv",
         [
             ["calibration", "/nonexistent/history.jsonl"],
-            ["adaptive", "--runs", "1"],
             ["analyze-plan"],
             ["cache"],
         ],
@@ -807,3 +667,9 @@ class TestFormatContract:
     def test_bad_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_retired_adaptive_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["adaptive", "--workload", "sales", "--runs", "1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'adaptive'" in capsys.readouterr().err
