@@ -14,13 +14,15 @@ merge, only pairs involving the newly created sub-plan are evaluated.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from repro.core.columnset import BitsetCodec
 from repro.core.merge import MergeOptions, subplan_merge
-from repro.core.plan import LogicalPlan, SubPlan, naive_plan
+from repro.core.plan import LogicalPlan, NodeKind, SubPlan, naive_plan
 from repro.core.pruning import MonotonicityPruner, SubsumptionPruner
 from repro.core.storage import min_intermediate_storage
 from repro.costmodel.base import PlanCoster
@@ -187,6 +189,7 @@ class GbMqoOptimizer:
         subsumption = (
             SubsumptionPruner() if self.options.subsumption_pruning else None
         )
+        pruning = monotonicity is not None or subsumption is not None
 
         # Forest state: sequence-numbered sub-plans plus their bitmasks.
         forest: dict[int, SubPlan] = {}
@@ -197,8 +200,12 @@ class GbMqoOptimizer:
             masks[next_id] = codec.encode(subplan.node.columns)
             next_id += 1
 
-        # Memoized best merge per pair of sub-plan ids.
-        pair_best: dict[frozenset[int], tuple[float, SubPlan | None]] = {}
+        # Every pair is costed once, when it is first walked; the
+        # profitable ones wait in a min-heap keyed (delta, id1, id2), whose
+        # minimum is the merge a scan of all pairs in (id1, id2) order
+        # would pick.  Entries of merged-away sub-plans are dropped lazily.
+        evaluated: set[tuple[int, int]] = set()
+        profitable: list[tuple[float, int, int, SubPlan]] = []
         merges_evaluated = 0
         pruned_subsumption = 0
         pruned_monotonicity = 0
@@ -207,9 +214,6 @@ class GbMqoOptimizer:
 
         def evaluate_pair(id1: int, id2: int) -> tuple[float, SubPlan | None]:
             nonlocal merges_evaluated
-            key = frozenset((id1, id2))
-            if key in pair_best:
-                return pair_best[key]
             merges_evaluated += 1
             telemetry.pair_evaluations += 1
             p1, p2 = forest[id1], forest[id2]
@@ -228,8 +232,7 @@ class GbMqoOptimizer:
                     telemetry.candidates_rejected_cost += 1
                 if delta < best_delta:
                     best_delta, best_candidate = delta, candidate
-            pair_best[key] = (best_delta, best_candidate)
-            return pair_best[key]
+            return best_delta, best_candidate
 
         while True:
             iterations += 1
@@ -237,47 +240,75 @@ class GbMqoOptimizer:
                 "optimize.iteration", index=iterations
             ) as iteration_span:
                 ids = sorted(forest)
-                pairs = [
-                    (ids[i], ids[j])
-                    for i in range(len(ids))
-                    for j in range(i + 1, len(ids))
-                ]
-                if subsumption is not None and pairs:
-                    unions = [masks[a] | masks[b] for a, b in pairs]
+                pair_count = len(ids) * (len(ids) - 1) // 2
+                # Pruning verdicts depend on the whole forest and on walk
+                # order, so with a pruner on every live pair is walked;
+                # otherwise only the pairs not costed yet: all of them at
+                # first, then those of the newest sub-plan (the highest
+                # id), both in (id1, id2) order.
+                if iterations == 1 or pruning:
+                    walk = list(combinations(ids, 2))
+                else:
+                    walk = [(id1, ids[-1]) for id1 in ids[:-1]]
+                if subsumption is not None and walk:
+                    unions = [masks[a] | masks[b] for a, b in walk]
                     allowed = subsumption.allowed_unions(unions)
-                    surviving = []
-                    for (a, b), union in zip(pairs, unions):
-                        if union in allowed:
-                            surviving.append((a, b))
-                        else:
-                            pruned_subsumption += 1
-                    pairs = surviving
-                telemetry.pairs_considered += len(pairs)
-                best = (0.0, None, None, None)
-                for id1, id2 in pairs:
-                    union_mask = masks[id1] | masks[id2]
-                    if monotonicity is not None and monotonicity.is_pruned(
-                        union_mask
-                    ):
-                        pruned_monotonicity += 1
+                    walk = [
+                        pair
+                        for pair, union in zip(walk, unions)
+                        if union in allowed
+                    ]
+                    pruned_subsumption += pair_count - len(walk)
+                    pair_count = len(walk)
+                telemetry.pairs_considered += pair_count
+                # Pairs monotonicity bars from this iteration's selection.
+                barred: set[tuple[int, int]] = set()
+                for pair in walk:
+                    id1, id2 = pair
+                    if monotonicity is not None:
+                        union_mask = masks[id1] | masks[id2]
+                        if monotonicity.is_pruned(union_mask):
+                            pruned_monotonicity += 1
+                            barred.add(pair)
+                            continue
+                    if pair in evaluated:
                         continue
+                    evaluated.add(pair)
                     delta, candidate = evaluate_pair(id1, id2)
-                    if candidate is None or delta >= -self.options.epsilon:
-                        mergeable = all(
-                            forest[i].node.kind.name == "GROUP_BY"
-                            for i in (id1, id2)
+                    if candidate is not None and delta < -self.options.epsilon:
+                        heapq.heappush(
+                            profitable, (delta, id1, id2, candidate)
                         )
-                        if monotonicity is not None and mergeable:
-                            monotonicity.record_failure(union_mask)
-                        continue
-                    if delta < best[0]:
-                        best = (delta, candidate, id1, id2)
-                delta, candidate, id1, id2 = best
+                    elif monotonicity is not None and all(
+                        forest[i].node.kind is NodeKind.GROUP_BY
+                        for i in pair
+                    ):
+                        monotonicity.record_failure(union_mask)
+
+                # A popped entry is dropped for good when one side has been
+                # merged away or monotonicity bars the pair, which never
+                # relents.  Subsumption cannot prune a pair costed earlier:
+                # a union it prunes now was pruned in every earlier
+                # iteration too (merged sub-plans' unions only grow), so
+                # such a pair was never costed and has no entry.
+                best = None
+                while profitable and best is None:
+                    entry = heapq.heappop(profitable)
+                    _, id1, id2, _ = entry
+                    if (
+                        id1 in forest
+                        and id2 in forest
+                        and (id1, id2) not in barred
+                    ):
+                        best = entry
                 iteration_span.set(
-                    subplans=len(ids), pairs=len(pairs), accepted=candidate is not None
+                    subplans=len(ids),
+                    pairs=pair_count,
+                    accepted=best is not None,
                 )
-                if candidate is None:
+                if best is None:
                     break
+                delta, id1, id2, candidate = best
                 telemetry.merges_accepted += 1
                 current_cost += delta
                 telemetry.best_cost_trajectory.append(current_cost)
@@ -290,11 +321,6 @@ class GbMqoOptimizer:
                 for stale in (id1, id2):
                     del forest[stale]
                     del masks[stale]
-                stale_keys = [
-                    key for key in pair_best if id1 in key or id2 in key
-                ]
-                for key in stale_keys:
-                    del pair_best[key]
                 forest[next_id] = candidate
                 masks[next_id] = codec.encode(candidate.node.columns)
                 next_id += 1

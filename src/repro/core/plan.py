@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from repro.core.columnset import format_columns
 
@@ -45,6 +45,10 @@ class PlanNode:
     columns: frozenset[str]
     kind: NodeKind = NodeKind.GROUP_BY
     rollup_order: tuple[str, ...] = ()
+    #: Hash of the fields, set per instance by ``__post_init__``; typed
+    #: ClassVar only so that it is not a dataclass field (no part of
+    #: ``==``, ``repr``, ``asdict`` or the constructor).
+    _hash: ClassVar[int]
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -54,6 +58,19 @@ class PlanNode:
                 raise PlanError(
                     "ROLLUP node order must cover exactly its columns"
                 )
+        object.__setattr__(
+            self, "_hash", hash((self.columns, self.kind, self.rollup_order))
+        )
+
+    def __hash__(self) -> int:
+        # Nodes key every coster memo; hashing the fields once keeps a
+        # dict lookup from re-hashing the tuple and the enum each time.
+        return self._hash
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # Rebuild through __init__: string hashes differ between
+        # processes, so the cached value must never travel in a pickle.
+        return (PlanNode, (self.columns, self.kind, self.rollup_order))
 
     def answers(self, query: frozenset[str]) -> bool:
         """Does executing this node produce the result of ``query``?"""
@@ -92,6 +109,8 @@ class SubPlan:
     children: tuple["SubPlan", ...] = ()
     required: bool = False
     direct_answers: frozenset[frozenset[str]] = frozenset()
+    #: As :attr:`PlanNode._hash`: per instance, not a dataclass field.
+    _hash: ClassVar[int]
 
     def __post_init__(self) -> None:
         for child in self.children:
@@ -106,6 +125,25 @@ class SubPlan:
                     f"node {self.node.describe()} cannot answer "
                     f"{format_columns(query)}"
                 )
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (self.node, self.children, self.required, self.direct_answers)
+            ),
+        )
+
+    def __hash__(self) -> int:
+        # Children are hashed when they are built, so this costs one
+        # tuple over their cached values instead of a walk of the subtree
+        # on every memo lookup.
+        return self._hash
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return (
+            SubPlan,
+            (self.node, self.children, self.required, self.direct_answers),
+        )
 
     @classmethod
     def leaf(cls, columns: frozenset[str], required: bool = True) -> "SubPlan":

@@ -39,9 +39,10 @@ class PlanCoster:
 
     Args:
         model: the cost model to delegate uncached edge costs to.
-        tracer: span tracer; every uncached model invocation is wrapped
-            in a ``costmodel.edge_cost`` span and counted when tracing
-            is enabled (the default no-op tracer costs one branch).
+        tracer: span tracer; when tracing is enabled every uncached
+            model invocation counts into ``costmodel.calls`` and its
+            cost into the ``costmodel.edge_cost`` histogram (no span per
+            call: a TC optimize makes tens of thousands of them).
         metrics: metrics registry; uncached model invocations count into
             ``repro_costmodel_calls_total`` and the computed edge costs
             into the ``repro_costmodel_edge_cost`` histogram.  Defaults
@@ -59,6 +60,7 @@ class PlanCoster:
         self._metrics = metrics if metrics is not None else get_metrics()
         self._edge_cache: dict[tuple[object, ...], float] = {}
         self._subplan_cache: dict[SubPlan, float] = {}
+        self._internal_cache: dict[SubPlan, float] = {}
         #: Number of distinct costing requests sent to the model — the
         #: paper's "number of calls to the query optimizer".
         self.optimizer_calls = 0
@@ -77,21 +79,10 @@ class PlanCoster:
         key = (parent, child, materialize_child)
         if key not in self._edge_cache:
             self.optimizer_calls += 1
+            cost = self._model.edge_cost(parent, child, materialize_child)
             if self._tracer.enabled:
-                with self._tracer.span(
-                    "costmodel.edge_cost",
-                    child=child.describe(),
-                    source=parent.describe() if parent else "R",
-                    materialize=materialize_child,
-                ) as span:
-                    cost = self._model.edge_cost(
-                        parent, child, materialize_child
-                    )
-                    span.set(cost=cost)
                 self._tracer.count("costmodel.calls")
                 self._tracer.observe("costmodel.edge_cost", cost)
-            else:
-                cost = self._model.edge_cost(parent, child, materialize_child)
             if self._metrics.enabled:
                 self._metrics.inc("repro_costmodel_calls_total")
                 self._metrics.observe("repro_costmodel_edge_cost", cost)
@@ -107,12 +98,20 @@ class PlanCoster:
         return self._subplan_cache[subplan]
 
     def _internal_cost(self, subplan: SubPlan) -> float:
-        total = 0.0
-        for child in subplan.children:
-            total += self.edge_cost(
-                subplan.node, child.node, child.is_materialized
-            )
-            total += self._internal_cost(child)
+        """Cost of the edges below ``subplan``'s root, memoised per subtree:
+        a merge candidate is built from subtrees costed before, so only its
+        new top edges are walked."""
+        if not subplan.children:
+            return 0.0
+        total = self._internal_cache.get(subplan)
+        if total is None:
+            total = 0.0
+            for child in subplan.children:
+                total += self.edge_cost(
+                    subplan.node, child.node, child.is_materialized
+                )
+                total += self._internal_cost(child)
+            self._internal_cache[subplan] = total
         return total
 
     def plan_cost(self, plan: LogicalPlan) -> float:

@@ -19,10 +19,11 @@ class SearchTelemetry:
     """Counters and the cost trajectory of one GB-MQO search.
 
     Attributes:
-        pairs_considered: sub-plan pairs examined across all iterations
-            (after subsumption filtering, including memoized re-visits).
-        pair_evaluations: pairs whose merges were freshly enumerated
-            (cache misses in the optimizer's pair table).
+        pairs_considered: live sub-plan pairs summed over all iterations
+            (after subsumption filtering; a pair counts again in every
+            iteration it is live, although it is costed only once).
+        pair_evaluations: pairs whose merges were enumerated and costed
+            (each pair at most once per run).
         candidates_considered: candidate merges produced by
             ``subplan_merge`` and offered to the cost model.
         candidates_rejected_cost: candidates costed but not improving

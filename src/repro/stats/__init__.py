@@ -7,7 +7,8 @@ not exist yet.  This package provides:
 
 * uniform row sampling (:mod:`repro.stats.sampler`);
 * sampling-based distinct-value estimators — GEE, Chao, first-order
-  jackknife, per Haas et al. VLDB '95, reference [13] of the paper
+  jackknife and their hybrid, per Haas et al. VLDB '95, reference [13]
+  of the paper
   (:mod:`repro.stats.distinct`);
 * equi-depth histograms (:mod:`repro.stats.histogram`);
 * per-column statistics objects (:mod:`repro.stats.column_stats`);
@@ -22,7 +23,6 @@ from repro.stats.cardinality import (
     CardinalityEstimator,
     ExactCardinalityEstimator,
     SampledCardinalityEstimator,
-    StaleStatisticsEstimator,
 )
 from repro.stats.column_stats import ColumnStats
 from repro.stats.manager import StatisticsManager
@@ -34,7 +34,6 @@ __all__ = [
     "ExactCardinalityEstimator",
     "HypotheticalTable",
     "SampledCardinalityEstimator",
-    "StaleStatisticsEstimator",
     "StatisticsManager",
     "WhatIfRegistry",
 ]

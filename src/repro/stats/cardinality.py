@@ -11,9 +11,10 @@ Two estimators are provided:
   the full table.  This plays the role of a perfect-statistics oracle in
   tests and small experiments.
 * :class:`SampledCardinalityEstimator` — what a real system does: count
-  distinct combinations in a uniform sample and scale up with the GEE
-  estimator, capping at both the product of per-column distinct counts
-  and the table size.  Every first-encountered column set creates a new
+  distinct combinations in a uniform sample and scale up with a
+  sampling-based distinct estimator (:mod:`repro.stats.distinct`),
+  capping at both the product of per-column distinct counts and the
+  table size.  Every first-encountered column set creates a new
   "statistic"; creation time and scans are metered for the Section 6.7
   overhead experiment.
 """
@@ -66,17 +67,22 @@ class _CodesCache:
         return self._codes[column]
 
     def combined(self, columns: Iterable[str]) -> np.ndarray:
-        ordered = sorted(columns)
-        combined = np.zeros(self._table.num_rows, dtype=np.int64)
+        """One int64 code per row for a non-empty column set (read-only:
+        a single column's codes are returned uncopied)."""
         code_arrays = []
+        combined = None
         radix_ok = True
         radix = 1
-        for column in ordered:
+        for column in sorted(columns):
             codes, card = self.codes(column)
             code_arrays.append(codes)
-            if radix_ok and card and radix <= (2**62) // max(card, 1):
-                combined = combined * card + codes
-                radix *= max(card, 1)
+            if radix_ok and card and radix <= (2**62) // card:
+                if combined is None:
+                    combined = codes.astype(np.int64, copy=False)
+                else:
+                    combined = combined * card
+                    combined += codes
+                radix *= card
             else:
                 radix_ok = False
         if radix_ok:
@@ -126,12 +132,15 @@ class ExactCardinalityEstimator:
 
 
 class SampledCardinalityEstimator:
-    """Sample + GEE scaling, with metered statistics creation.
+    """Sample + distinct-estimator scaling, with metered statistics creation.
 
     Args:
         table: the base relation.
         sample_rows: sample size (one sample serves all statistics).
-        method: distinct estimator name ('gee', 'chao', 'jackknife').
+        method: distinct estimator name, a key of
+            :data:`repro.stats.distinct.ESTIMATORS`.  This default is the
+            only one: :func:`~repro.stats.distinct.estimate_distinct`
+            takes the name explicitly.
         seed: sampling seed.
     """
 
@@ -199,36 +208,3 @@ class SampledCardinalityEstimator:
         self.created_statistics.append(columns)
         self.creation_seconds += time.perf_counter() - started
         return estimate
-
-
-class StaleStatisticsEstimator:
-    """Statistics captured before a data refresh.
-
-    Wraps an estimator built over a *stale snapshot* of the relation
-    while reporting the live table's row count: real systems track the
-    rowcount cheaply on every load but refresh per-column statistics
-    lazily, so after a refresh that changes the data's shape the group
-    counts are systematically wrong in a consistent direction.  This
-    class reproduces that bias deterministically.
-
-    Args:
-        snapshot: estimator built over the pre-refresh snapshot (its
-            distinct counts and widths are served unchanged).
-        live_table: the post-refresh relation (its rowcount is served).
-    """
-
-    def __init__(
-        self, snapshot: CardinalityEstimator, live_table: Table
-    ) -> None:
-        self._snapshot = snapshot
-        self._live_table = live_table
-
-    @property
-    def base_rows(self) -> int:
-        return self._live_table.num_rows
-
-    def rows(self, columns: frozenset[str]) -> float:
-        return self._snapshot.rows(frozenset(columns))
-
-    def row_width(self, columns: frozenset[str]) -> float:
-        return self._snapshot.row_width(frozenset(columns))

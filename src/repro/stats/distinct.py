@@ -6,30 +6,47 @@ Naughton, Seshadri & Stokes.  This module implements the estimators from
 that line of work over a uniform row sample:
 
 * **GEE** (Guaranteed-Error Estimator, Charikar et al. / Haas et al.):
-  ``sqrt(N/n) * f1 + sum_{i>=2} f_i`` — the default, with a proven
-  worst-case ratio bound.
+  ``sqrt(N/n) * f1 + sum_{i>=2} f_i`` — a proven worst-case ratio bound.
 * **Chao**: ``d + f1^2 / (2 * f2)`` — good for skewed data.
 * **First-order jackknife**: ``d / (1 - (1 - q) * f1 / n)`` style
   correction.
+* **Hybrid**: max(GEE, Chao), linear for duplicate-free samples.
 
-All estimators take the *frequency-of-frequencies* profile of the sample:
-``f[i]`` = number of distinct values appearing exactly ``i`` times.
+Of the sample's *frequency-of-frequencies* profile (``f_i`` = number of
+distinct values appearing exactly ``i`` times) the estimators read only
+``d = sum f_i``, ``f1`` and ``f2``; :func:`sample_profile` computes that
+triple in one sorted pass and every estimator takes it, so creating a
+statistic sorts the sample once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+#: ``(d, f1, f2)``: distinct values in the sample, and how many of them
+#: appear exactly once / exactly twice.
+SampleProfile = tuple[int, int, int]
 
-def frequency_profile(sample_values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Return (d, f) for a sample: d distinct values; f[i] = #values seen
-    exactly i+1 times (so ``f[0]`` is the count of singletons)."""
-    _, counts = np.unique(sample_values, return_counts=True)
-    d = len(counts)
-    if d == 0:
-        return 0, np.zeros(0, dtype=np.int64)
-    freq_of_freq = np.bincount(counts)[1:]
-    return d, freq_of_freq.astype(np.int64)
+
+def sample_profile(sample_values: np.ndarray) -> SampleProfile:
+    """The ``(d, f1, f2)`` triple of a sample.
+
+    The sorted sample is cut into runs of equal values.  With ``start[i]``
+    marking the first position of a run (and two sentinel starts past the
+    end), a run beginning at ``i`` is a singleton when ``start[i + 1]``
+    and a doubleton when ``~start[i + 1] & start[i + 2]``.
+    """
+    values = np.sort(sample_values, axis=None)
+    n = len(values)
+    if n == 0:
+        return 0, 0, 0
+    start = np.ones(n + 2, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=start[1:n])
+    here, next1, next2 = start[:n], start[1 : n + 1], start[2:]
+    d = np.count_nonzero(here)
+    f1 = np.count_nonzero(here & next1)
+    f2 = np.count_nonzero(here & ~next1 & next2)
+    return d, f1, f2
 
 
 def _clamp(estimate: float, d: int, population: int) -> float:
@@ -37,51 +54,39 @@ def _clamp(estimate: float, d: int, population: int) -> float:
     return float(min(max(estimate, d), population))
 
 
-def gee_estimate(sample_values: np.ndarray, sample_size: int, population: int) -> float:
+def gee_estimate(
+    profile: SampleProfile, sample_size: int, population: int
+) -> float:
     """Guaranteed-Error Estimator of the number of distinct values.
 
     Args:
-        sample_values: the sampled column values.
+        profile: :func:`sample_profile` of the sampled column values.
         sample_size: n, the number of sampled rows.
         population: N, the number of rows in the full table.
     """
-    d, f = frequency_profile(sample_values)
-    if d == 0:
-        return 0.0
-    if sample_size >= population:
-        return float(d)
-    f1 = int(f[0]) if len(f) else 0
+    d, f1, _ = profile
     rest = d - f1
     estimate = np.sqrt(population / max(sample_size, 1)) * f1 + rest
     return _clamp(estimate, d, population)
 
 
-def chao_estimate(sample_values: np.ndarray, sample_size: int, population: int) -> float:
+def chao_estimate(
+    profile: SampleProfile, sample_size: int, population: int
+) -> float:
     """Chao (1984) lower-bound estimator: d + f1^2 / (2 f2)."""
-    d, f = frequency_profile(sample_values)
-    if d == 0:
-        return 0.0
-    if sample_size >= population:
-        return float(d)
-    f1 = int(f[0]) if len(f) >= 1 else 0
-    f2 = int(f[1]) if len(f) >= 2 else 0
+    d, f1, f2 = profile
     if f2 == 0:
         # Degenerate profile: fall back to the conservative GEE form.
-        return gee_estimate(sample_values, sample_size, population)
+        return gee_estimate(profile, sample_size, population)
     estimate = d + (f1 * f1) / (2.0 * f2)
     return _clamp(estimate, d, population)
 
 
 def jackknife_estimate(
-    sample_values: np.ndarray, sample_size: int, population: int
+    profile: SampleProfile, sample_size: int, population: int
 ) -> float:
     """First-order jackknife estimator d_J1 = d / (1 - (1-q) f1 / n)."""
-    d, f = frequency_profile(sample_values)
-    if d == 0:
-        return 0.0
-    if sample_size >= population:
-        return float(d)
-    f1 = int(f[0]) if len(f) else 0
+    d, f1, _ = profile
     q = sample_size / population
     denominator = 1.0 - (1.0 - q) * f1 / max(sample_size, 1)
     if denominator <= 0:
@@ -90,7 +95,7 @@ def jackknife_estimate(
 
 
 def hybrid_estimate(
-    sample_values: np.ndarray, sample_size: int, population: int
+    profile: SampleProfile, sample_size: int, population: int
 ) -> float:
     """max(GEE, Chao), with a linear scale-up for duplicate-free samples.
 
@@ -104,14 +109,8 @@ def hybrid_estimate(
     attributes to GEE.  A sample with no duplicates at all (f2 = 0) is
     treated as a key and scaled linearly.
     """
-    d, f = frequency_profile(sample_values)
-    if d == 0:
-        return 0.0
-    if sample_size >= population:
-        return float(d)
-    f1 = int(f[0]) if len(f) >= 1 else 0
-    f2 = int(f[1]) if len(f) >= 2 else 0
-    gee = gee_estimate(sample_values, sample_size, population)
+    d, f1, f2 = profile
+    gee = gee_estimate(profile, sample_size, population)
     if f1 == d and f2 == 0:
         linear = d * population / max(sample_size, 1)
         return _clamp(max(gee, linear), d, population)
@@ -133,9 +132,13 @@ def estimate_distinct(
     sample_values: np.ndarray,
     sample_size: int,
     population: int,
-    method: str = "gee",
+    method: str,
 ) -> float:
-    """Dispatch to a named estimator (default GEE)."""
+    """Estimate the distinct values of a column from a sample of it.
+
+    An empty sample estimates 0 and a sample covering the whole table is
+    exact; otherwise the named estimator scales the sample's profile up.
+    """
     try:
         estimator = ESTIMATORS[method]
     except KeyError:
@@ -143,4 +146,10 @@ def estimate_distinct(
             f"unknown distinct estimator {method!r}; "
             f"choose from {sorted(ESTIMATORS)}"
         ) from None
-    return estimator(sample_values, sample_size, population)
+    profile = sample_profile(sample_values)
+    d = profile[0]
+    if d == 0:
+        return 0.0
+    if sample_size >= population:
+        return float(d)
+    return estimator(profile, sample_size, population)
