@@ -18,6 +18,7 @@ computed from a materialized ancestor instead of the base relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -89,16 +90,43 @@ def factorize(array: np.ndarray) -> tuple[np.ndarray, int]:
 #: Largest composite-code domain the bincount fast path allocates for.
 BINCOUNT_LIMIT = 1 << 22
 
+#: The bincount regime also stays within this multiple of the rows it
+#: serves: it allocates, zeroes and rescans one slot per code, so once
+#: the domain outgrows the input the sort regime's one ``np.sort`` of
+#: the rows is cheaper.  Below the floor both regimes are a few numpy
+#: calls and bincount makes fewer.  Both fitted from a domain/rows
+#: sweep (docs/performance.md, "Execution cost").
+DENSE_DOMAIN_SLACK = 2
+DENSE_DOMAIN_FLOOR = 1 << 11
+
+
+#: Per-row group ids (SUM/MIN/MAX only) come from a rank table over the
+#: domain while it is within this multiple of the rows.  The table is
+#: never zeroed or scanned — only occupied slots are touched — so on
+#: time alone it beats a binary search per row at any domain under
+#: :data:`BINCOUNT_LIMIT`; the bound keeps a re-aggregation of a few
+#: thousand rows from faulting in a 32 MB table of its own.
+IDS_LOOKUP_SLACK = 64
+
+
+def _dense_domain(radix: int, n_rows: int) -> bool:
+    """Whether a composite domain is small enough for the bincount regime."""
+    return radix <= min(
+        BINCOUNT_LIMIT, max(DENSE_DOMAIN_FLOOR, DENSE_DOMAIN_SLACK * n_rows)
+    )
+
 
 class GroupStructure:
     """Row-to-group assignment over a composite key.
 
     Exactly one of two representations backs it: representative row
-    indices (``first``) from which key values are gathered, or decoded
-    composite codes from which key values are reconstructed via the
-    table's dictionaries.  ``counts`` is precomputed when the grouping
-    pass produced it for free; ``ids`` (per-row dense group numbers)
-    materializes lazily — only SUM/MIN/MAX need it.
+    indices (``first``) from which key values are gathered, or each
+    key's per-group dictionary codes in the input table
+    (``parent_codes``, decoded from the composite group codes) from
+    which key values are looked up in the table's dictionaries.
+    ``counts`` is precomputed when the grouping pass produced it for
+    free; ``ids`` (per-row dense group numbers) materializes lazily —
+    only SUM/MIN/MAX need it.
     """
 
     def __init__(
@@ -107,13 +135,13 @@ class GroupStructure:
         counts: np.ndarray | None,
         ids_factory,
         first: np.ndarray | None = None,
-        key_decoder=None,
+        parent_codes: dict[str, np.ndarray] | None = None,
     ) -> None:
         self.n_groups = n_groups
         self.counts = counts
         self._ids_factory = ids_factory
         self.first = first
-        self._key_decoder = key_decoder
+        self.parent_codes = parent_codes
         self._ids: np.ndarray | None = None
 
     @property
@@ -122,32 +150,53 @@ class GroupStructure:
             self._ids = self._ids_factory()
         return self._ids
 
-    def key_column(self, table: Table, key: str) -> np.ndarray:
-        """Per-group values of one key column."""
-        if self.first is not None:
-            return table[key][self.first]
-        assert self._key_decoder is not None
-        return self._key_decoder(key)
 
-    def key_dictionary(
-        self, table: Table, key: str
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Dictionary (codes, values) for the *result's* key column.
+def decode_parent_codes(
+    group_codes: np.ndarray, keys: Sequence[str], cards: Sequence[int]
+) -> dict[str, np.ndarray]:
+    """Split composite group codes into each key's input dictionary codes.
 
-        Available on the decode paths, where per-group parent codes are
-        known: a cheap integer re-rank replaces the raw-value np.unique
-        a fresh table would otherwise need.  None when unavailable.
-        """
-        if self._key_decoder is None or not hasattr(
-            self, "_group_parent_codes"
-        ):
-            return None
-        parent_codes = self._group_parent_codes(key)
-        uniq_codes, inverse = np.unique(parent_codes, return_inverse=True)
-        _, parent_uniques = table.dictionary(key)
-        return (
-            inverse.astype(np.int64, copy=False),
-            parent_uniques[uniq_codes],
+    One ``divmod`` chain from the last key (stride 1) up; what is left
+    after the second key is the first key's code.
+    """
+    parents: dict[str, np.ndarray] = {}
+    rest = group_codes
+    for key, card in zip(keys[:0:-1], cards[:0:-1]):
+        rest, parents[key] = np.divmod(rest, card)
+    parents[keys[0]] = rest
+    return parents
+
+
+def _rerank_dictionary(
+    parent_codes: np.ndarray, parent_uniques: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary of a result key column from its per-group input codes.
+
+    The input's codes follow value order, so ranking the codes that
+    occur ranks the values: an integer ``np.unique`` over the groups
+    replaces the raw-value encode a fresh table would need.
+    """
+    uniq_codes, inverse = np.unique(parent_codes, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), parent_uniques[uniq_codes]
+
+
+def defer_key_dictionaries(
+    result: Table,
+    parent_codes: Mapping[str, np.ndarray],
+    parent_uniques: Mapping[str, np.ndarray],
+) -> None:
+    """Give a Group By result deferred dictionaries for its key columns.
+
+    Most results are never re-grouped; the ones that are (materialized
+    temps, cached results, CUBE tops) ask for their dictionaries and pay
+    the re-rank then.  Each thunk holds only per-group arrays — the
+    key's input codes and the input dictionary's distinct values — so a
+    result keeps neither the grouping's per-row codes nor its input
+    table alive.
+    """
+    for key, codes in parent_codes.items():
+        result.defer_dictionary(
+            key, partial(_rerank_dictionary, codes, parent_uniques[key])
         )
 
 
@@ -164,23 +213,30 @@ def _combined_codes(
     table: Table,
     keys: Sequence[str],
     dictionaries: "DictionaryCache | None" = None,
-) -> tuple[np.ndarray, int, dict[str, tuple[int, int]] | None]:
+) -> tuple[np.ndarray, int, list[int] | None]:
     """Combine per-column dictionary codes into one int64 composite key.
 
-    Returns (combined, radix, layout) where ``layout[key]`` is the
-    (stride, cardinality) of that key inside the composite code.  When
-    the composite domain would overflow int64 the running key is
-    compressed (factorized) and combining continues — equal key tuples
-    still share one code, but per-key decoding is lost, so ``layout``
-    is None.
+    Returns (combined, radix, cards) where ``cards[i]`` is the
+    cardinality of ``keys[i]`` inside the composite code (the last key
+    has stride 1; see :func:`decode_parent_codes`).  When the composite
+    domain would overflow int64 the running key is compressed
+    (factorized) and combining continues — equal key tuples still share
+    one code, but per-key decoding is lost, so ``cards`` is None.  For a
+    single key ``combined`` *is* the dictionary's code array: callers
+    must not write to it.
     """
-    combined = np.zeros(table.num_rows, dtype=np.int64)
+    combined: np.ndarray | None = None
     radix = 1
     cards: list[int] = []
     compressed = False
     for key in keys:
         codes, uniques = _column_codes(table, key, dictionaries)
         card = max(len(uniques), 1)
+        cards.append(card)
+        if combined is None:
+            combined = codes.astype(np.int64, copy=False)
+            radix = card
+            continue
         if radix > (2**62) // card:
             # Compress the running composite key and keep combining.
             uniq, inverse = np.unique(combined, return_inverse=True)
@@ -189,17 +245,12 @@ def _combined_codes(
             compressed = True
             if radix > (2**62) // card:  # pragma: no cover - n > 2^62
                 raise SchemaError("composite key domain exceeds int64")
-        combined = combined * card + codes
+        combined = combined * card
+        combined += codes
         radix *= card
-        cards.append(card)
-    if compressed:
-        return combined, radix, None
-    layout: dict[str, tuple[int, int]] = {}
-    stride = 1
-    for key, card in zip(reversed(list(keys)), reversed(cards)):
-        layout[key] = (stride, card)
-        stride *= card
-    return combined, radix, layout
+    if combined is None:
+        combined = np.zeros(table.num_rows, dtype=np.int64)
+    return combined, radix, None if compressed else cards
 
 
 def _dense_group_ids(
@@ -247,8 +298,10 @@ def combined_group_codes(
         ids = np.zeros(n, dtype=np.int64)
         first = np.zeros(1 if n else 0, dtype=np.int64)
         return ids, first, 1 if n else 0
-    combined, radix, layout = _combined_codes(table, keys, dictionaries)
-    if layout is not None and radix <= BINCOUNT_LIMIT and len(combined):
+    combined, radix, cards = _combined_codes(table, keys, dictionaries)
+    if cards is not None and len(combined) and _dense_domain(
+        radix, len(combined)
+    ):
         ids, first, _counts = _dense_group_ids(combined, radix)
         return ids, first, len(first)
     _, first, inverse = np.unique(
@@ -259,7 +312,8 @@ def combined_group_codes(
 
 #: Grouping strategies :func:`group_by` accepts.  ``'auto'`` and
 #: ``'hash'`` prefer the bincount regime when the composite domain fits
-#: (the actual-radix guard falls back to the sort regime otherwise);
+#: (the guard on the actual radix, absolute and relative to the rows,
+#: falls back to the sort regime otherwise);
 #: ``'sort'`` forces the sort regime regardless of domain.  Both regimes
 #: produce bit-identical result tables, so a physical plan may force
 #: either without changing results or metrics.
@@ -274,10 +328,11 @@ def _hash_group(
 ) -> GroupStructure:
     """Grouping over dictionary codes, in two regimes.
 
-    Small composite domains use one ``bincount`` pass (the cheap
-    hash-table regime of a real aggregation operator).  Large domains
-    sort the composite codes and *decode* the group keys from the
-    dictionaries — the sort-aggregation regime — which never gathers
+    Composite domains that are small, absolutely and next to the input
+    (:func:`_dense_domain`), use one ``bincount`` pass — the cheap
+    hash-table regime of a real aggregation operator.  Larger domains
+    sort the composite codes — the sort-aggregation regime.  Both
+    *decode* the group keys from the dictionaries and never gather
     representative rows.  Per-column codes come through ``dictionaries``
     (the plan-wide cache) when one is threaded in, so repeated plan
     nodes never re-factorize a shared column.  ``force_sort`` pins the
@@ -289,8 +344,8 @@ def _hash_group(
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return GroupStructure(0, empty, lambda: empty, first=empty)
-    combined, radix, layout = _combined_codes(table, keys, dictionaries)
-    if layout is None:
+    combined, radix, cards = _combined_codes(table, keys, dictionaries)
+    if cards is None:
         # Compressed composite key: group via one int64 unique and keep
         # representative rows (keys cannot be decoded by arithmetic).
         _, first, inverse = np.unique(
@@ -298,19 +353,10 @@ def _hash_group(
         )
         ids = inverse.astype(np.int64, copy=False)
         return GroupStructure(len(first), None, lambda: ids, first=first)
-    if not force_sort and radix <= BINCOUNT_LIMIT:
+    if not force_sort and _dense_domain(radix, n):
         counts_all = np.bincount(combined, minlength=radix)
-        occupied = np.flatnonzero(counts_all)
-        counts = counts_all[occupied]
-        group_codes = occupied
-
-        def make_ids() -> np.ndarray:
-            # O(n) rank scatter; identical to searchsorted over the
-            # sorted occupied codes, without the log factor.
-            lookup = np.empty(radix, dtype=np.int64)
-            lookup[occupied] = np.arange(len(occupied), dtype=np.int64)
-            return lookup[combined]
-
+        group_codes = np.flatnonzero(counts_all)
+        counts = counts_all[group_codes]
     else:
         # Sort regime: one np.sort plus boundary detection.
         ordered = np.sort(combined)
@@ -321,25 +367,22 @@ def _hash_group(
         positions = np.flatnonzero(boundary)
         counts = np.diff(np.append(positions, len(ordered)))
 
-        def make_ids() -> np.ndarray:
+    def make_ids() -> np.ndarray:
+        if radix > min(BINCOUNT_LIMIT, IDS_LOOKUP_SLACK * n):
             return np.searchsorted(group_codes, combined)
+        # O(n) rank scatter; identical to searchsorted over the sorted
+        # group codes, without the log factor and its cache misses.
+        # Only the occupied slots of the table are written or read.
+        lookup = np.empty(radix, dtype=np.int64)
+        lookup[group_codes] = np.arange(len(group_codes), dtype=np.int64)
+        return lookup[combined]
 
-    def parent_codes_of(key: str) -> np.ndarray:
-        stride, card = layout[key]
-        return (group_codes // stride) % card
-
-    def decode(key: str) -> np.ndarray:
-        _, uniques = table.dictionary(key)
-        return uniques[parent_codes_of(key)]
-
-    structure = GroupStructure(
+    return GroupStructure(
         len(group_codes),
         counts,
         make_ids,
-        key_decoder=decode,
+        parent_codes=decode_parent_codes(group_codes, keys, cards),
     )
-    structure._group_parent_codes = parent_codes_of
-    return structure
 
 
 def sorted_group_boundaries(
@@ -477,9 +520,16 @@ def group_by(
         structure = _hash_group(
             table, keys, dictionaries, force_sort=strategy == "sort"
         )
-    columns: dict[str, np.ndarray] = {}
-    for key in keys:
-        columns[key] = structure.key_column(table, key)
+    parent_uniques: dict[str, np.ndarray] = {}
+    if structure.parent_codes is None:
+        assert structure.first is not None
+        columns = {key: table[key][structure.first] for key in keys}
+    else:
+        parent_uniques = {key: table.dictionary(key)[1] for key in keys}
+        columns = {
+            key: parent_uniques[key][structure.parent_codes[key]]
+            for key in keys
+        }
     for spec in aggregates:
         if spec.alias in columns:
             raise SchemaError(f"duplicate output column {spec.alias!r}")
@@ -497,13 +547,8 @@ def group_by(
     if not columns:
         raise SchemaError("group_by needs at least one key or aggregate")
     result = Table.wrap(result_name, columns)
-    # Attach dictionaries for the key columns where the grouping pass
-    # can derive them from code arithmetic — far cheaper than the
-    # raw-value encode a downstream group-by would otherwise trigger.
-    for key in keys:
-        derived = structure.key_dictionary(table, key)
-        if derived is not None:
-            result.set_dictionary(key, *derived)
+    if structure.parent_codes is not None:
+        defer_key_dictionaries(result, structure.parent_codes, parent_uniques)
     return result
 
 

@@ -22,10 +22,13 @@ constant); now:
   column and even when nodes run concurrently on the parallel wavefront
   executor (per-key locks make the encode happen exactly once).
 
-A materialized ancestor's key codes are also reused: ``group_by`` attaches
-derived dictionaries to its result's key columns (see
-``GroupStructure.key_dictionary``), so a descendant's encode is a cache
-hit rather than a fresh ``np.unique`` over raw values.
+A materialized ancestor's key codes are also reused: ``group_by`` leaves
+its result a *deferred derivation* per key column (see
+``aggregation.defer_key_dictionaries`` and ``Table.defer_dictionary``) —
+an integer re-rank of the per-group input codes, run the first time
+someone asks the result for that dictionary.  A descendant's encode is
+then a cache hit rather than a fresh ``np.unique`` over raw values, and
+a result nobody re-groups never builds one.
 """
 
 from __future__ import annotations

@@ -637,9 +637,8 @@ class PlanExecutor:
         table = self._catalog.get(source_name)
         groupings = []
         morsels = 1
-        for index, op in members:
+        for _index, op in members:
             assert isinstance(op, phys.GroupingOperator)
-            pipeline = physical.pipelines[index]
             aggregates = (
                 self._reaggregates
                 if isinstance(op, phys.Reaggregate)
@@ -652,9 +651,6 @@ class PlanExecutor:
                     aggregates,
                     name=op.output,
                     dictionaries=dictionaries,
-                    # Derived key dictionaries only pay off when the
-                    # result materializes and descendants re-group it.
-                    attach_dictionaries=pipeline.materialized,
                 )
             )
             morsels = max(morsels, op.morsels)

@@ -35,6 +35,8 @@ from repro.engine.aggregation import (
     PartialGroupState,
     _column_codes,
     _combined_codes,
+    decode_parent_codes,
+    defer_key_dictionaries,
     group_by,
     merge_partial_states,
     partial_aggregate_state,
@@ -112,9 +114,6 @@ class MorselGrouping:
         aggregates: aggregate specs for the output.
         name: result table name.
         dictionaries: plan-wide dictionary cache.
-        attach_dictionaries: derive and attach result-key dictionaries
-            (needed when the result materializes and descendants will
-            re-group it; skippable for leaf results).
     """
 
     def __init__(
@@ -124,17 +123,15 @@ class MorselGrouping:
         aggregates: Sequence[AggregateSpec],
         name: str | None = None,
         dictionaries: "DictionaryCache | None" = None,
-        attach_dictionaries: bool = True,
     ) -> None:
         self.table = table
         self.keys = list(keys)
         self.aggregates = list(aggregates)
         self.name = name
         self._dictionaries = dictionaries
-        self._attach = attach_dictionaries
         self._combined: np.ndarray | None = None
         self._radix = 0
-        self._layout: dict[str, tuple[int, int]] | None = None
+        self._cards: list[int] | None = None
         self.feasible = bool(self.keys) and table.num_rows > 0
         if self.feasible:
             radix_cap = max(
@@ -154,15 +151,15 @@ class MorselGrouping:
             if radix > radix_cap:
                 self.feasible = False
             else:
-                combined, radix, layout = _combined_codes(
+                combined, radix, cards = _combined_codes(
                     table, self.keys, dictionaries
                 )
                 # The cap is far below the int64 overflow point where
-                # _combined_codes compresses and drops the layout.
-                assert layout is not None
+                # _combined_codes compresses and drops the cardinalities.
+                assert cards is not None
                 self._combined = combined
                 self._radix = radix
-                self._layout = layout
+                self._cards = cards
         self._columns = {
             spec.column: table[spec.column]
             for spec in self.aggregates
@@ -193,21 +190,21 @@ class MorselGrouping:
         Output columns, ordering, dtypes, and group numbering are
         identical to the single-pass :func:`group_by` result.
         """
-        assert self._layout is not None
+        assert self._cards is not None
         codes, _counts, merged = merge_partial_states(
             partials,
             self.aggregates,
             {name: array.dtype for name, array in self._columns.items()},
             radix=self._radix,
         )
-        columns: dict[str, np.ndarray] = {}
-        parent_codes: dict[str, np.ndarray] = {}
-        for key in self.keys:
-            stride, card = self._layout[key]
-            parents = (codes // stride) % card
-            parent_codes[key] = parents
-            _, uniques = _column_codes(self.table, key, self._dictionaries)
-            columns[key] = uniques[parents]
+        parent_codes = decode_parent_codes(codes, self.keys, self._cards)
+        parent_uniques = {
+            key: _column_codes(self.table, key, self._dictionaries)[1]
+            for key in self.keys
+        }
+        columns: dict[str, np.ndarray] = {
+            key: parent_uniques[key][parent_codes[key]] for key in self.keys
+        }
         for spec in self.aggregates:
             if spec.alias in columns:
                 raise SchemaError(
@@ -218,22 +215,7 @@ class MorselGrouping:
             self.name or f"groupby_{'_'.join(self.keys) or 'all'}"
         )
         result = Table.wrap(result_name, columns)
-        if self._attach:
-            # Same cheap integer re-rank GroupStructure.key_dictionary
-            # performs: descendants of a materialized result re-encode
-            # its keys as a cache hit instead of a raw-value unique.
-            for key in self.keys:
-                uniq_codes, inverse = np.unique(
-                    parent_codes[key], return_inverse=True
-                )
-                _, parent_uniques = _column_codes(
-                    self.table, key, self._dictionaries
-                )
-                result.set_dictionary(
-                    key,
-                    inverse.astype(np.int64, copy=False),
-                    parent_uniques[uniq_codes],
-                )
+        defer_key_dictionaries(result, parent_codes, parent_uniques)
         return result
 
     def fallback(self) -> Table:

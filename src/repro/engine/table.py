@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.engine.types import SchemaError, coerce_column, value_width
+
+
+#: A deferred dictionary derivation: builds (codes, distinct_values).
+DictionaryThunk = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 class Table:
@@ -27,6 +31,7 @@ class Table:
         self.name = name
         self._columns: dict[str, np.ndarray] = {}
         self._dictionaries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._pending: dict[str, DictionaryThunk] = {}
         n_rows = None
         for col_name, values in columns.items():
             array = coerce_column(values)
@@ -93,11 +98,13 @@ class Table:
         Codes follow the sorted order of the distinct values, so
         ``distinct_values[code]`` recovers the original value.  Dense
         integer columns take the O(n) fast path of
-        :func:`repro.engine.dictcache.encode_column`.
+        :func:`repro.engine.dictcache.encode_column`; a column with a
+        deferred derivation (:meth:`defer_dictionary`) realises that
+        instead of encoding raw values.
         """
         # Return the local tuple, never a second lookup: another thread
         # may drop_dictionaries() between the store and the read.
-        dictionary = self._dictionaries.get(column)
+        dictionary = self.cached_dictionary(column)
         if dictionary is None:
             from repro.engine.dictcache import encode_column
 
@@ -108,13 +115,27 @@ class Table:
     def cached_dictionary(
         self, column: str
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """An already-built dictionary for ``column``, or None.
+        """A dictionary for ``column`` that needs no raw-value encode, or None.
 
         Unlike :meth:`dictionary` this never triggers an encode, so
         callers (the plan-wide ``DictionaryCache``) can distinguish a
-        hit from work about to happen.
+        hit from work about to happen.  A deferred derivation is
+        realised here — it is the cheap integer re-rank a Group By
+        result carries in place of a built dictionary.
         """
-        return self._dictionaries.get(column)
+        dictionary = self._dictionaries.get(column)
+        if dictionary is not None:
+            return dictionary
+        derive = self._pending.get(column)
+        if derive is None:
+            # A racing realisation stores the dictionary before it
+            # forgets the thunk, so a thunk gone missing since the
+            # lookup above means the built one is there now.
+            return self._dictionaries.get(column)
+        dictionary = derive()
+        self._dictionaries[column] = dictionary
+        self._pending.pop(column, None)
+        return dictionary
 
     def set_dictionary(
         self, column: str, codes: np.ndarray, uniques: np.ndarray
@@ -130,6 +151,23 @@ class Table:
                 f"table {self.name!r} has no column {column!r}"
             )
         self._dictionaries[column] = (codes, uniques)
+        self._pending.pop(column, None)
+
+    def defer_dictionary(self, column: str, derive: DictionaryThunk) -> None:
+        """Attach a dictionary for ``column`` that is built on first use.
+
+        ``derive()`` must return what :meth:`set_dictionary` would be
+        given.  A Group By result gets one per key column: most results
+        are never re-grouped, so the re-rank runs only for those whose
+        dictionary someone asks for.  The thunk lives as long as the
+        table does — it must hold per-group arrays only, never the
+        grouping's input.
+        """
+        if column not in self._columns:
+            raise SchemaError(
+                f"table {self.name!r} has no column {column!r}"
+            )
+        self._pending[column] = derive
 
     def build_dictionaries(self) -> None:
         """Eagerly dictionary-encode every column (load-time work)."""
@@ -137,13 +175,15 @@ class Table:
             self.dictionary(column)
 
     def drop_dictionaries(self) -> int:
-        """Drop every cached dictionary; returns how many were dropped.
+        """Drop every cached dictionary; returns how many built ones were dropped.
 
         The eviction path of :meth:`DictionaryCache.evict
         <repro.engine.dictcache.DictionaryCache.evict>`: after an
         in-place content change the cached codes are stale and must be
-        rebuilt on next use.
+        rebuilt on next use.  Deferred derivations describe the old
+        contents too and go with them, uncounted (nothing was built).
         """
+        self._pending.clear()
         dropped = len(self._dictionaries)
         self._dictionaries.clear()
         return dropped
@@ -238,11 +278,26 @@ class Table:
         )
         # The projection shares arrays, so cached dictionaries carry over
         # (from a snapshot: another thread may drop them meanwhile).
-        dictionaries = self._dictionaries.copy()
-        for column in columns:
-            if column in dictionaries:
-                projection._dictionaries[column] = dictionaries[column]
+        self._carry_dictionaries(projection, columns)
         return projection
+
+    def _carry_dictionaries(
+        self, target: "Table", columns: Iterable[str]
+    ) -> None:
+        """Hand ``target`` this table's dictionaries for shared ``columns``.
+
+        Built and deferred ones alike, each from a snapshot: another
+        thread may drop or realise them meanwhile.  Pending is read
+        first — realisation stores before it forgets, so a dictionary
+        caught mid-realisation shows up in at least one snapshot.
+        """
+        pending = self._pending.copy()
+        built = self._dictionaries.copy()
+        for column in columns:
+            if column in built:
+                target._dictionaries[column] = built[column]
+            elif column in pending:
+                target._pending[column] = pending[column]
 
     def take(self, selector: np.ndarray, name: str | None = None) -> "Table":
         """Return rows selected by a boolean mask or an index array.
@@ -260,7 +315,7 @@ class Table:
         """Return the same data under a different relation name."""
         renamed = Table.wrap(name, dict(self._columns))
         # Same arrays, same rows: every cached dictionary stays valid.
-        renamed._dictionaries.update(self._dictionaries)
+        self._carry_dictionaries(renamed, self._columns)
         return renamed
 
     def with_column(self, column: str, values: Sequence) -> "Table":
@@ -279,9 +334,9 @@ class Table:
                 f"expected {self._num_rows}"
             )
         derived = Table.wrap(self.name, columns)
-        for name, dictionary in self._dictionaries.copy().items():
-            if name != column:
-                derived._dictionaries[name] = dictionary
+        self._carry_dictionaries(
+            derived, [name for name in self._columns if name != column]
+        )
         return derived
 
     def sort_by(self, columns: Sequence[str], name: str | None = None) -> "Table":
@@ -303,5 +358,6 @@ class Table:
         table.name = name
         table._columns = columns
         table._dictionaries = {}
+        table._pending = {}
         table._num_rows = len(next(iter(columns.values()))) if columns else 0
         return table

@@ -116,7 +116,7 @@ class TestGroupByCorrectness:
 
     def test_result_dictionaries_attached(self, tiny_table):
         result = group_by(tiny_table, ["a", "b"], [AggregateSpec.count_star()])
-        codes, values = result._dictionaries["a"]
+        codes, values = result.dictionary("a")
         assert list(values[codes]) == list(result["a"])
 
 

@@ -198,7 +198,6 @@ class TestBatchExecution:
             table,
             ["a", "b"],
             [AggregateSpec.count_star()],
-            attach_dictionaries=True,
         )
         [out], _ = compute_morsel_groupings(table, [grouping], 3, 1)
         plain = group_by(table, ["a", "b"], [AggregateSpec.count_star()])
