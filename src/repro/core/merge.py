@@ -17,7 +17,8 @@ degenerate into computing the smaller from the larger.
 
 With the Section 7.1 extension enabled, merging also proposes replacing
 u with CUBE(u) or ROLLUP(u), answering every required query in the two
-subtrees directly.
+subtrees directly — unless u is itself required, since its own sub-plan
+still answers it.
 """
 
 from __future__ import annotations
@@ -101,9 +102,13 @@ def subplan_merge(
             SubPlan(union_node, p1.children + (p2,), union_required)
         )
 
-    answered = frozenset(p1.answered_queries() | p2.answered_queries())
     if union_required:
-        answered = answered | {union}
+        # The union's own sub-plan is still live elsewhere in the forest
+        # (neither subtree answers it).  A plain root at the union merges
+        # with it later; a CUBE / ROLLUP root is never merged again, so it
+        # would answer the union a second time.
+        return _dedupe(candidates)
+    answered = frozenset(p1.answered_queries() | p2.answered_queries())
     if options.enable_cube and len(union) <= options.cube_max_columns:
         cube_node = PlanNode(union, NodeKind.CUBE)
         candidates.append(

@@ -14,8 +14,7 @@ constant); now:
   of the distinct values).  Strings, floats, and wide-range integers fall
   back to the sort-based path.
 * :func:`legacy_encode` is the pre-existing sort-based kernel, kept as the
-  reference implementation (tests pin ``encode_column`` against it) and
-  as the baseline of ``benchmarks/bench_kernels.py``.
+  reference implementation (tests pin ``encode_column`` against it).
 * :class:`DictionaryCache` is the plan-wide cache the executor threads
   through every Group By: each (table, column) pair is factorized at most
   once per plan execution, even when many plan nodes touch the same base

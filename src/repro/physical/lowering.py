@@ -49,6 +49,7 @@ from repro.costmodel.engine_model import (
 )
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
+from repro.engine.executor import temp_name_for
 from repro.engine.morsel import morsel_count
 from repro.physical.plan import (
     EXECUTION_MODES,
@@ -74,11 +75,6 @@ from repro.stats.cardinality import CardinalityEstimator
 #: Cap on the budget-fallback partition count (diminishing returns and
 #: per-partition overhead beyond this).
 MAX_PARTITIONS = 64
-
-
-def temp_name_for(node: PlanNode) -> str:
-    """Deterministic temporary-table name for a plan node."""
-    return "tmp__" + "__".join(sorted(node.columns))
 
 
 class _Lowering:
@@ -583,8 +579,7 @@ def lower(
     estimator: CardinalityEstimator | None = None,
     memory_budget_bytes: float | None = None,
     steps: Sequence[Step] | None = None,
-    parallel: bool = False,
-    mode: str | None = None,
+    mode: str = "serial",
     parallelism: int = 1,
     result_cache: ResultCache | None = None,
 ) -> PhysicalPlan:
@@ -607,8 +602,6 @@ def lower(
             partitioned execution.
         steps: an explicit linear schedule to honor (serial mode); None
             derives depth-first order.
-        parallel: legacy alias for ``mode="wavefront"``; ignored when
-            ``mode`` is given.
         mode: execution mode to lower for — one of
             :data:`~repro.physical.plan.EXECUTION_MODES`.  ``wavefront``
             and ``morsel`` build the wavefront schedule; ``morsel``
@@ -619,8 +612,6 @@ def lower(
             derivable hits; None (the default) lowers cache-unaware —
             bit-identical to the pre-cache behavior.
     """
-    if mode is None:
-        mode = "wavefront" if parallel else "serial"
     if mode not in EXECUTION_MODES:
         raise PhysicalPlanError(
             f"unknown execution mode {mode!r}; expected one of "

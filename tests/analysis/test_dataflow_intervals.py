@@ -3,12 +3,14 @@
 For every built-in workload, lowered serially and in wavefront mode,
 under the cost model's chosen regimes and with hash/sort grouping
 force-overridden: the analyzer must report zero diagnostics (the
-est_rows cross-check included) and every executed operator's actual
-output row count must fall inside its inferred [lo, hi] interval.
+est_rows cross-check included), every executed operator's actual
+output row count must fall inside its inferred [lo, hi] interval, and
+the forced plans must return the chosen plan's result tables.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis.dataflow import AnalysisContext, DataflowAnalysis
@@ -100,7 +102,11 @@ def test_executed_rows_within_inferred_intervals(
     workload, parallelism, strategy
 ):
     session, plan = workload
-    physical = session.lower(plan, parallelism=parallelism)
+    # Forced: at this size ``auto`` lowers serially whatever the
+    # parallelism.
+    mode = "serial" if parallelism == 1 else "wavefront"
+    physical = session.lower(plan, parallelism=parallelism, mode=mode)
+    assert (physical.waves is not None) == (parallelism > 1)
     if strategy is not None:
         physical = force_strategy(physical, strategy)
     context = AnalysisContext(
@@ -135,17 +141,19 @@ def test_executed_rows_within_inferred_intervals(
 
 
 def test_forced_regimes_agree(workload):
-    """Hash- and sort-forced plans answer every query identically."""
+    """Hash- and sort-forced plans produce the chosen plan's tables,
+    bit for bit: the regimes differ only in cost."""
     session, plan = workload
     physical = session.lower(plan)
-    sizes = {}
+    chosen, _ = run_traced(session, physical, parallelism=1)
+    assert len(chosen.results) > 0
     for strategy in ("hash", "sort"):
-        execution, _ = run_traced(
+        forced, _ = run_traced(
             session, force_strategy(physical, strategy), parallelism=1
         )
-        sizes[strategy] = {
-            query: table.num_rows
-            for query, table in execution.results.items()
-        }
-    assert sizes["hash"] == sizes["sort"]
-    assert len(sizes["hash"]) > 0
+        assert set(forced.results) == set(chosen.results)
+        for query, expected in chosen.results.items():
+            table = forced.results[query]
+            assert table.column_names == expected.column_names
+            for column in expected.column_names:
+                np.testing.assert_array_equal(table[column], expected[column])

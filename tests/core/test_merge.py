@@ -104,6 +104,15 @@ class TestCubeRollupCandidates:
         assert len(cubes) == 1
         assert cubes[0].direct_answers == frozenset([fs("a"), fs("b")])
 
+    def test_no_cube_or_rollup_over_a_required_union(self):
+        """The union's own sub-plan answers it; a CUBE / ROLLUP root is
+        never merged again, so it must not become a second producer."""
+        options = MergeOptions(enable_cube=True, enable_rollup=True)
+        required = REQUIRED | {fs("a", "b")}
+        candidates = subplan_merge(leaf("a"), leaf("b"), required, options)
+        assert candidates
+        assert {c.node.kind for c in candidates} == {NodeKind.GROUP_BY}
+
     def test_cube_width_guard(self):
         options = MergeOptions(enable_cube=True, cube_max_columns=1)
         candidates = subplan_merge(leaf("a"), leaf("b"), REQUIRED, options)

@@ -8,7 +8,7 @@ the same statistics in the same order, under every search option.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Session
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
@@ -149,6 +149,20 @@ def test_storage_bound_and_pruners_bite(workloads):
             "enable_rollup": st.booleans(),
         }
     ),
+)
+# (c) + (a,b) proposed CUBE(a,b,c) claiming the required union (a,b,c)
+# while that query's own sub-plan stayed in the forest: PV005.
+@example(
+    singles=[2] * 6,
+    overrides={frozenset("ab"): 6, frozenset("abc"): 2},
+    queries={frozenset(q) for q in ("a", "b", "c", "ab", "abc")},
+    flags={
+        "binary_tree_only": False,
+        "subsumption_pruning": True,
+        "monotonicity_pruning": False,
+        "enable_cube": True,
+        "enable_rollup": False,
+    },
 )
 def test_search_equals_full_rescan_property(
     singles, overrides, queries, flags

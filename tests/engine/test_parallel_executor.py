@@ -45,9 +45,15 @@ def run_both(maker, queries=None, parallelism=3):
         table = serial_session.catalog.get(serial_session.base_table)
         queries = combi_workload(list(table.column_names)[:4], 2)
     serial = serial_session.execute(serial_session.optimize(queries).plan)
+    # Forced: at this size ``auto`` resolves to serial, which would
+    # compare serial with itself.
     parallel = parallel_session.execute(
-        parallel_session.optimize(queries).plan, parallelism=parallelism
+        parallel_session.optimize(queries).plan,
+        parallelism=parallelism,
+        mode="wavefront",
     )
+    assert serial.metrics.mode == "serial"
+    assert parallel.metrics.mode == "wavefront"
     return serial, parallel
 
 
@@ -76,7 +82,9 @@ class TestHandBuiltPlans:
         parallel_cat.add_table(random_table.rename("r"))
         return (
             PlanExecutor(serial_cat, "r"),
-            PlanExecutor(parallel_cat, "r", parallelism=parallelism),
+            PlanExecutor(
+                parallel_cat, "r", parallelism=parallelism, mode="wavefront"
+            ),
         )
 
     def deep_plan(self):

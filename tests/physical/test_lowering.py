@@ -157,7 +157,7 @@ class TestStructure:
                 aggregates=[],
                 estimator=session.estimator,
                 steps=[],
-                parallel=True,
+                mode="wavefront",
             )
 
     def test_index_prefix_lowers_to_ordered_sort(self, session):
