@@ -1,8 +1,8 @@
 """Benchmark for Figure 10 — scaling with the number of columns
 (Section 6.4).
 
-Paper shape: optimizer calls grow ~quadratically with width but the
-optimization stays cheap (48 single-column queries well under the
+Paper shape: optimizer calls grow with width (quadratically in the
+paper, which costs every pair) but the optimization stays cheap (48 single-column queries well under the
 paper's 100 s), and the runtime advantage over naive grows with width.
 """
 
@@ -24,9 +24,12 @@ def test_fig10_shapes(benchmark, bench_rows):
     print("\n" + result.render())
     calls = result.column("optimizer calls")
     assert all(b > a for a, b in zip(calls, calls[1:]))
-    # Quadratic-ish growth: quadrupling width should grow calls well
-    # beyond 4x but far below the exponential lattice (2^48).
-    assert calls[-1] / calls[0] > 6
+    # The pairs walked grow quadratically with width, but a pair is
+    # costed only once a floor under its delta surfaces, so calls grow
+    # close to linearly: quadrupling width grows them by about as much,
+    # not by the 16x of costing every pair (10,436 calls at 48 columns
+    # before bound-first costing), let alone the lattice's 2^48.
+    assert 3 < calls[-1] / calls[0] < 16
     assert calls[-1] < 200_000
     opt_seconds = result.column("opt time (s)")
     assert all(seconds < 100 for seconds in opt_seconds)

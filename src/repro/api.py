@@ -158,8 +158,9 @@ class Session:
 
         Args:
             table: the base relation.
-            statistics: 'exact' (oracle) or 'sampled' (GEE over a
-                sample, metered — the realistic mode).
+            statistics: 'exact' (oracle) or 'sampled' (the ``hybrid``
+                distinct estimator — max(GEE, Chao) — over a sample,
+                metered — the realistic mode).
             cost_model: 'engine' or 'cardinality'.
             sample_rows: sample size for sampled statistics.
             seed: sampling seed.

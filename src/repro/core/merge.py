@@ -108,16 +108,17 @@ def subplan_merge(
         # with it later; a CUBE / ROLLUP root is never merged again, so it
         # would answer the union a second time.
         return _dedupe(candidates)
-    answered = frozenset(p1.answered_queries() | p2.answered_queries())
-    if options.enable_cube and len(union) <= options.cube_max_columns:
-        cube_node = PlanNode(union, NodeKind.CUBE)
-        candidates.append(
-            SubPlan(cube_node, (), False, direct_answers=answered)
-        )
-    if options.enable_rollup:
-        rollup = _rollup_candidate(union, answered)
-        if rollup is not None:
-            candidates.append(rollup)
+    if options.enable_cube or options.enable_rollup:
+        answered = frozenset(p1.answered_queries() | p2.answered_queries())
+        if options.enable_cube and len(union) <= options.cube_max_columns:
+            cube_node = PlanNode(union, NodeKind.CUBE)
+            candidates.append(
+                SubPlan(cube_node, (), False, direct_answers=answered)
+            )
+        if options.enable_rollup:
+            rollup = _rollup_candidate(union, answered)
+            if rollup is not None:
+                candidates.append(rollup)
     return _dedupe(candidates)
 
 

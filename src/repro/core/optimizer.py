@@ -10,6 +10,12 @@ to wide tables.
 Per the paper's running-time analysis, merge evaluations are memoized so
 only O(n^2) SubPlanMerge calls are made across the whole run: after a
 merge, only pairs involving the newly created sub-plan are evaluated.
+
+A pair is first priced by a floor under its delta, made from statistics
+that already exist (:meth:`PlanCoster.subplan_cost_bound`); it is costed
+exactly — optimizer calls, a new statistic for the union — only if that
+floor still promises a gain when the pair reaches the top of the heap.
+The merges made are those of the eager loop, ties included.
 """
 
 from __future__ import annotations
@@ -200,19 +206,43 @@ class GbMqoOptimizer:
             masks[next_id] = codec.encode(subplan.node.columns)
             next_id += 1
 
-        # Every pair is costed once, when it is first walked; the
-        # profitable ones wait in a min-heap keyed (delta, id1, id2), whose
-        # minimum is the merge a scan of all pairs in (id1, id2) order
-        # would pick.  Entries of merged-away sub-plans are dropped lazily.
-        evaluated: set[tuple[int, int]] = set()
-        profitable: list[tuple[float, int, int, SubPlan]] = []
+        # Every pair is priced once, when it is first walked, by a floor
+        # under its delta; the ones whose floor promises a gain wait in a
+        # min-heap keyed (delta, id1, id2).  An entry without a candidate
+        # holds a floor: when it surfaces the pair is costed exactly and
+        # pushed back under its true delta.  An entry with a candidate is
+        # exact, and when it surfaces every other key is no smaller and no
+        # true delta is below its floor, so it is the merge a scan of all
+        # pairs in (id1, id2) order would pick.  Entries of merged-away
+        # sub-plans are dropped lazily, floors among them never costed.
+        walked: set[tuple[int, int]] = set()
+        profitable: list[tuple[float, int, int, SubPlan | None]] = []
         merges_evaluated = 0
         pruned_subsumption = 0
         pruned_monotonicity = 0
         iterations = 0
         merge_log: list[str] = []
+        epsilon = self.options.epsilon
+        coster = self._coster
 
-        def evaluate_pair(id1: int, id2: int) -> tuple[float, SubPlan | None]:
+        def delta_floor(id1: int, id2: int) -> float:
+            """A value no candidate of the pair can cost less than, over
+            all candidates (the storage bound only removes some)."""
+            p1, p2 = forest[id1], forest[id2]
+            known = (p1.node.columns, p2.node.columns)
+            floor = 0.0
+            for candidate in subplan_merge(p1, p2, required_sets, merge_opts):
+                delta = (
+                    coster.subplan_cost_bound(candidate, known)
+                    - coster.subplan_cost(p1)
+                    - coster.subplan_cost(p2)
+                )
+                if delta < floor:
+                    floor = delta
+            return floor
+
+        def evaluate_pair(id1: int, id2: int) -> bool:
+            """Cost the pair exactly; queue it if it is profitable."""
             nonlocal merges_evaluated
             merges_evaluated += 1
             telemetry.pair_evaluations += 1
@@ -224,15 +254,18 @@ class GbMqoOptimizer:
                     telemetry.candidates_rejected_storage += 1
                     continue
                 delta = (
-                    self._coster.subplan_cost(candidate)
-                    - self._coster.subplan_cost(p1)
-                    - self._coster.subplan_cost(p2)
+                    coster.subplan_cost(candidate)
+                    - coster.subplan_cost(p1)
+                    - coster.subplan_cost(p2)
                 )
-                if delta >= -self.options.epsilon:
+                if delta >= -epsilon:
                     telemetry.candidates_rejected_cost += 1
                 if delta < best_delta:
                     best_delta, best_candidate = delta, candidate
-            return best_delta, best_candidate
+            if best_candidate is None or best_delta >= -epsilon:
+                return False
+            heapq.heappush(profitable, (best_delta, id1, id2, best_candidate))
+            return True
 
         while True:
             iterations += 1
@@ -243,7 +276,7 @@ class GbMqoOptimizer:
                 pair_count = len(ids) * (len(ids) - 1) // 2
                 # Pruning verdicts depend on the whole forest and on walk
                 # order, so with a pruner on every live pair is walked;
-                # otherwise only the pairs not costed yet: all of them at
+                # otherwise only the pairs not priced yet: all of them at
                 # first, then those of the newest sub-plan (the highest
                 # id), both in (id1, id2) order.
                 if iterations == 1 or pruning:
@@ -271,35 +304,51 @@ class GbMqoOptimizer:
                             pruned_monotonicity += 1
                             barred.add(pair)
                             continue
-                    if pair in evaluated:
+                    if pair in walked:
                         continue
-                    evaluated.add(pair)
-                    delta, candidate = evaluate_pair(id1, id2)
-                    if candidate is not None and delta < -self.options.epsilon:
-                        heapq.heappush(
-                            profitable, (delta, id1, id2, candidate)
+                    walked.add(pair)
+                    floor = delta_floor(id1, id2)
+                    if floor >= -epsilon:
+                        telemetry.pairs_refused_by_bound += 1
+                        failed = True
+                    elif monotonicity is None:
+                        heapq.heappush(profitable, (floor, id1, id2, None))
+                        failed = False
+                    else:
+                        # Monotonicity needs the verdict now (a failure
+                        # prunes later pairs of this same walk), so with
+                        # it on a floor only spares the pairs it refuses.
+                        failed = not evaluate_pair(id1, id2)
+                    if (
+                        failed
+                        and monotonicity is not None
+                        and all(
+                            forest[i].node.kind is NodeKind.GROUP_BY
+                            for i in pair
                         )
-                    elif monotonicity is not None and all(
-                        forest[i].node.kind is NodeKind.GROUP_BY
-                        for i in pair
                     ):
                         monotonicity.record_failure(union_mask)
 
                 # A popped entry is dropped for good when one side has been
                 # merged away or monotonicity bars the pair, which never
-                # relents.  Subsumption cannot prune a pair costed earlier:
+                # relents.  Subsumption cannot prune a pair priced earlier:
                 # a union it prunes now was pruned in every earlier
                 # iteration too (merged sub-plans' unions only grow), so
-                # such a pair was never costed and has no entry.
+                # such a pair was never walked and has no entry.
                 best = None
                 while profitable and best is None:
                     entry = heapq.heappop(profitable)
-                    _, id1, id2, _ = entry
+                    _, id1, id2, candidate = entry
                     if (
-                        id1 in forest
-                        and id2 in forest
-                        and (id1, id2) not in barred
+                        id1 not in forest
+                        or id2 not in forest
+                        or (id1, id2) in barred
                     ):
+                        continue
+                    if candidate is None:
+                        telemetry.bounds_resolved_late += 1
+                        evaluate_pair(id1, id2)
+                    else:
                         best = entry
                 iteration_span.set(
                     subplans=len(ids),

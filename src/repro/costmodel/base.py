@@ -5,6 +5,11 @@ The optimizer never costs plans directly: it goes through a
 (parent, child) query is never "sent to the optimizer" twice, and
 (b) counts distinct costing calls — the optimization-cost metric the
 paper reports in Figures 10(a) and 11(a).
+
+It also answers the cheaper question the search asks first:
+:meth:`PlanCoster.subplan_cost_bound`, a floor under a sub-plan's cost
+made from statistics that already exist.  A floor is not an optimizer
+call, and it never enters the exact memos.
 """
 
 from __future__ import annotations
@@ -31,6 +36,19 @@ class CostModel(Protocol):
         child: PlanNode,
         materialize_child: bool,
     ) -> float:
+        ...
+
+    def edge_cost_bound(
+        self,
+        parent: PlanNode | None,
+        child: PlanNode,
+        materialize_child: bool,
+        known: tuple[frozenset[str], ...],
+    ) -> float:
+        """A value never above :meth:`edge_cost`, computed by the same
+        routine with each cardinality replaced by a floor derived from
+        the statistics of the ``known`` column sets — creating none for
+        the edge's own nodes and declaring nothing."""
         ...
 
 
@@ -61,6 +79,9 @@ class PlanCoster:
         self._edge_cache: dict[tuple[object, ...], float] = {}
         self._subplan_cache: dict[SubPlan, float] = {}
         self._internal_cache: dict[SubPlan, float] = {}
+        # Edge floors, keyed like the exact memo plus the ``known`` sets
+        # they were derived from; kept apart so no floor is read as a cost.
+        self._edge_bounds: dict[tuple[object, ...], float] = {}
         #: Number of distinct costing requests sent to the model — the
         #: paper's "number of calls to the query optimizer".
         self.optimizer_calls = 0
@@ -77,7 +98,8 @@ class PlanCoster:
     ) -> float:
         """Cost of computing ``child`` by scanning ``parent``."""
         key = (parent, child, materialize_child)
-        if key not in self._edge_cache:
+        cost = self._edge_cache.get(key)
+        if cost is None:
             self.optimizer_calls += 1
             cost = self._model.edge_cost(parent, child, materialize_child)
             if self._tracer.enabled:
@@ -87,17 +109,64 @@ class PlanCoster:
                 self._metrics.inc("repro_costmodel_calls_total")
                 self._metrics.observe("repro_costmodel_edge_cost", cost)
             self._edge_cache[key] = cost
-        return self._edge_cache[key]
+        return cost
+
+    def _edge(
+        self,
+        parent: PlanNode | None,
+        child: PlanNode,
+        materialize_child: bool,
+        known: tuple[frozenset[str], ...] | None,
+    ) -> float:
+        """:meth:`edge_cost` when ``known`` is None.  Otherwise a floor
+        under it: the exact cost if that is already memoised (the
+        tightest floor there is), else the model's floor over ``known``."""
+        if known is None:
+            return self.edge_cost(parent, child, materialize_child)
+        cost = self._edge_cache.get((parent, child, materialize_child))
+        if cost is None:
+            key = (parent, child, materialize_child, known)
+            cost = self._edge_bounds.get(key)
+            if cost is None:
+                cost = self._model.edge_cost_bound(
+                    parent, child, materialize_child, known
+                )
+                self._edge_bounds[key] = cost
+        return cost
 
     def subplan_cost(self, subplan: SubPlan) -> float:
         """Total cost of a sub-plan, including its edge from R."""
-        if subplan not in self._subplan_cache:
-            cost = self.edge_cost(None, subplan.node, subplan.is_materialized)
-            cost += self._internal_cost(subplan)
+        cost = self._subplan_cache.get(subplan)
+        if cost is None:
+            cost = self._sum_edges(subplan, None)
             self._subplan_cache[subplan] = cost
-        return self._subplan_cache[subplan]
+        return cost
 
-    def _internal_cost(self, subplan: SubPlan) -> float:
+    def subplan_cost_bound(
+        self, subplan: SubPlan, known: tuple[frozenset[str], ...]
+    ) -> float:
+        """A value never above :meth:`subplan_cost`, free of optimizer
+        calls: the same edges summed in the same order, each read from
+        the exact memo when it is there and as the model's floor over the
+        ``known`` column sets when it is not."""
+        cost = self._subplan_cache.get(subplan)
+        if cost is None:
+            cost = self._sum_edges(subplan, known)
+        return cost
+
+    def _sum_edges(
+        self, subplan: SubPlan, known: tuple[frozenset[str], ...] | None
+    ) -> float:
+        """The one summation both the cost (``known`` None) and its floor
+        go through: a floor holds in floating point only because it adds
+        the same terms in the same order."""
+        cost = self._edge(None, subplan.node, subplan.is_materialized, known)
+        cost += self._internal_cost(subplan, known)
+        return cost
+
+    def _internal_cost(
+        self, subplan: SubPlan, known: tuple[frozenset[str], ...] | None
+    ) -> float:
         """Cost of the edges below ``subplan``'s root, memoised per subtree:
         a merge candidate is built from subtrees costed before, so only its
         new top edges are walked."""
@@ -107,11 +176,12 @@ class PlanCoster:
         if total is None:
             total = 0.0
             for child in subplan.children:
-                total += self.edge_cost(
-                    subplan.node, child.node, child.is_materialized
+                total += self._edge(
+                    subplan.node, child.node, child.is_materialized, known
                 )
-                total += self._internal_cost(child)
-            self._internal_cache[subplan] = total
+                total += self._internal_cost(child, known)
+            if known is None:
+                self._internal_cache[subplan] = total
         return total
 
     def plan_cost(self, plan: LogicalPlan) -> float:

@@ -13,8 +13,10 @@ remaining grouping is computed from that materialized result.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.plan import NodeKind, PlanNode
-from repro.stats.cardinality import CardinalityEstimator
+from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
 
 
 class CardinalityCostModel:
@@ -26,15 +28,11 @@ class CardinalityCostModel:
 
     def __init__(self, estimator: CardinalityEstimator) -> None:
         self._estimator = estimator
+        self._rows_lower_bound = rows_lower_bound_of(estimator)
 
     @property
     def estimator(self) -> CardinalityEstimator:
         return self._estimator
-
-    def parent_rows(self, parent: PlanNode | None) -> float:
-        if parent is None:
-            return float(self._estimator.base_rows)
-        return self._estimator.rows(parent.columns)
 
     def edge_cost(
         self,
@@ -42,10 +40,31 @@ class CardinalityCostModel:
         child: PlanNode,
         materialize_child: bool,
     ) -> float:
-        scan = self.parent_rows(parent)
+        return self.edge_cost_bound(parent, child, materialize_child, None)
+
+    def edge_cost_bound(
+        self,
+        parent: PlanNode | None,
+        child: PlanNode,
+        materialize_child: bool,
+        known: tuple[frozenset[str], ...] | None,
+    ) -> float:
+        """:meth:`edge_cost` with every cardinality read as its floor over
+        ``known`` (``None``: the exact cost).  The cost is a sum of
+        cardinalities in a fixed order, so floors on them give a floor on
+        it, rounding included."""
+        if known is None:
+            rows = self._estimator.rows
+        else:
+            rows = partial(self._rows_lower_bound, known=known)
+        scan = (
+            float(self._estimator.base_rows)
+            if parent is None
+            else rows(parent.columns)
+        )
         if child.kind is NodeKind.GROUP_BY:
             return scan
-        top_rows = self._estimator.rows(child.columns)
+        top_rows = rows(child.columns)
         if child.kind is NodeKind.CUBE:
             # Scan the parent once for GROUP BY(all columns); every other
             # grouping of the 2^k lattice is computed from that result.
@@ -55,5 +74,5 @@ class CardinalityCostModel:
         order = child.rollup_order
         cost = scan
         for i in range(len(order), 1, -1):
-            cost += self._estimator.rows(frozenset(order[:i]))
+            cost += rows(frozenset(order[:i]))
         return cost

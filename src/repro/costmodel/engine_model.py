@@ -20,8 +20,11 @@ from typing import Iterable
 from repro.core.plan import NodeKind, PlanNode
 from repro.engine.catalog import Catalog
 from repro.engine.morsel import morsel_count
-from repro.stats.cardinality import CardinalityEstimator
+from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
 from repro.stats.whatif import WhatIfRegistry
+
+#: The column sets a bound may lean on; ``None`` asks for the exact cost.
+Known = tuple[frozenset[str], ...] | None
 
 #: Cost per byte read from a stored table.
 READ_BYTE = 1.0
@@ -154,6 +157,7 @@ class EngineCostModel:
         use_indexes: bool = True,
     ) -> None:
         self._estimator = estimator
+        self._rows_lower_bound = rows_lower_bound_of(estimator)
         self._catalog = catalog
         self._base_table = base_table
         self._use_indexes = use_indexes
@@ -165,6 +169,7 @@ class EngineCostModel:
             # No physical information: assume a plausible wide row.
             self._base_row_width = 128.0
         self.whatif = whatif if whatif is not None else WhatIfRegistry()
+        self._group_cpus: dict[frozenset[str], float] = {}
 
     @property
     def estimator(self) -> CardinalityEstimator:
@@ -186,21 +191,38 @@ class EngineCostModel:
         return self._use_indexes
 
     # -- scan model -----------------------------------------------------------
+    #
+    # Every routine below takes ``known``.  With ``None`` a cardinality is
+    # the estimator's and the node is declared to the what-if registry;
+    # with a tuple of column sets it is ``rows_lower_bound`` over them and
+    # nothing is declared.  Costs are sums and products of non-negative
+    # terms, non-decreasing in every cardinality, so the same routine in
+    # the same order turns floors on rows into a floor on the cost —
+    # rounding included, since each rounded operation is itself monotone.
+
+    def _rows(self, columns: frozenset[str], known: Known) -> float:
+        if known is None:
+            return self._estimator.rows(columns)
+        return self._rows_lower_bound(columns, known)
 
     def _group_cpu(self, columns: frozenset[str]) -> float:
-        """Per-row CPU to group on ``columns``.
+        """Per-row CPU to group on ``columns`` (remembered per column set).
 
         Mirrors the engine's two aggregation regimes: when the product
         of the per-column cardinalities fits the hash domain, grouping
         is a cheap counting pass; beyond it the engine sorts composite
         codes, a much heavier per-row cost.
         """
-        cpu = len(columns) * HASH_CPU
-        domain = 1.0
-        for column in columns:
-            domain *= max(self._estimator.rows(frozenset([column])), 1.0)
-            if domain > HASH_DOMAIN_LIMIT:
-                return cpu + SORT_GROUP_CPU
+        cpu = self._group_cpus.get(columns)
+        if cpu is None:
+            cpu = len(columns) * HASH_CPU
+            domain = 1.0
+            for column in columns:
+                domain *= max(self._estimator.rows(frozenset([column])), 1.0)
+                if domain > HASH_DOMAIN_LIMIT:
+                    cpu += SORT_GROUP_CPU
+                    break
+            self._group_cpus[columns] = cpu
         return cpu
 
     def _base_scan_cost(self, columns: frozenset[str]) -> float:
@@ -235,16 +257,17 @@ class EngineCostModel:
         return min(direct, via_index)
 
     def _intermediate_scan_cost(
-        self, parent: PlanNode, child_columns: frozenset[str]
+        self, parent: PlanNode, child_columns: frozenset[str], known: Known
     ) -> float:
-        rows = self._estimator.rows(parent.columns)
+        rows = self._rows(parent.columns, known)
         width = self._estimator.row_width(parent.columns)
         return rows * (width * READ_BYTE + self._group_cpu(child_columns))
 
-    def _materialize_cost(self, columns: frozenset[str]) -> float:
-        rows = self._estimator.rows(columns)
+    def _materialize_cost(self, columns: frozenset[str], known: Known) -> float:
+        rows = self._rows(columns, known)
         width = self._estimator.row_width(columns)
-        self.whatif.create(columns, rows, width)
+        if known is None:
+            self.whatif.create(columns, rows, width)
         # Writing the rows plus dictionary-encoding the key columns so
         # children can aggregate cheaply (the executor does both).
         encode = rows * len(columns) * ENCODE_CPU
@@ -324,7 +347,7 @@ class EngineCostModel:
 
     def materialize_op_cost(self, columns: frozenset[str]) -> float:
         """Cost of one physical Materialize (write + key encode)."""
-        return self._materialize_cost(columns)
+        return self._materialize_cost(columns, None)
 
     def execution_mode_choice(
         self, n_groupings: int, parallelism: int
@@ -383,15 +406,19 @@ class EngineCostModel:
     # -- public API -------------------------------------------------------------
 
     def group_by_cost(
-        self, parent: PlanNode | None, columns: frozenset[str], materialize: bool
+        self,
+        parent: PlanNode | None,
+        columns: frozenset[str],
+        materialize: bool,
+        known: Known = None,
     ) -> float:
         """Cost of one plain Group By on ``columns`` from ``parent``."""
         if parent is None:
             cost = self._base_scan_cost(columns)
         else:
-            cost = self._intermediate_scan_cost(parent, columns)
+            cost = self._intermediate_scan_cost(parent, columns, known)
         if materialize:
-            cost += self._materialize_cost(columns)
+            cost += self._materialize_cost(columns, known)
         return cost
 
     def edge_cost(
@@ -400,30 +427,48 @@ class EngineCostModel:
         child: PlanNode,
         materialize_child: bool,
     ) -> float:
-        if child.kind is NodeKind.GROUP_BY:
-            return self.group_by_cost(parent, child.columns, materialize_child)
-        if child.kind is NodeKind.CUBE:
-            return self._cube_cost(parent, child)
-        return self._rollup_cost(parent, child)
+        return self.edge_cost_bound(parent, child, materialize_child, None)
 
-    def _cube_cost(self, parent: PlanNode | None, child: PlanNode) -> float:
+    def edge_cost_bound(
+        self,
+        parent: PlanNode | None,
+        child: PlanNode,
+        materialize_child: bool,
+        known: Known,
+    ) -> float:
+        """:meth:`edge_cost` with every cardinality read as its floor over
+        ``known``: never above the exact cost, no statistic created for
+        the edge's own nodes, nothing declared."""
+        if child.kind is NodeKind.GROUP_BY:
+            return self.group_by_cost(
+                parent, child.columns, materialize_child, known
+            )
+        if child.kind is NodeKind.CUBE:
+            return self._cube_cost(parent, child, known)
+        return self._rollup_cost(parent, child, known)
+
+    def _cube_cost(
+        self, parent: PlanNode | None, child: PlanNode, known: Known
+    ) -> float:
         # Full Group By materialized from the parent, then every other
         # grouping of the lattice computed from it (executor strategy).
         top = PlanNode(child.columns)
-        cost = self.group_by_cost(parent, child.columns, True)
+        cost = self.group_by_cost(parent, child.columns, True, known)
         subsets = _proper_subsets(child.columns)
         for subset in subsets:
-            cost += self.group_by_cost(top, subset, False)
+            cost += self.group_by_cost(top, subset, False, known)
         return cost
 
-    def _rollup_cost(self, parent: PlanNode | None, child: PlanNode) -> float:
+    def _rollup_cost(
+        self, parent: PlanNode | None, child: PlanNode, known: Known
+    ) -> float:
         order = child.rollup_order
         cost = self.group_by_cost(
-            parent, child.columns, materialize=len(order) > 1
+            parent, child.columns, len(order) > 1, known
         )
         for i in range(len(order) - 1, 0, -1):
             upper = PlanNode(frozenset(order[: i + 1]))
-            cost += self.group_by_cost(upper, frozenset(order[:i]), False)
+            cost += self.group_by_cost(upper, frozenset(order[:i]), False, known)
         return cost
 
 

@@ -23,7 +23,14 @@ class SearchTelemetry:
             (after subsumption filtering; a pair counts again in every
             iteration it is live, although it is costed only once).
         pair_evaluations: pairs whose merges were enumerated and costed
-            (each pair at most once per run).
+            exactly (each pair at most once per run).
+        pairs_refused_by_bound: pairs never costed exactly because a
+            floor under their delta, made from statistics that already
+            existed, showed no gain.  The rest of the gap between pairs
+            walked and ``pair_evaluations`` is floors that promised a
+            gain but whose pair was merged away before they surfaced.
+        bounds_resolved_late: pairs costed exactly only when their floor
+            reached the top of the heap, rather than when first walked.
         candidates_considered: candidate merges produced by
             ``subplan_merge`` and offered to the cost model.
         candidates_rejected_cost: candidates costed but not improving
@@ -34,14 +41,17 @@ class SearchTelemetry:
             changed the plan).
         pairs_pruned_subsumption: pairs skipped by Section 4.3.1.
         pairs_pruned_monotonicity: pairs skipped by Section 4.3.2.
-        cost_model_calls: distinct costing requests reaching the model
-            during the run (the paper's optimizer-call metric).
+        cost_model_calls: distinct exact costing requests reaching the
+            model during the run (the paper's optimizer-call metric);
+            floors are not counted.
         best_cost_trajectory: total plan cost after each iteration,
             starting from the naive cost; monotonically non-increasing.
     """
 
     pairs_considered: int = 0
     pair_evaluations: int = 0
+    pairs_refused_by_bound: int = 0
+    bounds_resolved_late: int = 0
     candidates_considered: int = 0
     candidates_rejected_cost: int = 0
     candidates_rejected_storage: int = 0
@@ -64,6 +74,8 @@ class SearchTelemetry:
         return {
             "pairs_considered": self.pairs_considered,
             "pair_evaluations": self.pair_evaluations,
+            "pairs_refused_by_bound": self.pairs_refused_by_bound,
+            "bounds_resolved_late": self.bounds_resolved_late,
             "candidates_considered": self.candidates_considered,
             "candidates_rejected_cost": self.candidates_rejected_cost,
             "candidates_rejected_storage": self.candidates_rejected_storage,
@@ -82,6 +94,8 @@ class SearchTelemetry:
             f"{self.cost_model_calls} cost-model calls",
             f"{self.candidates_rejected_cost} rejected by cost",
         ]
+        if self.pairs_refused_by_bound:
+            parts.append(f"{self.pairs_refused_by_bound} pairs refused by bound")
         pruned = self.pairs_pruned_subsumption + self.pairs_pruned_monotonicity
         if pruned:
             parts.append(f"{pruned} pairs pruned")

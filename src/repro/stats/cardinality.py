@@ -17,18 +17,28 @@ Two estimators are provided:
   table size.  Every first-encountered column set creates a new
   "statistic"; creation time and scans are metered for the Section 6.7
   overhead experiment.
+
+Both also have a ``rows_lower_bound`` method (reached through
+:func:`rows_lower_bound_of`): a floor under ``rows`` of a column set
+whose statistic does not exist yet, read off the statistics of its known
+subsets.  The search costs a merge optimistically with it and creates
+the union's statistic only when that optimism still wins.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
 from repro.engine.aggregation import factorize
 from repro.engine.table import Table
-from repro.stats.distinct import estimate_distinct
+from repro.obs.clock import monotonic
+from repro.stats.distinct import (
+    estimate_from_profile,
+    profile_lower_bound,
+    sample_profile,
+)
 from repro.stats.sampler import TableSampler
 
 
@@ -51,6 +61,27 @@ class CardinalityEstimator(Protocol):
 
 #: Width of the COUNT(*) column carried by every materialized node.
 COUNT_WIDTH = 8
+
+
+#: ``(columns, known) -> floor``; see :func:`rows_lower_bound_of`.
+RowsLowerBound = Callable[[frozenset[str], tuple[frozenset[str], ...]], float]
+
+
+def rows_lower_bound_of(estimator: CardinalityEstimator) -> RowsLowerBound:
+    """The estimator's way to bound ``rows(columns)`` from below without
+    creating the statistic of ``columns``.
+
+    The function returned takes the column set and ``known``, column sets
+    the caller already works with (the roots a merge joins): those inside
+    ``columns`` may get their own statistic created, and the floor is
+    derived from them.  An estimator that cannot bound — it has no
+    ``rows_lower_bound`` method, e.g. a test oracle whose cardinalities
+    are not monotone under inclusion — answers with ``rows`` itself.
+    """
+    bound = getattr(estimator, "rows_lower_bound", None)
+    if bound is not None:
+        return bound
+    return lambda columns, known: estimator.rows(columns)
 
 
 class _CodesCache:
@@ -100,9 +131,28 @@ class _WidthModel:
             column: float(table[column].dtype.itemsize)
             for column in table.column_names
         }
+        self._row_widths: dict[frozenset[str], float] = {}
 
-    def row_width(self, columns: frozenset[str]) -> float:
-        return sum(self._widths[c] for c in columns) + COUNT_WIDTH
+    def row_width(self, columns: Iterable[str]) -> float:
+        if not isinstance(columns, frozenset):
+            columns = frozenset(columns)
+        width = self._row_widths.get(columns)
+        if width is None:
+            width = sum(self._widths[c] for c in columns) + COUNT_WIDTH
+            self._row_widths[columns] = width
+        return width
+
+
+def _subsets_to_read(
+    columns: frozenset[str], known: tuple[frozenset[str], ...]
+) -> list[frozenset[str]]:
+    """The members of ``known`` inside ``columns``, plus a single-column
+    set for each column none of them covers (a covered column's own
+    counts cannot exceed those of the subset covering it)."""
+    subsets = [subset for subset in known if subset <= columns]
+    covered = frozenset().union(*subsets)
+    subsets.extend(frozenset([column]) for column in columns - covered)
+    return subsets
 
 
 class ExactCardinalityEstimator:
@@ -127,8 +177,24 @@ class ExactCardinalityEstimator:
             self._cache[columns] = float(len(np.unique(combined)))
         return self._cache[columns]
 
+    def rows_lower_bound(
+        self, columns: frozenset[str], known: tuple[frozenset[str], ...]
+    ) -> float:
+        """The largest exact count among the ``known`` subsets of
+        ``columns`` (and the single columns they leave out): a grouping
+        has at least as many groups as any coarser one.  An existing
+        count of ``columns`` is returned as it is."""
+        exact = self._cache.get(columns)
+        if exact is not None:
+            return exact
+        if not columns:
+            return 1.0
+        return max(
+            self.rows(subset) for subset in _subsets_to_read(columns, known)
+        )
+
     def row_width(self, columns: frozenset[str]) -> float:
-        return self._widths.row_width(frozenset(columns))
+        return self._widths.row_width(columns)
 
 
 class SampledCardinalityEstimator:
@@ -139,7 +205,7 @@ class SampledCardinalityEstimator:
         sample_rows: sample size (one sample serves all statistics).
         method: distinct estimator name, a key of
             :data:`repro.stats.distinct.ESTIMATORS`.  This default is the
-            only one: :func:`~repro.stats.distinct.estimate_distinct`
+            only one: :func:`~repro.stats.distinct.estimate_from_profile`
             takes the name explicitly.
         seed: sampling seed.
     """
@@ -156,6 +222,13 @@ class SampledCardinalityEstimator:
         self._method = method
         self._widths = _WidthModel(table)
         self._cache: dict[frozenset[str], float] = {}
+        #: ``(d, f1)`` of the sample under each created statistic: what a
+        #: superset's floor is computed from.
+        self._profiles: dict[frozenset[str], tuple[int, int]] = {}
+        self._caps: dict[frozenset[str], float] = {}
+        self._floors: dict[
+            tuple[frozenset[str], tuple[frozenset[str], ...]], float
+        ] = {}
         self._sample_codes: _CodesCache | None = None
         #: Column sets for which a statistic was created, in order.
         self.created_statistics: list[frozenset[str]] = []
@@ -183,28 +256,79 @@ class SampledCardinalityEstimator:
             self._cache[columns] = self._create_statistic(columns)
         return self._cache[columns]
 
+    def rows_lower_bound(
+        self,
+        columns: frozenset[str],
+        known: tuple[frozenset[str], ...],
+    ) -> float:
+        """A floor under ``rows(columns)`` that leaves the sample alone.
+
+        Grouping by more columns only splits the sample's groups, so the
+        distinct count ``d`` and the singleton count ``f1`` of every
+        subset bound those of ``columns`` from below; the estimator's
+        floor at the largest such pair
+        (:func:`~repro.stats.distinct.profile_lower_bound`), under the
+        same two caps ``rows`` applies, cannot exceed the estimate.  The
+        subsets read are the members of ``known`` inside ``columns`` and
+        the single columns they leave out; their statistics are created
+        if missing.  A statistic of ``columns`` that exists is returned
+        as it is.
+        """
+        exact = self._cache.get(columns)
+        if exact is not None:
+            return exact
+        if not columns:
+            return 1.0
+        key = (columns, known)
+        floor = self._floors.get(key)
+        if floor is None:
+            d = f1 = 0
+            for subset in _subsets_to_read(columns, known):
+                self.rows(subset)
+                subset_d, subset_f1 = self._profiles[subset]
+                d = max(d, subset_d)
+                f1 = max(f1, subset_f1)
+            floor = min(
+                profile_lower_bound(
+                    d, f1, self.sample_size, self._table.num_rows, self._method
+                ),
+                self._cap(columns),
+            )
+            self._floors[key] = floor
+        return floor
+
     def row_width(self, columns: frozenset[str]) -> float:
-        return self._widths.row_width(frozenset(columns))
+        return self._widths.row_width(columns)
+
+    def _cap(self, columns: frozenset[str]) -> float:
+        """The ceiling on an estimate: the product of the single-column
+        estimates (independence) or the table cardinality, whichever is
+        smaller.  Remembered per column set, so a floor and the estimate
+        it bounds are cut at the same float."""
+        cap = self._caps.get(columns)
+        if cap is None:
+            cap = float(self._table.num_rows)
+            if len(columns) > 1:
+                product = 1.0
+                for column in columns:
+                    product *= self._cache[frozenset([column])]
+                    if product >= cap:
+                        break
+                cap = min(product, cap)
+            self._caps[columns] = cap
+        return cap
 
     def _create_statistic(self, columns: frozenset[str]) -> float:
-        started = time.perf_counter()
+        started = monotonic()
         sample = self._sampler.sample()
         if self._sample_codes is None:
             self._sample_codes = _CodesCache(sample)
-        combined = self._sample_codes.combined(columns)
-        estimate = estimate_distinct(
-            combined, sample.num_rows, self._table.num_rows, self._method
+        profile = sample_profile(self._sample_codes.combined(columns))
+        estimate = estimate_from_profile(
+            profile, sample.num_rows, self._table.num_rows, self._method
         )
-        # Cap at the product of the single-column estimates (independence
-        # bound) and at the table cardinality.
-        if len(columns) > 1:
-            product = 1.0
-            for column in columns:
-                product *= self._cache[frozenset([column])]
-                if product >= self._table.num_rows:
-                    break
-            estimate = min(estimate, product)
-        estimate = min(estimate, float(self._table.num_rows))
+        self._profiles[columns] = profile[:2]
+        estimate = min(estimate, self._cap(columns))
         self.created_statistics.append(columns)
-        self.creation_seconds += time.perf_counter() - started
+        self.creation_seconds += monotonic() - started
         return estimate

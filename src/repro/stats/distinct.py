@@ -21,11 +21,15 @@ statistic sorts the sample once.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 #: ``(d, f1, f2)``: distinct values in the sample, and how many of them
 #: appear exactly once / exactly twice.
 SampleProfile = tuple[int, int, int]
+#: ``(profile, sample_size, population) -> estimate``.
+Estimator = Callable[[SampleProfile, int, int], float]
 
 
 def sample_profile(sample_values: np.ndarray) -> SampleProfile:
@@ -128,28 +132,84 @@ ESTIMATORS = {
 }
 
 
+def _floor_d(
+    profile: SampleProfile, sample_size: int, population: int
+) -> float:
+    """The observed distinct count, which ``_clamp`` never goes below."""
+    return float(profile[0])
+
+
+#: For each estimator, a function of ``(d, f1)`` alone that is
+#: non-decreasing in both and never above the estimator itself.  GEE and
+#: the jackknife are their own floor: neither reads ``f2``, the jackknife
+#: is a chain of monotone operations, and raw GEE is
+#: ``d + (sqrt(N/n) - 1) * f1``.  ``hybrid`` is a clamped maximum with
+#: GEE.  Chao's ``f1^2 / (2 f2)`` can fall when a group splits, so only
+#: ``d`` is safe there.
+LOWER_BOUNDS = {
+    "gee": gee_estimate,
+    "chao": _floor_d,
+    "jackknife": jackknife_estimate,
+    "hybrid": gee_estimate,
+}
+
+
+def _scale_up(
+    table: dict[str, Estimator],
+    profile: SampleProfile,
+    sample_size: int,
+    population: int,
+    method: str,
+) -> float:
+    """Apply ``table[method]`` to a profile: an empty sample gives 0 and a
+    sample covering the whole table is exact, whatever the method."""
+    try:
+        function = table[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown distinct estimator {method!r}; "
+            f"choose from {sorted(ESTIMATORS)}"
+        ) from None
+    d = profile[0]
+    if d == 0:
+        return 0.0
+    if sample_size >= population:
+        return float(d)
+    return function(profile, sample_size, population)
+
+
+def estimate_from_profile(
+    profile: SampleProfile, sample_size: int, population: int, method: str
+) -> float:
+    """Scale a sample's profile up to the table with the named estimator."""
+    return _scale_up(ESTIMATORS, profile, sample_size, population, method)
+
+
+def profile_lower_bound(
+    d: int, f1: int, sample_size: int, population: int, method: str
+) -> float:
+    """A floor under :func:`estimate_from_profile` for every profile whose
+    ``d`` and ``f1`` are at least the given ones.
+
+    Grouping by more columns only splits the sample's groups, so both
+    counts of a column set bound those of every superset from below:
+    this is the estimate a superset can never fall under.  The floor
+    holds in floating point as well — every step is a correctly rounded
+    monotone operation, except GEE's ``d - f1`` term, whose decrease is
+    outweighed by ``sqrt(N/n) * f1`` for any sample under ~4e7 rows.
+    """
+    return _scale_up(
+        LOWER_BOUNDS, (d, f1, 0), sample_size, population, method
+    )
+
+
 def estimate_distinct(
     sample_values: np.ndarray,
     sample_size: int,
     population: int,
     method: str,
 ) -> float:
-    """Estimate the distinct values of a column from a sample of it.
-
-    An empty sample estimates 0 and a sample covering the whole table is
-    exact; otherwise the named estimator scales the sample's profile up.
-    """
-    try:
-        estimator = ESTIMATORS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown distinct estimator {method!r}; "
-            f"choose from {sorted(ESTIMATORS)}"
-        ) from None
-    profile = sample_profile(sample_values)
-    d = profile[0]
-    if d == 0:
-        return 0.0
-    if sample_size >= population:
-        return float(d)
-    return estimator(profile, sample_size, population)
+    """Estimate the distinct values of a column from a sample of it."""
+    return estimate_from_profile(
+        sample_profile(sample_values), sample_size, population, method
+    )

@@ -1,10 +1,15 @@
 """Differential tests: ``GbMqoOptimizer._search`` against the full rescan.
 
-The production search costs each pair once and selects merges from a
-heap; :func:`tests.core.support.reference_search` is the Figure 5 loop
-as it was, rescanning every pair each iteration.  Both must make the
-same merges in the same order, send the same costing calls and create
-the same statistics in the same order, under every search option.
+The production search prices each pair by a floor under its delta, costs
+it exactly only if the floor still promises a gain when it surfaces in a
+heap, and selects merges from that heap;
+:func:`tests.core.support.reference_search` is the Figure 5 loop as it
+was, costing every pair and rescanning them all each iteration.  Both
+must make the same *decisions* — the same merges in the same order, the
+same plan, costs, trajectory and pruner counts — under every search
+option, while the production search's *effort* (optimizer calls, pairs
+and candidates costed, statistics created) never exceeds the
+reference's.
 """
 
 import pytest
@@ -14,6 +19,7 @@ from repro.api import Session
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
+from repro.stats.cardinality import SampledCardinalityEstimator
 from repro.workloads.queries import (
     containment_workload,
     single_column_queries,
@@ -64,14 +70,26 @@ def workloads():
     }
 
 
-def assert_same_search(result, reference):
+class SlackEstimator(FakeEstimator):
+    """A ``FakeEstimator`` that can bound: its floor is a fixed fraction
+    of the true cardinality — valid whatever the overrides are, and as
+    loose as the search has to cope with (0.0 makes every pair look as
+    good as a merge can be)."""
+
+    def __init__(self, slack, *args):
+        super().__init__(*args)
+        self._slack = slack
+
+    def rows_lower_bound(self, columns, known):
+        return self.rows(columns) * self._slack
+
+
+def assert_same_decisions(result, reference):
     assert result.merge_log == reference.merge_log
     assert result.plan == reference.plan
     assert result.cost == reference.cost
     assert result.naive_cost == reference.naive_cost
     assert result.iterations == reference.iterations
-    assert result.optimizer_calls == reference.optimizer_calls
-    assert result.merges_evaluated == reference.merges_evaluated
     assert (
         result.pairs_pruned_subsumption == reference.pairs_pruned_subsumption
     )
@@ -79,8 +97,45 @@ def assert_same_search(result, reference):
         result.pairs_pruned_monotonicity
         == reference.pairs_pruned_monotonicity
     )
-    # candidates_considered, pairs_considered, rejections, trajectory, ...
-    assert result.telemetry.as_dict() == reference.telemetry.as_dict()
+    ours, theirs = result.telemetry, reference.telemetry
+    assert ours.merges_accepted == theirs.merges_accepted
+    assert ours.best_cost_trajectory == theirs.best_cost_trajectory
+    assert ours.pairs_considered == theirs.pairs_considered
+    assert ours.pairs_pruned_subsumption == theirs.pairs_pruned_subsumption
+    assert ours.pairs_pruned_monotonicity == theirs.pairs_pruned_monotonicity
+
+
+EFFORT_COUNTS = (
+    "pair_evaluations",
+    "candidates_considered",
+    "candidates_rejected_cost",
+    "candidates_rejected_storage",
+    "cost_model_calls",
+)
+
+
+def assert_no_more_effort(result, reference):
+    assert result.optimizer_calls <= reference.optimizer_calls
+    assert result.merges_evaluated <= reference.merges_evaluated
+    for name in EFFORT_COUNTS:
+        assert getattr(result.telemetry, name) <= getattr(
+            reference.telemetry, name
+        ), name
+    telemetry = result.telemetry
+    assert telemetry.pair_evaluations == result.merges_evaluated
+    assert telemetry.cost_model_calls == result.optimizer_calls
+    # Every pair the reference costed was either refused by its floor,
+    # costed exactly, or left in the heap as a floor for good.
+    assert (
+        telemetry.pairs_refused_by_bound + telemetry.pair_evaluations
+        <= reference.merges_evaluated
+    )
+    assert telemetry.bounds_resolved_late <= telemetry.pair_evaluations
+
+
+def assert_same_search(result, reference):
+    assert_same_decisions(result, reference)
+    assert_no_more_effort(result, reference)
 
 
 @pytest.mark.parametrize("option_name", sorted(OPTIONS))
@@ -104,10 +159,14 @@ def test_search_equals_full_rescan(workloads, workload, option_name):
     )
 
     assert_same_search(result, reference)
-    assert (
-        session.estimator.created_statistics
-        == twin.estimator.created_statistics
-    )
+    # Every statistic is one the reference created too, or the column set
+    # of a sub-plan root (a floor reads the two roots it joins).
+    created = session.estimator.created_statistics
+    assert len(created) == len(set(created))
+    assert len(created) <= len(twin.estimator.created_statistics)
+    # (Roots made by a merge were costed exactly, so the reference has them.)
+    roots = {frozenset(query) for query in queries}
+    assert set(created) <= set(twin.estimator.created_statistics) | roots
 
 
 def test_storage_bound_and_pruners_bite(workloads):
@@ -125,6 +184,68 @@ def test_storage_bound_and_pruners_bite(workloads):
     assert both.pairs_pruned_subsumption > 0
     assert both.pairs_pruned_monotonicity > 0
     assert run("default").iterations > 5
+
+
+class TestNoDeadWork:
+    """Sales TC, where a floor refuses most pairs: statistics and exact
+    costings are made for the pairs that could win, and for nobody else."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every ``_create_statistic`` call of every estimator, by session."""
+        calls = []
+        original = SampledCardinalityEstimator._create_statistic
+
+        def counting(estimator, columns):
+            calls.append((estimator, columns))
+            return original(estimator, columns)
+
+        monkeypatch.setattr(
+            SampledCardinalityEstimator, "_create_statistic", counting
+        )
+        return lambda session: [
+            columns
+            for estimator, columns in calls
+            if estimator is session.estimator
+        ]
+
+    def test_bound_first_spares_statistics_and_costings(self, counted):
+        table = make_sales(30_000)
+        queries = two_column_queries(SALES_COLUMNS)
+
+        def fresh():
+            return Session.for_table(
+                table, statistics="sampled", sample_rows=3_000
+            )
+
+        session, twin = fresh(), fresh()
+        result = session.optimize(queries)
+        reference = reference_search(
+            GbMqoOptimizer(twin.coster()), twin.base_table, queries
+        )
+        assert_same_search(result, reference)
+        assert len(counted(twin)) > 1_000, "workload no longer costs much"
+        assert 4 * len(counted(session)) <= len(counted(twin))
+        assert 4 * result.merges_evaluated <= reference.merges_evaluated
+        assert 4 * result.optimizer_calls <= reference.optimizer_calls
+        assert result.telemetry.pairs_refused_by_bound > 0
+        assert result.telemetry.bounds_resolved_late > 0
+
+        # No floor was ever declared as a cardinality.
+        whatif = session.cost_model().whatif
+        assert len(whatif) > 0
+        for hypothetical in whatif:
+            assert hypothetical.est_rows == session.estimator.rows(
+                hypothetical.columns
+            )
+
+        # A second run in the session reads memos only.
+        created, calls = len(counted(session)), session.coster().optimizer_calls
+        again = session.optimize(queries)
+        assert again.plan == result.plan
+        assert again.optimizer_calls == 0
+        assert session.coster().optimizer_calls == calls
+        assert len(counted(session)) == created
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,6 +270,8 @@ def test_storage_bound_and_pruners_bite(workloads):
             "enable_rollup": st.booleans(),
         }
     ),
+    # None: the estimator cannot bound, so a floor is the cost itself.
+    slack=st.sampled_from([None, 0.0, 0.5, 0.999]),
 )
 # (c) + (a,b) proposed CUBE(a,b,c) claiming the required union (a,b,c)
 # while that query's own sub-plan stayed in the forest: PV005.
@@ -163,22 +286,26 @@ def test_storage_bound_and_pruners_bite(workloads):
         "enable_cube": True,
         "enable_rollup": False,
     },
+    slack=None,
 )
 def test_search_equals_full_rescan_property(
-    singles, overrides, queries, flags
+    singles, overrides, queries, flags, slack
 ):
     """Property: same search on random cardinalities, overlapping query
     sets and every combination of search flags.  Deltas tie often here,
     which tests the ``(delta, id1, id2)`` order, and the overrides make
     costs irregular enough that a pair found profitable is later barred
-    by a pruner, which tests that selection honours the bar."""
+    by a pruner, which tests that selection honours the bar.  ``slack``
+    loosens the floors the search selects by."""
     options = OptimizerOptions(**flags)
     ordered = sorted(queries, key=sorted)
 
     def optimizer():
-        estimator = FakeEstimator(
-            5_000, dict(zip("abcdef", singles)), overrides
-        )
+        cardinalities = (5_000, dict(zip("abcdef", singles)), overrides)
+        if slack is None:
+            estimator = FakeEstimator(*cardinalities)
+        else:
+            estimator = SlackEstimator(slack, *cardinalities)
         return GbMqoOptimizer(
             PlanCoster(CardinalityCostModel(estimator)), options
         )
