@@ -277,9 +277,7 @@ class Session:
     def coster(self) -> PlanCoster:
         """The session's plan coster (caches rebuilt after invalidation)."""
         if self._coster is None:
-            self._coster = PlanCoster(
-                self.cost_model(), tracer=self.tracer, metrics=self.metrics
-            )
+            self._coster = PlanCoster(self.cost_model(), metrics=self.metrics)
         return self._coster
 
     def invalidate_coster(self) -> None:
@@ -483,40 +481,38 @@ class Session:
         schedule: str = "storage",
         parallelism: int = 1,
         mode: str = "auto",
-        history=None,
+        memory_budget_bytes: float | None = None,
     ):
-        """EXPLAIN ANALYZE: execute the plan instrumented and report
-        estimated vs actual rows/bytes/time and q-error per node.
+        """EXPLAIN ANALYZE: execute the plan under a private tracer and
+        report estimated vs actual rows/bytes/time and q-error per node.
 
-        Args:
-            plan: the plan to analyze.
-            schedule: execution schedule, as in :meth:`execute`.
-            parallelism: worker threads for parallel execution.
-            mode: execution mode, as in :meth:`execute`.
-            history: a :class:`repro.obs.history.PlanHistoryStore` (or a
-                path to one) to append this run's estimated-vs-actual
-                record to, keyed by the plan's fingerprint.
+        The plan is lowered once and that physical plan is the one
+        executed, so the returned explanation's ``physical`` is exactly
+        what its actuals describe.  Arguments are those of
+        :meth:`execute`.
 
         Returns:
-            A :class:`repro.obs.analyze.PlanAnalysis`; print its
-            ``render()`` for the human-readable form.
+            A :class:`repro.core.explain.PlanExplanation` carrying
+            actuals, the ``execution`` and the ``physical`` plan.
         """
-        from repro.obs.analyze import explain_analyze
+        from repro.core.explain import explain_plan
 
-        analysis = explain_analyze(
-            self, plan, schedule=schedule, parallelism=parallelism,
-            mode=mode,
+        tracer = Tracer()
+        steps = self._schedule_steps(plan, schedule, parallelism, mode)
+        executor = self._executor(
+            None, tracer, parallelism, memory_budget_bytes, mode
         )
-        if history is not None:
-            from repro.obs.history import PlanHistoryStore
-
-            store = (
-                history
-                if isinstance(history, PlanHistoryStore)
-                else PlanHistoryStore(history)
-            )
-            store.append_analysis(analysis, plan, parallelism=parallelism)
-        return analysis
+        physical = executor.lower(plan, steps)
+        physical.check(executor.analysis_context())
+        execution = executor.execute_physical(physical)
+        return explain_plan(
+            plan,
+            self.coster(),
+            self.estimator,
+            execution=execution,
+            spans=tracer.spans,
+            physical=physical,
+        )
 
     def run_with_aggregates(self, queries, options=None):
         """Optimize and execute a workload with per-query aggregates.

@@ -8,17 +8,10 @@ naive logical plan lowers to one Scan + grouping pipeline per query.
 
 from __future__ import annotations
 
-from repro.core.plan import LogicalPlan, naive_plan
+from repro.core.plan import naive_plan
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionResult, PlanExecutor
-
-
-def naive_logical_plan(
-    relation: str, queries: list[frozenset[str]]
-) -> LogicalPlan:
-    """The naive logical plan (re-exported for symmetry with planners)."""
-    return naive_plan(relation, queries)
 
 
 def run_naive(

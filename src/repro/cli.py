@@ -4,40 +4,41 @@ analyst would.
 Subcommands::
 
     python -m repro.cli profile data.csv [--combi 2] [--statistics sampled]
-    python -m repro.cli plan data.csv --queries "city;state;city,state"
     python -m repro.cli compare data.csv [--combi 2]
-    python -m repro.cli explain data.csv [--analyze] [--history h.jsonl]
+    python -m repro.cli sql data.csv "SELECT ... GROUP BY CUBE (a, b)"
+    python -m repro.cli explain data.csv [--analyze] [--sql] [--dot]
     python -m repro.cli trace --workload sales --out trace.jsonl
-    python -m repro.cli flamegraph --workload sales --out profile.collapsed
-    python -m repro.cli calibration history.jsonl [--relation R]
     python -m repro.cli analyze-plan --workload sales [--states]
     python -m repro.cli cache --workload sales --runs 3 [--max-bytes N]
     python -m repro.cli lint-plan plan.json [--max-storage-bytes N]
     python -m repro.cli lint-code [paths ...]
 
-``profile`` runs the single-column (or Combi) workload through GB-MQO
-and prints a data-quality report; ``plan`` shows the chosen logical
-plan, the SQL script, and optionally DOT; ``compare`` times GB-MQO
-against the naive plan and the commercial-style GROUPING SETS strategy;
-``explain`` prints the plan with per-node estimates (``--analyze`` runs
-it and adds actuals plus q-error; ``--history`` appends the run to a
-plan-history JSONL store); ``trace`` runs optimize + execute under the
-span tracer and renders/exports the span tree (``--metrics`` adds the
-counter/histogram snapshots, ``--prom-out`` writes the Prometheus
-exposition); ``flamegraph`` converts a run's span tree — or an exported
-trace JSONL — into collapsed-stack format plus a per-operator self-time
-table; ``calibration`` rolls a plan-history store up into the q-error
-calibration report; ``analyze-plan`` optimizes, lowers, and runs the
-abstract-interpretation dataflow analyzer (PV012+) over the physical
-plan with full catalog and cardinality context; ``cache`` runs a
-workload repeatedly with the semantic result cache enabled and reports
+Every data-taking subcommand reads a CSV or one of the built-in
+synthetic relations (``--workload``) and is a selection of views over
+one ``optimize -> lower -> check -> execute`` pass.  ``profile`` runs
+the single-column (or Combi) workload through GB-MQO and prints a
+data-quality report; ``compare`` times GB-MQO against the naive plan
+and the commercial-style GROUPING SETS strategy; ``sql`` runs one
+GROUPING SETS / CUBE / ROLLUP statement; ``explain`` prints the chosen
+logical plan with per-node estimates and the lowered physical plan
+(``--analyze`` runs that physical plan and adds actuals plus q-error,
+``--sql`` adds the SQL script, ``--dot`` the DOT graph); ``trace`` runs
+optimize + execute under the span tracer — or replays an exported trace
+via ``--from-jsonl`` — and renders the span tree (``--self-time N`` adds
+the per-operator self-time table, ``--out`` exports JSONL,
+``--collapsed-out`` the collapsed-stack flamegraph profile,
+``--metrics`` the metrics-registry snapshot, ``--prom-out`` its
+Prometheus exposition); ``analyze-plan`` runs the abstract-
+interpretation dataflow analyzer (PV012+) over the physical plan with
+full catalog and cardinality context; ``cache`` runs a workload
+repeatedly with the semantic result cache enabled and reports
 hit/eviction accounting plus the resident entries; ``lint-plan`` runs
 the static plan verifier over a serialized plan; ``lint-code`` runs the
 custom AST lints over the repro sources.
 
-The observability subcommands accept ``--cache`` to enable the semantic
-result cache for the run (repeated groupings are served from cached
-results instead of rescanning the base relation).
+``explain``, ``trace`` and ``analyze-plan`` accept ``--cache`` to enable
+the semantic result cache for the run (repeated groupings are served
+from cached results instead of rescanning the base relation).
 
 The static-analysis subcommands share one exit-code contract: 0 clean,
 1 findings, 2 usage/input error.  ``lint-plan`` exits 1 only on
@@ -69,12 +70,11 @@ from repro.engine.csv_io import load_csv
 from repro.engine.sqlgen import plan_to_sql
 from repro.obs import (
     MetricsRegistry,
-    PlanHistoryStore,
     Tracer,
     format_snapshot,
     read_jsonl,
-    render_span_tree,
     render_self_time_table,
+    render_span_tree,
     self_time_table,
     spans_from_dicts,
     write_collapsed,
@@ -85,8 +85,8 @@ from repro.workloads.queries import combi_workload, single_column_queries
 from repro.workloads.sales import make_sales
 from repro.workloads.tpch import make_lineitem
 
-#: Built-in synthetic relations for the observability subcommands, so
-#: ``repro trace``/``repro explain`` work without a CSV on hand.
+#: Built-in synthetic relations, so every data-taking subcommand works
+#: without a CSV on hand.
 WORKLOAD_BUILDERS = {
     "sales": make_sales,
     "lineitem": make_lineitem,
@@ -94,12 +94,37 @@ WORKLOAD_BUILDERS = {
 }
 
 
-def _build_session(args) -> tuple[Session, list[frozenset[str]]]:
-    table = load_csv(args.csv, max_rows=args.max_rows)
+def _load_table(args):
+    """The base relation: a CSV path or a ``--workload`` relation."""
+    if args.csv:
+        table = load_csv(args.csv, max_rows=args.max_rows)
+    else:
+        table = WORKLOAD_BUILDERS[args.workload](args.rows)
     table.build_dictionaries()
-    session = Session.for_table(table, statistics=args.statistics)
+    return table
+
+
+def _open(
+    args,
+    tracer: Tracer | None = None,
+    metrics: MetricsRegistry | None = None,
+    cache=False,
+) -> tuple[Session, list[frozenset[str]]]:
+    """Session + workload of one run.
+
+    The result cache is on when the subcommand passes a
+    :class:`~repro.cache.CacheConfig` or the user passed ``--cache``.
+    """
+    table = _load_table(args)
+    session = Session.for_table(
+        table,
+        statistics=args.statistics,
+        tracer=tracer,
+        metrics=metrics,
+        cache=cache or getattr(args, "cache", False),
+    )
     columns = args.columns.split(",") if args.columns else list(table.column_names)
-    if getattr(args, "queries", None):
+    if args.queries:
         queries = [
             frozenset(part.split(",")) for part in args.queries.split(";")
         ]
@@ -110,8 +135,17 @@ def _build_session(args) -> tuple[Session, list[frozenset[str]]]:
     return session, queries
 
 
+def _run_options(args) -> dict[str, object]:
+    """The execution knobs, as ``Session.execute``/``lower`` keywords."""
+    return {
+        "parallelism": args.parallelism,
+        "mode": args.mode,
+        "memory_budget_bytes": args.memory_budget_bytes,
+    }
+
+
 def cmd_profile(args) -> int:
-    session, queries = _build_session(args)
+    session, queries = _open(args)
     table = session.catalog.get(session.base_table)
     if args.combi > 1 or any(len(q) > 1 for q in queries):
         # Multi-column workloads: show the plan and distribution sizes.
@@ -154,30 +188,8 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_plan(args) -> int:
-    session, queries = _build_session(args)
-    result = session.optimize(queries)
-    print(result.plan.render())
-    print(
-        f"\nestimated cost {result.cost:,.0f} "
-        f"(naive {result.naive_cost:,.0f}, "
-        f"{result.estimated_speedup:.2f}x), "
-        f"{result.optimizer_calls} optimizer calls"
-    )
-    print("\n-- SQL script --")
-    for statement in plan_to_sql(result.plan):
-        print(statement)
-    if args.explain:
-        print("\n-- EXPLAIN --")
-        print(session.explain(result.plan).render())
-    if args.dot:
-        print("\n-- DOT --")
-        print(plan_to_dot(result.plan))
-    return 0
-
-
 def cmd_compare(args) -> int:
-    session, queries = _build_session(args)
+    session, queries = _open(args)
     result = session.optimize(queries)
     execution = session.execute(result.plan)
     naive = session.run_naive(queries)
@@ -197,60 +209,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _obs_session(
-    args,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    cache=None,
-) -> tuple[Session, list[frozenset[str]]]:
-    """Session + workload for the observability subcommands.
-
-    The source is either a CSV path (like the other subcommands) or one
-    of the built-in synthetic relations via ``--workload``.  ``cache``
-    None defers to the subcommand's ``--cache`` flag; a bool or
-    :class:`~repro.cache.CacheConfig` overrides it.
-    """
-    if args.csv:
-        table = load_csv(args.csv, max_rows=args.max_rows)
-    else:
-        table = WORKLOAD_BUILDERS[args.workload](args.rows)
-    table.build_dictionaries()
-    if cache is None:
-        cache = getattr(args, "cache", False)
-    session = Session.for_table(
-        table,
-        statistics=args.statistics,
-        tracer=tracer,
-        metrics=metrics,
-        cache=cache,
-    )
-    columns = args.columns.split(",") if args.columns else list(table.column_names)
-    if args.queries:
-        queries = [
-            frozenset(part.split(",")) for part in args.queries.split(";")
-        ]
-    elif args.combi > 1:
-        queries = combi_workload(columns, args.combi)
-    else:
-        queries = single_column_queries(columns)
-    return session, queries
-
-
-def _require_source(args) -> bool:
-    if args.csv or args.workload:
-        return True
-    print(
-        "error: provide a CSV path or --workload "
-        f"({'/'.join(sorted(WORKLOAD_BUILDERS))})",
-        file=sys.stderr,
-    )
-    return False
-
-
 def cmd_explain(args) -> int:
-    if not _require_source(args):
-        return 2
-    session, queries = _obs_session(args)
+    session, queries = _open(args)
     result = session.optimize(queries)
     print(result.plan.render())
     print(
@@ -258,117 +218,85 @@ def cmd_explain(args) -> int:
         f"(naive {result.naive_cost:,.0f}, "
         f"{result.estimated_speedup:.2f}x)"
     )
-    if result.telemetry is not None:
-        print(f"search: {result.telemetry.summary()}")
+    print(f"search: {result.telemetry.summary()}")
     if args.analyze:
-        print("\n-- EXPLAIN ANALYZE --")
-        analysis = session.explain_analyze(
-            result.plan,
-            parallelism=args.parallelism,
-            mode=args.mode,
-            history=args.history,
+        # The physical plan printed below is the one that was executed.
+        explanation = session.explain_analyze(
+            result.plan, **_run_options(args)
         )
-        print(analysis.render())
-        if args.history:
-            print(f"appended run record to {args.history}")
+        physical = explanation.physical
+        print("\n-- EXPLAIN ANALYZE --")
     else:
+        explanation = session.explain(result.plan)
+        physical = session.lower(result.plan, **_run_options(args))
         print("\n-- EXPLAIN --")
-        print(session.explain(result.plan).render())
+    print(explanation.render())
     print("\n-- PHYSICAL --")
-    physical = session.lower(
-        result.plan,
-        parallelism=args.parallelism,
-        mode=args.mode,
-        memory_budget_bytes=args.memory_budget_bytes,
-    )
     print(physical.render())
+    if args.sql:
+        print("\n-- SQL script --")
+        for statement in plan_to_sql(result.plan):
+            print(statement)
+    if args.dot:
+        print("\n-- DOT --")
+        print(plan_to_dot(result.plan))
     return 0
 
 
 def cmd_trace(args) -> int:
-    if not _require_source(args):
-        return 2
-    tracer = Tracer()
     registry = MetricsRegistry()
-    session, queries = _obs_session(args, tracer=tracer, metrics=registry)
-    source = args.csv or args.workload
-    # One root span over the whole optimize + execute pipeline, so the
-    # exported tree has a single top-level entry covering both phases.
-    with tracer.span("trace", source=str(source), queries=len(queries)):
-        result = session.optimize(queries)
-        execution = session.execute(
-            result.plan,
-            parallelism=args.parallelism,
-            mode=args.mode,
-            memory_budget_bytes=args.memory_budget_bytes,
+    summary = ""  # search/execution digest: a live run has one
+    if args.from_jsonl:
+        if args.metrics or args.prom_out:
+            print(
+                "error: --metrics/--prom-out need a live run, not "
+                "--from-jsonl",
+                file=sys.stderr,
+            )
+            return 2
+        spans = spans_from_dicts(read_jsonl(args.from_jsonl))
+    else:
+        tracer = Tracer()
+        session, queries = _open(args, tracer=tracer, metrics=registry)
+        source = args.csv or args.workload
+        # One root span over the whole optimize + execute pipeline, so the
+        # exported tree has a single top-level entry covering both phases.
+        with tracer.span("trace", source=str(source), queries=len(queries)):
+            result = session.optimize(queries)
+            execution = session.execute(result.plan, **_run_options(args))
+        spans = tracer.spans
+        summary = (
+            f"\nsearch: {result.telemetry.summary()}\n"
+            f"executed {execution.metrics.queries_executed} queries, "
+            f"{execution.metrics.work / 1e6:.1f} MB moved"
         )
-    print(render_span_tree(tracer.spans))
-    if result.telemetry is not None:
-        print(f"\nsearch: {result.telemetry.summary()}")
-    print(
-        f"executed {execution.metrics.queries_executed} queries, "
-        f"{execution.metrics.work / 1e6:.1f} MB moved"
-    )
+    if not spans:
+        print("error: no spans to render", file=sys.stderr)
+        return 2
+    print(render_span_tree(spans))
+    if summary:
+        print(summary)
+    if args.self_time:
+        print("\n-- self time --")
+        print(
+            render_self_time_table(
+                self_time_table(spans), limit=args.self_time
+            )
+        )
     if args.metrics:
-        print("\n-- metrics snapshot --")
-        print(format_snapshot(tracer.metrics_snapshot()))
-        flat = registry.flat_snapshot()
-        if flat:
-            print("\n-- registry snapshot --")
-            print(format_snapshot(dict(flat)))
+        print("\n-- registry snapshot --")
+        print(format_snapshot(dict(registry.flat_snapshot())))
     if args.prom_out:
         Path(args.prom_out).write_text(
             registry.to_prometheus(), encoding="utf-8"
         )
         print(f"\nwrote Prometheus exposition to {args.prom_out}")
     if args.out:
-        lines = write_jsonl(tracer, args.out)
+        lines = write_jsonl(spans, args.out)
         print(f"\nwrote {lines} spans to {args.out}")
-    return 0
-
-
-def cmd_flamegraph(args) -> int:
-    if args.from_jsonl:
-        spans = spans_from_dicts(read_jsonl(args.from_jsonl))
-    else:
-        if not _require_source(args):
-            return 2
-        tracer = Tracer()
-        session, queries = _obs_session(args, tracer=tracer)
-        source = args.csv or args.workload
-        with tracer.span("trace", source=str(source), queries=len(queries)):
-            result = session.optimize(queries)
-            session.execute(
-                result.plan,
-                parallelism=args.parallelism,
-                mode=args.mode,
-                memory_budget_bytes=args.memory_budget_bytes,
-            )
-        spans = tracer.spans
-    if not spans:
-        print("error: no spans to profile", file=sys.stderr)
-        return 2
-    print(render_self_time_table(self_time_table(spans), limit=args.limit))
-    if args.out:
-        lines = write_collapsed(spans, args.out)
-        print(f"\nwrote {lines} collapsed stacks to {args.out}")
-    return 0
-
-
-def cmd_calibration(args) -> int:
-    path = Path(args.history)
-    if not path.exists():
-        print(f"error: no history file at {path}", file=sys.stderr)
-        return 2
-    store = PlanHistoryStore(path)
-    report = store.calibration(relation=args.relation)
-    if report.runs == 0:
-        print(f"error: no matching records in {path}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-        return 0
-    print(report.render())
+    if args.collapsed_out:
+        lines = write_collapsed(spans, args.collapsed_out)
+        print(f"\nwrote {lines} collapsed stacks to {args.collapsed_out}")
     return 0
 
 
@@ -376,8 +304,7 @@ def cmd_sql(args) -> int:
     from repro.core.gs_planner import plan_grouping_sets
     from repro.engine.sqlparse import parse_sql
 
-    table = load_csv(args.csv, max_rows=args.max_rows)
-    table.build_dictionaries()
+    table = _load_table(args)
     session = Session.for_table(table, statistics=args.statistics)
     parsed = parse_sql(args.statement)
     if parsed.table != table.name:
@@ -408,19 +335,12 @@ def _print_report(diagnostics, fmt: str) -> None:
 
 
 def cmd_analyze_plan(args) -> int:
-    if not _require_source(args):
-        return 2
     from repro.analysis.dataflow import AnalysisContext, DataflowAnalysis
     from repro.analysis.physrules import verify_physical_plan
 
-    session, queries = _obs_session(args)
+    session, queries = _open(args)
     result = session.optimize(queries)
-    physical = session.lower(
-        result.plan,
-        parallelism=args.parallelism,
-        mode=args.mode,
-        memory_budget_bytes=args.memory_budget_bytes,
-    )
+    physical = session.lower(result.plan, **_run_options(args))
     context = AnalysisContext(
         catalog=session.catalog,
         base_table=session.base_table,
@@ -444,8 +364,6 @@ def cmd_analyze_plan(args) -> int:
 def cmd_cache(args) -> int:
     from repro.cache import CacheConfig
 
-    if not _require_source(args):
-        return 2
     if args.runs < 1:
         print(f"error: --runs must be >= 1, got {args.runs}", file=sys.stderr)
         return 2
@@ -463,13 +381,11 @@ def cmd_cache(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    session, queries = _obs_session(args, cache=config)
+    session, queries = _open(args, cache=config)
     result = session.optimize(queries)
     runs: list[dict[str, object]] = []
     for index in range(args.runs):
-        execution = session.execute(
-            result.plan, parallelism=args.parallelism, mode=args.mode
-        )
+        execution = session.execute(result.plan, **_run_options(args))
         runs.append(
             {
                 "run": index + 1,
@@ -624,56 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("csv", help="input CSV file with a header row")
+    def source_options(p):
         p.add_argument(
-            "--columns",
-            help="comma-separated columns to profile (default: all)",
-        )
-        p.add_argument(
-            "--combi",
-            type=int,
-            default=1,
-            help="profile all column subsets up to this size (default 1)",
-        )
-        p.add_argument(
-            "--statistics",
-            choices=("exact", "sampled"),
-            default="sampled",
-        )
-        p.add_argument(
-            "--max-rows", type=int, default=None, help="row cap when loading"
-        )
-
-    profile = sub.add_parser("profile", help="data-quality profile")
-    common(profile)
-    profile.add_argument(
-        "--key",
-        help="key-check candidates, e.g. 'last,first,zip;last,zip'",
-    )
-    profile.set_defaults(fn=cmd_profile)
-
-    plan = sub.add_parser("plan", help="show the optimized plan and SQL")
-    common(plan)
-    plan.add_argument(
-        "--queries",
-        help="explicit queries, e.g. 'city;state;city,state'",
-    )
-    plan.add_argument("--dot", action="store_true", help="also print DOT")
-    plan.add_argument(
-        "--explain",
-        action="store_true",
-        help="per-node estimates and edge costs",
-    )
-    plan.set_defaults(fn=cmd_plan)
-
-    compare = sub.add_parser("compare", help="time GB-MQO vs baselines")
-    common(compare)
-    compare.set_defaults(fn=cmd_compare)
-
-    def obs_common(p):
-        p.add_argument(
-            "csv", nargs="?", help="input CSV file (or use --workload)"
+            "csv",
+            nargs="?",
+            help="input CSV file with a header row (or use --workload)",
         )
         p.add_argument(
             "--workload",
@@ -686,6 +557,19 @@ def build_parser() -> argparse.ArgumentParser:
             default=20_000,
             help="rows to generate for --workload (default 20000)",
         )
+        p.add_argument(
+            "--statistics",
+            choices=("exact", "sampled"),
+            default="sampled",
+        )
+        p.add_argument(
+            "--max-rows", type=int, default=None, help="row cap when loading"
+        )
+
+    def workload_options(p, execution=True):
+        """Source, query set and — for the subcommands that expose how
+        the plan is run — the execution knobs."""
+        source_options(p)
         p.add_argument(
             "--columns",
             help="comma-separated columns to group by (default: all)",
@@ -700,14 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--queries",
             help="explicit queries, e.g. 'city;state;city,state'",
         )
-        p.add_argument(
-            "--statistics",
-            choices=("exact", "sampled"),
-            default="sampled",
-        )
-        p.add_argument(
-            "--max-rows", type=int, default=None, help="row cap when loading"
-        )
+        if not execution:
+            return
         p.add_argument(
             "--parallelism",
             type=_positive_int,
@@ -744,28 +622,64 @@ def build_parser() -> argparse.ArgumentParser:
             help="report format (default text)",
         )
 
+    profile = sub.add_parser("profile", help="data-quality profile")
+    workload_options(profile, execution=False)
+    profile.add_argument(
+        "--key",
+        help="key-check candidates, e.g. 'last,first,zip;last,zip'",
+    )
+    profile.set_defaults(fn=cmd_profile)
+
+    compare = sub.add_parser("compare", help="time GB-MQO vs baselines")
+    workload_options(compare, execution=False)
+    compare.set_defaults(fn=cmd_compare)
+
+    sql = sub.add_parser(
+        "sql", help="run a GROUPING SETS / CUBE / ROLLUP statement"
+    )
+    source_options(sql)
+    sql.add_argument(
+        "statement",
+        help="e.g. \"SELECT a, COUNT(*) FROM data "
+        "GROUP BY GROUPING SETS ((a), (b))\"",
+    )
+    sql.add_argument(
+        "--limit", type=int, default=20, help="result rows to print"
+    )
+    sql.set_defaults(fn=cmd_sql)
+
     explain = sub.add_parser(
         "explain",
-        help="per-node estimates; --analyze adds actuals and q-error",
+        help="the optimized plan with per-node estimates and its physical "
+        "lowering; --analyze adds actuals and q-error",
     )
-    obs_common(explain)
+    workload_options(explain)
     explain.add_argument(
         "--analyze",
         action="store_true",
         help="execute the plan; report actual rows/bytes/time and q-error",
     )
     explain.add_argument(
-        "--history",
-        help="append the --analyze run record to this plan-history JSONL "
-        "store (see the calibration subcommand)",
+        "--sql", action="store_true", help="also print the SQL script"
     )
+    explain.add_argument("--dot", action="store_true", help="also print DOT")
     explain.set_defaults(fn=cmd_explain)
 
     trace = sub.add_parser(
         "trace",
         help="run optimize + execute under the span tracer",
+        description="Run optimize + execute under the span tracer (or "
+        "replay an exported trace via --from-jsonl) and render the span "
+        "tree; optionally export it as JSONL or fold it into Brendan "
+        "Gregg collapsed-stack format — consumable by flamegraph.pl and "
+        "speedscope — and a per-operator self-time table.",
     )
-    obs_common(trace)
+    workload_options(trace)
+    trace.add_argument(
+        "--from-jsonl",
+        help="view an exported trace JSONL (from `repro trace --out`) "
+        "instead of running a workload",
+    )
     trace.add_argument(
         "--out",
         "--output",
@@ -773,82 +687,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the span tree to this JSONL file",
     )
     trace.add_argument(
+        "--collapsed-out",
+        help="write the collapsed-stack profile to this file",
+    )
+    trace.add_argument(
+        "--self-time",
+        type=int,
+        metavar="N",
+        help="also print the top-N rows of the per-operator self-time "
+        "table",
+    )
+    trace.add_argument(
         "--metrics",
         action="store_true",
-        help="also print the flat counter/histogram snapshots (tracer "
-        "and metrics registry)",
+        help="also print the flat metrics-registry snapshot",
     )
     trace.add_argument(
         "--prom-out",
         help="write the metrics-registry Prometheus text exposition here",
     )
     trace.set_defaults(fn=cmd_trace)
-
-    flame = sub.add_parser(
-        "flamegraph",
-        help="collapsed-stack profile and self-time table from a run "
-        "or an exported trace",
-        description="Run optimize + execute under the span tracer (or "
-        "replay an exported trace via --from-jsonl) and fold the span "
-        "tree into Brendan Gregg collapsed-stack format — consumable "
-        "by flamegraph.pl and speedscope — plus a per-operator "
-        "self-time table.",
-    )
-    obs_common(flame)
-    flame.add_argument(
-        "--from-jsonl",
-        help="fold an exported trace JSONL (from `repro trace --out`) "
-        "instead of running a workload",
-    )
-    flame.add_argument(
-        "--out",
-        "--output",
-        dest="out",
-        help="write the collapsed-stack profile to this file",
-    )
-    flame.add_argument(
-        "--limit",
-        type=int,
-        default=20,
-        help="self-time table rows to print (default 20)",
-    )
-    flame.set_defaults(fn=cmd_flamegraph)
-
-    calibration = sub.add_parser(
-        "calibration",
-        help="q-error calibration report from a plan-history store",
-        description="Roll a plan-history JSONL store (written by "
-        "`repro explain --analyze --history`) up into the per-"
-        "(operator, regime) q-error calibration report: count, "
-        "geometric-mean/p50/p95/max q-error, and estimate-bias "
-        "direction.",
-    )
-    calibration.add_argument(
-        "history", help="plan-history JSONL file to roll up"
-    )
-    calibration.add_argument(
-        "--relation", help="restrict to runs over this base relation"
-    )
-    format_option(calibration)
-    calibration.set_defaults(fn=cmd_calibration)
-
-    sql = sub.add_parser(
-        "sql", help="run a GROUPING SETS / CUBE / ROLLUP statement"
-    )
-    sql.add_argument("csv", help="input CSV file with a header row")
-    sql.add_argument(
-        "statement",
-        help="e.g. \"SELECT a, COUNT(*) FROM data "
-        "GROUP BY GROUPING SETS ((a), (b))\"",
-    )
-    sql.add_argument(
-        "--statistics", choices=("exact", "sampled"), default="sampled"
-    )
-    sql.add_argument("--max-rows", type=int, default=None)
-    sql.add_argument(
-        "--limit", type=int, default=20, help="result rows to print"
-    )
-    sql.set_defaults(fn=cmd_sql)
 
     analyze = sub.add_parser(
         "analyze-plan",
@@ -862,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit status: 0 = no diagnostics, 1 = any diagnostic "
         "(errors or warnings), 2 = usage or input error",
     )
-    obs_common(analyze)
+    workload_options(analyze)
     analyze.add_argument(
         "--rules", help="comma-separated rule ids to run (default: all)"
     )
@@ -887,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lattice reaggregation.",
         epilog="exit status: 0 = success, 2 = usage or input error",
     )
-    obs_common(cache)
+    workload_options(cache)
     cache.add_argument(
         "--runs",
         type=int,
@@ -964,6 +822,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "workload" in args and not (
+        args.csv or args.workload or getattr(args, "from_jsonl", None)
+    ):
+        print(
+            "error: provide a CSV path or --workload "
+            f"({'/'.join(sorted(WORKLOAD_BUILDERS))})",
+            file=sys.stderr,
+        )
+        return 2
     try:
         return args.fn(args)
     except FileNotFoundError as error:

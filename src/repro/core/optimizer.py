@@ -82,21 +82,41 @@ class OptimizerOptions:
 
 @dataclass
 class OptimizationResult:
-    """Outcome of one GB-MQO run."""
+    """Outcome of one GB-MQO run.
+
+    ``telemetry`` owns the search counters (and the best-cost
+    trajectory); the counter-named properties below are views of it.
+    """
 
     plan: LogicalPlan
     cost: float
     naive_cost: float
-    iterations: int
-    merges_evaluated: int
-    pairs_pruned_subsumption: int
-    pairs_pruned_monotonicity: int
-    optimizer_calls: int
     optimization_seconds: float
+    telemetry: SearchTelemetry
     merge_log: list[str] = field(default_factory=list)
-    #: Structured search telemetry (counters + best-cost trajectory);
-    #: always populated by :meth:`GbMqoOptimizer.optimize`.
-    telemetry: SearchTelemetry | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Hill-climbing iterations: one per accepted merge, plus the
+        last, which found none."""
+        return self.telemetry.merges_accepted + 1
+
+    @property
+    def merges_evaluated(self) -> int:
+        return self.telemetry.pair_evaluations
+
+    @property
+    def pairs_pruned_subsumption(self) -> int:
+        return self.telemetry.pairs_pruned_subsumption
+
+    @property
+    def pairs_pruned_monotonicity(self) -> int:
+        return self.telemetry.pairs_pruned_monotonicity
+
+    @property
+    def optimizer_calls(self) -> int:
+        """The paper's optimization-cost metric (Section 6.5)."""
+        return self.telemetry.cost_model_calls
 
     @property
     def estimated_speedup(self) -> float:
@@ -217,9 +237,6 @@ class GbMqoOptimizer:
         # sub-plans are dropped lazily, floors among them never costed.
         walked: set[tuple[int, int]] = set()
         profitable: list[tuple[float, int, int, SubPlan | None]] = []
-        merges_evaluated = 0
-        pruned_subsumption = 0
-        pruned_monotonicity = 0
         iterations = 0
         merge_log: list[str] = []
         epsilon = self.options.epsilon
@@ -243,8 +260,6 @@ class GbMqoOptimizer:
 
         def evaluate_pair(id1: int, id2: int) -> bool:
             """Cost the pair exactly; queue it if it is profitable."""
-            nonlocal merges_evaluated
-            merges_evaluated += 1
             telemetry.pair_evaluations += 1
             p1, p2 = forest[id1], forest[id2]
             best_delta, best_candidate = 0.0, None
@@ -291,7 +306,8 @@ class GbMqoOptimizer:
                         for pair, union in zip(walk, unions)
                         if union in allowed
                     ]
-                    pruned_subsumption += pair_count - len(walk)
+                    pruned = pair_count - len(walk)
+                    telemetry.pairs_pruned_subsumption += pruned
                     pair_count = len(walk)
                 telemetry.pairs_considered += pair_count
                 # Pairs monotonicity bars from this iteration's selection.
@@ -301,7 +317,7 @@ class GbMqoOptimizer:
                     if monotonicity is not None:
                         union_mask = masks[id1] | masks[id2]
                         if monotonicity.is_pruned(union_mask):
-                            pruned_monotonicity += 1
+                            telemetry.pairs_pruned_monotonicity += 1
                             barred.add(pair)
                             continue
                     if pair in walked:
@@ -380,22 +396,16 @@ class GbMqoOptimizer:
             required_sets,
         )
         final.validate()
-        telemetry.pairs_pruned_subsumption = pruned_subsumption
-        telemetry.pairs_pruned_monotonicity = pruned_monotonicity
+        cost = self._coster.plan_cost(final)
+        telemetry.cost_model_calls = self._coster.optimizer_calls - calls_before
         result = OptimizationResult(
             plan=final,
-            cost=self._coster.plan_cost(final),
+            cost=cost,
             naive_cost=naive_cost,
-            iterations=iterations,
-            merges_evaluated=merges_evaluated,
-            pairs_pruned_subsumption=pruned_subsumption,
-            pairs_pruned_monotonicity=pruned_monotonicity,
-            optimizer_calls=self._coster.optimizer_calls - calls_before,
             optimization_seconds=monotonic() - started,
-            merge_log=merge_log,
             telemetry=telemetry,
+            merge_log=merge_log,
         )
-        telemetry.cost_model_calls = result.optimizer_calls
         if self.options.debug_verify:
             # Post-condition: the full rule catalog, with cost / storage
             # context.  Runs after the call-count metric is captured so

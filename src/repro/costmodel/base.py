@@ -18,7 +18,6 @@ from typing import Protocol
 
 from repro.core.plan import LogicalPlan, PlanNode, SubPlan
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.obs.tracer import NOOP_TRACER, Tracer
 
 
 class CostModel(Protocol):
@@ -57,24 +56,19 @@ class PlanCoster:
 
     Args:
         model: the cost model to delegate uncached edge costs to.
-        tracer: span tracer; when tracing is enabled every uncached
-            model invocation counts into ``costmodel.calls`` and its
-            cost into the ``costmodel.edge_cost`` histogram (no span per
-            call: a TC optimize makes tens of thousands of them).
         metrics: metrics registry; uncached model invocations count into
             ``repro_costmodel_calls_total`` and the computed edge costs
-            into the ``repro_costmodel_edge_cost`` histogram.  Defaults
-            to the process-wide registry (no-op unless enabled).
+            into the ``repro_costmodel_edge_cost`` histogram (no span per
+            call: a TC optimize makes tens of thousands of them).
+            Defaults to the process-wide registry (no-op unless enabled).
     """
 
     def __init__(
         self,
         model: CostModel,
-        tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._model = model
-        self._tracer = tracer or NOOP_TRACER
         self._metrics = metrics if metrics is not None else get_metrics()
         self._edge_cache: dict[tuple[object, ...], float] = {}
         self._subplan_cache: dict[SubPlan, float] = {}
@@ -102,9 +96,6 @@ class PlanCoster:
         if cost is None:
             self.optimizer_calls += 1
             cost = self._model.edge_cost(parent, child, materialize_child)
-            if self._tracer.enabled:
-                self._tracer.count("costmodel.calls")
-                self._tracer.observe("costmodel.edge_cost", cost)
             if self._metrics.enabled:
                 self._metrics.inc("repro_costmodel_calls_total")
                 self._metrics.observe("repro_costmodel_edge_cost", cost)

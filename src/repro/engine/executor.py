@@ -1246,18 +1246,3 @@ class PlanExecutor:
             table.dictionary(column)
         metrics.record_materialize(table.num_rows, table.size_bytes())
 
-
-def execute_naive(
-    catalog: Catalog,
-    base_table: str,
-    queries: list[frozenset[str]],
-    aggregates: list[AggregateSpec] | None = None,
-    use_indexes: bool = True,
-) -> ExecutionResult:
-    """Convenience: run every query directly against the base relation."""
-    from repro.core.plan import naive_plan
-
-    executor = PlanExecutor(
-        catalog, base_table, aggregates=aggregates, use_indexes=use_indexes
-    )
-    return executor.execute(naive_plan(base_table, queries))

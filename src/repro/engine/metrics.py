@@ -81,23 +81,6 @@ class ExecutionMetrics:
                 self.per_query_bytes.get(query, 0) + bytes_
             )
 
-    def merged_with(self, other: "ExecutionMetrics") -> "ExecutionMetrics":
-        """Return a new metrics object combining self and other."""
-        merged = ExecutionMetrics(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self.COUNTER_FIELDS
-            }
-        )
-        # Per-query bytes are additive too: when both sides ran the same
-        # query, its bytes must sum, not clobber.
-        merged.per_query_bytes = dict(self.per_query_bytes)
-        for query, bytes_ in other.per_query_bytes.items():
-            merged.per_query_bytes[query] = (
-                merged.per_query_bytes.get(query, 0) + bytes_
-            )
-        return merged
-
     def as_dict(self, per_query: bool = False) -> dict[str, object]:
         """Flat snapshot of every counter (plus the derived ``work``).
 

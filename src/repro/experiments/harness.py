@@ -74,11 +74,9 @@ class Comparison:
             "plan_seconds": self.plan_seconds,
             "naive_seconds": self.naive_seconds,
         }
-        telemetry = self.optimization.telemetry
-        if telemetry is not None:
-            for key, value in telemetry.as_dict().items():
-                if key != "best_cost_trajectory":
-                    summary[f"search.{key}"] = value
+        for key, value in self.optimization.telemetry.as_dict().items():
+            if key != "best_cost_trajectory":
+                summary[f"search.{key}"] = value
         for key, value in self.execution.metrics.as_dict().items():
             summary[f"execution.{key}"] = value
         return summary
@@ -86,11 +84,9 @@ class Comparison:
 
 def trace_note(comparison: Comparison) -> str:
     """One-line search/execution digest for an experiment's notes."""
-    telemetry = comparison.optimization.telemetry
-    search = telemetry.summary() if telemetry is not None else "no telemetry"
     metrics = comparison.execution.metrics
     return (
-        f"trace: {search}; engine work "
+        f"trace: {comparison.optimization.telemetry.summary()}; engine work "
         f"{metrics.work / 1e6:.1f} MB over "
         f"{metrics.queries_executed} queries"
     )

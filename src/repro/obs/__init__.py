@@ -1,51 +1,40 @@
-"""Observability: span tracing, search telemetry, EXPLAIN ANALYZE.
+"""Observability: span tracing, search telemetry, metrics, trace views.
 
-The ``repro.obs`` package makes every layer of the reproduction
-introspectable:
+Every fact about a run has one owner; the rest are views:
 
 * :mod:`repro.obs.clock` — the monotonic clock helper all timing uses;
-* :mod:`repro.obs.tracer` — span trees, counters, histograms, with a
+* :mod:`repro.obs.tracer` — span trees (timing), with a
   near-zero-overhead no-op mode (the default everywhere);
-* :mod:`repro.obs.telemetry` — structured optimizer-search telemetry;
-* :mod:`repro.obs.metrics` — the process-wide metrics registry
+* :mod:`repro.obs.telemetry` — the optimizer's search counters, one
+  :class:`SearchTelemetry` per ``optimize()``;
+* :mod:`repro.obs.metrics` — the cross-run metrics registry
   (counters / gauges / labeled exponential-bucket histograms) with
   Prometheus and JSON export;
-* :mod:`repro.obs.analyze` — EXPLAIN ANALYZE with estimated-vs-actual
-  per-node accounting and q-errors;
-* :mod:`repro.obs.history` — the append-only plan-history store and
-  the cross-run q-error calibration report;
-* :mod:`repro.obs.profile` — span trees as collapsed-stack flamegraph
-  profiles and per-operator self-time tables;
-* :mod:`repro.obs.export` — JSONL traces, ASCII span trees, flat
-  metrics snapshots.
+* :mod:`repro.obs.export` — views of a span list: JSONL traces, ASCII
+  span trees, collapsed-stack flamegraph profiles, self-time tables.
+
+EXPLAIN / EXPLAIN ANALYZE (:mod:`repro.core.explain`) is a view over a
+plan and, optionally, the spans of one execution of it.
 
 In the layering, ``obs`` sits beside ``analysis``: the tracer and
 telemetry primitives depend on nothing, and the instrumented layers
 (``core.optimizer``, ``costmodel.base``, ``engine.executor``) accept a
-tracer without requiring one.
+tracer and a registry without requiring either.
 """
 
-from repro.obs.analyze import (
-    AnalyzedNode,
-    PlanAnalysis,
-    analyze_execution,
-    explain_analyze,
-    q_error,
-)
 from repro.obs.clock import ManualClock, monotonic
 from repro.obs.export import (
+    ProfileRow,
+    collapsed_stacks,
     format_snapshot,
     read_jsonl,
+    render_self_time_table,
     render_span_tree,
+    self_time_table,
     spans_from_dicts,
-    trace_summary,
+    to_collapsed,
+    write_collapsed,
     write_jsonl,
-)
-from repro.obs.history import (
-    CalibrationReport,
-    PlanHistoryStore,
-    QErrorStats,
-    plan_fingerprint,
 )
 from repro.obs.metrics import (
     NOOP_METRICS,
@@ -56,44 +45,26 @@ from repro.obs.metrics import (
     get_metrics,
     set_metrics,
 )
-from repro.obs.profile import (
-    ProfileRow,
-    collapsed_stacks,
-    render_self_time_table,
-    self_time_table,
-    to_collapsed,
-    write_collapsed,
-)
 from repro.obs.telemetry import SearchTelemetry
-from repro.obs.tracer import NOOP_TRACER, HistogramStats, NoopTracer, Span, Tracer
+from repro.obs.tracer import NOOP_TRACER, NoopTracer, Span, Tracer
 
 __all__ = [
-    "AnalyzedNode",
-    "CalibrationReport",
-    "HistogramStats",
     "ManualClock",
     "MetricsRegistry",
     "NOOP_METRICS",
     "NOOP_TRACER",
     "NoopMetricsRegistry",
     "NoopTracer",
-    "PlanAnalysis",
-    "PlanHistoryStore",
     "ProfileRow",
-    "QErrorStats",
     "SearchTelemetry",
     "Span",
     "Tracer",
-    "analyze_execution",
     "collapsed_stacks",
     "disable_metrics",
     "enable_metrics",
-    "explain_analyze",
     "format_snapshot",
     "get_metrics",
     "monotonic",
-    "plan_fingerprint",
-    "q_error",
     "read_jsonl",
     "render_self_time_table",
     "render_span_tree",
@@ -101,7 +72,6 @@ __all__ = [
     "set_metrics",
     "spans_from_dicts",
     "to_collapsed",
-    "trace_summary",
     "write_collapsed",
     "write_jsonl",
 ]

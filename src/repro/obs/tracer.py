@@ -3,14 +3,13 @@
 The tracer is the one instrumentation primitive every layer shares.  A
 *span* is a named, monotonic-clocked interval with attached attributes;
 spans nest via an explicit stack, so whatever runs inside a
-``with tracer.span(...)`` block becomes a child of that span.  The same
-object also carries flat counters and histograms (the optimizer's
-search telemetry sinks into these), and a one-call flat snapshot for
-export.
+``with tracer.span(...)`` block becomes a child of that span.  Spans
+are all the tracer records: counters and histograms live in
+:class:`repro.obs.metrics.MetricsRegistry`.
 
 Two implementations share the interface:
 
-* :class:`Tracer` — records everything;
+* :class:`Tracer` — records every span;
 * :class:`NoopTracer` (module singleton :data:`NOOP_TRACER`) — the
   default wired through the optimizer and engine.  Its ``span()``
   returns one shared, reusable context manager and allocates nothing,
@@ -21,14 +20,10 @@ Two implementations share the interface:
 
 from __future__ import annotations
 
-import json
-import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.obs.clock import monotonic
-from repro.obs.metrics import _ZERO_BUCKET, _bucket_index, bucket_upper_bound
 
 #: Sentinel meaning "derive the parent from the current thread's stack".
 _STACK_PARENT = object()
@@ -143,80 +138,12 @@ class _SpanContext:
         return None
 
 
-@dataclass
-class HistogramStats:
-    """Streaming summary of one observed value series.
-
-    Beyond count/total/min/max/mean, observations land in exponential
-    (base-2) buckets — the same scheme as
-    :class:`repro.obs.metrics.HistogramValue` — so p50/p95/p99 can be
-    estimated without keeping the raw series.  ``as_dict()`` keeps its
-    original keys and gains the three percentile estimates.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-    buckets: dict[int, int] = field(default_factory=dict)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        index = _bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.total / self.count
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile (geometric bucket midpoint, clamped)."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
-            if cumulative >= target:
-                upper = bucket_upper_bound(index)
-                lower = (
-                    bucket_upper_bound(index - 1)
-                    if index != _ZERO_BUCKET
-                    else 0.0
-                )
-                mid = math.sqrt(lower * upper) if lower > 0.0 else upper
-                return min(max(mid, self.minimum), self.maximum)
-        return self.maximum  # pragma: no cover - float-rounding guard
-
-    def as_dict(self) -> dict[str, float]:
-        if self.count == 0:
-            return {
-                "count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
-                "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
-
 class Tracer:
-    """Recording tracer: span tree, counters, histograms.
+    """Recording tracer: a span tree.
 
-    The tracer is thread-safe: span records and counters are guarded by
-    one lock, while the open-span stack is *per thread*, so workers of
-    the parallel wavefront executor each nest their own spans without
+    The tracer is thread-safe: span records are guarded by one lock,
+    while the open-span stack is *per thread*, so workers of the
+    parallel wavefront executor each nest their own spans without
     corrupting each other's parentage.  A span that must hang off
     another thread's span (a per-node span under the executor's wave
     span) is opened with :meth:`span_under`.
@@ -235,8 +162,6 @@ class Tracer:
         self._local = threading.local()
         #: Finished and open spans, in start order.
         self.spans: list[Span] = []
-        self.counters: dict[str, float] = {}
-        self.histograms: dict[str, HistogramStats] = {}
 
     # -- spans -------------------------------------------------------------------
 
@@ -309,50 +234,11 @@ class Tracer:
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    # -- counters / histograms ---------------------------------------------------
-
-    def count(self, name: str, value: float = 1) -> None:
-        """Increment a flat counter."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one observation into a histogram."""
-        with self._lock:
-            stats = self.histograms.get(name)
-            if stats is None:
-                stats = self.histograms[name] = HistogramStats()
-            stats.add(value)
-
-    # -- export ------------------------------------------------------------------
-
-    def metrics_snapshot(self) -> dict[str, float]:
-        """Flat dict of every counter and histogram statistic."""
-        snapshot: dict[str, float] = dict(self.counters)
-        for name, stats in self.histograms.items():
-            for key, value in stats.as_dict().items():
-                snapshot[f"{name}.{key}"] = value
-        snapshot["spans"] = len(self.spans)
-        return snapshot
-
-    def to_jsonl_lines(self) -> Iterator[str]:
-        """One compact JSON object per span, parents before children."""
-        for span in self.spans:
-            yield json.dumps(span.to_dict(), sort_keys=True)
-
-    def render_tree(self) -> str:
-        """ASCII span tree with durations and attributes."""
-        from repro.obs.export import render_span_tree
-
-        return render_span_tree(self.spans)
-
     def clear(self) -> None:
-        """Drop all recorded spans, counters, and histograms."""
+        """Drop all recorded spans."""
         self._stack.clear()
         with self._lock:
             self.spans.clear()
-            self.counters.clear()
-            self.histograms.clear()
             self._next_id = 0
 
 
@@ -366,12 +252,6 @@ class NoopTracer(Tracer):
 
     def span_under(self, parent: object, name: str, **attributes: object) -> _NoopSpanContext:  # type: ignore[override]
         return _NOOP_SPAN_CONTEXT
-
-    def count(self, name: str, value: float = 1) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
 
 
 #: Shared disabled tracer — the default for every instrumented layer.

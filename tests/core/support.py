@@ -183,18 +183,18 @@ def reference_search(optimizer, relation, required):
     final.validate()
     telemetry.pairs_pruned_subsumption = pruned_subsumption
     telemetry.pairs_pruned_monotonicity = pruned_monotonicity
+    cost = coster.plan_cost(final)
+    telemetry.cost_model_calls = coster.optimizer_calls - calls_before
     result = OptimizationResult(
         plan=final,
-        cost=coster.plan_cost(final),
+        cost=cost,
         naive_cost=naive_cost,
-        iterations=iterations,
-        merges_evaluated=merges_evaluated,
-        pairs_pruned_subsumption=pruned_subsumption,
-        pairs_pruned_monotonicity=pruned_monotonicity,
-        optimizer_calls=coster.optimizer_calls - calls_before,
         optimization_seconds=0.0,
-        merge_log=merge_log,
         telemetry=telemetry,
+        merge_log=merge_log,
     )
-    telemetry.cost_model_calls = result.optimizer_calls
+    # The counters the result derives from telemetry match the ones
+    # this loop keeps by hand.
+    assert result.iterations == iterations
+    assert result.merges_evaluated == merges_evaluated
     return result

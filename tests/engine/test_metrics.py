@@ -34,6 +34,9 @@ class TestCounters:
 
 
 class TestMerge:
+    """``merge_in`` folds ``other`` into ``self`` and leaves ``other``
+    alone (the test names predate the removal of the copying variant)."""
+
     def test_merged_with_sums_counters(self):
         a = ExecutionMetrics()
         a.record_scan(10, 100)
@@ -41,20 +44,19 @@ class TestMerge:
         b = ExecutionMetrics()
         b.record_materialize(4, 50)
         b.queries_executed = 1
-        merged = a.merged_with(b)
-        assert merged.rows_scanned == 10
-        assert merged.bytes_materialized == 50
-        assert merged.queries_executed == 3
-        # Originals untouched.
-        assert a.bytes_materialized == 0
+        a.merge_in(b)
+        assert a.rows_scanned == 10
+        assert a.bytes_materialized == 50
+        assert a.queries_executed == 3
+        assert b.rows_scanned == 0
 
     def test_merged_with_combines_per_query(self):
         a = ExecutionMetrics()
         a.per_query_bytes["q1"] = 10
         b = ExecutionMetrics()
         b.per_query_bytes["q2"] = 20
-        merged = a.merged_with(b)
-        assert merged.per_query_bytes == {"q1": 10, "q2": 20}
+        a.merge_in(b)
+        assert a.per_query_bytes == {"q1": 10, "q2": 20}
 
     def test_merged_with_sums_same_per_query_key(self):
         # Regression: a shared key used to be clobbered by the right side.
@@ -63,10 +65,8 @@ class TestMerge:
         b = ExecutionMetrics()
         b.per_query_bytes["q1"] = 7
         b.per_query_bytes["q2"] = 5
-        merged = a.merged_with(b)
-        assert merged.per_query_bytes == {"q1": 17, "q2": 5}
-        # Originals untouched.
-        assert a.per_query_bytes == {"q1": 10}
+        a.merge_in(b)
+        assert a.per_query_bytes == {"q1": 17, "q2": 5}
         assert b.per_query_bytes == {"q1": 7, "q2": 5}
 
 

@@ -10,9 +10,9 @@ import math
 import pytest
 
 from repro.api import Session
-from repro.obs import Tracer
-from repro.obs.analyze import q_error
-from repro.workloads.queries import single_column_queries
+from repro.core.explain import q_error
+from repro.obs import MetricsRegistry, Tracer
+from repro.workloads.queries import single_column_queries, two_column_queries
 from repro.workloads.sales import SALES_COLUMNS, make_sales
 
 ROWS = 4_000
@@ -93,9 +93,9 @@ class TestPlanAnalysis:
 
     def test_totals_match_plain_execute(self, session, plan, analysis):
         plain = session.execute(plan)
-        assert analysis.total_work == plain.metrics.work
+        assert analysis.execution.metrics.work == plain.metrics.work
         assert analysis.base_rows == ROWS
-        assert analysis.total_est_cost == pytest.approx(
+        assert analysis.total_cost == pytest.approx(
             session.coster().plan_cost(plan)
         )
 
@@ -110,7 +110,83 @@ class TestPlanAnalysis:
         assert all("q_error" in node for node in payload["nodes"])
 
 
+class TestAnalyzedPlanIsThePhysicalPlan:
+    def test_budget_reaches_the_analyzed_run(self, session, plan):
+        """Regression: explain_analyze took no memory budget, so the
+        CLI analyzed one lowering and printed another."""
+        from repro.physical.plan import Reaggregate, SortGroupBy
+
+        analysis = session.explain_analyze(plan, memory_budget_bytes=2_000)
+        physical = analysis.physical
+        assert physical.memory_budget_bytes == 2_000
+        assert any(op.partitions > 1 for op in physical.grouping_ops())
+        by_label = {
+            pipeline.label: [
+                physical.op(op_id)
+                for op_id in pipeline.ops
+                if physical.op(op_id) in physical.grouping_ops()
+            ]
+            for pipeline in physical.compute_pipelines()
+        }
+        for node in analysis.nodes:
+            [op] = by_label[node.label]
+            assert node.operator == op.op_name
+            if isinstance(op, Reaggregate):
+                assert node.regime == op.strategy
+            else:
+                expected = "sort" if isinstance(op, SortGroupBy) else "hash"
+                assert node.regime == expected
+        # Same answers as the unbudgeted run.
+        plain = session.execute(plan)
+        for query, table in plain.results.items():
+            assert analysis.execution.results[query].to_rows() == table.to_rows()
+
+    def test_plain_explain_has_estimates_only(self, session, plan, analysis):
+        explanation = session.explain(plan)
+        assert explanation.execution is None and explanation.physical is None
+        for static, analyzed in zip(explanation.nodes, analysis.nodes):
+            assert static.actual_rows is None and static.q_error is None
+            assert static.label == analyzed.label
+            assert static.est_rows == analyzed.est_rows
+            assert static.est_cost == analyzed.est_cost
+
+
 class TestTracingIsReadOnly:
+    def test_each_cost_model_call_is_counted_once(self):
+        """One uncached costing = one event: the result, its telemetry,
+        the coster and the registry all report the same number, and
+        neither recorder changes what is computed."""
+
+        def run(tracer, registry):
+            table = make_sales(1_500)
+            table.build_dictionaries()
+            session = Session.for_table(
+                table, statistics="exact", tracer=tracer, metrics=registry
+            )
+            result = session.optimize(two_column_queries(SALES_COLUMNS[:6]))
+            execution = session.execute(result.plan)
+            return session, result, execution
+
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        session, result, execution = run(tracer, registry)
+        assert result.optimizer_calls > 0
+        assert (
+            result.optimizer_calls
+            == result.telemetry.cost_model_calls
+            == session.coster().optimizer_calls
+            == registry.value("repro_costmodel_calls_total")
+        )
+        assert tracer.spans  # timing, and nothing but timing
+
+        _, plain_result, plain_execution = run(None, None)
+        assert plain_result.plan == result.plan
+        assert plain_result.optimizer_calls == result.optimizer_calls
+        assert plain_execution.metrics.work == execution.metrics.work
+        assert set(plain_execution.results) == set(execution.results)
+        for query, table in plain_execution.results.items():
+            assert execution.results[query].to_rows() == table.to_rows()
+
     def test_traced_run_is_bit_identical(self, queries):
         def run(tracer):
             table = make_sales(ROWS)

@@ -8,7 +8,7 @@ from repro.obs import (
     spans_from_dicts,
     write_jsonl,
 )
-from repro.obs.profile import collapsed_stacks
+from repro.obs.export import collapsed_stacks
 from repro.workloads.queries import combi_workload
 from repro.workloads.sales import make_sales
 

@@ -1,7 +1,7 @@
 """Unit tests for profile export: collapsed stacks and self-time."""
 
 from repro.obs import ManualClock, Tracer
-from repro.obs.profile import (
+from repro.obs.export import (
     collapsed_stacks,
     frame_name,
     render_self_time_table,

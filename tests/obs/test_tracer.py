@@ -70,33 +70,15 @@ class TestSpans:
             assert tracer.current_span is outer
         assert tracer.current_span is None
 
-
-class TestCountersAndHistograms:
-    def test_counters_accumulate(self):
-        tracer = Tracer()
-        tracer.count("calls")
-        tracer.count("calls", 2)
-        assert tracer.counters["calls"] == 3
-
-    def test_histograms_summarize(self):
-        tracer = Tracer()
-        for value in (1.0, 3.0, 2.0):
-            tracer.observe("cost", value)
-        snapshot = tracer.metrics_snapshot()
-        assert snapshot["cost.count"] == 3
-        assert snapshot["cost.min"] == 1.0
-        assert snapshot["cost.max"] == 3.0
-        assert snapshot["cost.mean"] == pytest.approx(2.0)
-        assert snapshot["spans"] == 0
-
     def test_clear_resets_everything(self):
         tracer = Tracer()
         with tracer.span("s"):
-            tracer.count("c")
+            pass
         tracer.clear()
         assert tracer.spans == []
-        assert tracer.counters == {}
-        assert tracer.metrics_snapshot()["spans"] == 0
+        with tracer.span("again") as span:
+            assert span.span_id == 0
+            assert span.parent_id is None
 
 
 class TestNoopTracer:
@@ -104,11 +86,7 @@ class TestNoopTracer:
         tracer = NoopTracer()
         with tracer.span("outer", key="value") as span:
             span.set(more=1)
-            tracer.count("calls")
-            tracer.observe("cost", 5.0)
         assert tracer.spans == []
-        assert tracer.counters == {}
-        assert tracer.histograms == {}
         assert tracer.enabled is False
 
     def test_shared_singleton_context(self):
@@ -159,11 +137,14 @@ class TestJsonlRoundTrip:
         assert "root" in render_span_tree(rebuilt)
 
     def test_to_jsonl_lines_matches_file(self, tmp_path):
+        # One compact, key-sorted JSON object per span, in span order —
+        # whether handed the tracer or its span list.
         tracer = self._traced()
         path = tmp_path / "trace.jsonl"
-        write_jsonl(tracer, path)
-        assert list(tracer.to_jsonl_lines()) == [
-            line for line in path.read_text().splitlines() if line
+        write_jsonl(tracer.spans, path)
+        assert path.read_text().splitlines() == [
+            json.dumps(span.to_dict(), sort_keys=True)
+            for span in tracer.spans
         ]
 
 
@@ -220,22 +201,6 @@ class TestThreadSafety:
             inner = next(s for s in tracer.spans if s.name == f"inner-{i}")
             assert node.parent_id == wave.span_id
             assert inner.parent_id == node.span_id
-
-    def test_concurrent_counters(self):
-        import threading
-
-        tracer = Tracer()
-
-        def worker():
-            for _ in range(1000):
-                tracer.count("hits")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert tracer.counters["hits"] == 4000
 
     def test_per_thread_current_span(self):
         import threading

@@ -65,23 +65,27 @@ class TestProfile:
 
 
 class TestPlan:
+    """The plan views of ``explain`` (the former ``plan`` subcommand)."""
+
     def test_explicit_queries_and_sql(self, csv_path, capsys):
         main(
             [
-                "plan", csv_path,
+                "explain", csv_path,
                 "--queries", "region;state;region,state",
                 "--statistics", "exact",
+                "--sql",
             ]
         )
         out = capsys.readouterr().out
         assert "SQL script" in out
         assert "GROUP BY" in out
-        assert "optimizer calls" in out
+        assert "cost-model calls" in out
 
     def test_dot_output(self, csv_path, capsys):
-        main(["plan", csv_path, "--dot", "--columns", "region,state"])
+        main(["explain", csv_path, "--dot", "--columns", "region,state"])
         out = capsys.readouterr().out
         assert "digraph gbmqo {" in out
+        assert "SQL script" not in out
 
 
 class TestCompare:
@@ -96,6 +100,20 @@ class TestCompare:
         main(["profile", csv_path, "--max-rows", "100"])
         out = capsys.readouterr().out
         assert "100 rows" in out.replace(",", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare"],
+            ["profile", "--columns", "region,channel"],
+            ["sql", "SELECT COUNT(*) FROM sales GROUP BY CUBE (region, channel)"],
+        ],
+    )
+    def test_every_data_command_takes_a_builtin_workload(self, argv, capsys):
+        assert main(argv + ["--workload", "sales", "--rows", "1500"]) == 0
+        assert capsys.readouterr().out
+        assert main(argv) == 2
+        assert "--workload" in capsys.readouterr().err
 
 
 class TestSql:
@@ -201,7 +219,7 @@ class TestTrace:
         )
         assert code == 0
         stdout = capsys.readouterr().out
-        assert "metrics snapshot" in stdout
+        assert "registry snapshot" in stdout
         assert f"spans to {out_path}" in stdout
         records = [
             json.loads(line)
@@ -330,6 +348,37 @@ class TestPhysicalExplain:
         out = capsys.readouterr().out
         assert "budget=4096B" in out
 
+    def test_analyze_runs_the_printed_physical_plan(
+        self, capsys, monkeypatch
+    ):
+        """Regression: --analyze used to execute a lowering made without
+        the budget and then print one made with it."""
+        from repro.engine.executor import PlanExecutor
+
+        executed = []
+        execute_physical = PlanExecutor.execute_physical
+
+        def spy(self, physical):
+            executed.append(physical)
+            return execute_physical(self, physical)
+
+        monkeypatch.setattr(PlanExecutor, "execute_physical", spy)
+        code = main(
+            [
+                "explain",
+                "--workload", "sales",
+                "--rows", "20000",
+                "--analyze",
+                "--memory-budget-bytes", "2000",
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.split("-- PHYSICAL --\n")[1]
+        assert "budget=2000B" in printed
+        assert "partitions" in printed
+        [physical] = executed
+        assert physical.render() + "\n" == printed
+
     def test_explain_analyze_includes_physical(self, capsys):
         code = main(
             [
@@ -388,17 +437,57 @@ class TestTraceMetricsExport:
         assert 'le="+Inf"' in text
 
 
+def golden_tracer():
+    """A small hand-clocked optimize + execute trace."""
+    from repro.obs import ManualClock, Tracer
+
+    clock = ManualClock()
+    tracer = Tracer(clock=clock)
+    with tracer.span("trace", source="golden", queries=2):
+        with tracer.span("optimize", relation="r"):
+            with tracer.span("optimize.iteration", index=1):
+                clock.advance(0.0015)
+            clock.advance(0.0005)
+        with tracer.span("execute.plan"):
+            with tracer.span("execute.node", node="(a,b)"):
+                with tracer.span("execute.hash_group_by", op_id=1):
+                    clock.advance(0.002)
+                clock.advance(0.000087)
+            with tracer.span("execute.node", node="(a)"):
+                clock.advance(0.00025)
+            with tracer.span("execute.drop_temp", temp="tmp__a__b"):
+                clock.advance(0.00001)
+        clock.advance(0.001)
+    return tracer
+
+
+#: What ``flamegraph --from-jsonl <golden trace> --out`` wrote before the
+#: subcommand became ``trace --collapsed-out``.
+GOLDEN_COLLAPSED = """\
+trace 1000
+trace;execute.plan;execute.drop_temp tmp__a__b 10
+trace;execute.plan;execute.node (a) 250
+trace;execute.plan;execute.node (a,b) 87
+trace;execute.plan;execute.node (a,b);execute.hash_group_by 2000
+trace;optimize 500
+trace;optimize;optimize.iteration 1500
+"""
+
+
 class TestFlamegraph:
+    """The profile views of ``trace`` (the former ``flamegraph``)."""
+
     def test_live_run_prints_table_and_writes_collapsed(
         self, tmp_path, capsys
     ):
         out_path = tmp_path / "profile.collapsed"
         code = main(
             [
-                "flamegraph",
+                "trace",
                 "--workload", "sales",
                 "--rows", "2000",
-                "--out", str(out_path),
+                "--self-time", "20",
+                "--collapsed-out", str(out_path),
             ]
         )
         assert code == 0
@@ -423,88 +512,66 @@ class TestFlamegraph:
             )
             == 0
         )
-        capsys.readouterr()
-        code = main(["flamegraph", "--from-jsonl", str(trace_path)])
+        live = capsys.readouterr().out
+        assert "self ms" not in live  # the table is opt-in
+        code = main(
+            ["trace", "--from-jsonl", str(trace_path), "--self-time", "5"]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "self ms" in out
         assert "optimize" in out
+        # The replayed tree is the live one; only the live run has a
+        # search/execution summary to print.
+        assert out.splitlines()[0] == live.splitlines()[0]
+        assert "search:" in live and "search:" not in out
 
     def test_requires_a_source(self, capsys):
-        assert main(["flamegraph"]) == 2
+        assert main(["trace", "--self-time", "5"]) == 2
         assert "--workload" in capsys.readouterr().err
 
+    def test_collapsed_out_matches_flamegraph_golden(self, tmp_path, capsys):
+        from repro.obs import write_jsonl
 
-class TestHistoryAndCalibration:
-    def test_explain_analyze_appends_history(self, tmp_path, capsys):
-        import json
-
-        history = tmp_path / "history.jsonl"
+        trace_path = tmp_path / "golden.jsonl"
+        write_jsonl(golden_tracer(), trace_path)
+        out_path = tmp_path / "golden.collapsed"
         code = main(
             [
-                "explain",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--analyze",
-                "--history", str(history),
+                "trace",
+                "--from-jsonl", str(trace_path),
+                "--collapsed-out", str(out_path),
             ]
         )
         assert code == 0
-        assert "appended run record" in capsys.readouterr().out
-        records = [
-            json.loads(line)
-            for line in history.read_text().splitlines()
-            if line
-        ]
-        assert len(records) == 1
-        assert records[0]["relation"] == "sales"
-        assert records[0]["nodes"]
+        assert out_path.read_text() == GOLDEN_COLLAPSED
+        assert "wrote 7 collapsed stacks" in capsys.readouterr().out
 
-    def test_calibration_reads_history(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        for parallelism in ("1", "2"):
-            assert (
-                main(
-                    [
-                        "explain",
-                        "--workload", "sales",
-                        "--rows", "2000",
-                        "--analyze",
-                        "--parallelism", parallelism,
-                        "--history", str(history),
-                    ]
-                )
-                == 0
-            )
-        capsys.readouterr()
-        assert main(["calibration", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "calibration over 2 runs" in out
-        assert "q-err gmean" in out
+    def test_from_jsonl_round_trips_an_exported_trace(self, tmp_path):
+        from repro.obs import write_jsonl
 
-    def test_calibration_json_format(self, tmp_path, capsys):
-        import json
-
-        history = tmp_path / "history.jsonl"
-        main(
-            [
-                "explain",
-                "--workload", "sales",
-                "--rows", "2000",
-                "--analyze",
-                "--history", str(history),
-            ]
+        first = tmp_path / "first.jsonl"
+        write_jsonl(golden_tracer(), first)
+        second = tmp_path / "second.jsonl"
+        assert (
+            main(["trace", "--from-jsonl", str(first), "--out", str(second)])
+            == 0
         )
-        capsys.readouterr()
-        assert main(["calibration", str(history), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"runs", "fingerprints", "groups"}
-        assert payload["runs"] == 1
-        assert payload["groups"]
+        assert second.read_bytes() == first.read_bytes()
 
-    def test_calibration_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["calibration", str(tmp_path / "absent.jsonl")]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_from_jsonl_rejects_live_only_views(self, tmp_path, capsys):
+        from repro.obs import write_jsonl
+
+        trace_path = tmp_path / "golden.jsonl"
+        write_jsonl(golden_tracer(), trace_path)
+        assert main(["trace", "--from-jsonl", str(trace_path), "--metrics"]) == 2
+        assert "live run" in capsys.readouterr().err
+
+    def test_empty_trace_file_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["trace", "--from-jsonl", str(empty)]) == 2
+        assert "no spans" in capsys.readouterr().err
 
 
 class TestCacheCommand:
@@ -578,6 +645,30 @@ class TestCacheCommand:
         assert main(["cache"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_memory_budget_reaches_execute(self, capsys, monkeypatch):
+        """Regression: ``cache --memory-budget-bytes`` was accepted and
+        silently dropped."""
+        from repro.api import Session
+
+        budgets = []
+        execute = Session.execute
+
+        def spy(self, plan, **kwargs):
+            budgets.append(kwargs.get("memory_budget_bytes"))
+            return execute(self, plan, **kwargs)
+
+        monkeypatch.setattr(Session, "execute", spy)
+        code = main(
+            [
+                "cache",
+                "--workload", "sales",
+                "--rows", "2000",
+                "--memory-budget-bytes", "4096",
+            ]
+        )
+        assert code == 0
+        assert budgets == [4096.0, 4096.0]
+
     def test_cache_flag_on_trace(self, capsys):
         code = main(
             [
@@ -607,38 +698,17 @@ class TestFormatContract:
     """Every --format-bearing obs command honors text|json and the
     0/1/2 exit contract."""
 
-    def _history(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        assert (
-            main(
-                [
-                    "explain",
-                    "--workload", "sales",
-                    "--rows", "2000",
-                    "--analyze",
-                    "--history", str(history),
-                ]
-            )
-            == 0
-        )
-        return history
-
-    def _argv(self, command, tmp_path):
-        if command == "calibration":
-            return ["calibration", str(self._history(tmp_path))]
+    def _argv(self, command):
         if command == "analyze-plan":
             return ["analyze-plan", "--workload", "sales", "--rows", "800"]
         assert command == "cache"
         return ["cache", "--workload", "sales", "--rows", "2000"]
 
-    @pytest.mark.parametrize(
-        "command", ["calibration", "analyze-plan", "cache"]
-    )
-    def test_json_parses_and_text_does_not(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze-plan", "cache"])
+    def test_json_parses_and_text_does_not(self, command, capsys):
         import json
 
-        argv = self._argv(command, tmp_path)
-        capsys.readouterr()
+        argv = self._argv(command)
         assert main(argv + ["--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
         assert main(argv) == 0
@@ -646,12 +716,9 @@ class TestFormatContract:
         with pytest.raises(ValueError):
             json.loads(text)
 
-    @pytest.mark.parametrize(
-        "command", ["calibration", "analyze-plan", "cache"]
-    )
-    def test_bad_format_value_exits_2(self, command, tmp_path, capsys):
-        argv = self._argv(command, tmp_path)
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", ["analyze-plan", "cache"])
+    def test_bad_format_value_exits_2(self, command, capsys):
+        argv = self._argv(command)
         with pytest.raises(SystemExit) as excinfo:
             main(argv + ["--format", "yaml"])
         assert excinfo.value.code == 2
@@ -659,9 +726,9 @@ class TestFormatContract:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["calibration", "/nonexistent/history.jsonl"],
             ["analyze-plan"],
             ["cache"],
+            ["trace", "--from-jsonl", "/nonexistent/trace.jsonl"],
         ],
     )
     def test_bad_input_exits_2(self, argv, capsys):
@@ -673,3 +740,10 @@ class TestFormatContract:
             main(["adaptive", "--workload", "sales", "--runs", "1"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'adaptive'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "flamegraph", "calibration"])
+    def test_folded_subcommands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workload", "sales"])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
