@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.columnset import format_columns
 from repro.core.optimizer import (
     GbMqoOptimizer,
     OptimizationResult,
@@ -33,6 +34,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.engine.indexes import IndexSpec
 from repro.engine.table import Table
+from repro.engine.types import SchemaError
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.stats.cardinality import (
@@ -319,7 +321,19 @@ class Session:
         (query set, options) under an unchanged physical design return
         the previously computed result (its ``optimization_seconds``
         reflects the original run).
+
+        Raises:
+            SchemaError: a query names a column the base relation does
+                not have.
         """
+        base = self.catalog.get(self.base_table)
+        for query in queries:
+            missing = sorted(c for c in query if c not in base)
+            if missing:
+                raise SchemaError(
+                    f"table {self.base_table!r} has no column "
+                    f"{missing[0]!r} (query {format_columns(query)})"
+                )
         if self.enable_plan_cache:
             key = (
                 frozenset(frozenset(q) for q in queries),

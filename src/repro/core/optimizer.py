@@ -11,11 +11,13 @@ Per the paper's running-time analysis, merge evaluations are memoized so
 only O(n^2) SubPlanMerge calls are made across the whole run: after a
 merge, only pairs involving the newly created sub-plan are evaluated.
 
-A pair is first priced by a floor under its delta, made from statistics
-that already exist (:meth:`PlanCoster.subplan_cost_bound`); it is costed
-exactly — optimizer calls, a new statistic for the union — only if that
-floor still promises a gain when the pair reaches the top of the heap.
-The merges made are those of the eager loop, ties included.
+A pair is priced cheapest bound first, each from statistics that already
+exist: the edge from R to the union of its roots alone
+(:meth:`PlanCoster.root_cost_bound`), then — only if that still promises
+a gain when the pair reaches the top of the heap — a floor over every
+candidate (:meth:`PlanCoster.subplan_cost_bound`), then, on the same
+condition, the exact cost: optimizer calls, a new statistic for the
+union.  The merges made are those of the eager loop, ties included.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from repro.obs.clock import monotonic
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.telemetry import SearchTelemetry
 from repro.obs.tracer import NOOP_TRACER, Tracer
+
+
+#: The rungs a heap entry of the search climbs, cheapest first.
+_ROOT, _FULL, _EXACT = range(3)
 
 
 @dataclass(frozen=True)
@@ -217,42 +223,65 @@ class GbMqoOptimizer:
         )
         pruning = monotonicity is not None or subsumption is not None
 
-        # Forest state: sequence-numbered sub-plans plus their bitmasks.
+        # Forest state: sequence-numbered sub-plans plus their bitmasks
+        # and costs (what every delta of a pair subtracts).
         forest: dict[int, SubPlan] = {}
         masks: dict[int, int] = {}
+        costs: dict[int, float] = {}
         next_id = 0
         for subplan in plan.subplans:
             forest[next_id] = subplan
             masks[next_id] = codec.encode(subplan.node.columns)
+            costs[next_id] = self._coster.subplan_cost(subplan)
             next_id += 1
 
-        # Every pair is priced once, when it is first walked, by a floor
-        # under its delta; the ones whose floor promises a gain wait in a
-        # min-heap keyed (delta, id1, id2).  An entry without a candidate
-        # holds a floor: when it surfaces the pair is costed exactly and
-        # pushed back under its true delta.  An entry with a candidate is
-        # exact, and when it surfaces every other key is no smaller and no
-        # true delta is below its floor, so it is the merge a scan of all
-        # pairs in (id1, id2) order would pick.  Entries of merged-away
-        # sub-plans are dropped lazily, floors among them never costed.
+        # Every pair is priced once, when it is first walked, by its root
+        # floor: the materialised Group By on v1 | v2 from R, less the two
+        # operands.  Every candidate of the pair sums that edge first and
+        # then only non-negative terms — types (a)-(d) root a sub-plan
+        # with children at the union; v1 <= v2 hangs p1 under p2's root; a
+        # CUBE's edge starts with that Group By and so does a ROLLUP's (two
+        # incomparable sets union to >= 2 columns); two roots on the same
+        # columns are never both childless — and rounded addition and
+        # subtraction are monotone, so as floats
+        #     root floor <= delta_floor <= exact delta.
+        # Pairs whose root floor promises a gain wait in a min-heap keyed
+        # (delta, id1, id2) and climb one rung each time they surface:
+        # _ROOT floor -> _FULL floor (delta_floor) -> _EXACT, pushed back
+        # under the tighter key or dropped when it shows no gain.  When an
+        # _EXACT entry surfaces every other key is no smaller and no true
+        # delta is below its key, so it is the merge a scan of all pairs
+        # in (id1, id2) order would pick.  Entries of merged-away
+        # sub-plans are dropped lazily, on whatever rung they wait.
         walked: set[tuple[int, int]] = set()
-        profitable: list[tuple[float, int, int, SubPlan | None]] = []
+        profitable: list[tuple[float, int, int, int, SubPlan | None]] = []
         iterations = 0
         merge_log: list[str] = []
         epsilon = self.options.epsilon
         coster = self._coster
 
+        def root_floor(id1: int, id2: int) -> float:
+            """The pair's first price: no candidate built, no child edge
+            read."""
+            v1, v2 = forest[id1].node.columns, forest[id2].node.columns
+            return (
+                coster.root_cost_bound(v1 | v2, (v1, v2))
+                - costs[id1]
+                - costs[id2]
+            )
+
         def delta_floor(id1: int, id2: int) -> float:
             """A value no candidate of the pair can cost less than, over
             all candidates (the storage bound only removes some)."""
+            telemetry.full_floors_computed += 1
             p1, p2 = forest[id1], forest[id2]
             known = (p1.node.columns, p2.node.columns)
             floor = 0.0
             for candidate in subplan_merge(p1, p2, required_sets, merge_opts):
                 delta = (
                     coster.subplan_cost_bound(candidate, known)
-                    - coster.subplan_cost(p1)
-                    - coster.subplan_cost(p2)
+                    - costs[id1]
+                    - costs[id2]
                 )
                 if delta < floor:
                     floor = delta
@@ -268,18 +297,16 @@ class GbMqoOptimizer:
                 if not self._storage_admissible(candidate):
                     telemetry.candidates_rejected_storage += 1
                     continue
-                delta = (
-                    coster.subplan_cost(candidate)
-                    - coster.subplan_cost(p1)
-                    - coster.subplan_cost(p2)
-                )
+                delta = coster.subplan_cost(candidate) - costs[id1] - costs[id2]
                 if delta >= -epsilon:
                     telemetry.candidates_rejected_cost += 1
                 if delta < best_delta:
                     best_delta, best_candidate = delta, candidate
             if best_candidate is None or best_delta >= -epsilon:
                 return False
-            heapq.heappush(profitable, (best_delta, id1, id2, best_candidate))
+            heapq.heappush(
+                profitable, (best_delta, id1, id2, _EXACT, best_candidate)
+            )
             return True
 
         while True:
@@ -323,26 +350,33 @@ class GbMqoOptimizer:
                     if pair in walked:
                         continue
                     walked.add(pair)
-                    floor = delta_floor(id1, id2)
+                    # A CUBE / ROLLUP root has no candidates and never
+                    # merges again: no bound is read for it.
+                    if (
+                        forest[id1].node.kind is not NodeKind.GROUP_BY
+                        or forest[id2].node.kind is not NodeKind.GROUP_BY
+                    ):
+                        continue
+                    floor = root_floor(id1, id2)
                     if floor >= -epsilon:
+                        telemetry.pairs_refused_at_root += 1
                         telemetry.pairs_refused_by_bound += 1
                         failed = True
                     elif monotonicity is None:
-                        heapq.heappush(profitable, (floor, id1, id2, None))
+                        heapq.heappush(
+                            profitable, (floor, id1, id2, _ROOT, None)
+                        )
                         failed = False
+                    elif delta_floor(id1, id2) >= -epsilon:
+                        telemetry.pairs_refused_by_bound += 1
+                        failed = True
                     else:
                         # Monotonicity needs the verdict now (a failure
                         # prunes later pairs of this same walk), so with
-                        # it on a floor only spares the pairs it refuses.
+                        # it on the floors only spare the pairs they
+                        # refuse.
                         failed = not evaluate_pair(id1, id2)
-                    if (
-                        failed
-                        and monotonicity is not None
-                        and all(
-                            forest[i].node.kind is NodeKind.GROUP_BY
-                            for i in pair
-                        )
-                    ):
+                    if failed and monotonicity is not None:
                         monotonicity.record_failure(union_mask)
 
                 # A popped entry is dropped for good when one side has been
@@ -353,19 +387,26 @@ class GbMqoOptimizer:
                 # such a pair was never walked and has no entry.
                 best = None
                 while profitable and best is None:
-                    entry = heapq.heappop(profitable)
-                    _, id1, id2, candidate = entry
+                    key, id1, id2, rung, candidate = heapq.heappop(profitable)
                     if (
                         id1 not in forest
                         or id2 not in forest
                         or (id1, id2) in barred
                     ):
                         continue
-                    if candidate is None:
+                    if rung == _ROOT:
+                        floor = delta_floor(id1, id2)
+                        if floor >= -epsilon:
+                            telemetry.pairs_refused_by_bound += 1
+                        else:
+                            heapq.heappush(
+                                profitable, (floor, id1, id2, _FULL, None)
+                            )
+                    elif rung == _FULL:
                         telemetry.bounds_resolved_late += 1
                         evaluate_pair(id1, id2)
                     else:
-                        best = entry
+                        best = (key, id1, id2, candidate)
                 iteration_span.set(
                     subplans=len(ids),
                     pairs=pair_count,
@@ -386,8 +427,10 @@ class GbMqoOptimizer:
                 for stale in (id1, id2):
                     del forest[stale]
                     del masks[stale]
+                    del costs[stale]
                 forest[next_id] = candidate
                 masks[next_id] = codec.encode(candidate.node.columns)
+                costs[next_id] = coster.subplan_cost(candidate)
                 next_id += 1
 
         final = LogicalPlan(

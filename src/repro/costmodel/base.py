@@ -6,10 +6,12 @@ The optimizer never costs plans directly: it goes through a
 (b) counts distinct costing calls — the optimization-cost metric the
 paper reports in Figures 10(a) and 11(a).
 
-It also answers the cheaper question the search asks first:
-:meth:`PlanCoster.subplan_cost_bound`, a floor under a sub-plan's cost
-made from statistics that already exist.  A floor is not an optimizer
-call, and it never enters the exact memos.
+It also answers the cheaper questions the search asks first, each a
+floor made from statistics that already exist:
+:meth:`PlanCoster.root_cost_bound`, under every sub-plan rooted at a
+column set, and :meth:`PlanCoster.subplan_cost_bound`, under one
+sub-plan.  A floor is not an optimizer call, and it never enters the
+exact memos.
 """
 
 from __future__ import annotations
@@ -124,6 +126,16 @@ class PlanCoster:
                 )
                 self._edge_bounds[key] = cost
         return cost
+
+    def root_cost_bound(
+        self, columns: frozenset[str], known: tuple[frozenset[str], ...]
+    ) -> float:
+        """A value never above the :meth:`subplan_cost_bound` (same
+        ``known``) of any sub-plan whose root, a Group By with children
+        or a CUBE / multi-column ROLLUP, is on ``columns``: the edge
+        that materialises that Group By from R, which each of their sums
+        starts with and only adds non-negative terms to."""
+        return self._edge(None, PlanNode(columns), True, known)
 
     def subplan_cost(self, subplan: SubPlan) -> float:
         """Total cost of a sub-plan, including its edge from R."""

@@ -26,9 +26,17 @@ class SearchTelemetry:
             exactly (each pair at most once per run).
         pairs_refused_by_bound: pairs never costed exactly because a
             floor under their delta, made from statistics that already
-            existed, showed no gain.  The rest of the gap between pairs
-            walked and ``pair_evaluations`` is floors that promised a
-            gain but whose pair was merged away before they surfaced.
+            existed, showed no gain — at either rung.  The rest of the
+            gap between pairs walked and ``pair_evaluations`` is floors
+            that promised a gain but whose pair was merged away before
+            they surfaced, and pairs with a CUBE / ROLLUP root, which
+            have no candidates and are not priced at all.
+        pairs_refused_at_root: those of ``pairs_refused_by_bound`` that
+            the first, cheapest floor refused: the edge from R to the
+            union of the two roots alone, no candidate built.
+        full_floors_computed: pairs whose floor over every candidate was
+            computed, because their root floor promised a gain (and, with
+            no pruner on, surfaced in the heap).
         bounds_resolved_late: pairs costed exactly only when their floor
             reached the top of the heap, rather than when first walked.
         candidates_considered: candidate merges produced by
@@ -51,6 +59,8 @@ class SearchTelemetry:
     pairs_considered: int = 0
     pair_evaluations: int = 0
     pairs_refused_by_bound: int = 0
+    pairs_refused_at_root: int = 0
+    full_floors_computed: int = 0
     bounds_resolved_late: int = 0
     candidates_considered: int = 0
     candidates_rejected_cost: int = 0
@@ -75,6 +85,8 @@ class SearchTelemetry:
             "pairs_considered": self.pairs_considered,
             "pair_evaluations": self.pair_evaluations,
             "pairs_refused_by_bound": self.pairs_refused_by_bound,
+            "pairs_refused_at_root": self.pairs_refused_at_root,
+            "full_floors_computed": self.full_floors_computed,
             "bounds_resolved_late": self.bounds_resolved_late,
             "candidates_considered": self.candidates_considered,
             "candidates_rejected_cost": self.candidates_rejected_cost,
@@ -94,8 +106,13 @@ class SearchTelemetry:
             f"{self.cost_model_calls} cost-model calls",
             f"{self.candidates_rejected_cost} rejected by cost",
         ]
-        if self.pairs_refused_by_bound:
-            parts.append(f"{self.pairs_refused_by_bound} pairs refused by bound")
+        if self.pairs_refused_by_bound or self.full_floors_computed:
+            parts.append(
+                f"{self.pairs_refused_by_bound} pairs refused by bound "
+                f"({self.pairs_refused_at_root} at the root edge), "
+                f"{self.full_floors_computed} full floors, "
+                f"{self.bounds_resolved_late} costed late"
+            )
         pruned = self.pairs_pruned_subsumption + self.pairs_pruned_monotonicity
         if pruned:
             parts.append(f"{pruned} pairs pruned")

@@ -226,9 +226,6 @@ class SampledCardinalityEstimator:
         #: superset's floor is computed from.
         self._profiles: dict[frozenset[str], tuple[int, int]] = {}
         self._caps: dict[frozenset[str], float] = {}
-        self._floors: dict[
-            tuple[frozenset[str], tuple[frozenset[str], ...]], float
-        ] = {}
         self._sample_codes: _CodesCache | None = None
         #: Column sets for which a statistic was created, in order.
         self.created_statistics: list[frozenset[str]] = []
@@ -279,23 +276,18 @@ class SampledCardinalityEstimator:
             return exact
         if not columns:
             return 1.0
-        key = (columns, known)
-        floor = self._floors.get(key)
-        if floor is None:
-            d = f1 = 0
-            for subset in _subsets_to_read(columns, known):
-                self.rows(subset)
-                subset_d, subset_f1 = self._profiles[subset]
-                d = max(d, subset_d)
-                f1 = max(f1, subset_f1)
-            floor = min(
-                profile_lower_bound(
-                    d, f1, self.sample_size, self._table.num_rows, self._method
-                ),
-                self._cap(columns),
-            )
-            self._floors[key] = floor
-        return floor
+        d = f1 = 0
+        for subset in _subsets_to_read(columns, known):
+            self.rows(subset)
+            subset_d, subset_f1 = self._profiles[subset]
+            d = max(d, subset_d)
+            f1 = max(f1, subset_f1)
+        return min(
+            profile_lower_bound(
+                d, f1, self.sample_size, self._table.num_rows, self._method
+            ),
+            self._cap(columns),
+        )
 
     def row_width(self, columns: frozenset[str]) -> float:
         return self._widths.row_width(columns)

@@ -45,6 +45,20 @@ class FakeEstimator:
         return 8.0 * len(columns) + 8.0
 
 
+class SlackEstimator(FakeEstimator):
+    """A ``FakeEstimator`` that can bound: its floor is a fixed fraction
+    of the true cardinality — valid whatever the overrides are, and as
+    loose as the search has to cope with (0.0 makes every pair look as
+    good as a merge can be)."""
+
+    def __init__(self, slack, *args):
+        super().__init__(*args)
+        self._slack = slack
+
+    def rows_lower_bound(self, columns, known):
+        return self.rows(columns) * self._slack
+
+
 def reference_search(optimizer, relation, required):
     """Figure 5 as a full rescan: the reference for ``_search``.
 

@@ -1,8 +1,9 @@
 """Differential tests: ``GbMqoOptimizer._search`` against the full rescan.
 
-The production search prices each pair by a floor under its delta, costs
-it exactly only if the floor still promises a gain when it surfaces in a
-heap, and selects merges from that heap;
+The production search prices each pair by the cheapest floor under its
+delta first (the root edge alone, then every candidate), costs it exactly
+only if each floor still promises a gain when it surfaces in a heap, and
+selects merges from that heap;
 :func:`tests.core.support.reference_search` is the Figure 5 loop as it
 was, costing every pair and rescanning them all each iteration.  Both
 must make the same *decisions* — the same merges in the same order, the
@@ -15,8 +16,11 @@ reference's.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.core.merge
+import repro.core.optimizer
 from repro.api import Session
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
+from repro.core.plan import NodeKind
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
 from repro.stats.cardinality import SampledCardinalityEstimator
@@ -27,7 +31,11 @@ from repro.workloads.queries import (
 )
 from repro.workloads.sales import SALES_COLUMNS, make_sales
 from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
-from tests.core.support import FakeEstimator, reference_search
+from tests.core.support import (
+    FakeEstimator,
+    SlackEstimator,
+    reference_search,
+)
 
 ROWS = 3000
 
@@ -68,20 +76,6 @@ def workloads():
         ),
         "sales_cont": (sales, containment_workload(SALES_COLUMNS[:5])),
     }
-
-
-class SlackEstimator(FakeEstimator):
-    """A ``FakeEstimator`` that can bound: its floor is a fixed fraction
-    of the true cardinality — valid whatever the overrides are, and as
-    loose as the search has to cope with (0.0 makes every pair look as
-    good as a merge can be)."""
-
-    def __init__(self, slack, *args):
-        super().__init__(*args)
-        self._slack = slack
-
-    def rows_lower_bound(self, columns, known):
-        return self.rows(columns) * self._slack
 
 
 def assert_same_decisions(result, reference):
@@ -131,6 +125,14 @@ def assert_no_more_effort(result, reference):
         <= reference.merges_evaluated
     )
     assert telemetry.bounds_resolved_late <= telemetry.pair_evaluations
+    # The rungs: a root floor refuses or asks for the full floor, which
+    # refuses or asks for the exact cost.
+    assert telemetry.pairs_refused_at_root <= telemetry.pairs_refused_by_bound
+    assert (
+        telemetry.pairs_refused_by_bound - telemetry.pairs_refused_at_root
+        + telemetry.pair_evaluations
+        <= telemetry.full_floors_computed
+    )
 
 
 def assert_same_search(result, reference):
@@ -186,6 +188,54 @@ def test_storage_bound_and_pruners_bite(workloads):
     assert run("default").iterations > 5
 
 
+def spy_on_merges(monkeypatch, module):
+    """The root kinds of every ``module.subplan_merge`` call from now on."""
+    kinds = []
+    real = module.subplan_merge
+
+    def spy(p1, p2, *args):
+        kinds.append((p1.node.kind, p2.node.kind))
+        return real(p1, p2, *args)
+
+    monkeypatch.setattr(module, "subplan_merge", spy)
+    return kinds
+
+
+def test_operator_roots_are_skipped_not_refused(monkeypatch):
+    """A pair with a CUBE / ROLLUP root has no candidates: it used to be
+    floored to 0.0 and counted as refused by a bound nobody read."""
+    table = make_sales(50_000)
+    queries = containment_workload(SALES_COLUMNS[:4])
+    options = OptimizerOptions(enable_cube=True, enable_rollup=True)
+    # The search calls its own import; the reference imports when called.
+    ours = spy_on_merges(monkeypatch, repro.core.optimizer)
+    theirs = spy_on_merges(monkeypatch, repro.core.merge)
+
+    session = Session.for_table(table, statistics="sampled")
+    result = session.optimize(queries, options)
+    twin = Session.for_table(table, statistics="sampled")
+    reference = reference_search(
+        GbMqoOptimizer(twin.coster(), options), twin.base_table, queries
+    )
+    assert_same_decisions(result, reference)
+
+    plain = (NodeKind.GROUP_BY, NodeKind.GROUP_BY)
+    operator_pairs = sum(kinds != plain for kinds in theirs)
+    assert operator_pairs > 5, "workload no longer roots a CUBE early"
+    assert all(kinds == plain for kinds in ours)
+    assert_no_more_effort(result, reference)
+    # Every pair walked is an operator pair, refused by its root floor,
+    # given a full floor, or still waiting under its root floor at the end.
+    telemetry = result.telemetry
+    assert telemetry.pairs_refused_by_bound > 0
+    assert (
+        operator_pairs
+        + telemetry.pairs_refused_at_root
+        + telemetry.full_floors_computed
+        <= reference.merges_evaluated
+    )
+
+
 class TestNoDeadWork:
     """Sales TC, where a floor refuses most pairs: statistics and exact
     costings are made for the pairs that could win, and for nobody else."""
@@ -209,7 +259,10 @@ class TestNoDeadWork:
             if estimator is session.estimator
         ]
 
-    def test_bound_first_spares_statistics_and_costings(self, counted):
+    def test_bound_first_spares_statistics_and_costings(
+        self, counted, monkeypatch
+    ):
+        merges = spy_on_merges(monkeypatch, repro.core.optimizer)
         table = make_sales(30_000)
         queries = two_column_queries(SALES_COLUMNS)
 
@@ -230,6 +283,13 @@ class TestNoDeadWork:
         assert 4 * result.optimizer_calls <= reference.optimizer_calls
         assert result.telemetry.pairs_refused_by_bound > 0
         assert result.telemetry.bounds_resolved_late > 0
+        # Most pairs are refused by their root edge alone: no candidate
+        # is built for them and no child edge floored.
+        assert result.telemetry.pairs_refused_at_root > 0
+        assert 4 * result.telemetry.full_floors_computed <= (
+            reference.merges_evaluated
+        )
+        assert 4 * len(merges) <= reference.merges_evaluated
 
         # No floor was ever declared as a cardinality.
         whatif = session.cost_model().whatif

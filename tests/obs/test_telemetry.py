@@ -38,6 +38,22 @@ class TestUnit:
         assert "5 pairs pruned" in text
         assert "100 -> 80" in text
 
+    def test_rung_counts_are_reported(self):
+        telemetry = SearchTelemetry(
+            pairs_refused_by_bound=70,
+            pairs_refused_at_root=60,
+            full_floors_computed=15,
+            bounds_resolved_late=4,
+        )
+        text = telemetry.summary()
+        assert "70 pairs refused by bound (60 at the root edge)" in text
+        assert "15 full floors" in text
+        assert "4 costed late" in text
+        snapshot = telemetry.as_dict()
+        assert snapshot["pairs_refused_at_root"] == 60
+        assert snapshot["full_floors_computed"] == 15
+        assert set(snapshot) == set(vars(telemetry))
+
     def test_initial_and_final_cost(self):
         telemetry = SearchTelemetry(best_cost_trajectory=[10.0, 7.0, 6.0])
         assert telemetry.initial_cost == 10.0
@@ -88,6 +104,10 @@ class TestAgainstOptimizer:
             <= telemetry.candidates_considered
         )
         assert telemetry.pair_evaluations <= telemetry.pairs_considered
+        assert (
+            telemetry.pairs_refused_at_root <= telemetry.pairs_refused_by_bound
+        )
+        assert telemetry.pair_evaluations <= telemetry.full_floors_computed
 
     def test_tracer_spans_cover_iterations(self, session):
         queries = single_column_queries(SALES_COLUMNS)

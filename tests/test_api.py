@@ -6,6 +6,7 @@ from repro.api import RunOutcome, Session
 from repro.core.optimizer import OptimizerOptions
 from repro.costmodel.cardinality import CardinalityCostModel
 from repro.costmodel.engine_model import EngineCostModel
+from repro.engine.types import SchemaError
 from repro.workloads.queries import single_column_queries
 
 
@@ -88,6 +89,20 @@ class TestRun:
         result = session.optimize(queries)
         with pytest.raises(ValueError):
             session.execute(result.plan, schedule="reverse")
+
+    @pytest.mark.parametrize("statistics", ["exact", "sampled"])
+    def test_unknown_query_column_names_the_base_table(
+        self, random_table, statistics
+    ):
+        """The sampler's private ``r__sample`` table must not leak into
+        the error, and nothing is costed before the check."""
+        session = Session.for_table(random_table, statistics=statistics)
+        with pytest.raises(SchemaError) as error:
+            session.optimize([frozenset({"mid"}), frozenset({"nope", "low"})])
+        assert str(error.value) == (
+            "table 'r' has no column 'nope' (query (low,nope))"
+        )
+        assert session.coster().optimizer_calls == 0
 
     def test_naive_answers_everything(self, session, queries):
         run = session.run_naive(queries)
