@@ -76,17 +76,6 @@ class AggregateSpec:
         return f"{func_sql} AS {self.alias}"
 
 
-def factorize(array: np.ndarray) -> tuple[np.ndarray, int]:
-    """Map values to dense codes in ``[0, n_distinct)``.
-
-    Returns:
-        (codes, n_distinct).  Codes follow the sorted order of distinct
-        values, so equal inputs always factorize identically.
-    """
-    uniques, inverse = np.unique(array, return_inverse=True)
-    return inverse.astype(np.int64, copy=False), len(uniques)
-
-
 #: Largest composite-code domain the bincount fast path allocates for.
 BINCOUNT_LIMIT = 1 << 22
 

@@ -11,8 +11,10 @@ constant); now:
   runs in O(n) — one ``min``/``max`` pass, one boolean-presence scatter,
   one rank gather — and produces output *bit-identical* to
   ``np.unique(..., return_inverse=True)`` (codes follow the sorted order
-  of the distinct values).  Strings, floats, and wide-range integers fall
-  back to the sort-based path.
+  of the distinct values).  String columns are packed into big-endian
+  integer words and ranked word by word (integer sorts, never a sort of
+  the strings themselves), with the same bit-identical output.  Floats
+  and wide-range integers take the sort-based path.
 * :func:`legacy_encode` is the pre-existing sort-based kernel, kept as the
   reference implementation (tests pin ``encode_column`` against it).
 * :class:`DictionaryCache` is the plan-wide cache the executor threads
@@ -60,7 +62,7 @@ def legacy_encode(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort-based factorize: (codes, distinct_values) via ``np.unique``.
 
     The pre-cache kernel, retained as the reference implementation and
-    the fallback for dtypes the dense-range path cannot handle.
+    the path for floats and integers too wide for the dense range.
     """
     uniques, inverse = np.unique(array, return_inverse=True)
     return inverse.astype(np.int64, copy=False), uniques
@@ -68,6 +70,77 @@ def legacy_encode(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense_range_budget(n_rows: int) -> int:
     return min(max(DENSE_RANGE_SLACK * n_rows, DENSE_RANGE_FLOOR), DENSE_RANGE_LIMIT)
+
+
+def _scatter_rank(shifted: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of ints in ``[0, span)``: (ranks, presence mask)."""
+    present = np.zeros(span, dtype=bool)
+    present[shifted] = True
+    # rank[v] = number of distinct values <= v, minus one: the
+    # dense code of value v in sorted-distinct order.
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    return rank[shifted], present
+
+
+def _dense_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of a non-empty integer array: (ranks, n_distinct)."""
+    lo = key.min()
+    span = int(key.max()) - int(lo) + 1
+    if span <= _dense_range_budget(len(key)):
+        ranks, present = _scatter_rank((key - lo).astype(np.int64), span)
+        return ranks, int(np.count_nonzero(present))
+    order = np.argsort(key)
+    ordered = key[order]
+    sorted_ranks = np.empty(len(key), dtype=np.int64)
+    sorted_ranks[0] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=sorted_ranks[1:])
+    np.cumsum(sorted_ranks, out=sorted_ranks)
+    ranks = np.empty_like(sorted_ranks)
+    ranks[order] = sorted_ranks
+    return ranks, int(sorted_ranks[-1]) + 1
+
+
+def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize a ``U`` column by ranking packed integer words.
+
+    Each character is narrowed to the fewest big-endian bytes that hold
+    the column's largest code point, and each row is zero-padded to
+    whole 8-byte words read as big-endian integers, so integer order
+    of the word tuple is numpy's code-point order of the strings
+    (trailing-NUL padding and ``""`` included).  Words are folded in
+    from the most significant: ``codes * k_j + rank(word_j)`` stays
+    below ``n**2`` and is re-ranked densely, and the fold stops once
+    every row is its own group.  Words equal on every row are skipped.
+    """
+    n = len(array)
+    native = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("="))
+    chars = native.view(np.uint32).reshape(n, native.dtype.itemsize // 4)
+    top = int(chars.max(initial=0))
+    char_bytes = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    width = chars.shape[1] * char_bytes
+    n_words = -(-width // 8)
+    packed = np.zeros((n, n_words * 8), dtype=np.uint8)
+    packed[:, :width] = (
+        chars.astype(f">u{char_bytes}").view(np.uint8).reshape(n, width)
+    )
+    words = packed.view(">u8").T.astype(np.uint64, order="C")
+    # The last word's padding bytes are zero on every row: shifting them
+    # out keeps its order and lets a narrow tail take the dense path.
+    words[-1] >>= np.uint64(8 * (n_words * 8 - width))
+    # k: groups told apart so far — one (every row equal) unless empty.
+    codes, k = np.zeros(n, dtype=np.int64), min(n, 1)
+    for j in np.flatnonzero((words != words[:, :1]).any(axis=1)):
+        if k == n:
+            break
+        if k == 1:
+            codes, k = _dense_rank(words[j])
+        else:
+            word_codes, k_j = _dense_rank(words[j])
+            codes, k = _dense_rank(codes * k_j + word_codes)
+    representative = np.empty(k, dtype=np.intp)
+    representative[codes] = np.arange(n)
+    return codes, array[representative]
 
 
 def encode_column(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +154,11 @@ def encode_column(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     budget take the O(n) path.  A column containing the ``INT_NULL``
     sentinel (``int64`` min) has an astronomically wide span and thus
     falls back to the sort path automatically — no special-casing.
+    String columns of any byte order or stride take
+    :func:`_encode_strings`.
     """
+    if array.dtype.kind == "U":
+        return _encode_strings(array)
     if len(array) and np.issubdtype(array.dtype, np.integer):
         lo = int(array.min())
         hi = int(array.max())
@@ -90,13 +167,7 @@ def encode_column(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         span = hi - lo + 1
         if span <= _dense_range_budget(len(array)):
             shifted = (array - lo).astype(np.int64, copy=False)
-            present = np.zeros(span, dtype=bool)
-            present[shifted] = True
-            # rank[v] = number of distinct values <= v, minus one: the
-            # dense code of value v in sorted-distinct order.
-            rank = np.cumsum(present, dtype=np.int64)
-            rank -= 1
-            codes = rank[shifted]
+            codes, present = _scatter_rank(shifted, span)
             uniques = (np.flatnonzero(present) + lo).astype(
                 array.dtype, copy=False
             )

@@ -57,7 +57,9 @@ def coerce_column(values) -> np.ndarray:
     if np.issubdtype(array.dtype, np.floating):
         return array.astype(np.float64, copy=False)
     if array.dtype.kind == "U":
-        return array
+        # Native byte order, C-contiguous: scans and encodes then read
+        # the column in place instead of copying it each time.
+        return np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("="))
     if array.dtype == object:
         # Mixed python objects: try strings, mapping None to the sentinel.
         as_str = np.array(

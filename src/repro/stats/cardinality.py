@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
-from repro.engine.aggregation import factorize
 from repro.engine.table import Table
 from repro.obs.clock import monotonic
 from repro.stats.distinct import (

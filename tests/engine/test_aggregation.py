@@ -9,11 +9,11 @@ from repro.engine.aggregation import (
     _dense_group_ids,
     BINCOUNT_LIMIT,
     combined_group_codes,
-    factorize,
     group_by,
     reaggregate_specs,
     sorted_group_boundaries,
 )
+from repro.engine.dictcache import encode_column
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
 from repro.engine.types import INT_NULL, SchemaError
@@ -42,13 +42,13 @@ class TestAggregateSpec:
 
 class TestFactorize:
     def test_dense_codes(self):
-        codes, n = factorize(np.array([5, 3, 5, 7]))
-        assert n == 3
+        codes, uniques = encode_column(np.array([5, 3, 5, 7]))
+        assert len(uniques) == 3
         assert codes.max() == 2
 
     def test_deterministic_ordering(self):
-        codes1, _ = factorize(np.array([2, 1, 2]))
-        codes2, _ = factorize(np.array([2, 1, 2]))
+        codes1, _ = encode_column(np.array([2, 1, 2]))
+        codes2, _ = encode_column(np.array([2, 1, 2]))
         assert list(codes1) == list(codes2)
 
 

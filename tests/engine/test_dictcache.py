@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.dictcache import (
     DENSE_RANGE_FLOOR,
@@ -13,7 +14,7 @@ from repro.engine.dictcache import (
     legacy_encode,
 )
 from repro.engine.table import Table
-from repro.engine.types import INT_NULL, SchemaError
+from repro.engine.types import INT_NULL, STR_NULL, SchemaError
 
 
 def assert_same_encoding(array):
@@ -22,6 +23,49 @@ def assert_same_encoding(array):
     np.testing.assert_array_equal(codes, ref_codes)
     np.testing.assert_array_equal(uniques, ref_uniques)
     assert codes.dtype == ref_codes.dtype
+    assert uniques.dtype == ref_uniques.dtype
+
+
+def with_layout(array, big_endian, strided):
+    """The same values as ``array`` in another byte order and/or stride."""
+    if big_endian:
+        array = array.astype(array.dtype.newbyteorder(">"))
+    if strided:
+        spaced = np.full(3 * len(array), "~", dtype=array.dtype)
+        spaced[::3] = array
+        array = spaced[::3]
+    return array
+
+
+#: Characters the string kernel packs into 1, 2 and 4 bytes
+#: (surrogates excluded: they are not text).
+CHARACTERS = [
+    st.characters(max_codepoint=0xFF),
+    st.characters(
+        min_codepoint=0x100, max_codepoint=0xFFFF, exclude_categories=("Cs",)
+    ),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+]
+
+
+@st.composite
+def string_columns(draw):
+    """A ``U`` column in any layout: width 1-40, a small alphabet that
+    may mix NUL and wider characters in, and all-equal, few-distinct,
+    near-unique or all-distinct rows."""
+    width = draw(st.integers(1, 40))
+    character = st.sampled_from("ab\x00") | st.one_of(CHARACTERS)
+    alphabet = draw(st.lists(character, min_size=1, max_size=4))
+    text = st.text(alphabet=alphabet, max_size=width)
+    if draw(st.booleans()):
+        pool = draw(st.lists(text, min_size=1, max_size=3))
+        values = draw(st.lists(st.sampled_from(pool), max_size=40))
+    else:
+        values = draw(st.lists(text, max_size=40, unique=True))
+        if values and draw(st.booleans()):
+            values.append(draw(st.sampled_from(values)))
+    array = np.array(values, dtype=f"U{width}")
+    return with_layout(array, draw(st.booleans()), draw(st.booleans()))
 
 
 class TestEncodeColumn:
@@ -44,6 +88,33 @@ class TestEncodeColumn:
 
     def test_string_column(self):
         assert_same_encoding(np.array(["b", "a", "b", ""], dtype="U3"))
+
+    def test_strings_across_word_boundaries(self):
+        # 1-, 2- and 4-byte characters at widths around 8/16/24 bytes;
+        # rows differ only in their last character or only in their first.
+        for char in ("a", "\u0101", "\U00010001"):
+            for width in range(1, 26):
+                stem = char * (width - 1)
+                array = np.array(
+                    [stem + "b", stem + "a", "b" + stem, stem, stem + "a"],
+                    dtype=f"U{width}",
+                )
+                assert_same_encoding(array)
+
+    @settings(max_examples=300, deadline=None)
+    @given(string_columns())
+    @example(np.array([], dtype="U30"))
+    @example(np.array(["zz"], dtype=">U30"))
+    @example(np.full(2, "same", dtype="U9"))
+    @example(
+        with_layout(
+            np.array(["b", "a\x00b", "b", STR_NULL, "\u00e9", "\U0001F600"]),
+            big_endian=True,
+            strided=True,
+        )
+    )
+    def test_strings_match_reference(self, array):
+        assert_same_encoding(array)
 
     def test_float_column(self):
         assert_same_encoding(np.array([2.5, 1.0, 2.5, -0.5]))

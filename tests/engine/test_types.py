@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.engine.aggregation import AggregateSpec, group_by
+from repro.engine.table import Table
 from repro.engine.types import (
     INT_NULL,
     SchemaError,
@@ -41,6 +43,29 @@ class TestCoerce:
     def test_list_of_strings(self):
         out = coerce_column(["a", "bb"])
         assert out.dtype.kind == "U"
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: a.astype(">U3"),
+            lambda a: np.repeat(a, 2)[::2],
+            lambda a: np.repeat(a, 2).astype(">U3")[::2],
+        ],
+        ids=["big_endian", "strided", "both"],
+    )
+    def test_strings_become_native_contiguous(self, layout):
+        values = np.array(["b", "a", "b", STR_NULL, "é"], dtype="U3")
+        out = coerce_column(layout(values))
+        assert out.dtype == values.dtype
+        assert out.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(out, values)
+        got = group_by(
+            Table("t", {"k": layout(values)}), ["k"], [AggregateSpec.count_star()]
+        )
+        want = group_by(
+            Table("t", {"k": values}), ["k"], [AggregateSpec.count_star()]
+        )
+        assert got.to_rows() == want.to_rows()
 
 
 class TestNulls:
