@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.exhaustive import optimal_plan
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
+from repro.core.pruning import eager_search
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.engine_model import EngineCostModel
 from repro.experiments.harness import make_session
@@ -49,17 +50,15 @@ def test_hill_climber_24_columns(benchmark, wide_session):
 
 
 def test_hill_climber_with_pruning_24_columns(benchmark, wide_session):
+    """The eager Figure 5 loop with both Section 4.3 pruners."""
     session, table = wide_session
     queries = single_column_queries(table.column_names)
-    options = OptimizerOptions(
-        binary_tree_only=True,
-        subsumption_pruning=True,
-        monotonicity_pruning=True,
-    )
+    options = OptimizerOptions(binary_tree_only=True)
 
     def plan():
-        return GbMqoOptimizer(fresh_coster(session), options).optimize(
-            table.name, queries
+        optimizer = GbMqoOptimizer(fresh_coster(session), options)
+        return eager_search(
+            optimizer, table.name, queries, subsumption=True, monotonicity=True
         )
 
     result = benchmark(plan)

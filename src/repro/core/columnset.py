@@ -3,7 +3,7 @@
 A Group By query over relation R is identified by the (frozen) set of its
 grouping columns, as in Section 3.1 of the paper.  This module provides
 construction and formatting helpers plus a bitmask codec used internally
-by the optimizer for fast subset tests during pruning.
+for fast subset tests during pruning.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ def format_columns(columns: Iterable[str]) -> str:
 class BitsetCodec:
     """Maps column sets to integer bitmasks for fast subset algebra.
 
-    The optimizer performs very large numbers of subset / union tests
-    during pruning (Section 4.3); integers make these single machine
-    operations instead of hash-set traversals.
+    The pruners perform very large numbers of subset / union tests
+    (Section 4.3); integers make these single machine operations instead
+    of hash-set traversals.
     """
 
     def __init__(self, universe: Sequence[str]) -> None:

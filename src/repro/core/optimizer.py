@@ -28,10 +28,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from repro.core.columnset import BitsetCodec
 from repro.core.merge import MergeOptions, subplan_merge
 from repro.core.plan import LogicalPlan, NodeKind, SubPlan, naive_plan
-from repro.core.pruning import MonotonicityPruner, SubsumptionPruner
 from repro.core.storage import min_intermediate_storage
 from repro.costmodel.base import PlanCoster
 from repro.obs.clock import monotonic
@@ -39,6 +37,9 @@ from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.telemetry import SearchTelemetry
 from repro.obs.tracer import NOOP_TRACER, Tracer
 
+
+#: Improvements smaller than this are treated as zero.
+EPSILON = 1e-9
 
 #: The rungs a heap entry of the search climbs, cheapest first.
 _ROOT, _FULL, _EXACT = range(3)
@@ -52,13 +53,10 @@ class OptimizerOptions:
         merge_types: SubPlanMerge shapes to consider (Figure 4).
         binary_tree_only: restrict to type (b) merges (Section 4.2's
             binary-tree search space); overrides ``merge_types``.
-        subsumption_pruning: enable Section 4.3.1 pruning.
-        monotonicity_pruning: enable Section 4.3.2 pruning.
         enable_cube / enable_rollup: Section 7.1 operator alternatives.
         cube_max_columns: cap on CUBE candidate width.
         max_storage_bytes: Section 4.4.2 constraint on the minimum
             intermediate storage of any candidate sub-plan (None = off).
-        epsilon: improvements smaller than this are treated as zero.
         debug_verify: run the full static verifier
             (:mod:`repro.analysis`) over the final plan as a
             post-condition and raise on any error-severity diagnostic.
@@ -67,13 +65,10 @@ class OptimizerOptions:
 
     merge_types: tuple[str, ...] = ("a", "b", "c", "d")
     binary_tree_only: bool = False
-    subsumption_pruning: bool = False
-    monotonicity_pruning: bool = False
     enable_cube: bool = False
     enable_rollup: bool = False
     cube_max_columns: int = 5
     max_storage_bytes: float | None = None
-    epsilon: float = 1e-9
     debug_verify: bool = False
 
     def merge_options(self) -> MergeOptions:
@@ -133,7 +128,7 @@ class OptimizationResult:
 
 
 class GbMqoOptimizer:
-    """Figure 5's algorithm with memoized pair merges and pruning.
+    """Figure 5's algorithm with memoized, bound-first pair merges.
 
     Args:
         coster: a :class:`PlanCoster` wrapping the cost model; its
@@ -212,26 +207,13 @@ class GbMqoOptimizer:
         telemetry.best_cost_trajectory.append(naive_cost)
         merge_opts = self.options.merge_options()
 
-        codec = BitsetCodec(
-            sorted({column for query in required_sets for column in query})
-        )
-        monotonicity = (
-            MonotonicityPruner() if self.options.monotonicity_pruning else None
-        )
-        subsumption = (
-            SubsumptionPruner() if self.options.subsumption_pruning else None
-        )
-        pruning = monotonicity is not None or subsumption is not None
-
-        # Forest state: sequence-numbered sub-plans plus their bitmasks
-        # and costs (what every delta of a pair subtracts).
+        # Forest state: sequence-numbered sub-plans and their costs (what
+        # every delta of a pair subtracts).
         forest: dict[int, SubPlan] = {}
-        masks: dict[int, int] = {}
         costs: dict[int, float] = {}
         next_id = 0
         for subplan in plan.subplans:
             forest[next_id] = subplan
-            masks[next_id] = codec.encode(subplan.node.columns)
             costs[next_id] = self._coster.subplan_cost(subplan)
             next_id += 1
 
@@ -253,11 +235,9 @@ class GbMqoOptimizer:
         # delta is below its key, so it is the merge a scan of all pairs
         # in (id1, id2) order would pick.  Entries of merged-away
         # sub-plans are dropped lazily, on whatever rung they wait.
-        walked: set[tuple[int, int]] = set()
         profitable: list[tuple[float, int, int, int, SubPlan | None]] = []
         iterations = 0
         merge_log: list[str] = []
-        epsilon = self.options.epsilon
         coster = self._coster
 
         def root_floor(id1: int, id2: int) -> float:
@@ -287,7 +267,7 @@ class GbMqoOptimizer:
                     floor = delta
             return floor
 
-        def evaluate_pair(id1: int, id2: int) -> bool:
+        def evaluate_pair(id1: int, id2: int) -> None:
             """Cost the pair exactly; queue it if it is profitable."""
             telemetry.pair_evaluations += 1
             p1, p2 = forest[id1], forest[id2]
@@ -298,16 +278,15 @@ class GbMqoOptimizer:
                     telemetry.candidates_rejected_storage += 1
                     continue
                 delta = coster.subplan_cost(candidate) - costs[id1] - costs[id2]
-                if delta >= -epsilon:
+                if delta >= -EPSILON:
                     telemetry.candidates_rejected_cost += 1
                 if delta < best_delta:
                     best_delta, best_candidate = delta, candidate
-            if best_candidate is None or best_delta >= -epsilon:
-                return False
+            if best_candidate is None or best_delta >= -EPSILON:
+                return
             heapq.heappush(
                 profitable, (best_delta, id1, id2, _EXACT, best_candidate)
             )
-            return True
 
         while True:
             iterations += 1
@@ -316,40 +295,15 @@ class GbMqoOptimizer:
             ) as iteration_span:
                 ids = sorted(forest)
                 pair_count = len(ids) * (len(ids) - 1) // 2
-                # Pruning verdicts depend on the whole forest and on walk
-                # order, so with a pruner on every live pair is walked;
-                # otherwise only the pairs not priced yet: all of them at
-                # first, then those of the newest sub-plan (the highest
-                # id), both in (id1, id2) order.
-                if iterations == 1 or pruning:
+                # Each pair is walked once, in (id1, id2) order: every pair
+                # at first, then those of the newest sub-plan (the highest
+                # id).  The rest wait in the heap from an earlier walk.
+                if iterations == 1:
                     walk = list(combinations(ids, 2))
                 else:
                     walk = [(id1, ids[-1]) for id1 in ids[:-1]]
-                if subsumption is not None and walk:
-                    unions = [masks[a] | masks[b] for a, b in walk]
-                    allowed = subsumption.allowed_unions(unions)
-                    walk = [
-                        pair
-                        for pair, union in zip(walk, unions)
-                        if union in allowed
-                    ]
-                    pruned = pair_count - len(walk)
-                    telemetry.pairs_pruned_subsumption += pruned
-                    pair_count = len(walk)
                 telemetry.pairs_considered += pair_count
-                # Pairs monotonicity bars from this iteration's selection.
-                barred: set[tuple[int, int]] = set()
-                for pair in walk:
-                    id1, id2 = pair
-                    if monotonicity is not None:
-                        union_mask = masks[id1] | masks[id2]
-                        if monotonicity.is_pruned(union_mask):
-                            telemetry.pairs_pruned_monotonicity += 1
-                            barred.add(pair)
-                            continue
-                    if pair in walked:
-                        continue
-                    walked.add(pair)
+                for id1, id2 in walk:
                     # A CUBE / ROLLUP root has no candidates and never
                     # merges again: no bound is read for it.
                     if (
@@ -358,52 +312,30 @@ class GbMqoOptimizer:
                     ):
                         continue
                     floor = root_floor(id1, id2)
-                    if floor >= -epsilon:
+                    if floor >= -EPSILON:
                         telemetry.pairs_refused_at_root += 1
                         telemetry.pairs_refused_by_bound += 1
-                        failed = True
-                    elif monotonicity is None:
+                    else:
                         heapq.heappush(
                             profitable, (floor, id1, id2, _ROOT, None)
                         )
-                        failed = False
-                    elif delta_floor(id1, id2) >= -epsilon:
-                        telemetry.pairs_refused_by_bound += 1
-                        failed = True
-                    else:
-                        # Monotonicity needs the verdict now (a failure
-                        # prunes later pairs of this same walk), so with
-                        # it on the floors only spare the pairs they
-                        # refuse.
-                        failed = not evaluate_pair(id1, id2)
-                    if failed and monotonicity is not None:
-                        monotonicity.record_failure(union_mask)
 
                 # A popped entry is dropped for good when one side has been
-                # merged away or monotonicity bars the pair, which never
-                # relents.  Subsumption cannot prune a pair priced earlier:
-                # a union it prunes now was pruned in every earlier
-                # iteration too (merged sub-plans' unions only grow), so
-                # such a pair was never walked and has no entry.
+                # merged away.
                 best = None
                 while profitable and best is None:
                     key, id1, id2, rung, candidate = heapq.heappop(profitable)
-                    if (
-                        id1 not in forest
-                        or id2 not in forest
-                        or (id1, id2) in barred
-                    ):
+                    if id1 not in forest or id2 not in forest:
                         continue
                     if rung == _ROOT:
                         floor = delta_floor(id1, id2)
-                        if floor >= -epsilon:
+                        if floor >= -EPSILON:
                             telemetry.pairs_refused_by_bound += 1
                         else:
                             heapq.heappush(
                                 profitable, (floor, id1, id2, _FULL, None)
                             )
                     elif rung == _FULL:
-                        telemetry.bounds_resolved_late += 1
                         evaluate_pair(id1, id2)
                     else:
                         best = (key, id1, id2, candidate)
@@ -426,10 +358,8 @@ class GbMqoOptimizer:
                 )
                 for stale in (id1, id2):
                     del forest[stale]
-                    del masks[stale]
                     del costs[stale]
                 forest[next_id] = candidate
-                masks[next_id] = codec.encode(candidate.node.columns)
                 costs[next_id] = coster.subplan_cost(candidate)
                 next_id += 1
 
@@ -471,7 +401,7 @@ class GbMqoOptimizer:
                 if self.options.enable_cube
                 else None
             ),
-            epsilon=self.options.epsilon,
+            epsilon=EPSILON,
         )
         check_plan(plan, context)
         self._debug_verify_physical(plan)
@@ -513,7 +443,7 @@ class GbMqoOptimizer:
                 catalog=catalog,
                 base_table=base_table,
                 estimator=getattr(model, "estimator", None),
-                epsilon=self.options.epsilon,
+                epsilon=EPSILON,
             ),
         )
         if diagnostics:

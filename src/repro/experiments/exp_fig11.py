@@ -1,10 +1,16 @@
 """Figure 11 — impact of the pruning techniques (Section 6.6).
 
 Four pruning configurations — None, M (monotonicity), S (subsumption),
-S+M — over SC and TC workloads on lineitem and SALES.  Two panels:
+S+M — over SC and TC workloads on lineitem and SALES, in the
+binary-tree space.  They prune the loop the paper measured, which costs
+every pair it walks (:func:`repro.core.pruning.eager_search`); a fifth
+row per workload is the production search, which prices a pair by a
+floor under its delta first and runs no pruner ("bound-first").
+Columns:
 
 * (a) optimization cost, measured as optimizer calls;
-* (b) run-time reduction of the produced plan vs the naive plan.
+* plan cost under the cost model, over the naive plan's;
+* (b) run-time (and work) reduction of the produced plan vs naive.
 
 Paper finding: S+M cuts optimizer calls by up to ~80% on the TC
 workloads while the plan still reduces naive runtime by > 65%.
@@ -12,35 +18,24 @@ workloads while the plan still reduces naive runtime by > 65%.
 
 from __future__ import annotations
 
-from repro.core.optimizer import OptimizerOptions
-from repro.experiments.harness import (
-    make_session,
-    run_comparison,
-    trace_note,
-)
+from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
+from repro.core.pruning import eager_search
+from repro.experiments.harness import make_session, time_plan, trace_note
 from repro.experiments.report import ExperimentResult
 from repro.workloads.queries import single_column_queries, two_column_queries
 from repro.workloads.sales import SALES_COLUMNS, make_sales
 from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
 
-PRUNING_CONFIGS = (
-    ("None", OptimizerOptions(binary_tree_only=True)),
-    (
-        "M",
-        OptimizerOptions(binary_tree_only=True, monotonicity_pruning=True),
-    ),
-    (
-        "S",
-        OptimizerOptions(binary_tree_only=True, subsumption_pruning=True),
-    ),
-    (
-        "S+M",
-        OptimizerOptions(
-            binary_tree_only=True,
-            subsumption_pruning=True,
-            monotonicity_pruning=True,
-        ),
-    ),
+OPTIONS = OptimizerOptions(binary_tree_only=True)
+
+#: Row label -> ``eager_search`` pruners (the paper's settings), or None
+#: for the production search.
+SEARCHES = (
+    ("eager None", {}),
+    ("eager M", {"monotonicity": True}),
+    ("eager S", {"subsumption": True}),
+    ("eager S+M", {"subsumption": True, "monotonicity": True}),
+    ("bound-first", None),
 )
 
 
@@ -56,8 +51,9 @@ def run(
         title="Impact of pruning techniques (binary-tree space)",
         headers=(
             "Dataset",
-            "Pruning",
+            "Search",
             "Optimizer calls",
+            "Plan cost / naive",
             "Runtime reduction %",
             "Work reduction %",
         ),
@@ -73,18 +69,27 @@ def run(
                 queries = single_column_queries(columns)
             else:
                 queries = two_column_queries(columns)
-            for label, options in PRUNING_CONFIGS:
+            dataset = f"{name} ({workload.lower()})"
+            for label, pruners in SEARCHES:
                 session = make_session(table)
-                comparison = run_comparison(session, queries, options, repeats)
-                if label == "S+M":
+                if pruners is None:
+                    optimization = session.optimize(queries, OPTIONS)
+                else:
+                    optimizer = GbMqoOptimizer(session.coster(), OPTIONS)
+                    optimization = eager_search(
+                        optimizer, session.base_table, queries, **pruners
+                    )
+                comparison = time_plan(session, queries, optimization, repeats)
+                if label == "eager S+M":
                     result.notes.append(
-                        f"{name} ({workload.lower()}) S+M {trace_note(comparison)}"
+                        f"{dataset} S+M {trace_note(comparison)}"
                     )
                 result.rows.append(
                     (
-                        f"{name} ({workload.lower()})",
+                        dataset,
                         label,
-                        comparison.optimization.optimizer_calls,
+                        optimization.optimizer_calls,
+                        optimization.cost / optimization.naive_cost,
                         100.0 * comparison.runtime_reduction,
                         100.0 * comparison.work_reduction,
                     )

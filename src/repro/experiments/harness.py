@@ -151,6 +151,17 @@ def run_comparison(
             timings; tests that compare outputs pass True.
     """
     optimization = session.optimize(queries, options)
+    return time_plan(session, queries, optimization, repeats, keep_results)
+
+
+def time_plan(
+    session: Session,
+    queries: list[frozenset[str]],
+    optimization: OptimizationResult,
+    repeats: int = 1,
+    keep_results: bool = False,
+) -> Comparison:
+    """Time a plan from any search against naive execution."""
     stats_seconds = _statistics_seconds(session)
 
     plan_seconds, execution = _best_of(

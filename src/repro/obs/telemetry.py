@@ -20,8 +20,8 @@ class SearchTelemetry:
 
     Attributes:
         pairs_considered: live sub-plan pairs summed over all iterations
-            (after subsumption filtering; a pair counts again in every
-            iteration it is live, although it is costed only once).
+            (a pair counts again in every iteration it is live, although
+            it is costed only once).
         pair_evaluations: pairs whose merges were enumerated and costed
             exactly (each pair at most once per run).
         pairs_refused_by_bound: pairs never costed exactly because a
@@ -35,10 +35,8 @@ class SearchTelemetry:
             the first, cheapest floor refused: the edge from R to the
             union of the two roots alone, no candidate built.
         full_floors_computed: pairs whose floor over every candidate was
-            computed, because their root floor promised a gain (and, with
-            no pruner on, surfaced in the heap).
-        bounds_resolved_late: pairs costed exactly only when their floor
-            reached the top of the heap, rather than when first walked.
+            computed, because their root floor promised a gain and
+            surfaced in the heap.
         candidates_considered: candidate merges produced by
             ``subplan_merge`` and offered to the cost model.
         candidates_rejected_cost: candidates costed but not improving
@@ -48,7 +46,9 @@ class SearchTelemetry:
         merges_accepted: merges actually applied (= iterations that
             changed the plan).
         pairs_pruned_subsumption: pairs skipped by Section 4.3.1.
-        pairs_pruned_monotonicity: pairs skipped by Section 4.3.2.
+        pairs_pruned_monotonicity: pairs skipped by Section 4.3.2.  Only
+            the eager loop (:func:`repro.core.pruning.eager_search`)
+            prunes; the production search leaves both at 0.
         cost_model_calls: distinct exact costing requests reaching the
             model during the run (the paper's optimizer-call metric);
             floors are not counted.
@@ -61,7 +61,6 @@ class SearchTelemetry:
     pairs_refused_by_bound: int = 0
     pairs_refused_at_root: int = 0
     full_floors_computed: int = 0
-    bounds_resolved_late: int = 0
     candidates_considered: int = 0
     candidates_rejected_cost: int = 0
     candidates_rejected_storage: int = 0
@@ -87,7 +86,6 @@ class SearchTelemetry:
             "pairs_refused_by_bound": self.pairs_refused_by_bound,
             "pairs_refused_at_root": self.pairs_refused_at_root,
             "full_floors_computed": self.full_floors_computed,
-            "bounds_resolved_late": self.bounds_resolved_late,
             "candidates_considered": self.candidates_considered,
             "candidates_rejected_cost": self.candidates_rejected_cost,
             "candidates_rejected_storage": self.candidates_rejected_storage,
@@ -110,8 +108,7 @@ class SearchTelemetry:
             parts.append(
                 f"{self.pairs_refused_by_bound} pairs refused by bound "
                 f"({self.pairs_refused_at_root} at the root edge), "
-                f"{self.full_floors_computed} full floors, "
-                f"{self.bounds_resolved_late} costed late"
+                f"{self.full_floors_computed} full floors"
             )
         pruned = self.pairs_pruned_subsumption + self.pairs_pruned_monotonicity
         if pruned:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
+from repro.core.pruning import eager_search
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
-from tests.core.support import FakeEstimator, reference_search
+from tests.core.support import FakeEstimator
 
 
 def fs(*cols):
@@ -100,14 +101,14 @@ class TestSearchSpaceOptions:
 
     def test_binary_uses_fewer_calls(self):
         # Section 6.5 counted calls of the eager loop, which costs every
-        # pair it walks: that is ``reference_search``.  The production
+        # pair it walks: that is ``eager_search``.  The production
         # search costs a pair only when its floor surfaces, so its own
         # count is checked against the same eager one.
         estimator = FakeEstimator(10_000, {c: 3 for c in "abcdef"})
         queries = [fs(c) for c in "abcdef"]
         binary_options = OptimizerOptions(binary_tree_only=True)
-        eager_full = reference_search(make_optimizer(estimator), "R", queries)
-        eager_binary = reference_search(
+        eager_full = eager_search(make_optimizer(estimator), "R", queries)
+        eager_binary = eager_search(
             make_optimizer(estimator, binary_options), "R", queries
         )
         assert eager_binary.optimizer_calls <= eager_full.optimizer_calls
@@ -143,28 +144,25 @@ class TestSearchSpaceOptions:
 
 
 class TestPruningIntegration:
+    """Section 4.3 on the loop it prunes: ``eager_search``, which costs
+    every pair it walks, as Section 6.6 measured."""
+
     def _speedup_config(self):
         singles = {c: 5 for c in "abcdefgh"}
         return FakeEstimator(100_000, singles), [fs(c) for c in "abcdefgh"]
 
-    def test_pruning_reduces_calls(self):
-        # Against the eager loop Section 6.6 measured: monotonicity needs
-        # each pair's verdict when it is walked, the unpruned production
-        # search does not, so between those two the order can flip.
-        estimator, queries = self._speedup_config()
-        plain = reference_search(
-            make_optimizer(estimator, OptimizerOptions(binary_tree_only=True)),
-            "R",
-            queries,
+    def _eager(self, estimator, queries, **pruners):
+        optimizer = make_optimizer(
+            estimator, OptimizerOptions(binary_tree_only=True)
         )
-        pruned = make_optimizer(
-            estimator,
-            OptimizerOptions(
-                binary_tree_only=True,
-                subsumption_pruning=True,
-                monotonicity_pruning=True,
-            ),
-        ).optimize("R", queries)
+        return eager_search(optimizer, "R", queries, **pruners)
+
+    def test_pruning_reduces_calls(self):
+        estimator, queries = self._speedup_config()
+        plain = self._eager(estimator, queries)
+        pruned = self._eager(
+            estimator, queries, subsumption=True, monotonicity=True
+        )
         assert pruned.optimizer_calls <= plain.optimizer_calls
 
     def test_monotonicity_prunes_supersets_of_failures(self):
@@ -172,11 +170,9 @@ class TestPruningIntegration:
         # Next iteration the pair ((a,b), c) has union {a,b,c}, a
         # superset of the failed {a,c} -> pruned without evaluation.
         estimator = FakeEstimator(1000, {"a": 2, "b": 2, "c": 600})
-        options = OptimizerOptions(
-            binary_tree_only=True, monotonicity_pruning=True
+        result = self._eager(
+            estimator, [fs("a"), fs("b"), fs("c")], monotonicity=True
         )
-        optimizer = make_optimizer(estimator, options)
-        result = optimizer.optimize("R", [fs("a"), fs("b"), fs("c")])
         assert result.pairs_pruned_monotonicity > 0
 
     def test_subsumption_prunes_wider_unions(self):
@@ -184,12 +180,10 @@ class TestPruningIntegration:
         # sub-plans (a,b), (b,c), (c,d), the pair ((a,b),(c,d)) has
         # union (a,b,c,d), a strict superset of (a,b) ∪ (b,c).
         estimator = FakeEstimator(10_000, {c: 6 for c in "abcd"})
-        options = OptimizerOptions(
-            binary_tree_only=True, subsumption_pruning=True
-        )
-        optimizer = make_optimizer(estimator, options)
-        result = optimizer.optimize(
-            "R", [fs("a", "b"), fs("b", "c"), fs("c", "d")]
+        result = self._eager(
+            estimator,
+            [fs("a", "b"), fs("b", "c"), fs("c", "d")],
+            subsumption=True,
         )
         assert result.pairs_pruned_subsumption > 0
 
@@ -201,12 +195,10 @@ class TestPruningIntegration:
         plain = make_optimizer(
             estimator, OptimizerOptions(binary_tree_only=True)
         ).optimize("R", queries)
-        for flags in (
-            {"subsumption_pruning": True},
-            {"monotonicity_pruning": True},
-            {"subsumption_pruning": True, "monotonicity_pruning": True},
+        for pruners in (
+            {"subsumption": True},
+            {"monotonicity": True},
+            {"subsumption": True, "monotonicity": True},
         ):
-            pruned = make_optimizer(
-                estimator, OptimizerOptions(binary_tree_only=True, **flags)
-            ).optimize("R", queries)
+            pruned = self._eager(estimator, queries, **pruners)
             assert pruned.cost == pytest.approx(plain.cost)

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
-from repro.core.pruning import MonotonicityPruner, SubsumptionPruner, minimal_masks
+from repro.core.pruning import (
+    MonotonicityPruner,
+    SubsumptionPruner,
+    eager_search,
+    minimal_masks,
+)
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
-from tests.core.support import FakeEstimator, reference_search
+from tests.core.support import FakeEstimator
 
 
 class TestMinimalMasks:
@@ -92,7 +97,7 @@ class TestPruningMustNotFire:
         # subsumption has nothing to remove.
         singles = {"a": 4.0, "b": 6.0, "c": 9.0}
         plain = optimize_with(50_000, singles)
-        pruned = optimize_with(50_000, singles, subsumption_pruning=True)
+        pruned = optimize_with(50_000, singles, subsumption=True)
         assert pruned.pairs_pruned_subsumption == 0
         assert pruned.cost == pytest.approx(plain.cost)
 
@@ -100,7 +105,7 @@ class TestPruningMustNotFire:
         # Tiny cardinalities relative to the base relation: every merge
         # reduces cost, no failure is ever recorded, nothing is pruned.
         singles = {"a": 2.0, "b": 3.0, "c": 4.0, "d": 5.0}
-        result = optimize_with(200_000, singles, monotonicity_pruning=True)
+        result = optimize_with(200_000, singles, monotonicity=True)
         assert result.pairs_pruned_monotonicity == 0
 
 
@@ -119,14 +124,16 @@ def single_column_instances(draw):
     return base, singles
 
 
-def optimize_with(base, singles, eager=False, **pruning_flags):
+def optimize_with(base, singles, eager=False, **pruners):
+    """The production search, or with ``eager`` or any pruner the eager
+    loop Section 4.3 prunes."""
     estimator = FakeEstimator(base, singles)
     coster = PlanCoster(CardinalityCostModel(estimator))
-    options = OptimizerOptions(binary_tree_only=True, **pruning_flags)
+    options = OptimizerOptions(binary_tree_only=True)
     optimizer = GbMqoOptimizer(coster, options)
     queries = [frozenset([c]) for c in singles]
-    if eager:
-        return reference_search(optimizer, "R", queries)
+    if eager or pruners:
+        return eager_search(optimizer, "R", queries, **pruners)
     return optimizer.optimize("R", queries)
 
 
@@ -135,7 +142,7 @@ def optimize_with(base, singles, eager=False, **pruning_flags):
 def test_subsumption_pruning_sound(instance):
     base, singles = instance
     plain = optimize_with(base, singles)
-    pruned = optimize_with(base, singles, subsumption_pruning=True)
+    pruned = optimize_with(base, singles, subsumption=True)
     assert pruned.cost == pytest.approx(plain.cost)
 
 
@@ -144,7 +151,7 @@ def test_subsumption_pruning_sound(instance):
 def test_monotonicity_pruning_sound(instance):
     base, singles = instance
     plain = optimize_with(base, singles)
-    pruned = optimize_with(base, singles, monotonicity_pruning=True)
+    pruned = optimize_with(base, singles, monotonicity=True)
     assert pruned.cost == pytest.approx(plain.cost)
 
 
@@ -154,7 +161,7 @@ def test_combined_pruning_sound(instance):
     base, singles = instance
     plain = optimize_with(base, singles)
     pruned = optimize_with(
-        base, singles, subsumption_pruning=True, monotonicity_pruning=True
+        base, singles, subsumption=True, monotonicity=True
     )
     assert pruned.cost == pytest.approx(plain.cost)
 
@@ -163,15 +170,14 @@ def test_combined_pruning_sound(instance):
 @given(instance=single_column_instances())
 def test_pruning_never_increases_calls(instance):
     """Section 4.3's claim is about the loop that costs every pair it
-    walks (``reference_search``); the production search, which costs a
-    pair only once its floor surfaces, must stay under that count with
-    the pruners on or off — not under its own unpruned count, since
-    monotonicity forces verdicts at walk time."""
+    walks (``eager_search``): pruned, it makes no more calls than
+    unpruned.  The production search, which costs a pair only once its
+    floor surfaces, stays under the unpruned count too."""
     base, singles = instance
     eager = optimize_with(base, singles, eager=True)
     plain = optimize_with(base, singles)
     pruned = optimize_with(
-        base, singles, subsumption_pruning=True, monotonicity_pruning=True
+        base, singles, subsumption=True, monotonicity=True
     )
     assert plain.optimizer_calls <= eager.optimizer_calls
     assert pruned.optimizer_calls <= eager.optimizer_calls

@@ -3,24 +3,28 @@
 The production search prices each pair by the cheapest floor under its
 delta first (the root edge alone, then every candidate), costs it exactly
 only if each floor still promises a gain when it surfaces in a heap, and
-selects merges from that heap;
-:func:`tests.core.support.reference_search` is the Figure 5 loop as it
-was, costing every pair and rescanning them all each iteration.  Both
-must make the same *decisions* — the same merges in the same order, the
-same plan, costs, trajectory and pruner counts — under every search
-option, while the production search's *effort* (optimizer calls, pairs
-and candidates costed, statistics created) never exceeds the
-reference's.
+selects merges from that heap; :func:`repro.core.pruning.eager_search`
+with no pruner is the Figure 5 loop as it was, costing every pair and
+rescanning them all each iteration.  Both must make the same *decisions*
+— the same merges in the same order, the same plan, costs, trajectory
+and pruner counts — under every search option, while the production
+search's *effort* (optimizer calls, pairs and candidates costed,
+statistics created) never exceeds the reference's.  The Section 4.3
+pruners run only in ``eager_search``; the checks that they bite are
+here too.
 """
+
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.core.merge
 import repro.core.optimizer
+import repro.core.pruning
 from repro.api import Session
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
 from repro.core.plan import NodeKind
+from repro.core.pruning import MonotonicityPruner, eager_search
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
 from repro.stats.cardinality import SampledCardinalityEstimator
@@ -31,33 +35,19 @@ from repro.workloads.queries import (
 )
 from repro.workloads.sales import SALES_COLUMNS, make_sales
 from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
-from tests.core.support import (
-    FakeEstimator,
-    SlackEstimator,
-    reference_search,
-)
+from tests.core.support import FakeEstimator, SlackEstimator
 
 ROWS = 3000
 
 OPTIONS = {
     "default": OptimizerOptions(),
     "binary_tree_only": OptimizerOptions(binary_tree_only=True),
-    "subsumption_pruning": OptimizerOptions(subsumption_pruning=True),
-    "monotonicity_pruning": OptimizerOptions(monotonicity_pruning=True),
-    "both_prunings": OptimizerOptions(
-        subsumption_pruning=True, monotonicity_pruning=True
-    ),
     "enable_cube": OptimizerOptions(enable_cube=True),
     "enable_rollup": OptimizerOptions(enable_rollup=True),
-    # CUBE / ROLLUP roots are the pairs monotonicity must not record.
-    "operators_and_prunings": OptimizerOptions(
-        enable_cube=True,
-        enable_rollup=True,
-        subsumption_pruning=True,
-        monotonicity_pruning=True,
-    ),
     "max_storage_bytes": OptimizerOptions(max_storage_bytes=20_000.0),
 }
+
+CUBE_ROLLUP = OptimizerOptions(enable_cube=True, enable_rollup=True)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +114,6 @@ def assert_no_more_effort(result, reference):
         telemetry.pairs_refused_by_bound + telemetry.pair_evaluations
         <= reference.merges_evaluated
     )
-    assert telemetry.bounds_resolved_late <= telemetry.pair_evaluations
     # The rungs: a root floor refuses or asks for the full floor, which
     # refuses or asks for the exact cost.
     assert telemetry.pairs_refused_at_root <= telemetry.pairs_refused_by_bound
@@ -156,7 +145,7 @@ def test_search_equals_full_rescan(workloads, workload, option_name):
         session.base_table, queries
     )
     twin = Session.for_table(table, statistics="sampled")
-    reference = reference_search(
+    reference = eager_search(
         GbMqoOptimizer(twin.coster(), options), twin.base_table, queries
     )
 
@@ -182,10 +171,14 @@ def test_storage_bound_and_pruners_bite(workloads):
         )
 
     assert run("max_storage_bytes").telemetry.candidates_rejected_storage > 0
-    both = run("both_prunings")
+    assert run("default").iterations > 5
+    session = Session.for_table(table, statistics="sampled")
+    optimizer = GbMqoOptimizer(session.coster())
+    both = eager_search(
+        optimizer, session.base_table, queries, subsumption=True, monotonicity=True
+    )
     assert both.pairs_pruned_subsumption > 0
     assert both.pairs_pruned_monotonicity > 0
-    assert run("default").iterations > 5
 
 
 def spy_on_merges(monkeypatch, module):
@@ -207,14 +200,13 @@ def test_operator_roots_are_skipped_not_refused(monkeypatch):
     table = make_sales(50_000)
     queries = containment_workload(SALES_COLUMNS[:4])
     options = OptimizerOptions(enable_cube=True, enable_rollup=True)
-    # The search calls its own import; the reference imports when called.
     ours = spy_on_merges(monkeypatch, repro.core.optimizer)
-    theirs = spy_on_merges(monkeypatch, repro.core.merge)
+    theirs = spy_on_merges(monkeypatch, repro.core.pruning)
 
     session = Session.for_table(table, statistics="sampled")
     result = session.optimize(queries, options)
     twin = Session.for_table(table, statistics="sampled")
-    reference = reference_search(
+    reference = eager_search(
         GbMqoOptimizer(twin.coster(), options), twin.base_table, queries
     )
     assert_same_decisions(result, reference)
@@ -234,6 +226,66 @@ def test_operator_roots_are_skipped_not_refused(monkeypatch):
         + telemetry.full_floors_computed
         <= reference.merges_evaluated
     )
+
+
+def test_eager_monotonicity_never_records_operator_roots(
+    monkeypatch, workloads
+):
+    """A pair with a CUBE / ROLLUP root has no candidates, so it never
+    pays off; monotonicity must not record that as a failed union, or it
+    would prune the Group By pairs above it."""
+    table, queries = workloads["sales_cont"]
+    walked = spy_on_merges(monkeypatch, repro.core.pruning)
+    recorded = []
+    record_failure = MonotonicityPruner.record_failure
+
+    def spy(pruner, union_mask):
+        # The pair is the caller's: eager_search's loop variables.
+        search = sys._getframe(1).f_locals
+        pair = (search["id1"], search["id2"])
+        recorded.append(tuple(search["forest"][i].node.kind for i in pair))
+        record_failure(pruner, union_mask)
+
+    monkeypatch.setattr(MonotonicityPruner, "record_failure", spy)
+    session = Session.for_table(table, statistics="sampled")
+    optimizer = GbMqoOptimizer(session.coster(), CUBE_ROLLUP)
+    eager_search(optimizer, session.base_table, queries, monotonicity=True)
+    plain = (NodeKind.GROUP_BY, NodeKind.GROUP_BY)
+    assert any(kinds != plain for kinds in walked), "no operator root"
+    assert recorded, "no merge failed: monotonicity had nothing to record"
+    assert all(kinds == plain for kinds in recorded)
+
+
+@pytest.mark.parametrize(
+    "workload, options",
+    [("sales_tc", OptimizerOptions()), ("sales_cont", CUBE_ROLLUP)],
+    ids=["sales_tc", "sales_cont_cube_rollup"],
+)
+def test_search_prices_each_pair_once(
+    monkeypatch, workloads, workload, options
+):
+    """Each pair is walked once: all of them in the first iteration, then
+    only the newest sub-plan's.  So no root floor is read twice for the
+    same two sub-plans in one search.  (Their column sets can repeat: a
+    merge of v1 <= v2 makes a new sub-plan rooted on v2.)"""
+    table, queries = workloads[workload]
+    priced = []
+    root_cost_bound = PlanCoster.root_cost_bound
+
+    def spy(coster, columns, known):
+        # The pair is the caller's: the search's sequence-numbered ids.
+        pair = sys._getframe(1).f_locals
+        priced.append((pair["id1"], pair["id2"]))
+        return root_cost_bound(coster, columns, known)
+
+    monkeypatch.setattr(PlanCoster, "root_cost_bound", spy)
+    session = Session.for_table(table, statistics="sampled")
+    result = GbMqoOptimizer(session.coster(), options).optimize(
+        session.base_table, queries
+    )
+    assert result.telemetry.merges_accepted > 1
+    assert len(priced) > len(queries)
+    assert len(priced) == len(set(priced))
 
 
 class TestNoDeadWork:
@@ -273,7 +325,7 @@ class TestNoDeadWork:
 
         session, twin = fresh(), fresh()
         result = session.optimize(queries)
-        reference = reference_search(
+        reference = eager_search(
             GbMqoOptimizer(twin.coster()), twin.base_table, queries
         )
         assert_same_search(result, reference)
@@ -282,7 +334,6 @@ class TestNoDeadWork:
         assert 4 * result.merges_evaluated <= reference.merges_evaluated
         assert 4 * result.optimizer_calls <= reference.optimizer_calls
         assert result.telemetry.pairs_refused_by_bound > 0
-        assert result.telemetry.bounds_resolved_late > 0
         # Most pairs are refused by their root edge alone: no candidate
         # is built for them and no child edge floored.
         assert result.telemetry.pairs_refused_at_root > 0
@@ -324,8 +375,6 @@ class TestNoDeadWork:
     flags=st.fixed_dictionaries(
         {
             "binary_tree_only": st.booleans(),
-            "subsumption_pruning": st.booleans(),
-            "monotonicity_pruning": st.booleans(),
             "enable_cube": st.booleans(),
             "enable_rollup": st.booleans(),
         }
@@ -341,8 +390,6 @@ class TestNoDeadWork:
     queries={frozenset(q) for q in ("a", "b", "c", "ab", "abc")},
     flags={
         "binary_tree_only": False,
-        "subsumption_pruning": True,
-        "monotonicity_pruning": False,
         "enable_cube": True,
         "enable_rollup": False,
     },
@@ -354,9 +401,8 @@ def test_search_equals_full_rescan_property(
     """Property: same search on random cardinalities, overlapping query
     sets and every combination of search flags.  Deltas tie often here,
     which tests the ``(delta, id1, id2)`` order, and the overrides make
-    costs irregular enough that a pair found profitable is later barred
-    by a pruner, which tests that selection honours the bar.  ``slack``
-    loosens the floors the search selects by."""
+    costs irregular.  ``slack`` loosens the floors the search selects
+    by."""
     options = OptimizerOptions(**flags)
     ordered = sorted(queries, key=sorted)
 
@@ -371,5 +417,5 @@ def test_search_equals_full_rescan_property(
         )
 
     result = optimizer().optimize("R", ordered)
-    reference = reference_search(optimizer(), "R", ordered)
+    reference = eager_search(optimizer(), "R", ordered)
     assert_same_search(result, reference)

@@ -1,9 +1,6 @@
 """Smoke tests: every experiment runs at tiny scale and has the right
 shape (headers, row counts, basic sanity of the reproduced trend)."""
 
-import pytest
-
-from repro.core.optimizer import GbMqoOptimizer
 from repro.experiments import (
     exp_binary_tree,
     exp_fig9,
@@ -16,10 +13,6 @@ from repro.experiments import (
     exp_table2,
     exp_table3,
 )
-from repro.experiments.harness import make_session
-from repro.workloads.queries import two_column_queries
-from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
-from tests.core.support import reference_search
 
 
 class TestTable1:
@@ -90,24 +83,23 @@ class TestBinaryTree:
 class TestFig11:
     def test_pruning_cuts_calls(self):
         """Section 6.6 measured the loop that costs every pair it walks
-        (``reference_search``); each configuration of the production
-        search — which costs a pair only once its floor surfaces, or at
-        walk time under monotonicity — stays under that count."""
+        (``eager_search``): each pruner cuts its calls.  The production
+        search, which costs a pair only once its floor surfaces, cuts
+        them too, and keeps the unpruned plan."""
         result = exp_fig11.run(
             rows=8_000, datasets=("tpc-h",), workloads=("TC",)
         )
         calls = dict(
-            zip(result.column("Pruning"), result.column("Optimizer calls"))
+            zip(result.column("Search"), result.column("Optimizer calls"))
         )
-        session = make_session(make_lineitem(8_000))
-        eager = reference_search(
-            GbMqoOptimizer(session.coster(), exp_fig11.PRUNING_CONFIGS[0][1]),
-            session.base_table,
-            two_column_queries(LINEITEM_SC_COLUMNS),
+        cost = dict(
+            zip(result.column("Search"), result.column("Plan cost / naive"))
         )
-        for label in ("None", "M", "S", "S+M"):
-            assert calls[label] <= eager.optimizer_calls, label
-        assert calls["S"] <= calls["None"]
+        assert len(calls) == 5
+        for label in ("eager M", "eager S", "eager S+M"):
+            assert calls[label] <= calls["eager None"], label
+        assert calls["bound-first"] <= 0.7 * calls["eager None"]
+        assert cost["bound-first"] == cost["eager None"]
 
 
 class TestFig12:

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Session
-from repro.core.optimizer import OptimizerOptions
+from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
+from repro.core.pruning import eager_search
 from repro.engine.table import Table
 from repro.workloads.queries import single_column_queries, two_column_queries
+from tests.conftest import brute_force_group_by, result_as_dict
 
 
 def assert_same_results(session, plan_result, naive_result, queries):
@@ -35,16 +37,25 @@ def random_table(seed, n_rows=800, n_columns=5):
     return Table("t", columns)
 
 
+#: (search options, Section 4.3 pruners): with pruners, the plan is the
+#: eager Figure 5 loop's (``eager_search``), the only one that prunes.
 OPTION_GRID = [
-    OptimizerOptions(),
-    OptimizerOptions(binary_tree_only=True),
-    OptimizerOptions(
-        binary_tree_only=True,
-        subsumption_pruning=True,
-        monotonicity_pruning=True,
+    (OptimizerOptions(), None),
+    (OptimizerOptions(binary_tree_only=True), None),
+    (
+        OptimizerOptions(binary_tree_only=True),
+        {"subsumption": True, "monotonicity": True},
     ),
-    OptimizerOptions(enable_cube=True, enable_rollup=True),
+    (OptimizerOptions(enable_cube=True, enable_rollup=True), None),
 ]
+
+
+def optimize(session, queries, options):
+    options, pruners = options
+    if pruners is None:
+        return session.optimize(queries, options)
+    optimizer = GbMqoOptimizer(session.coster(), options)
+    return eager_search(optimizer, session.base_table, queries, **pruners)
 
 
 @pytest.mark.parametrize("options", OPTION_GRID)
@@ -53,7 +64,7 @@ def test_sc_workload_matches_naive(options, statistics):
     table = random_table(seed=1)
     session = Session.for_table(table, statistics=statistics)
     queries = single_column_queries(table.column_names)
-    result = session.optimize(queries, options)
+    result = optimize(session, queries, options)
     result.plan.validate()
     plan_run = session.execute(result.plan)
     naive_run = session.run_naive(queries)
@@ -66,10 +77,28 @@ def test_tc_workload_matches_naive(options):
     table = random_table(seed=2)
     session = Session.for_table(table, statistics="exact")
     queries = two_column_queries(table.column_names[:5])
-    result = session.optimize(queries, options)
+    result = optimize(session, queries, options)
     plan_run = session.execute(result.plan)
     naive_run = session.run_naive(queries)
     assert_same_results(session, plan_run, naive_run, queries)
+
+
+def test_eager_pruned_plan_matches_brute_force():
+    """A Section 4.3-pruned plan runs through ``Session.execute`` like
+    any other, with every result equal to a row-by-row count."""
+    table = random_table(seed=3, n_rows=2000)
+    session = Session.for_table(table, statistics="exact")
+    queries = two_column_queries(table.column_names[:5])
+    result = optimize(session, queries, OPTION_GRID[2])
+    assert result.pairs_pruned_subsumption > 0
+    assert result.pairs_pruned_monotonicity > 0
+    assert result.telemetry.merges_accepted > 0
+    run = session.execute(result.plan)
+    for query in queries:
+        keys = sorted(query)
+        assert result_as_dict(run.results[query], keys) == (
+            brute_force_group_by(table, keys)
+        ), keys
 
 
 def test_mixed_overlapping_workload():

@@ -43,12 +43,10 @@ class TestUnit:
             pairs_refused_by_bound=70,
             pairs_refused_at_root=60,
             full_floors_computed=15,
-            bounds_resolved_late=4,
         )
         text = telemetry.summary()
         assert "70 pairs refused by bound (60 at the root edge)" in text
         assert "15 full floors" in text
-        assert "4 costed late" in text
         snapshot = telemetry.as_dict()
         assert snapshot["pairs_refused_at_root"] == 60
         assert snapshot["full_floors_computed"] == 15
