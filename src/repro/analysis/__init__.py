@@ -3,10 +3,11 @@
 Two layers, one diagnostic vocabulary:
 
 * **Plan verifier** (:mod:`repro.analysis.verifier`) — a rule-based
-  checker over :class:`~repro.core.plan.LogicalPlan` trees and their
-  serialized JSON form.  Each rule enforces one structural invariant
-  the paper states (edge column containment, required-query coverage,
-  materialization/fan-out consistency, storage bounds, ...) and emits
+  checker over the :class:`~repro.core.plan.LogicalPlan` trees the
+  optimizer builds.  Each rule enforces one structural invariant
+  the paper states that a buildable plan can still break
+  (required-query coverage, answer uniqueness, CUBE/ROLLUP leaves,
+  storage bounds, ...) and emits
   structured :class:`~repro.analysis.diagnostics.Diagnostic` records.
 * **Codebase linter** (:mod:`repro.analysis.linter`) — custom
   ``ast``-module lints over the ``repro`` sources themselves (frozen
@@ -14,8 +15,9 @@ Two layers, one diagnostic vocabulary:
   arrays in engine hot paths, quadratic list membership, bare except,
   un-parameterized generics in ``core``).
 
-Both are exposed through the CLI (``repro lint-plan`` /
-``repro lint-code``) and gated in ``tests/analysis``.
+The plan verifier runs on every ``LogicalPlan.validate()``; the linter
+is exposed through the CLI (``repro lint-code``).  Both are gated in
+``tests/analysis``.
 """
 
 from repro.analysis.dataflow import (
@@ -37,9 +39,7 @@ from repro.analysis.verifier import (
     STRUCTURAL_RULES,
     PlanVerificationError,
     VerifyContext,
-    check_payload,
     check_plan,
-    verify_payload,
     verify_plan,
 )
 
@@ -58,12 +58,10 @@ __all__ = [
     "STRUCTURAL_RULES",
     "Severity",
     "VerifyContext",
-    "check_payload",
     "check_physical_plan",
     "check_plan",
     "lint_paths",
     "lint_source",
-    "verify_payload",
     "verify_physical_plan",
     "verify_plan",
 ]

@@ -33,8 +33,8 @@ The PV016+ rules registered here consume these states; they run
 through the same :func:`~repro.analysis.physrules.verify_physical_plan`
 driver as the structural rules.  Rules marked ``requires`` only run
 when the :class:`AnalysisContext` carries the needed ingredient
-(catalog / estimator), so context-free gates (serialize load paths,
-``PhysicalPlan.check()``) stay cheap while the executor's gate — which
+(catalog / estimator), so the context-free gate
+(``PhysicalPlan.check()``) stays cheap while the executor's gate — which
 has both — runs the full catalog, turning the interval domain into a
 standing cross-check of the cost model's ``est_rows``.
 """
@@ -766,8 +766,8 @@ def check_cache_read_soundness(
 ) -> None:
     """Soundness of serving groupings from the semantic result cache.
 
-    The version clause self-gates on catalog presence so context-free
-    gates (serialized-plan loads, ``PhysicalPlan.check()``) still pass;
+    The version clause self-gates on catalog presence so the
+    context-free gate (``PhysicalPlan.check()``) still passes;
     the executor's gate carries the catalog and turns a stale pinned
     version into a hard error before any cached rows are served.
     """

@@ -1,12 +1,18 @@
 """The plan-invariant rule catalog (verifier Layer 1).
 
 Each rule enforces one structural invariant of the paper's plan model
-over a :class:`~repro.analysis.planview.PlanView`.  Rules are
+over a live :class:`~repro.core.plan.LogicalPlan`.  Rules are
 registered in :data:`PLAN_RULES` with a stable id, the invariant in one
 line, and the paper section that states it — the same triple the docs
 render as the rule catalog.
 
-Rules never mutate the view and never raise on invalid plans; they emit
+Invariants that ``PlanNode`` / ``SubPlan`` already enforce at
+construction (non-empty column sets, strict-subset edges, direct
+answers the node can produce) have no rule: no buildable plan can
+violate them.  The rules here check what a constructible plan can
+still get wrong.
+
+Rules never mutate the plan and never raise on invalid plans; they emit
 :class:`~repro.analysis.diagnostics.Diagnostic` records.  Rules whose
 invariant needs external context (a cost model, a storage limit) declare
 it via ``requires`` and are skipped when the context does not carry it.
@@ -14,17 +20,17 @@ it via ``requires`` and are skipped when the context does not carry it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.analysis.diagnostics import DiagnosticCollector, Severity
-from repro.analysis.planview import NodeView, PlanView
-from repro.core.plan import NodeKind, PlanError, PlanNode
+from repro.core.columnset import format_columns
+from repro.core.plan import LogicalPlan, NodeKind, SubPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.analysis.verifier import VerifyContext
 
-CheckFn = Callable[[PlanView, "VerifyContext", DiagnosticCollector], None]
+CheckFn = Callable[[LogicalPlan, "VerifyContext", DiagnosticCollector], None]
 
 
 @dataclass(frozen=True)
@@ -76,86 +82,30 @@ def plan_rule(
     return register
 
 
-def _fmt(columns: frozenset[str]) -> str:
-    return "(" + ",".join(sorted(columns)) + ")"
+def _located(
+    plan: LogicalPlan,
+) -> Iterator[tuple[SubPlan | None, SubPlan, str]]:
+    """Pre-order ``(parent, node, location)`` over every plan node.
+
+    ``parent`` is None for sub-plan roots (computed from R); the
+    location is the node's tree address, e.g. ``subplans[0].children[1]``.
+    """
+
+    def visit(parent, node, path):
+        yield parent, node, path
+        for i, child in enumerate(node.children):
+            yield from visit(node, child, f"{path}.children[{i}]")
+
+    for i, root in enumerate(plan.subplans):
+        yield from visit(None, root, f"subplans[{i}]")
 
 
-def _answered_by(node: NodeView) -> set[frozenset[str]]:
+def _answered_by(node: SubPlan) -> set[frozenset[str]]:
     """Required queries this single node answers (not its subtree)."""
-    answered: set[frozenset[str]] = set()
-    if node.kind is NodeKind.GROUP_BY and node.required:
+    answered = set(node.direct_answers)
+    if node.node.kind is NodeKind.GROUP_BY and node.required:
         answered.add(node.columns)
-    answered.update(node.direct_answers)
     return answered
-
-
-def _subtree_answers(node: NodeView) -> set[frozenset[str]]:
-    answered: set[frozenset[str]] = set()
-    for sub in node.iter_nodes():
-        answered.update(_answered_by(sub))
-    return answered
-
-
-def _node_can_answer(node: NodeView, query: frozenset[str]) -> bool:
-    """Mirror of ``PlanNode.answers`` that tolerates invalid views."""
-    if node.kind is NodeKind.GROUP_BY:
-        return query == node.columns
-    if node.kind is NodeKind.CUBE:
-        return query <= node.columns
-    if node.kind is NodeKind.ROLLUP:
-        prefixes = {
-            frozenset(node.rollup_order[:i])
-            for i in range(1, len(node.rollup_order) + 1)
-        }
-        return query in prefixes
-    return False
-
-
-@plan_rule(
-    "PV001",
-    "well-formed-node",
-    "Every node has a non-empty column set and a known operator kind.",
-    "§3.1",
-)
-def check_well_formed(view, ctx, out) -> None:
-    for node in view.iter_nodes():
-        if not node.columns:
-            out.emit(
-                "PV001",
-                Severity.ERROR,
-                node.path,
-                "node has an empty grouping column set",
-                hint="every Group By node needs at least one column",
-            )
-        if node.kind is None:
-            out.emit(
-                "PV001",
-                Severity.ERROR,
-                node.path,
-                f"unknown operator kind {node.kind_label!r}",
-                hint="expected one of group_by, cube, rollup",
-            )
-
-
-@plan_rule(
-    "PV002",
-    "edge-column-subset",
-    "On every edge u -> v, v's columns are a strict subset of u's.",
-    "§3.1",
-)
-def check_edge_subset(view, ctx, out) -> None:
-    for parent, child in view.iter_edges():
-        if parent is None:
-            continue
-        if not child.columns < parent.columns:
-            out.emit(
-                "PV002",
-                Severity.ERROR,
-                child.path,
-                f"child {_fmt(child.columns)} is not a strict subset of "
-                f"parent {_fmt(parent.columns)}",
-                hint="a node can only be computed from a coarser grouping",
-            )
 
 
 @plan_rule(
@@ -164,16 +114,14 @@ def check_edge_subset(view, ctx, out) -> None:
     "Every required input query is answered somewhere in the plan.",
     "§3.1",
 )
-def check_required_coverage(view, ctx, out) -> None:
-    answered: set[frozenset[str]] = set()
-    for root in view.roots:
-        answered.update(_subtree_answers(root))
-    for query in sorted(view.required - answered, key=sorted):
+def check_required_coverage(plan, ctx, out) -> None:
+    missing = plan.required - plan.answered_queries()
+    for query in sorted(missing, key=sorted):
         out.emit(
             "PV003",
             Severity.ERROR,
             "plan",
-            f"plan does not answer required query {_fmt(query)}",
+            f"plan does not answer required query {format_columns(query)}",
             hint="add a node (or direct answer) covering the query",
         )
 
@@ -181,37 +129,28 @@ def check_required_coverage(view, ctx, out) -> None:
 @plan_rule(
     "PV004",
     "answer-consistency",
-    "Required marks and direct answers name only input queries the "
-    "node can actually produce.",
+    "Required marks and direct answers name only input queries.",
     "§3.1",
 )
-def check_answer_consistency(view, ctx, out) -> None:
-    for node in view.iter_nodes():
-        if node.required and node.columns not in view.required:
+def check_answer_consistency(plan, ctx, out) -> None:
+    for _, node, path in _located(plan):
+        if node.required and node.columns not in plan.required:
             out.emit(
                 "PV004",
                 Severity.ERROR,
-                node.path,
-                f"node {node.describe()} is marked required but "
-                f"{_fmt(node.columns)} is not an input query",
+                path,
+                f"node {node.node.describe()} is marked required but "
+                f"{format_columns(node.columns)} is not an input query",
                 hint="clear the required flag or add the query to the input",
             )
         for query in sorted(node.direct_answers, key=sorted):
-            if query not in view.required:
+            if query not in plan.required:
                 out.emit(
                     "PV004",
                     Severity.ERROR,
-                    node.path,
-                    f"{_fmt(query)} is answered directly but is not an "
-                    "input query",
-                )
-            elif not _node_can_answer(node, query):
-                out.emit(
-                    "PV004",
-                    Severity.ERROR,
-                    node.path,
-                    f"node {node.describe()} cannot answer {_fmt(query)}",
-                    hint="CUBE answers subsets; ROLLUP answers prefixes",
+                    path,
+                    f"{format_columns(query)} is answered directly but is "
+                    "not an input query",
                 )
 
 
@@ -221,20 +160,19 @@ def check_answer_consistency(view, ctx, out) -> None:
     "No required query is answered by more than one node.",
     "§4.1",
 )
-def check_answer_uniqueness(view, ctx, out) -> None:
-    producers: dict[frozenset[str], list[NodeView]] = {}
-    for node in view.iter_nodes():
+def check_answer_uniqueness(plan, ctx, out) -> None:
+    producers: dict[frozenset[str], list[str]] = {}
+    for _, node, path in _located(plan):
         for query in _answered_by(node):
-            producers.setdefault(query, []).append(node)
-    for query, nodes in sorted(producers.items(), key=lambda kv: sorted(kv[0])):
-        if len(nodes) > 1:
-            paths = ", ".join(node.path for node in nodes)
+            producers.setdefault(query, []).append(path)
+    for query, paths in sorted(producers.items(), key=lambda kv: sorted(kv[0])):
+        if len(paths) > 1:
             out.emit(
                 "PV005",
                 Severity.ERROR,
-                paths,
-                f"required query {_fmt(query)} is answered {len(nodes)} "
-                "times",
+                ", ".join(paths),
+                f"required query {format_columns(query)} is answered "
+                f"{len(paths)} times",
                 hint="SubPlanMerge keeps exactly one producer per query",
             )
 
@@ -242,32 +180,18 @@ def check_answer_uniqueness(view, ctx, out) -> None:
 @plan_rule(
     "PV006",
     "spool-consistency",
-    "A node is materialized iff it has children; CUBE / ROLLUP "
-    "operators are leaves.",
+    "CUBE / ROLLUP operators are leaves.",
     "§3.1, §7.1",
 )
-def check_spool_consistency(view, ctx, out) -> None:
-    for node in view.iter_nodes():
-        if (
-            node.materialized_flag is not None
-            and node.materialized_flag != node.is_materialized
-        ):
-            state = "materialized" if node.is_materialized else "streamed"
+def check_spool_consistency(plan, ctx, out) -> None:
+    for _, node, path in _located(plan):
+        kind = node.node.kind
+        if kind in (NodeKind.CUBE, NodeKind.ROLLUP) and node.children:
             out.emit(
                 "PV006",
                 Severity.ERROR,
-                node.path,
-                f"serialized materialization flag says "
-                f"{node.materialized_flag} but fan-out makes the node "
-                f"{state}",
-                hint="materialization is implied by having children",
-            )
-        if node.kind in (NodeKind.CUBE, NodeKind.ROLLUP) and node.children:
-            out.emit(
-                "PV006",
-                Severity.ERROR,
-                node.path,
-                f"{node.kind_label} node has {len(node.children)} "
+                path,
+                f"{kind.value} node has {len(node.children)} "
                 "children; operator nodes answer queries directly and "
                 "must be leaves",
             )
@@ -280,23 +204,16 @@ def check_spool_consistency(view, ctx, out) -> None:
     "§4.2",
     severity=Severity.WARNING,
 )
-def check_useless_subtree(view, ctx, out) -> None:
-    def visit(node: NodeView) -> bool:
-        useful = bool(_answered_by(node))
-        for child in node.children:
-            useful |= visit(child)
-        if not useful:
-            # Report only the topmost dead node of a dead subtree.
-            return False
-        return True
-
-    for root in view.roots:
-        if not visit(root):
+def check_useless_subtree(plan, ctx, out) -> None:
+    # Report only the topmost dead node of a dead subtree: a sub-plan
+    # root whose whole subtree answers nothing.
+    for i, root in enumerate(plan.subplans):
+        if not root.answered_queries():
             out.emit(
                 "PV007",
                 Severity.WARNING,
-                root.path,
-                f"subtree rooted at {root.describe()} answers no "
+                f"subplans[{i}]",
+                f"subtree rooted at {root.node.describe()} answers no "
                 "required query",
                 hint="the hill climber never creates dead work; drop it",
             )
@@ -309,25 +226,26 @@ def check_useless_subtree(view, ctx, out) -> None:
     "other kinds declare no order.",
     "§7.1",
 )
-def check_rollup_order(view, ctx, out) -> None:
-    for node in view.iter_nodes():
-        if node.kind is NodeKind.ROLLUP:
-            order = node.rollup_order
+def check_rollup_order(plan, ctx, out) -> None:
+    for _, node, path in _located(plan):
+        kind = node.node.kind
+        order = node.node.rollup_order
+        if kind is NodeKind.ROLLUP:
             if len(set(order)) != len(order) or frozenset(order) != node.columns:
                 out.emit(
                     "PV008",
                     Severity.ERROR,
-                    node.path,
+                    path,
                     f"ROLLUP order ({','.join(order)}) does not cover "
-                    f"columns {_fmt(node.columns)} exactly once",
+                    f"columns {format_columns(node.columns)} exactly once",
                     hint="the order must be a permutation of the columns",
                 )
-        elif node.rollup_order:
+        elif order:
             out.emit(
                 "PV008",
                 Severity.ERROR,
-                node.path,
-                f"{node.kind_label} node declares a rollup_order",
+                path,
+                f"{kind.value} node declares a rollup_order",
                 hint="only ROLLUP nodes carry a column order",
             )
 
@@ -339,28 +257,18 @@ def check_rollup_order(view, ctx, out) -> None:
     "§7.1",
     requires=("cube_max_columns",),
 )
-def check_cube_width(view, ctx, out) -> None:
+def check_cube_width(plan, ctx, out) -> None:
     cap = ctx.cube_max_columns
-    for node in view.iter_nodes():
-        if node.kind is NodeKind.CUBE and len(node.columns) > cap:
+    for _, node, path in _located(plan):
+        if node.node.kind is NodeKind.CUBE and len(node.columns) > cap:
             out.emit(
                 "PV009",
                 Severity.ERROR,
-                node.path,
+                path,
                 f"CUBE over {len(node.columns)} columns exceeds the "
                 f"cap of {cap} (lattice is exponential in width)",
                 hint="split the cube or raise cube_max_columns",
             )
-
-
-def _plan_node(node: NodeView) -> PlanNode | None:
-    """Rebuild a PlanNode for costing; None when the view is invalid."""
-    if node.kind is None or not node.columns:
-        return None
-    try:
-        return PlanNode(node.columns, node.kind, node.rollup_order)
-    except PlanError:
-        return None
 
 
 @plan_rule(
@@ -372,26 +280,22 @@ def _plan_node(node: NodeView) -> PlanNode | None:
     severity=Severity.WARNING,
     requires=("coster",),
 )
-def check_cost_monotonicity(view, ctx, out) -> None:
+def check_cost_monotonicity(plan, ctx, out) -> None:
     coster = ctx.coster
-    for parent, child in view.iter_edges():
+    for parent, child, path in _located(plan):
         if parent is None:
             continue
-        parent_node = _plan_node(parent)
-        child_node = _plan_node(child)
-        if parent_node is None or child_node is None:
-            continue
         materialize = child.is_materialized
-        via_parent = coster.edge_cost(parent_node, child_node, materialize)
-        via_base = coster.edge_cost(None, child_node, materialize)
+        via_parent = coster.edge_cost(parent.node, child.node, materialize)
+        via_base = coster.edge_cost(None, child.node, materialize)
         if via_parent > via_base * (1.0 + ctx.epsilon) + ctx.epsilon:
             out.emit(
                 "PV010",
                 Severity.WARNING,
-                child.path,
-                f"edge {_fmt(parent.columns)} -> {_fmt(child.columns)} "
-                f"costs {via_parent:.1f} but the base relation offers "
-                f"{via_base:.1f}",
+                path,
+                f"edge {format_columns(parent.columns)} -> "
+                f"{format_columns(child.columns)} costs {via_parent:.1f} "
+                f"but the base relation offers {via_base:.1f}",
                 hint="compute the node directly from the base relation",
             )
 
@@ -404,18 +308,18 @@ def check_cost_monotonicity(view, ctx, out) -> None:
     "§4.4.2",
     requires=("estimator", "max_storage_bytes"),
 )
-def check_storage_bound(view, ctx, out) -> None:
+def check_storage_bound(plan, ctx, out) -> None:
     estimator = ctx.estimator
     limit = ctx.max_storage_bytes
 
-    def size_of(node: NodeView) -> float:
-        if not node.is_materialized or not node.columns:
+    def size_of(node: SubPlan) -> float:
+        if not node.is_materialized:
             return 0.0
         rows = estimator.rows(node.columns)
         return rows * estimator.row_width(node.columns)
 
-    def storage(node: NodeView) -> float:
-        # The paper's Section 4.4.1 recursion over the view.
+    def storage(node: SubPlan) -> float:
+        # The paper's Section 4.4.1 recursion.
         if not node.children:
             return size_of(node)
         own = size_of(node)
@@ -423,13 +327,13 @@ def check_storage_bound(view, ctx, out) -> None:
         depth_first = own + max(storage(child) for child in node.children)
         return min(breadth_first, depth_first)
 
-    for root in view.roots:
+    for i, root in enumerate(plan.subplans):
         peak = storage(root)
         if peak > limit:
             out.emit(
                 "PV011",
                 Severity.ERROR,
-                root.path,
+                f"subplans[{i}]",
                 f"sub-plan needs at least {peak:.0f} bytes of temp "
                 f"storage; the budget is {limit:.0f}",
                 hint="lower fan-out or raise max_storage_bytes",

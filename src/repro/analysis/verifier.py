@@ -1,15 +1,12 @@
-"""Plan verifier driver: run the rule catalog over a plan or payload.
+"""Plan verifier driver: run the rule catalog over a logical plan.
 
 Entry points:
 
-* :func:`verify_plan` — diagnostics for a live
+* :func:`verify_plan` — diagnostics for a
   :class:`~repro.core.plan.LogicalPlan`;
-* :func:`verify_payload` — diagnostics for the serialized dict form,
-  without ever constructing plan dataclasses (so corrupted payloads are
-  diagnosed, not crashed on);
 * :func:`check_plan` — raise :class:`PlanVerificationError` when any
-  error-severity diagnostic fires (the optimizer's debug post-condition
-  and the serializer's load gate).
+  error-severity diagnostic fires (``LogicalPlan.validate()`` and the
+  optimizer's debug post-condition).
 
 Context-dependent rules (cost monotonicity, storage bounds, CUBE width)
 run only when a :class:`VerifyContext` supplies what they need.
@@ -26,7 +23,6 @@ from repro.analysis.diagnostics import (
     Severity,
 )
 from repro.analysis.planrules import PLAN_RULES
-from repro.analysis.planview import PlanView, view_of_payload, view_of_plan
 from repro.core.plan import LogicalPlan, PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,11 +52,8 @@ class VerifyContext:
 
 
 #: The context-free rule set: structural invariants checkable from the
-#: plan alone.  This is what ``LogicalPlan.validate()`` and the
-#: serializer's load gate run.
+#: plan alone.  This is what ``LogicalPlan.validate()`` runs.
 STRUCTURAL_RULES: tuple[str, ...] = (
-    "PV001",
-    "PV002",
     "PV003",
     "PV004",
     "PV005",
@@ -88,11 +81,22 @@ class PlanVerificationError(PlanError):
         super().__init__(f"plan verification failed: {summary}")
 
 
-def _run_rules(
-    view: PlanView,
-    context: VerifyContext,
-    rules: Iterable[str] | None,
+def verify_plan(
+    plan: LogicalPlan,
+    context: VerifyContext | None = None,
+    rules: Iterable[str] | None = None,
 ) -> list[Diagnostic]:
+    """Run the rule catalog over a plan.
+
+    Args:
+        plan: the plan to verify.
+        context: optional external context for conditional rules.
+        rules: restrict to these rule ids (default: all).
+
+    Returns:
+        Every diagnostic, errors and warnings, in rule order.
+    """
+    context = context or VerifyContext()
     collector = DiagnosticCollector()
     selected = set(rules) if rules is not None else None
     if selected is not None:
@@ -106,37 +110,8 @@ def _run_rules(
             continue
         if any(getattr(context, need) is None for need in rule.requires):
             continue
-        rule.check(view, context, collector)
+        rule.check(plan, context, collector)
     return collector.diagnostics
-
-
-def verify_plan(
-    plan: LogicalPlan,
-    context: VerifyContext | None = None,
-    rules: Iterable[str] | None = None,
-) -> list[Diagnostic]:
-    """Run the rule catalog over a live plan.
-
-    Args:
-        plan: the plan to verify.
-        context: optional external context for conditional rules.
-        rules: restrict to these rule ids (default: all).
-
-    Returns:
-        Every diagnostic, errors and warnings, in rule order.
-    """
-    return _run_rules(view_of_plan(plan), context or VerifyContext(), rules)
-
-
-def verify_payload(
-    payload: dict[str, object],
-    context: VerifyContext | None = None,
-    rules: Iterable[str] | None = None,
-) -> list[Diagnostic]:
-    """Run the rule catalog over a serialized plan dict."""
-    return _run_rules(
-        view_of_payload(payload), context or VerifyContext(), rules
-    )
 
 
 def check_plan(
@@ -150,22 +125,6 @@ def check_plan(
         PlanVerificationError: when any error-severity rule fires.
     """
     diagnostics = verify_plan(plan, context, rules)
-    if any(d.severity is Severity.ERROR for d in diagnostics):
-        raise PlanVerificationError(diagnostics)
-    return diagnostics
-
-
-def check_payload(
-    payload: dict[str, object],
-    context: VerifyContext | None = None,
-    rules: Iterable[str] | None = None,
-) -> list[Diagnostic]:
-    """Payload-form twin of :func:`check_plan`.
-
-    Raises:
-        PlanVerificationError: when any error-severity rule fires.
-    """
-    diagnostics = verify_payload(payload, context, rules)
     if any(d.severity is Severity.ERROR for d in diagnostics):
         raise PlanVerificationError(diagnostics)
     return diagnostics

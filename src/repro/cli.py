@@ -10,7 +10,6 @@ Subcommands::
     python -m repro.cli trace --workload sales --out trace.jsonl
     python -m repro.cli analyze-plan --workload sales [--states]
     python -m repro.cli cache --workload sales --runs 3 [--max-bytes N]
-    python -m repro.cli lint-plan plan.json [--max-storage-bytes N]
     python -m repro.cli lint-code [paths ...]
 
 Every data-taking subcommand reads a CSV or one of the built-in
@@ -32,19 +31,16 @@ Prometheus exposition); ``analyze-plan`` runs the abstract-
 interpretation dataflow analyzer (PV012+) over the physical plan with
 full catalog and cardinality context; ``cache`` runs a workload
 repeatedly with the semantic result cache enabled and reports
-hit/eviction accounting plus the resident entries; ``lint-plan`` runs
-the static plan verifier over a serialized plan; ``lint-code`` runs the
-custom AST lints over the repro sources.
+hit/eviction accounting plus the resident entries; ``lint-code`` runs
+the custom AST lints over the repro sources.
 
 ``explain``, ``trace`` and ``analyze-plan`` accept ``--cache`` to enable
 the semantic result cache for the run (repeated groupings are served
 from cached results instead of rescanning the base relation).
 
 The static-analysis subcommands share one exit-code contract: 0 clean,
-1 findings, 2 usage/input error.  ``lint-plan`` exits 1 only on
-error-severity findings; ``analyze-plan`` and ``lint-code`` exit 1 on
-any finding.  All three accept ``--format json`` for machine-readable
-output.
+1 any finding, 2 usage/input error.  Both accept ``--format json`` for
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -55,14 +51,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.diagnostics import (
-    Severity,
-    format_report,
-    report_as_dict,
-)
+from repro.analysis.diagnostics import format_report, report_as_dict
 from repro.analysis.linter import lint_paths
-from repro.analysis.planview import PlanViewError
-from repro.analysis.verifier import VerifyContext, verify_payload
 from repro.api import Session
 from repro.baselines.grouping_sets import CommercialGroupingSetsPlanner
 from repro.core.visualize import plan_to_dot
@@ -441,70 +431,6 @@ def _split_rules(spec: str | None) -> list[str] | None:
     return [rule.strip() for rule in spec.split(",") if rule.strip()]
 
 
-class _JsonStatsEstimator:
-    """Cardinality source for lint-plan, fed from a stats JSON file.
-
-    The file carries ``{"base_rows": N, "columns": {name: distinct}}``;
-    multi-column sets are estimated under independence, capped at the
-    base row count (the same shape the optimizer tests use).
-    """
-
-    def __init__(self, payload: dict[str, object]) -> None:
-        self.base_rows = int(payload.get("base_rows", 1))
-        self._singles = {
-            str(k): float(v)
-            for k, v in dict(payload.get("columns", {})).items()
-        }
-
-    def rows(self, columns: frozenset[str]) -> float:
-        product = 1.0
-        for column in columns:
-            product *= self._singles.get(column, 1.0)
-        return min(product, float(self.base_rows))
-
-    def row_width(self, columns: frozenset[str]) -> float:
-        return 8.0 * len(columns) + 8.0
-
-
-def cmd_lint_plan(args) -> int:
-    text = Path(args.plan).read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        print(f"error: {args.plan} is not valid JSON: {error}", file=sys.stderr)
-        return 2
-    estimator = None
-    if args.stats:
-        try:
-            estimator = _JsonStatsEstimator(
-                json.loads(Path(args.stats).read_text(encoding="utf-8"))
-            )
-        except json.JSONDecodeError as error:
-            print(
-                f"error: {args.stats} is not valid JSON: {error}",
-                file=sys.stderr,
-            )
-            return 2
-    context = VerifyContext(
-        estimator=estimator,
-        max_storage_bytes=args.max_storage_bytes,
-        cube_max_columns=args.cube_max_columns,
-    )
-    try:
-        diagnostics = verify_payload(
-            payload, context, rules=_split_rules(args.rules)
-        )
-    except PlanViewError as error:
-        print(f"error: malformed plan payload: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    _print_report(diagnostics, args.format)
-    has_errors = any(d.severity is Severity.ERROR for d in diagnostics)
-    return 1 if has_errors else 0
-
-
 def cmd_lint_code(args) -> int:
     if args.paths:
         paths = args.paths
@@ -767,39 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     format_option(cache)
     cache.set_defaults(fn=cmd_cache)
-
-    lint_plan = sub.add_parser(
-        "lint-plan",
-        help="statically verify a serialized logical plan (JSON)",
-        epilog="exit status: 0 = no error-severity findings, 1 = at "
-        "least one error finding (warnings alone exit 0), 2 = usage or "
-        "input error",
-    )
-    lint_plan.add_argument(
-        "plan", help="plan JSON file (repro.core.serialize format)"
-    )
-    lint_plan.add_argument(
-        "--max-storage-bytes",
-        type=float,
-        default=None,
-        help="enable the Section 4.4.2 storage-bound rule (PV011)",
-    )
-    lint_plan.add_argument(
-        "--cube-max-columns",
-        type=int,
-        default=None,
-        help="enable the CUBE width-cap rule (PV009)",
-    )
-    lint_plan.add_argument(
-        "--stats",
-        help="stats JSON ({'base_rows': N, 'columns': {name: distinct}}) "
-        "enabling cardinality-dependent rules",
-    )
-    lint_plan.add_argument(
-        "--rules", help="comma-separated rule ids to run (default: all)"
-    )
-    format_option(lint_plan)
-    lint_plan.set_defaults(fn=cmd_lint_plan)
 
     lint_code = sub.add_parser(
         "lint-code",

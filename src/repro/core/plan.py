@@ -242,9 +242,11 @@ class LogicalPlan:
     def validate(self) -> None:
         """Run the context-free verifier rules over this plan.
 
-        Delegates to :mod:`repro.analysis` (rules PV001-PV008): edge
-        column containment, required-query coverage and uniqueness,
-        answer consistency, spool consistency, and ROLLUP order.
+        Delegates to :mod:`repro.analysis` (rules PV003-PV008):
+        required-query coverage and uniqueness, answer consistency,
+        spool consistency, and ROLLUP order.  The invariants this
+        module's constructors already enforce (non-empty columns,
+        strict-subset edges, answerable direct answers) need no rule.
 
         Raises:
             PlanError: when any error-severity rule fires (the raised

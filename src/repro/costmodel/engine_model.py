@@ -102,8 +102,10 @@ class ModeChoice:
 
     Attributes:
         mode: ``'serial'`` or ``'morsel'`` — auto mode never picks
-            ``'wavefront'``: node-level threads contend on the memory
-            bus and the GIL, so its modeled cost equals serial's.
+            ``'wavefront'`` because the model does not price it yet
+            (its modeled cost is serial's), although measured
+            wavefront runs beat serial by 2.1-2.4x on ``sales_tc`` on
+            a quiet 2-vCPU machine (``docs/performance.md``).
         morsels: morsel count the morsel mode would use.
         serial_cost / wavefront_cost / morsel_cost: modeled costs.
         reason: one-line explanation of the decision (EXPLAIN output).
@@ -367,8 +369,10 @@ class EngineCostModel:
         scan = rows * self._base_row_width * READ_BYTE
         group_cpu = rows * HASH_CPU
         serial_cost = groupings * (scan + group_cpu)
-        # Node-level thread waves contend on the memory bus (and, for
-        # small kernels, the GIL): no modeled win over serial.
+        # Unpriced: the model has no term for node-level thread waves,
+        # so wavefront costs what serial does.  Measured, it is not
+        # serial: 2.1-2.4x faster on sales_tc on a quiet 2-vCPU
+        # machine, less under contention (docs/performance.md).
         wavefront_cost = serial_cost
         morsels = morsel_count(int(rows), parallelism)
         morsel_cost = (

@@ -18,7 +18,6 @@ same operator set.
 """
 
 from repro.physical.plan import (
-    OP_TYPES,
     CubeExpand,
     DropTemp,
     GroupingOperator,
@@ -38,7 +37,6 @@ from repro.physical.plan import (
 from repro.physical.lowering import lower
 
 __all__ = [
-    "OP_TYPES",
     "CubeExpand",
     "DropTemp",
     "GroupingOperator",

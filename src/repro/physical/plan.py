@@ -23,7 +23,6 @@ memory-budget check consumes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator
 
@@ -55,7 +54,7 @@ class PhysicalOperator:
     est_mem_bytes: float = 0.0
 
     #: Stable operator name; also the suffix of the operator's span
-    #: (``execute.<op_name>``) and its serialized ``"op"`` tag.
+    #: (``execute.<op_name>``).
     op_name: ClassVar[str] = "op"
 
     def inputs(self) -> tuple[int, ...]:
@@ -64,20 +63,6 @@ class PhysicalOperator:
 
     def describe(self) -> str:
         return self.op_name
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-compatible form (tuples become lists)."""
-        payload: dict[str, object] = {"op": self.op_name}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            payload[field.name] = _jsonable(value)
-        return payload
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_jsonable(item) for item in value]
-    return value
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -329,24 +314,6 @@ class DropTemp(PhysicalOperator):
         return f"DropTemp {self.temp}"
 
 
-#: Serialization registry: operator tag -> operator class.
-OP_TYPES: dict[str, type[PhysicalOperator]] = {
-    cls.op_name: cls
-    for cls in (
-        Scan,
-        IndexScan,
-        HashGroupBy,
-        SortGroupBy,
-        Reaggregate,
-        CubeExpand,
-        RollupExpand,
-        CacheRead,
-        Materialize,
-        DropTemp,
-    )
-}
-
-
 @dataclass(frozen=True)
 class PhysicalPipeline:
     """A maximal chain of operators one worker runs start to finish.
@@ -412,10 +379,8 @@ class PhysicalPlan:
         waves: optional parallel schedule over the same pipelines.
         memory_budget_bytes: plan-wide transient-memory budget the
             lowering honored, or None for unbounded.
-        mode: one of :data:`EXECUTION_MODES`; the empty string (the
-            default) derives the historical mapping — ``wavefront``
-            when waves are present, ``serial`` otherwise — keeping
-            pre-morsel constructors and payloads valid.
+        mode: one of :data:`EXECUTION_MODES`; ``wavefront`` and
+            ``morsel`` need ``waves``.
     """
 
     relation: str
@@ -423,12 +388,9 @@ class PhysicalPlan:
     pipelines: tuple[PhysicalPipeline, ...]
     waves: tuple[PhysicalWave, ...] | None = None
     memory_budget_bytes: float | None = None
-    mode: str = ""
+    mode: str = "serial"
 
     def __post_init__(self) -> None:
-        if not self.mode:
-            derived = "wavefront" if self.waves is not None else "serial"
-            object.__setattr__(self, "mode", derived)
         if self.mode not in EXECUTION_MODES:
             raise PhysicalPlanError(
                 f"unknown execution mode {self.mode!r}; "

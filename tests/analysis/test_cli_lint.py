@@ -1,119 +1,10 @@
-"""CLI coverage for the lint-plan / lint-code / analyze-plan
-subcommands and their shared exit-code + --format json contract."""
+"""CLI coverage for the lint-code / analyze-plan subcommands and their
+shared exit-code + --format json contract."""
 
 import json
 
-import pytest
-
+from repro.api import Session
 from repro.cli import main
-from repro.core.plan import LogicalPlan, SubPlan
-from repro.core.serialize import plan_to_dict
-
-
-def fs(*columns):
-    return frozenset(columns)
-
-
-@pytest.fixture
-def valid_plan_path(tmp_path):
-    plan = LogicalPlan(
-        "R",
-        (SubPlan.leaf(fs("a")), SubPlan.leaf(fs("b"))),
-        frozenset([fs("a"), fs("b")]),
-    )
-    path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan_to_dict(plan)))
-    return path
-
-
-class TestLintPlan:
-    def test_clean_plan_exits_zero(self, valid_plan_path, capsys):
-        assert main(["lint-plan", str(valid_plan_path)]) == 0
-        assert "no diagnostics" in capsys.readouterr().out
-
-    def test_invalid_plan_exits_one_and_names_rule(self, tmp_path, capsys):
-        payload = {
-            "version": 1,
-            "relation": "R",
-            "required": [["a"], ["b"]],
-            "subplans": [
-                {"columns": ["a"], "kind": "group_by", "required": True}
-            ],
-        }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        assert main(["lint-plan", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "PV003" in out
-        assert "does not answer" in out
-
-    def test_rule_selection(self, tmp_path, capsys):
-        payload = {
-            "version": 1,
-            "relation": "R",
-            "required": [["a"]],
-            "subplans": [],
-        }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        assert main(["lint-plan", str(path), "--rules", "PV002"]) == 0
-
-    def test_storage_rule_needs_stats(self, tmp_path, capsys):
-        payload = {
-            "version": 1,
-            "relation": "R",
-            "required": [["a"], ["b"], ["a", "b"]],
-            "subplans": [
-                {
-                    "columns": ["a", "b"],
-                    "kind": "group_by",
-                    "required": True,
-                    "children": [
-                        {"columns": ["a"], "kind": "group_by", "required": True},
-                        {"columns": ["b"], "kind": "group_by", "required": True},
-                    ],
-                }
-            ],
-        }
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(payload))
-        # Without stats the storage rule cannot run: plan is clean.
-        assert (
-            main(["lint-plan", str(plan_path), "--max-storage-bytes", "1"])
-            == 0
-        )
-        stats_path = tmp_path / "stats.json"
-        stats_path.write_text(
-            json.dumps({"base_rows": 10_000, "columns": {"a": 50, "b": 80}})
-        )
-        code = main(
-            [
-                "lint-plan",
-                str(plan_path),
-                "--max-storage-bytes",
-                "1",
-                "--stats",
-                str(stats_path),
-            ]
-        )
-        assert code == 1
-        assert "PV011" in capsys.readouterr().out
-
-    def test_garbage_json_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "junk.json"
-        path.write_text("{not json")
-        assert main(["lint-plan", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_missing_file_exits_two(self, tmp_path):
-        assert main(["lint-plan", str(tmp_path / "absent.json")]) == 2
-
-    def test_unknown_rule_id_exits_two(self, valid_plan_path, capsys):
-        # A typo'd rule id must not silently report a clean plan.
-        assert main(["lint-plan", str(valid_plan_path), "--rules", "PV999"]) == 2
-        assert "unknown plan rule" in capsys.readouterr().err
-
-
 class TestLintCode:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
@@ -156,16 +47,6 @@ class TestLintCode:
         assert record["rule"] == "CL201"
         assert record["severity"] == "error"
         assert record["location"].endswith("dirty.py:3")
-
-
-class TestLintPlanJson:
-    def test_clean_json_report(self, valid_plan_path, capsys):
-        assert (
-            main(["lint-plan", str(valid_plan_path), "--format", "json"])
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {"diagnostics": [], "errors": 0, "warnings": 0}
 
 
 class TestAnalyzePlan:
@@ -229,16 +110,31 @@ class TestAnalyzePlan:
         assert code == 2
         assert "unknown physical rule" in capsys.readouterr().err
 
-    def test_parallel_lowering_clean(self, capsys):
-        code = main(
-            [
-                "analyze-plan",
-                "--workload",
-                "lineitem",
-                "--rows",
-                "800",
-                "--parallelism",
-                "2",
-            ]
-        )
-        assert code == 0
+    def test_parallel_lowering_clean(self, capsys, monkeypatch):
+        # 800 rows is below the morsel floor, where auto lowers a serial
+        # plan: force each parallel mode and check the plan carries it.
+        lowered = []
+        lower = Session.lower
+
+        def spy(self, *args, **kwargs):
+            lowered.append(lower(self, *args, **kwargs))
+            return lowered[-1]
+
+        monkeypatch.setattr(Session, "lower", spy)
+        for mode in ("wavefront", "morsel"):
+            code = main(
+                [
+                    "analyze-plan",
+                    "--workload",
+                    "lineitem",
+                    "--rows",
+                    "800",
+                    "--parallelism",
+                    "2",
+                    "--mode",
+                    mode,
+                ]
+            )
+            assert code == 0
+            assert lowered[-1].mode == mode
+            assert lowered[-1].waves

@@ -1,8 +1,8 @@
 """One provoked violation per plan-verifier rule, plus driver behavior.
 
-Invalid structures are injected through the serialized payload form —
-the frozen plan dataclasses refuse to construct most of them, which is
-exactly why the verifier operates on a validation-free view.
+Every violation is a plan the tests build: the rules check what a
+constructible ``LogicalPlan`` can still get wrong (the constructors
+reject the rest).
 """
 
 import pytest
@@ -14,12 +14,10 @@ from repro.analysis import (
     Severity,
     VerifyContext,
     check_plan,
-    verify_payload,
     verify_plan,
 )
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
-from repro.core.plan import LogicalPlan, PlanError, PlanNode, SubPlan
-from repro.core.serialize import plan_to_dict
+from repro.core.plan import LogicalPlan, NodeKind, PlanError, PlanNode, SubPlan
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
 from tests.core.support import FakeEstimator
@@ -29,19 +27,8 @@ def fs(*columns):
     return frozenset(columns)
 
 
-def node_payload(columns, **extra):
-    payload = {"columns": sorted(columns), "kind": "group_by"}
-    payload.update(extra)
-    return payload
-
-
-def plan_payload(subplans, required):
-    return {
-        "version": 1,
-        "relation": "R",
-        "required": sorted(sorted(q) for q in required),
-        "subplans": subplans,
-    }
+def plan_of(subplans, required):
+    return LogicalPlan("R", tuple(subplans), frozenset(required))
 
 
 def rules_fired(diagnostics):
@@ -51,118 +38,85 @@ def rules_fired(diagnostics):
 class TestRuleViolations:
     """Each rule catches its invariant violation (acceptance criterion)."""
 
-    def test_pv001_empty_columns_and_unknown_kind(self):
-        payload = plan_payload(
-            [
-                {"columns": [], "kind": "group_by", "required": False},
-                {"columns": ["a"], "kind": "median_by", "required": False},
-            ],
-            [],
-        )
-        fired = rules_fired(verify_payload(payload))
-        assert "PV001" in fired
-
-    def test_pv002_child_not_strict_subset(self):
-        child = node_payload(["a", "z"], required=True)
-        parent = node_payload(["a", "b"], children=[child])
-        payload = plan_payload([parent], [fs("a", "z")])
-        diagnostics = verify_payload(payload)
-        assert "PV002" in rules_fired(diagnostics)
-        [d] = [d for d in diagnostics if d.rule == "PV002"]
-        assert d.severity is Severity.ERROR
-        assert "subplans[0].children[0]" in d.location
-
     def test_pv003_required_query_unanswered(self):
-        payload = plan_payload(
-            [node_payload(["a"], required=True)], [fs("a"), fs("b")]
-        )
-        assert "PV003" in rules_fired(verify_payload(payload))
+        plan = plan_of([SubPlan.leaf(fs("a"))], [fs("a"), fs("b")])
+        diagnostics = verify_plan(plan)
+        assert rules_fired(diagnostics) == {"PV003"}
+        [d] = diagnostics
+        assert d.severity is Severity.ERROR
+        assert "(b)" in d.message
 
     def test_pv004_required_mark_without_input_query(self):
-        payload = plan_payload([node_payload(["a"], required=True)], [])
-        assert "PV004" in rules_fired(verify_payload(payload))
+        parent = SubPlan(
+            PlanNode(fs("a", "b")), (SubPlan.leaf(fs("a")),), required=True
+        )
+        plan = plan_of([parent], [fs("a", "b")])
+        diagnostics = verify_plan(plan)
+        [d] = [d for d in diagnostics if d.rule == "PV004"]
+        assert d.location == "subplans[0].children[0]"
+        assert "is not an input query" in d.message
 
-    def test_pv004_direct_answer_node_cannot_produce(self):
-        cube = {
-            "columns": ["a", "b"],
-            "kind": "cube",
-            "direct_answers": [["c"]],
-        }
-        payload = plan_payload([cube], [fs("c")])
-        assert "PV004" in rules_fired(verify_payload(payload))
+    def test_pv004_direct_answer_not_input_query(self):
+        cube = SubPlan(
+            PlanNode(fs("a", "b"), NodeKind.CUBE),
+            direct_answers=frozenset([fs("a")]),
+        )
+        plan = plan_of([cube, SubPlan.leaf(fs("b"))], [fs("b")])
+        assert "PV004" in rules_fired(verify_plan(plan))
 
     def test_pv005_query_answered_twice(self):
-        payload = plan_payload(
+        plan = plan_of(
             [
-                node_payload(["a"], required=True),
-                node_payload(
-                    ["a", "b"],
-                    required=False,
-                    children=[node_payload(["a"], required=True)],
-                ),
+                SubPlan.leaf(fs("a")),
+                SubPlan(PlanNode(fs("a", "b")), (SubPlan.leaf(fs("a")),)),
             ],
             [fs("a")],
         )
-        assert "PV005" in rules_fired(verify_payload(payload))
-
-    def test_pv006_materialized_flag_contradicts_fanout(self):
-        payload = plan_payload(
-            [node_payload(["a"], required=True, materialized=True)],
-            [fs("a")],
-        )
-        assert "PV006" in rules_fired(verify_payload(payload))
+        [d] = [d for d in verify_plan(plan) if d.rule == "PV005"]
+        assert d.location == "subplans[0], subplans[1].children[0]"
 
     def test_pv006_cube_with_children(self):
-        cube = {
-            "columns": ["a", "b"],
-            "kind": "cube",
-            "direct_answers": [["a"]],
-            "children": [node_payload(["b"], required=True)],
-        }
-        payload = plan_payload([cube], [fs("a"), fs("b")])
-        assert "PV006" in rules_fired(verify_payload(payload))
+        cube = SubPlan(
+            PlanNode(fs("a", "b"), NodeKind.CUBE),
+            (SubPlan.leaf(fs("b")),),
+            direct_answers=frozenset([fs("a")]),
+        )
+        plan = plan_of([cube], [fs("a"), fs("b")])
+        assert "PV006" in rules_fired(verify_plan(plan))
 
     def test_pv007_dead_subtree_is_warning(self):
-        payload = plan_payload(
-            [
-                node_payload(["a"], required=True),
-                node_payload(["b"], required=False),
-            ],
+        plan = plan_of(
+            [SubPlan.leaf(fs("a")), SubPlan.leaf(fs("b"), required=False)],
             [fs("a")],
         )
-        diagnostics = verify_payload(payload)
+        diagnostics = verify_plan(plan)
         [d] = [d for d in diagnostics if d.rule == "PV007"]
         assert d.severity is Severity.WARNING
-        assert "subplans[1]" in d.location
+        assert d.location == "subplans[1]"
 
     def test_pv008_rollup_order_mismatch(self):
-        rollup = {
-            "columns": ["a", "b"],
-            "kind": "rollup",
-            "rollup_order": ["a", "c"],
-            "direct_answers": [["a"]],
-        }
-        payload = plan_payload([rollup], [fs("a")])
-        assert "PV008" in rules_fired(verify_payload(payload))
+        rollup = SubPlan(
+            PlanNode(fs("a", "b"), NodeKind.ROLLUP, ("a", "b", "a")),
+            direct_answers=frozenset([fs("a")]),
+        )
+        plan = plan_of([rollup], [fs("a")])
+        assert "PV008" in rules_fired(verify_plan(plan))
 
     def test_pv008_group_by_with_rollup_order(self):
-        payload = plan_payload(
-            [node_payload(["a"], required=True, rollup_order=["a"])],
-            [fs("a")],
-        )
-        assert "PV008" in rules_fired(verify_payload(payload))
+        leaf = SubPlan(PlanNode(fs("a"), rollup_order=("a",)), (), True)
+        plan = plan_of([leaf], [fs("a")])
+        assert "PV008" in rules_fired(verify_plan(plan))
 
     def test_pv009_cube_wider_than_cap(self):
-        cube = {
-            "columns": ["a", "b", "c", "d"],
-            "kind": "cube",
-            "direct_answers": [["a"]],
-        }
-        payload = plan_payload([cube], [fs("a")])
+        cube = SubPlan(
+            PlanNode(fs("a", "b", "c", "d"), NodeKind.CUBE),
+            direct_answers=frozenset([fs("a")]),
+        )
+        plan = plan_of([cube], [fs("a")])
         context = VerifyContext(cube_max_columns=3)
-        assert "PV009" in rules_fired(verify_payload(payload, context))
+        assert "PV009" in rules_fired(verify_plan(plan, context))
         # Without a cap in context the rule is skipped entirely.
-        assert "PV009" not in rules_fired(verify_payload(payload))
+        assert "PV009" not in rules_fired(verify_plan(plan))
 
     def test_pv010_edge_costlier_than_base(self):
         # (a,b) is almost as large as R, so scanning it for (a) costs
@@ -222,20 +176,6 @@ class TestDriver:
         )
         assert verify_plan(plan) == []
 
-    def test_payload_and_plan_forms_agree(self):
-        plan = LogicalPlan(
-            "R",
-            (
-                SubPlan(
-                    PlanNode(fs("a", "b")),
-                    (SubPlan.leaf(fs("a")),),
-                    required=True,
-                ),
-            ),
-            frozenset([fs("a"), fs("a", "b")]),
-        )
-        assert verify_payload(plan_to_dict(plan)) == verify_plan(plan)
-
     def test_check_plan_raises_plan_error_subclass(self):
         plan = LogicalPlan("R", (SubPlan.leaf(fs("a")),), frozenset([fs("b")]))
         with pytest.raises(PlanVerificationError) as excinfo:
@@ -255,8 +195,8 @@ class TestDriver:
 
     def test_rule_selection(self):
         plan = LogicalPlan("R", (SubPlan.leaf(fs("a")),), frozenset([fs("b")]))
-        only_subset = verify_plan(plan, rules=["PV002"])
-        assert only_subset == []
+        only_uniqueness = verify_plan(plan, rules=["PV005"])
+        assert only_uniqueness == []
 
     def test_every_rule_documents_its_paper_section(self):
         for rule in PLAN_RULES.values():

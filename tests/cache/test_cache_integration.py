@@ -13,10 +13,6 @@ from repro.analysis.physrules import check_physical_plan
 from repro.analysis.verifier import PlanVerificationError
 from repro.api import Session
 from repro.cache import CacheConfig
-from repro.core.serialize import (
-    physical_plan_from_json,
-    physical_plan_to_json,
-)
 from repro.obs.metrics import MetricsRegistry
 from repro.physical.plan import CacheRead, Reaggregate
 from repro.workloads.queries import combi_workload
@@ -191,19 +187,6 @@ class TestEvictionFallback:
         cold = Session.for_table(make_sales(4_000), statistics="exact")
         expected = cold.execute(cold.optimize(queries).plan)
         assert_results_equal(expected, warm, queries)
-
-
-class TestSerializeRoundTrip:
-    def test_cache_read_round_trips(self):
-        session = sales_session(cache=True)
-        session.execute(session.optimize([frozenset({"city", "state"})]).plan)
-        for plan in (
-            session.optimize([frozenset({"city", "state"})]).plan,  # exact
-            session.optimize([frozenset({"state"})]).plan,  # derived
-        ):
-            physical = session.lower(plan)
-            rebuilt = physical_plan_from_json(physical_plan_to_json(physical))
-            assert rebuilt == physical
 
 
 class TestMetricsAndConfig:

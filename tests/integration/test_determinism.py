@@ -6,7 +6,6 @@ given the same seeds.
 """
 
 from repro.api import Session
-from repro.core.serialize import plan_to_json
 from repro.workloads.queries import single_column_queries
 from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
 
@@ -38,20 +37,20 @@ class TestPlannerDeterminism:
         session2, _ = build()
         plan1 = session1.optimize(queries).plan
         plan2 = session2.optimize(queries).plan
-        assert plan_to_json(plan1) == plan_to_json(plan2)
+        assert plan1 == plan2
 
     def test_same_plan_within_session(self):
         session, queries = build()
         first = session.optimize(queries)
         second = session.optimize(queries)
-        assert plan_to_json(first.plan) == plan_to_json(second.plan)
+        assert first.plan == second.plan
         assert first.cost == second.cost
 
     def test_exact_statistics_also_deterministic(self):
         session1, queries = build(statistics="exact")
         session2, _ = build(statistics="exact")
-        assert plan_to_json(session1.optimize(queries).plan) == plan_to_json(
-            session2.optimize(queries).plan
+        assert (
+            session1.optimize(queries).plan == session2.optimize(queries).plan
         )
 
 

@@ -65,7 +65,10 @@ class TestRoundTrip:
         )
         queries = combi_workload(list(table.column_names)[:3], 2)
         result = session.optimize(queries)
-        session.execute(result.plan, parallelism=2)
+        # 1,500 rows is below the morsel floor, where auto runs serial.
+        run = session.execute(result.plan, parallelism=2, mode="wavefront")
+        assert run.metrics.mode == "wavefront"
+        assert any(span.name == "execute.wave" for span in tracer.spans)
         restored = round_trip(tracer, tmp_path / "trace.jsonl")
         assert_spans_equal(tracer.spans, restored)
         ids = {span.span_id for span in restored}

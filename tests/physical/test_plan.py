@@ -3,7 +3,6 @@
 import pytest
 
 from repro.physical.plan import (
-    OP_TYPES,
     CubeExpand,
     DropTemp,
     HashGroupBy,
@@ -64,6 +63,7 @@ def small_plan(waves=False, budget=None):
             else None
         ),
         memory_budget_bytes=budget,
+        mode="wavefront" if waves else "serial",
     )
 
 
@@ -97,20 +97,6 @@ class TestOperators:
     def test_compute_pipelines_exclude_drops(self):
         plan = small_plan()
         assert len(plan.compute_pipelines()) == 2
-
-    def test_registry_covers_every_operator(self):
-        assert set(OP_TYPES) == {
-            "scan",
-            "index_scan",
-            "hash_group_by",
-            "sort_group_by",
-            "reaggregate",
-            "cube_expand",
-            "rollup_expand",
-            "cache_read",
-            "materialize",
-            "drop_temp",
-        }
 
     def test_describe_strings(self):
         assert "Scan r" in Scan(op_id=0, table="r").describe()

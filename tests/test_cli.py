@@ -264,12 +264,15 @@ class TestTrace:
                 "--rows", "2000",
                 "--analyze",
                 "--parallelism", "2",
+                "--mode", "morsel",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "EXPLAIN ANALYZE" in out
         assert "actual rows=" in out
+        # 2,000 rows is below the morsel floor: auto would run serial.
+        assert "mode=morsel" in out
 
 
 class TestErrorHandling:
