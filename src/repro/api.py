@@ -354,19 +354,7 @@ class Session:
         )
         return optimizer.optimize(self.base_table, queries)
 
-    def _schedule_steps(
-        self,
-        plan: LogicalPlan,
-        schedule: str,
-        parallelism: int,
-        mode: str = "auto",
-    ) -> list[Step] | None:
-        # Parallel modes (and ``auto`` with workers available, which may
-        # resolve to one) schedule themselves from the dependency graph.
-        if mode in ("wavefront", "morsel"):
-            return None
-        if parallelism > 1:
-            return None
+    def _schedule_steps(self, plan: LogicalPlan, schedule: str) -> list[Step]:
         if schedule == "storage":
             return storage_minimizing_schedule(
                 plan, estimator_size_fn(self.estimator)
@@ -379,7 +367,7 @@ class Session:
         self,
         aggregates: list[AggregateSpec] | None,
         tracer: Tracer | None,
-        parallelism: int,
+        parallelism: int | None,
         memory_budget_bytes: float | None,
         mode: str = "auto",
     ) -> PlanExecutor:
@@ -397,13 +385,40 @@ class Session:
             result_cache=self._result_cache,
         )
 
+    def _prepare(
+        self,
+        plan: LogicalPlan,
+        schedule: str,
+        aggregates: list[AggregateSpec] | None,
+        tracer: Tracer | None,
+        parallelism: int | None,
+        memory_budget_bytes: float | None,
+        mode: str,
+    ) -> tuple[PlanExecutor, list[Step] | None]:
+        """The executor for one run, bound to its resolved mode, and the
+        linear schedule it follows (None for the parallel modes, which
+        schedule themselves).  Resolving first is what lets ``schedule``
+        hold whenever ``auto`` resolves to serial, on any worker count.
+        """
+        executor = self._executor(
+            aggregates, tracer, parallelism, memory_budget_bytes, mode
+        )
+        resolved = executor.resolve_mode(plan)
+        if resolved != mode:
+            executor = self._executor(
+                aggregates, tracer, parallelism, memory_budget_bytes, resolved
+            )
+        if resolved != "serial":
+            return executor, None
+        return executor, self._schedule_steps(plan, schedule)
+
     def execute(
         self,
         plan: LogicalPlan,
         schedule: str = "storage",
         aggregates: list[AggregateSpec] | None = None,
         tracer: Tracer | None = None,
-        parallelism: int = 1,
+        parallelism: int | None = None,
         memory_budget_bytes: float | None = None,
         mode: str = "auto",
     ) -> ExecutionResult:
@@ -416,14 +431,17 @@ class Session:
         Args:
             plan: the plan to run.
             schedule: 'storage' follows the Section 4.4.1 BF/DF marking;
-                'depth_first' uses plain pre-order.  Ignored when
-                execution is parallel: wavefront and morsel runs derive
+                'depth_first' uses plain pre-order.  Honoured whenever
+                the run is serial — forced, or ``auto`` resolved to it
+                on any worker count; wavefront and morsel runs derive
                 their own wavefront schedule from the plan.
             aggregates: aggregate list (COUNT(*) by default).
             tracer: span tracer for this run only (defaults to the
                 session tracer).
-            parallelism: worker threads for parallel execution; 1 runs
-                the linear schedule serially.  Parallel runs produce
+            parallelism: worker threads for parallel execution; None
+                (the default) is every CPU the process may use
+                (:func:`~repro.engine.morsel.usable_cpus`), 1 runs the
+                linear schedule serially.  Parallel runs produce
                 bit-identical results and equal metrics totals.
             memory_budget_bytes: plan-wide transient-memory budget for
                 the lowering; groupings estimated over it are demoted to
@@ -431,15 +449,18 @@ class Session:
                 Results stay bit-identical.
             mode: execution mode — 'auto' (default), 'serial',
                 'wavefront', or 'morsel'.  'auto' resolves from the
-                workload: serial for ``parallelism=1`` or small inputs
-                (so parallel execution never regresses them), morsel-
-                driven two-phase aggregation when the base relation and
-                grouping count clear the cost model's thresholds.  The
-                resolved mode is reported on ``result.metrics.mode``.
+                plan: serial for ``parallelism=1``, under a memory
+                budget, or below the cost model's row and grouping
+                floors (so parallel execution never regresses small
+                inputs); otherwise the cheapest of the three as
+                :meth:`~repro.costmodel.engine_model.EngineCostModel.
+                execution_mode_choice` prices the plan's waves and
+                edges.  The resolved mode is reported on
+                ``result.metrics.mode``.
         """
-        steps = self._schedule_steps(plan, schedule, parallelism, mode)
-        executor = self._executor(
-            aggregates, tracer, parallelism, memory_budget_bytes, mode
+        executor, steps = self._prepare(
+            plan, schedule, aggregates, tracer, parallelism,
+            memory_budget_bytes, mode,
         )
         return executor.execute(plan, steps)
 
@@ -448,7 +469,7 @@ class Session:
         plan: LogicalPlan,
         schedule: str = "storage",
         aggregates: list[AggregateSpec] | None = None,
-        parallelism: int = 1,
+        parallelism: int | None = None,
         memory_budget_bytes: float | None = None,
         mode: str = "auto",
     ) -> "PhysicalPlan":
@@ -458,9 +479,9 @@ class Session:
         :class:`~repro.physical.plan.PhysicalPlan` that ``execute``
         would interpret (render it with ``.render()``).
         """
-        steps = self._schedule_steps(plan, schedule, parallelism, mode)
-        executor = self._executor(
-            aggregates, None, parallelism, memory_budget_bytes, mode
+        executor, steps = self._prepare(
+            plan, schedule, aggregates, None, parallelism,
+            memory_budget_bytes, mode,
         )
         return executor.lower(plan, steps)
 
@@ -475,7 +496,9 @@ class Session:
         return RunOutcome(optimization, execution)
 
     def run_naive(self, queries: list[frozenset[str]]) -> ExecutionResult:
-        """Execute the naive plan (the baseline of every experiment)."""
+        """Execute the naive plan (the baseline of every experiment) with
+        :meth:`execute`'s defaults, so it runs on the same workers and
+        mode choice as an optimized plan."""
         return self.execute(naive_plan(self.base_table, queries))
 
     def explain(self, plan: LogicalPlan):
@@ -493,7 +516,7 @@ class Session:
         self,
         plan: LogicalPlan,
         schedule: str = "storage",
-        parallelism: int = 1,
+        parallelism: int | None = None,
         mode: str = "auto",
         memory_budget_bytes: float | None = None,
     ):
@@ -512,9 +535,9 @@ class Session:
         from repro.core.explain import explain_plan
 
         tracer = Tracer()
-        steps = self._schedule_steps(plan, schedule, parallelism, mode)
-        executor = self._executor(
-            None, tracer, parallelism, memory_budget_bytes, mode
+        executor, steps = self._prepare(
+            plan, schedule, None, tracer, parallelism, memory_budget_bytes,
+            mode,
         )
         physical = executor.lower(plan, steps)
         physical.check(executor.analysis_context())

@@ -515,15 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--parallelism",
             type=_positive_int,
-            default=1,
-            help="worker threads for wavefront plan execution (default 1)",
+            default=None,
+            help="worker threads for plan execution (default: every CPU "
+            "the process may use)",
         )
         p.add_argument(
             "--mode",
             choices=("auto", "serial", "wavefront", "morsel"),
             default="auto",
-            help="execution mode; auto picks serial or morsel from the "
-            "engine cost model (default auto)",
+            help="execution mode; auto picks the cheapest of serial, "
+            "wavefront and morsel as the engine cost model prices the "
+            "plan (default auto)",
         )
         p.add_argument(
             "--memory-budget-bytes",

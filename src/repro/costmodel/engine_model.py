@@ -15,11 +15,16 @@ wall-clock seconds; only relative costs matter for plan choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.core.plan import NodeKind, PlanNode
+from repro.core.plan import LogicalPlan, NodeKind, PlanNode
+from repro.core.scheduling import Step, wavefront_schedule
 from repro.engine.catalog import Catalog
-from repro.engine.morsel import morsel_count
+from repro.engine.morsel import (
+    MORSEL_RADIX_SLACK,
+    MORSEL_TARGET_ROWS,
+    morsel_count,
+)
 from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
 from repro.stats.whatif import WhatIfRegistry
 
@@ -60,19 +65,24 @@ HASH_SLOT_BYTES = 16.0
 #: Bytes of transient state per input row in the sort regime (the int64
 #: composite-code array plus its sorted copy).
 SORT_ROW_BYTES = 16.0
-#: Minimum base-relation rows before morsel execution is worth its
-#: scheduling overhead; auto mode falls back to serial below it (the
-#: fix for wavefront's small-workload ``speedup_parallel < 1`` losses).
+#: Minimum base-relation rows before parallel execution is worth its
+#: scheduling overhead; auto mode runs serial below it (the fix for
+#: wavefront's small-workload ``speedup_parallel < 1`` losses).
 MORSEL_MIN_ROWS = 32_768
-#: Minimum groupings sharing a scan before morsel batching pays off —
-#: with a single grouping there is no scan sharing to win.
+#: Minimum groupings before parallel execution pays off — a single
+#: grouping shares no scan and has no sibling to run beside.
 MORSEL_MIN_GROUPINGS = 2
-#: Extra CPU per row per grouping the two-phase partial/merge pass
-#: costs over the single-pass kernels (per-morsel boundary detection
-#: plus the final merge by key code).
+#: Extra CPU per row per grouping the two-phase partial pass costs
+#: over the single-pass kernels (per-morsel partial states); the merge
+#: by key code is priced apart, per merged group.
 MORSEL_PARTIAL_CPU = 8.0
 #: Fixed scheduling cost per morsel dispatched to the worker pool.
 MORSEL_DISPATCH_COST = 50_000.0
+#: Fixed cost per pipeline a wavefront run hands to its thread pool:
+#: the submit, and the wait for the interpreter lock that the
+#: pipeline's Python steps hold (≈ 200 µs on a 2-vCPU VM, where a
+#: 12-pipeline plan over 40k rows ran slower in waves than serially).
+WAVEFRONT_DISPATCH_COST = 1_500_000.0
 
 
 @dataclass(frozen=True)
@@ -101,14 +111,14 @@ class ModeChoice:
     """The costed execution-mode decision for one plan run.
 
     Attributes:
-        mode: ``'serial'`` or ``'morsel'`` — auto mode never picks
-            ``'wavefront'`` because the model does not price it yet
-            (its modeled cost is serial's), although measured
-            wavefront runs beat serial by 2.1-2.4x on ``sales_tc`` on
-            a quiet 2-vCPU machine (``docs/performance.md``).
-        morsels: morsel count the morsel mode would use.
-        serial_cost / wavefront_cost / morsel_cost: modeled costs.
-        reason: one-line explanation of the decision (EXPLAIN output).
+        mode: ``'serial'``, ``'wavefront'`` or ``'morsel'`` — the
+            cheapest priced mode, or serial where a floor, a memory
+            budget or a single worker rules the others out.
+        morsels: morsel count the morsel mode would split the base
+            relation into.
+        serial_cost / wavefront_cost / morsel_cost: the plan's price
+            under each mode.
+        reason: one-line explanation of the decision.
     """
 
     mode: str
@@ -352,51 +362,77 @@ class EngineCostModel:
         return self._materialize_cost(columns, None)
 
     def execution_mode_choice(
-        self, n_groupings: int, parallelism: int
+        self,
+        plan: LogicalPlan,
+        parallelism: int,
+        memory_budget_bytes: float | None = None,
     ) -> ModeChoice:
-        """Pick the execution mode for a plan of ``n_groupings`` nodes.
+        """Price ``plan`` under each execution mode and pick the cheapest.
 
-        Serial pays one full row-store pass *per grouping*; morsel
-        execution pays that pass once per morsel — shared by every
-        grouping in the batch — plus two-phase overhead (partial states
-        and the merge) and per-morsel scheduling.  Below the row /
-        grouping floors, or when the overhead exceeds the shared-scan
-        savings, serial wins: this is the rows×groupings threshold that
-        keeps ``speedup_parallel >= 1`` on small workloads.
+        Every price is built from the plan's own edge costs, walked in
+        :func:`~repro.core.scheduling.wavefront_schedule` waves:
+
+        * serial pays every edge, one after another;
+        * wavefront pays, per wave, its largest pipeline or the wave's
+          total spread over the workers, whichever is more, plus
+          :data:`WAVEFRONT_DISPATCH_COST` per pipeline;
+        * morsel pays, per wave and input, one shared scan plus the
+          feasible groupings' partial work spread over the workers,
+          then — one after another — the merges, the materializations,
+          and every fallback (a grouping whose composite domain exceeds
+          ``max(MORSEL_TARGET_ROWS, MORSEL_RADIX_SLACK * rows)``, which
+          pays its own full edge).
+
+        One worker, a memory budget (checked per operator, so k
+        concurrent operators could each fill it), fewer base rows than
+        :data:`MORSEL_MIN_ROWS` or fewer groupings than
+        :data:`MORSEL_MIN_GROUPINGS` run serial whatever the prices.
+        Ties go to the simpler mode: serial, then wavefront.
         """
+        k = max(int(parallelism), 1)
         rows = max(float(self._estimator.base_rows), 0.0)
-        groupings = max(int(n_groupings), 1)
-        scan = rows * self._base_row_width * READ_BYTE
-        group_cpu = rows * HASH_CPU
-        serial_cost = groupings * (scan + group_cpu)
-        # Unpriced: the model has no term for node-level thread waves,
-        # so wavefront costs what serial does.  Measured, it is not
-        # serial: 2.1-2.4x faster on sales_tc on a quiet 2-vCPU
-        # machine, less under contention (docs/performance.md).
-        wavefront_cost = serial_cost
-        morsels = morsel_count(int(rows), parallelism)
-        morsel_cost = (
-            scan
-            + groupings * (group_cpu + rows * MORSEL_PARTIAL_CPU)
-            + morsels * MORSEL_DISPATCH_COST
-        )
-        if rows < MORSEL_MIN_ROWS:
+        morsels = morsel_count(int(rows), k)
+        serial_cost = wavefront_cost = morsel_cost = 0.0
+        groupings = 0
+        for wave in wavefront_schedule(plan):
+            edges = [
+                self.edge_cost(step.parent, step.node, step.materialize)
+                for step in wave.steps
+            ]
+            total = sum(edges)
+            serial_cost += total
+            wavefront_cost += max(max(edges, default=0.0), total / k)
+            wavefront_cost += len(edges) * WAVEFRONT_DISPATCH_COST
+            morsel_cost += self._morsel_wave_cost(wave.steps, edges, k)
+            groupings += len(edges)
+        if k == 1:
+            mode, reason = "serial", "one worker"
+        elif memory_budget_bytes is not None:
             mode, reason = "serial", (
-                f"base rows {int(rows)} below the morsel floor "
+                "a memory budget bounds each operator, and concurrent "
+                "operators could each fill it"
+            )
+        elif rows < MORSEL_MIN_ROWS:
+            mode, reason = "serial", (
+                f"base rows {int(rows)} below the parallel floor "
                 f"{MORSEL_MIN_ROWS}"
             )
         elif groupings < MORSEL_MIN_GROUPINGS:
             mode, reason = "serial", (
-                f"{groupings} grouping(s): no scan sharing to win"
-            )
-        elif morsel_cost >= serial_cost:
-            mode, reason = "serial", (
-                "two-phase overhead exceeds shared-scan savings"
+                f"{groupings} grouping(s): nothing to run side by side"
             )
         else:
-            mode, reason = "morsel", (
-                f"{groupings} groupings share each of {morsels} "
-                f"morsel scans"
+            prices = {
+                "serial": serial_cost,
+                "wavefront": wavefront_cost,
+                "morsel": morsel_cost,
+            }
+            mode = min(prices, key=prices.__getitem__)
+            reason = (
+                f"cheapest of {groupings} groupings on {k} workers: "
+                + ", ".join(
+                    f"{name} {price:.3g}" for name, price in prices.items()
+                )
             )
         return ModeChoice(
             mode=mode,
@@ -406,6 +442,55 @@ class EngineCostModel:
             morsel_cost=morsel_cost,
             reason=reason,
         )
+
+    def _morsel_wave_cost(
+        self, steps: Sequence[Step], edges: Sequence[float], k: int
+    ) -> float:
+        """One wave's price under morsel execution (see the caller).
+
+        Mirrors the executor: plain groupings of the wave that read the
+        same input form a batch, and a batch with fewer than two
+        feasible members runs every member on its own.
+        """
+        cost = 0.0
+        batches: dict[PlanNode | None, list[tuple[Step, float]]] = {}
+        for step, edge in zip(steps, edges):
+            if step.node.kind is NodeKind.GROUP_BY:
+                batches.setdefault(step.parent, []).append((step, edge))
+            else:
+                cost += edge
+        for parent, members in batches.items():
+            if parent is None:
+                input_rows = float(self._estimator.base_rows)
+                width = self._base_row_width
+            else:
+                input_rows = self._rows(parent.columns, None)
+                width = self._estimator.row_width(parent.columns)
+            cap = max(MORSEL_TARGET_ROWS, MORSEL_RADIX_SLACK * input_rows)
+            feasible = [
+                self.grouping_domain(step.node.columns) <= cap
+                for step, _ in members
+            ]
+            if sum(feasible) < 2:
+                cost += sum(edge for _, edge in members)
+                continue
+            morsels = morsel_count(int(input_rows), k)
+            shared = input_rows * width * READ_BYTE
+            after = morsels * MORSEL_DISPATCH_COST
+            for (step, edge), ok in zip(members, feasible):
+                columns = step.node.columns
+                if not ok:
+                    after += edge
+                    continue
+                shared += input_rows * (
+                    self._group_cpu(columns) + MORSEL_PARTIAL_CPU
+                )
+                groups = min(morsels * self._rows(columns, None), input_rows)
+                after += groups * HASH_CPU
+                if step.materialize:
+                    after += self._materialize_cost(columns, None)
+            cost += shared / min(k, morsels) + after
+        return cost
 
     # -- public API -------------------------------------------------------------
 

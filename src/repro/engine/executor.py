@@ -14,7 +14,7 @@ execution when a grouping's transient state would not fit.
 
 Execution comes in three modes:
 
-* **serial** (the default): pipelines run in order — exactly the
+* **serial**: pipelines run in order — exactly the
   paper's client-side script of Group By / DROP statements.
 * **parallel wavefront** (``mode="wavefront"``): the lowered plan
   carries dependency waves; pipelines within a wave share no
@@ -37,8 +37,10 @@ Execution comes in three modes:
   pass per morsel per batch.
 
 ``mode="auto"`` (the default) resolves per plan: serial when
-``parallelism`` is 1 or the workload is below the cost model's morsel
-thresholds (small inputs never regress), morsel otherwise.
+``parallelism`` is 1, under a memory budget, or below the cost model's
+row and grouping floors (small inputs never regress); otherwise
+whichever of the three the cost model prices cheapest for this plan.
+``parallelism`` defaults to every CPU the process may use.
 
 Either way, one plan-wide
 :class:`~repro.engine.dictcache.DictionaryCache` is threaded through
@@ -53,8 +55,8 @@ by the expand operators.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.cache import ResultCache, aggregate_signature
@@ -66,7 +68,12 @@ from repro.engine.dictcache import DictionaryCache
 from repro.engine.indexes import Index
 from repro.engine.join import union_all
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.morsel import MorselGrouping, compute_morsel_groupings
+from repro.engine.morsel import (
+    MorselGrouping,
+    Workers,
+    compute_morsel_groupings,
+    usable_cpus,
+)
 from repro.engine.partitioned_cube import partition_by_values
 from repro.engine.table import Table
 from repro.engine.types import EngineError
@@ -136,18 +143,18 @@ class PlanExecutor:
             ``execute.<operator>`` grandchild per physical operator.
             Tracing is read-only: results and deterministic counters
             are identical with it on or off.
-        parallelism: worker threads for wavefront or morsel execution.
-            1 (the default) executes the lowered linear schedule
-            serially; >= 2 runs concurrently (waves of pipelines, or
-            morsel workers inside operator batches), producing
-            bit-identical tables and equal metrics totals.
+        parallelism: worker threads for wavefront or morsel execution;
+            None (the default) is every CPU the process may use
+            (:func:`~repro.engine.morsel.usable_cpus`).  1 executes the
+            lowered linear schedule serially; >= 2 may run concurrently
+            (waves of pipelines, or morsel workers inside operator
+            batches), producing bit-identical tables and equal metrics
+            totals.
         mode: execution mode — one of :data:`MODE_CHOICES`.  ``auto``
             (the default) picks serial for ``parallelism=1`` and
-            otherwise asks the cost model: morsel execution when the
-            base relation and grouping count clear the two-phase
-            thresholds, serial below them (so small workloads never pay
-            parallel overhead).  ``serial``, ``wavefront``, and
-            ``morsel`` force that mode.
+            otherwise the cheapest of serial, wavefront and morsel as
+            the cost model prices the plan (:meth:`resolve_mode`).
+            ``serial``, ``wavefront``, and ``morsel`` force that mode.
         dictionary_cache: a shared plan-wide dictionary cache.  By
             default each ``execute`` call builds a fresh one; serving
             workloads that re-execute plans over the same base relation
@@ -190,7 +197,7 @@ class PlanExecutor:
         aggregates: list[AggregateSpec] | None = None,
         use_indexes: bool = True,
         tracer: Tracer | None = None,
-        parallelism: int = 1,
+        parallelism: int | None = None,
         dictionary_cache: DictionaryCache | None = None,
         estimator: "CardinalityEstimator | None" = None,
         memory_budget_bytes: float | None = None,
@@ -198,6 +205,8 @@ class PlanExecutor:
         mode: str = "auto",
         result_cache: ResultCache | None = None,
     ) -> None:
+        if parallelism is None:
+            parallelism = usable_cpus()
         if parallelism < 1:
             raise ExecutionError("parallelism must be >= 1")
         if mode not in MODE_CHOICES:
@@ -225,19 +234,18 @@ class PlanExecutor:
     def resolve_mode(self, plan: LogicalPlan) -> str:
         """The execution mode this executor would run ``plan`` under.
 
-        Forced modes pass through.  ``auto`` resolves from the workload
-        shape: serial for ``parallelism=1``; with workers available,
-        the cost model's :meth:`~repro.costmodel.engine_model.
-        EngineCostModel.execution_mode_choice` picks morsel execution
-        only when the base relation and grouping count clear the
-        two-phase thresholds — small workloads fall back to serial so
-        parallel execution never regresses them.
+        Forced modes pass through.  ``auto`` runs serial with one
+        worker; otherwise the cost model's :meth:`~repro.costmodel.
+        engine_model.EngineCostModel.execution_mode_choice` prices the
+        plan as serial, wavefront and morsel and picks the cheapest —
+        serial below its row and grouping floors and under a memory
+        budget, so parallel execution never regresses small workloads.
+        Without an estimator only the floors decide.
         """
         if self._mode != "auto":
             return self._mode
         if self._parallelism <= 1:
             return "serial"
-        n_groupings = plan.node_count()
         if self._estimator is not None:
             from repro.costmodel.engine_model import EngineCostModel
 
@@ -248,12 +256,16 @@ class PlanExecutor:
                 use_indexes=self._use_indexes,
             )
             return model.execution_mode_choice(
-                n_groupings, self._parallelism
+                plan, self._parallelism, self._memory_budget_bytes
             ).mode
+        if self._memory_budget_bytes is not None:
+            return "serial"
         from repro.costmodel.engine_model import default_execution_mode
 
         rows = self._catalog.get(self._base_table).num_rows
-        return default_execution_mode(rows, n_groupings, self._parallelism)
+        return default_execution_mode(
+            rows, plan.node_count(), self._parallelism
+        )
 
     def lower(
         self, plan: LogicalPlan, steps: list[Step] | None = None
@@ -262,16 +274,20 @@ class PlanExecutor:
 
         Serial lowering honors ``steps`` (depth-first when None);
         wavefront and morsel lowering build the wavefront schedule and
-        reject an explicit linear order.
+        reject an explicit linear order, as does ``auto`` with more
+        than one worker.
         """
         from repro.physical.lowering import lower as lower_plan
         from repro.physical.plan import PhysicalPlanError
 
         mode = self.resolve_mode(plan)
-        if steps is not None and (mode != "serial" or self._parallelism > 1):
+        if steps is not None and (
+            mode != "serial" or (self._mode == "auto" and self._parallelism > 1)
+        ):
             # Even when auto resolves a parallel executor to serial, a
             # caller-supplied linear order has no meaning: the executor
-            # stays free to re-resolve per plan.
+            # stays free to re-resolve per plan.  Force ``serial`` to
+            # honour one on any worker count.
             raise ExecutionError(
                 "parallel execution schedules itself; pass steps=None"
             )
@@ -299,9 +315,9 @@ class PlanExecutor:
     ) -> ExecutionResult:
         """Lower ``plan``, verify the physical plan, and interpret it.
 
-        With ``parallelism >= 2`` the plan's wavefront schedule is used
-        and ``steps`` must be None — a caller-supplied linear order has
-        no meaning once independent pipelines run concurrently.
+        Parallel modes use the plan's wavefront schedule, and ``steps``
+        must be None unless the executor runs serial: forced, or
+        ``auto`` with one worker.
         """
         if plan.relation != self._base_table:
             raise ExecutionError(
@@ -366,14 +382,17 @@ class PlanExecutor:
             mode=physical.mode,
         ) as plan_span:
             try:
-                if physical.mode == "morsel":
-                    local_peak = self._execute_morsel(
-                        physical, result, dictionaries, current_before
-                    )
-                elif parallel:
-                    local_peak = self._execute_wavefront(
-                        physical, result, dictionaries, current_before
-                    )
+                if parallel:
+                    with Workers(self._parallelism, "repro-exec") as workers:
+                        run = (
+                            self._execute_morsel
+                            if physical.mode == "morsel"
+                            else self._execute_wavefront
+                        )
+                        local_peak = run(
+                            physical, result, dictionaries, current_before,
+                            workers,
+                        )
                 else:
                     local_peak = self._execute_serial(
                         physical, result, dictionaries, current_before
@@ -479,8 +498,10 @@ class PlanExecutor:
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         current_before: int,
+        workers: Workers,
     ) -> int:
-        """Run the dependency-wave schedule on a thread pool.
+        """Run the dependency-wave schedule, each wave's pipelines side
+        by side on ``workers``.
 
         Each pipeline aggregates into its own ``ExecutionMetrics``;
         after every wave the per-pipeline metrics fold into the result
@@ -489,38 +510,28 @@ class PlanExecutor:
         """
         local_peak = current_before
         assert physical.waves is not None
-        with ThreadPoolExecutor(
-            max_workers=self._parallelism,
-            thread_name_prefix="repro-wave",
-        ) as pool:
-            for wave in physical.waves:
-                with self._tracer.span(
-                    "execute.wave",
-                    index=wave.index,
-                    nodes=len(wave.pipelines),
-                ) as wave_span:
-                    futures = [
-                        pool.submit(
-                            self._run_pipeline_isolated,
-                            physical,
-                            physical.pipelines[index],
-                            result,
-                            dictionaries,
-                            wave_span,
-                        )
-                        for index in wave.pipelines
-                    ]
-                    wave_metrics = [future.result() for future in futures]
-                # Fold in deterministic schedule order, not completion
-                # order; peak temp storage is maximal right before the
-                # wave's drops run.
-                for metrics in wave_metrics:
-                    result.metrics.merge_in(metrics)
-                local_peak = max(
-                    local_peak, self._catalog.current_temp_bytes
+        for wave in physical.waves:
+            with self._tracer.span(
+                "execute.wave",
+                index=wave.index,
+                nodes=len(wave.pipelines),
+            ) as wave_span:
+                pipelines = [physical.pipelines[i] for i in wave.pipelines]
+                wave_metrics = workers.map(
+                    partial(
+                        self._run_wave_pipeline,
+                        physical, pipelines, result, dictionaries, wave_span,
+                    ),
+                    len(pipelines),
                 )
-                for index in wave.drops:
-                    self._run_drop(physical, physical.pipelines[index])
+            # Fold in deterministic schedule order, not completion
+            # order; peak temp storage is maximal right before the
+            # wave's drops run.
+            for metrics in wave_metrics:
+                result.metrics.merge_in(metrics)
+            local_peak = max(local_peak, self._catalog.current_temp_bytes)
+            for index in wave.drops:
+                self._run_drop(physical, physical.pipelines[index])
         return local_peak
 
     def _execute_morsel(
@@ -529,6 +540,7 @@ class PlanExecutor:
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         current_before: int,
+        workers: Workers,
     ) -> int:
         """Run the wave schedule with morsel-driven operator batches.
 
@@ -573,6 +585,7 @@ class PlanExecutor:
                         dictionaries,
                         precomputed,
                         wave_span,
+                        workers,
                     )
                 for index in wave.pipelines:
                     self._run_pipeline(
@@ -630,6 +643,7 @@ class PlanExecutor:
         dictionaries: DictionaryCache,
         precomputed: dict[int, Table],
         wave_span: Span,
+        workers: Workers,
     ) -> None:
         """Compute one shared-scan batch of groupings over morsels."""
         from repro.physical import plan as phys
@@ -670,7 +684,7 @@ class PlanExecutor:
         ) as batch_span:
             started = monotonic()
             tables, stats = compute_morsel_groupings(
-                table, groupings, morsels, self._parallelism
+                table, groupings, morsels, workers
             )
             batch_seconds = monotonic() - started
             for i, (start, stop) in enumerate(stats.ranges):
@@ -713,18 +727,20 @@ class PlanExecutor:
             assert isinstance(op, phys.GroupingOperator)
             precomputed[op.op_id] = out
 
-    def _run_pipeline_isolated(
+    def _run_wave_pipeline(
         self,
         physical: "PhysicalPlan",
-        pipeline: "PhysicalPipeline",
+        pipelines: list["PhysicalPipeline"],
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         wave_span: Span,
+        index: int,
     ) -> ExecutionMetrics:
+        """Run ``pipelines[index]`` of a wave into its own metrics."""
         metrics = ExecutionMetrics()
         self._run_pipeline(
             physical,
-            pipeline,
+            pipelines[index],
             result,
             dictionaries,
             metrics=metrics,

@@ -24,9 +24,10 @@ one shared scan per morsel, all partials, all merges.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from repro.engine.types import SchemaError
 if TYPE_CHECKING:  # import cycle guard, mirroring aggregation.py
     from repro.engine.dictcache import DictionaryCache
 
+T = TypeVar("T")
+
 #: Target rows per morsel: big enough that each worker's numpy kernels
 #: dominate thread-dispatch overhead, small enough that a full-scale
 #: workload yields several morsels to spread across workers.
@@ -62,6 +65,85 @@ MAX_MORSELS = 64
 #: merge re-walks the domain — all to rediscover groups the single-pass
 #: kernel finds in one bincount.  Such groupings fall back.
 MORSEL_RADIX_SLACK = 2
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the default worker count.
+
+    The scheduler affinity mask where the platform has one (a container
+    or ``taskset`` may allow fewer CPUs than the machine has), else
+    ``os.cpu_count()``; never below 1.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)), 1)
+    return os.cpu_count() or 1
+
+
+class Workers:
+    """The calling thread plus up to ``parallelism - 1`` pool threads.
+
+    :meth:`map` runs a list of tasks on all of them: each thread pulls
+    the next index from one shared counter until none is left, so the
+    caller works instead of waiting.  One instance serves a whole plan
+    run — every wave and morsel batch — and starts its pool threads at
+    most once, because every thread keeps a malloc arena of its own:
+    with a pool per wave, ``peak_rss_mb`` on the session benchmark
+    varied from 201 to 232 MB between runs of one build, with one per
+    run from 204 to 209 (``docs/performance.md``).  Never more threads
+    than :func:`usable_cpus`, which would only add interpreter-lock
+    churn.
+    """
+
+    def __init__(self, parallelism: int, name: str) -> None:
+        self.parallelism = max(1, min(parallelism, usable_cpus()))
+        self._name = name
+        self._pool: ThreadPoolExecutor | None = None
+
+    def map(self, task: Callable[[int], T], count: int) -> list[T]:
+        """``[task(0), ..., task(count - 1)]``, in index order whatever
+        the completion order.  A failure is re-raised once every thread
+        has stopped (the caller's own first)."""
+        helpers = min(self.parallelism, count) - 1
+        if helpers <= 0:
+            return [task(index) for index in range(count)]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.parallelism - 1,
+                thread_name_prefix=self._name,
+            )
+        results: list[T | None] = [None] * count
+        indices = iter(range(count))
+        lock = threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with lock:
+                    index = next(indices, None)
+                if index is None:
+                    return
+                results[index] = task(index)
+
+        futures = [self._pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            failures = [future.exception() for future in futures]
+        for failure in failures:
+            if failure is not None:
+                raise failure
+        return results  # type: ignore[return-value]
+
+    def close(self) -> None:
+        """Stop the pool threads (waiting for them to exit)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def morsel_count(n_rows: int, parallelism: int = 1) -> int:
@@ -248,16 +330,17 @@ def compute_morsel_groupings(
     table: Table,
     groupings: Sequence[MorselGrouping],
     morsels: int,
-    parallelism: int = 1,
+    workers: Workers | int = 1,
 ) -> tuple[list[Table], MorselBatchStats]:
     """Run a batch of groupings over shared morsel scans.
 
     Each morsel pays one ``touch_range`` pass over ``table`` — shared
     by every feasible grouping in the batch — then computes every
-    grouping's partial state for that row range.  Workers run on a
-    thread pool of ``parallelism`` (numpy kernels release the GIL);
-    partials are merged in morsel-index order regardless of completion
-    order, so results and metrics are deterministic.
+    grouping's partial state for that row range.  Morsels run on
+    ``workers`` — a plan run's :class:`Workers`, or a thread count to
+    open one for this batch (numpy kernels release the GIL); partials
+    are merged in morsel-index order regardless of completion order, so
+    results and metrics are deterministic.
 
     Returns:
         (result tables, batch stats) with results in ``groupings``
@@ -278,17 +361,11 @@ def compute_morsel_groupings(
             partials[id(grouping)][index] = grouping.partial(start, stop)
 
     if ranges:
-        # More threads than cores only adds GIL churn — results are
-        # identical either way (merge order is fixed by morsel index).
-        workers = min(
-            max(parallelism, 1), len(ranges), os.cpu_count() or 1
-        )
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_morsel, range(len(ranges))))
+        if isinstance(workers, Workers):
+            workers.map(run_morsel, len(ranges))
         else:
-            for index in range(len(ranges)):
-                run_morsel(index)
+            with Workers(workers, "repro-morsel") as own:
+                own.map(run_morsel, len(ranges))
 
     results: list[Table] = []
     fallbacks = 0

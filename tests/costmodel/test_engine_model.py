@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.plan import PlanNode
+from repro.core.plan import PlanNode, naive_plan
 from repro.costmodel.engine_model import (
     EngineCostModel,
     HASH_DOMAIN_LIMIT,
     READ_BYTE,
+    WAVEFRONT_DISPATCH_COST,
 )
 from repro.engine.catalog import Catalog
 from repro.engine.indexes import IndexSpec
@@ -138,42 +139,86 @@ class TestCubeRollup:
 
 
 class TestExecutionModeChoice:
-    def _model(self, rows):
-        catalog, _ = make_catalog()
-        estimator = FakeEstimator(rows, {"b": 7, "c": 3})
-        return EngineCostModel(estimator, catalog, "t")
+    """``auto`` prices a plan built here as serial, wavefront and morsel."""
+
+    @staticmethod
+    def _model(rows, cards, row_width=200.0):
+        estimator = FakeEstimator(rows, cards)
+        return EngineCostModel(estimator, base_row_width=row_width)
+
+    @staticmethod
+    def _plan(queries):
+        return naive_plan("t", [frozenset(q) for q in queries])
+
+    def _narrow(self, rows):
+        """Four groupings of ten values each over 200-byte rows."""
+        cards = {c: 10.0 for c in "abcd"}
+        return self._model(rows, cards), self._plan("abcd")
+
+    def _wide(self, rows):
+        """Ten two-column groupings whose domains (2000^2) pass the
+        morsel cap of max(65,536, 2 x rows)."""
+        columns = "abcde"
+        cards = {c: 2_000.0 for c in columns}
+        pairs = [a + b for i, a in enumerate(columns) for b in columns[i + 1:]]
+        return self._model(rows, cards), self._plan(pairs)
 
     def test_small_input_stays_serial(self):
         from repro.costmodel.engine_model import MORSEL_MIN_ROWS
 
-        choice = self._model(MORSEL_MIN_ROWS - 1).execution_mode_choice(
-            10, parallelism=4
-        )
+        model, plan = self._narrow(MORSEL_MIN_ROWS - 1)
+        choice = model.execution_mode_choice(plan, parallelism=4)
         assert choice.mode == "serial"
         assert "floor" in choice.reason
 
     def test_single_grouping_stays_serial(self):
-        choice = self._model(1_000_000).execution_mode_choice(
-            1, parallelism=4
-        )
+        model, _ = self._narrow(1_000_000)
+        choice = model.execution_mode_choice(self._plan(["a"]), parallelism=4)
         assert choice.mode == "serial"
 
-    def test_scale_picks_morsel_and_costs_order(self):
-        choice = self._model(1_000_000).execution_mode_choice(
-            12, parallelism=4
+    def test_one_worker_stays_serial(self):
+        model, plan = self._narrow(1_000_000)
+        choice = model.execution_mode_choice(plan, parallelism=1)
+        assert choice.mode == "serial"
+        assert choice.wavefront_cost == pytest.approx(
+            choice.serial_cost + 4 * WAVEFRONT_DISPATCH_COST
         )
+
+    def test_memory_budget_stays_serial(self):
+        model, plan = self._narrow(1_000_000)
+        choice = model.execution_mode_choice(
+            plan, parallelism=4, memory_budget_bytes=1e9
+        )
+        assert choice.mode == "serial"
+        assert "budget" in choice.reason
+        assert choice.morsel_cost < choice.serial_cost
+
+    def test_scale_picks_morsel_and_costs_order(self):
+        model, plan = self._narrow(1_000_000)
+        choice = model.execution_mode_choice(plan, parallelism=4)
         assert choice.mode == "morsel"
         assert choice.morsels > 1
-        assert choice.morsel_cost < choice.serial_cost
-        assert choice.wavefront_cost == choice.serial_cost
+        assert choice.morsel_cost < choice.wavefront_cost < choice.serial_cost
 
-    def test_auto_never_picks_wavefront(self):
-        for rows in (100, 50_000, 2_000_000):
-            for groupings in (1, 2, 30):
-                choice = self._model(rows).execution_mode_choice(
-                    groupings, parallelism=8
-                )
-                assert choice.mode in ("serial", "morsel")
+    def test_wide_domains_pick_wavefront(self):
+        model, plan = self._wide(1_000_000)
+        choice = model.execution_mode_choice(plan, parallelism=2)
+        assert choice.mode == "wavefront"
+        # Every grouping falls back, so morsel pays serial's price.
+        assert choice.morsel_cost == pytest.approx(choice.serial_cost)
+        assert choice.wavefront_cost < choice.serial_cost
+
+    def test_wavefront_pays_its_largest_pipeline(self):
+        """Eight workers cannot split a pipeline: a wave of two costs
+        the larger one, not an eighth of the pair."""
+        model = self._model(1_000_000, {"a": 10.0, "b": 10.0})
+        larger = model.edge_cost(None, PlanNode(fs("a", "b")), False)
+        choice = model.execution_mode_choice(
+            self._plan(["ab", "a"]), parallelism=8
+        )
+        assert choice.wavefront_cost == pytest.approx(
+            larger + 2 * WAVEFRONT_DISPATCH_COST
+        )
 
     def test_default_mode_mirrors_floors(self):
         from repro.costmodel.engine_model import (

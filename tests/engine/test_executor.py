@@ -23,7 +23,7 @@ def catalog(random_table):
 
 @pytest.fixture
 def executor(catalog):
-    return PlanExecutor(catalog, "r")
+    return PlanExecutor(catalog, "r", parallelism=1)
 
 
 def hand_plan(required=("low", "mid")):

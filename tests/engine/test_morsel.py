@@ -22,6 +22,7 @@ from repro.engine.morsel import (
     MAX_MORSELS,
     MORSEL_TARGET_ROWS,
     MorselGrouping,
+    Workers,
     compute_morsel_groupings,
     morsel_count,
     morsel_ranges,
@@ -237,6 +238,67 @@ class TestMorselPartitioning:
         """Splitting a one-morsel table only multiplies fixed costs."""
         for parallelism in (1, 4, 16):
             assert morsel_count(MORSEL_TARGET_ROWS // 2, parallelism) == 1
+
+
+class TestWorkers:
+    """The caller plus pool threads run every index once, in order."""
+
+    def test_every_index_once_under_contention(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.engine import morsel
+
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 8)
+        calls = []
+        threads = set()
+
+        def task(index):
+            calls.append(index)
+            threads.add(threading.current_thread().name)
+            return index * index
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Workers(8, "test-workers") as workers:
+                for count in (0, 1, 2, 7, 500, 500):
+                    calls.clear()
+                    assert workers.map(task, count) == [
+                        i * i for i in range(count)
+                    ]
+                    assert sorted(calls) == list(range(count))
+        finally:
+            sys.setswitchinterval(interval)
+        # One pool for every map: the caller and at most seven threads.
+        assert threading.current_thread().name in threads
+        assert len(threads) <= 8
+        assert not any(
+            t.name.startswith("test-workers") for t in threading.enumerate()
+        )
+
+    def test_failure_raised_after_every_worker_stops(self, monkeypatch):
+        from repro.engine import morsel
+
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 4)
+        done = []
+
+        def task(index):
+            if index == 3:
+                raise ValueError("boom")
+            done.append(index)
+
+        with Workers(4, "test-workers") as workers:
+            with pytest.raises(ValueError, match="boom"):
+                workers.map(task, 40)
+        assert sorted(done) == [i for i in range(40) if i != 3]
+
+    def test_never_more_threads_than_usable_cpus(self, monkeypatch):
+        from repro.engine import morsel
+
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 2)
+        assert Workers(16, "test-workers").parallelism == 2
+        assert Workers(0, "test-workers").parallelism == 1
 
 
 class TestExecutorModes:

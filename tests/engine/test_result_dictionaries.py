@@ -262,6 +262,16 @@ def reachable_arrays(root) -> list[np.ndarray]:
     return arrays
 
 
+def assert_codes_narrow(result: Table, keys) -> None:
+    """Every pending key derivation holds its per-group input codes in
+    ``uint8``: each of ``keys`` has an input dictionary of at most 256
+    values (sales ``region`` has 10, ``channel`` 4)."""
+    for key in keys:
+        codes, uniques = result._pending[key].args
+        assert len(uniques) <= 256
+        assert codes.dtype == np.uint8
+
+
 class TestRetention:
     """A pending derivation holds per-group arrays and nothing else."""
 
@@ -277,6 +287,7 @@ class TestRetention:
         assert 0 < result.num_rows < 4_000
         for array in reachable_arrays(result):
             assert len(array) <= result.num_rows
+        assert_codes_narrow(result, keys)
         assert_dictionaries_exact(result, keys)
 
     def test_morsel_result_holds_no_input(self):
@@ -290,9 +301,10 @@ class TestRetention:
         del table, groupings
         gc.collect()
         assert probe() is None
-        for result in results:
+        for result, keys in zip(results, (["region"], ["region", "channel"])):
             for array in reachable_arrays(result):
                 assert len(array) <= result.num_rows
+            assert_codes_narrow(result, keys)
 
 
 class TestDenseDomainGuard:
@@ -329,3 +341,53 @@ class TestDenseDomainGuard:
         assert dense(DENSE_DOMAIN_SLACK * 100_000, 100_000)
         assert not dense(DENSE_DOMAIN_SLACK * 100_000 + 1, 100_000)
         assert not dense(aggregation.BINCOUNT_LIMIT + 1, 10**9)
+
+
+def reference_rerank(parent_codes, parent_uniques):
+    """The re-rank as it was with ``int64`` codes: one ``np.unique``."""
+    uniq_codes, inverse = np.unique(parent_codes, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), parent_uniques[uniq_codes]
+
+
+class TestNarrowCodes:
+    """Narrow deferred codes realise exactly the ``int64`` dictionary."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.sampled_from([1, 2, 255, 256, 257, 65_535, 65_536, 65_537]),
+        groups=st.sampled_from([0, 1, 3, 200, 5_000, 20_000]),
+        seed=st.integers(0, 10_000),
+        strings=st.booleans(),
+    )
+    def test_realised_dictionary_bit_identical(
+        self, size, groups, seed, strings
+    ):
+        rng = np.random.default_rng(seed)
+        codes = np.sort(rng.integers(0, size, groups)).astype(np.int64)
+        uniques = np.arange(size, dtype=np.int64) * 3 - 7
+        if strings:
+            uniques = uniques.astype("U8")
+        narrow = aggregation.narrow_codes(codes, size)
+        want = np.uint8 if size <= 256 else np.uint16 if size <= 65_536 else np.uint32
+        assert narrow.dtype == want
+        got_codes, got_values = aggregation._rerank_dictionary(narrow, uniques)
+        want_codes, want_values = reference_rerank(codes, uniques)
+        assert got_codes.dtype == want_codes.dtype == np.int64
+        assert got_values.dtype == want_values.dtype
+        np.testing.assert_array_equal(got_codes, want_codes)
+        np.testing.assert_array_equal(got_values, want_values)
+
+    def test_empty_input(self):
+        uniques = np.array([], dtype=np.int64)
+        got = aggregation._rerank_dictionary(
+            aggregation.narrow_codes(np.array([], dtype=np.int64), 0), uniques
+        )
+        want = reference_rerank(np.array([], dtype=np.int64), uniques)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.shape == want_array.shape == (0,)
+
+    def test_wide_dictionaries_keep_int64(self):
+        codes = np.array([0, 5], dtype=np.int64)
+        assert aggregation.narrow_codes(codes, 1 << 32).dtype == np.uint32
+        assert aggregation.narrow_codes(codes, (1 << 32) + 1) is codes

@@ -180,3 +180,82 @@ class TestLifecycle:
         outcome = session.execute(session.optimize(queries).plan)
         assert outcome.results
         assert session.cache_stats()["entries"] == 1
+
+
+@pytest.fixture(scope="module")
+def sales_40k():
+    from repro.workloads.sales import SALES_COLUMNS, make_sales
+
+    table = make_sales(40_000, seed=3)
+    table.build_dictionaries()
+    return table, single_column_queries(SALES_COLUMNS)
+
+
+class TestWorkersByDefault:
+    """``parallelism`` defaults to the usable CPUs; ``auto`` prices modes."""
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        import os
+
+        from repro.engine import morsel
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False
+        )
+        assert morsel.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert morsel.usable_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "cpus, modes", [(1, {"serial"}), (2, {"wavefront", "morsel"})]
+    )
+    def test_default_follows_usable_cpus(
+        self, monkeypatch, sales_40k, cpus, modes
+    ):
+        from repro.engine import executor
+        from repro.obs.tracer import Tracer
+
+        monkeypatch.setattr(executor, "usable_cpus", lambda: cpus)
+        table, queries = sales_40k
+        session = Session.for_table(table, statistics="exact")
+        tracer = Tracer()
+        result = session.execute(session.optimize(queries).plan, tracer=tracer)
+        assert result.metrics.mode in modes
+        (plan_span,) = [s for s in tracer.spans if s.name == "execute.plan"]
+        assert plan_span.attributes["parallelism"] == cpus
+
+    def test_memory_budget_runs_serial(self, sales_40k):
+        table, queries = sales_40k
+        session = Session.for_table(table, statistics="exact")
+        plan = session.optimize(queries).plan
+        assert session.execute(plan, parallelism=2).metrics.mode != "serial"
+        budgeted = session.execute(
+            plan, parallelism=2, memory_budget_bytes=1e9
+        )
+        assert budgeted.metrics.mode == "serial"
+        forced = session.execute(
+            plan, parallelism=2, memory_budget_bytes=1e9, mode="morsel"
+        )
+        assert forced.metrics.mode == "morsel"
+
+    def test_requested_schedule_survives_workers(self):
+        """``auto`` resolving to serial on two workers keeps the Section
+        4.4.1 storage order — and ``depth_first`` when asked for it."""
+        from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
+
+        session = Session.for_table(
+            make_lineitem(20_000, seed=0), statistics="exact"
+        )
+        plan = session.optimize(single_column_queries(LINEITEM_SC_COLUMNS)).plan
+
+        def order(**kwargs):
+            physical = session.lower(plan, **kwargs)
+            assert physical.mode == "serial"
+            return [op.describe() for op in physical.iter_ops()]
+
+        storage = order(parallelism=1)
+        depth_first = order(parallelism=1, schedule="depth_first")
+        assert storage != depth_first
+        assert order(parallelism=2) == storage
+        assert order(parallelism=2, schedule="depth_first") == depth_first
