@@ -111,7 +111,9 @@ def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (trailing-NUL padding and ``""`` included).  Words are folded in
     from the most significant: ``codes * k_j + rank(word_j)`` stays
     below ``n**2`` and is re-ranked densely, and the fold stops once
-    every row is its own group.  Words equal on every row are skipped.
+    every row is its own group.  Words equal on every row are skipped,
+    and so is a word constant within every group told apart so far
+    (it would re-rank the codes to themselves).
     """
     n = len(array)
     native = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("="))
@@ -128,18 +130,23 @@ def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The last word's padding bytes are zero on every row: shifting them
     # out keeps its order and lets a narrow tail take the dense path.
     words[-1] >>= np.uint64(8 * (n_words * 8 - width))
-    # k: groups told apart so far — one (every row equal) unless empty.
+    # k: groups told apart so far — one (every row equal) unless empty;
+    # representative: one row of each.
     codes, k = np.zeros(n, dtype=np.int64), min(n, 1)
+    representative = np.zeros(k, dtype=np.intp)
     for j in np.flatnonzero((words != words[:, :1]).any(axis=1)):
         if k == n:
             break
+        word = words[j]
         if k == 1:
-            codes, k = _dense_rank(words[j])
+            codes, k = _dense_rank(word)
+        elif np.array_equal(word[representative][codes], word):
+            continue  # constant within every group: it splits none
         else:
-            word_codes, k_j = _dense_rank(words[j])
+            word_codes, k_j = _dense_rank(word)
             codes, k = _dense_rank(codes * k_j + word_codes)
-    representative = np.empty(k, dtype=np.intp)
-    representative[codes] = np.arange(n)
+        representative = np.empty(k, dtype=np.intp)
+        representative[codes] = np.arange(n)
     return codes, array[representative]
 
 

@@ -1197,7 +1197,9 @@ class PlanExecutor:
                 f"cube expand {op.op_id} reads missing pipeline input "
                 f"{op.source}"
             )
-        top.build_dictionaries()
+        # Each grouping encodes what it reads through the plan-wide
+        # cache: an eager top.build_dictionaries() here would open a
+        # load pool inside the plan's workers.
         for query in op.queries:
             metrics.queries_executed += 1
             table = group_by(

@@ -85,13 +85,16 @@ class Workers:
     :meth:`map` runs a list of tasks on all of them: each thread pulls
     the next index from one shared counter until none is left, so the
     caller works instead of waiting.  One instance serves a whole plan
-    run — every wave and morsel batch — and starts its pool threads at
-    most once, because every thread keeps a malloc arena of its own:
-    with a pool per wave, ``peak_rss_mb`` on the session benchmark
-    varied from 201 to 232 MB between runs of one build, with one per
-    run from 204 to 209 (``docs/performance.md``).  Never more threads
-    than :func:`usable_cpus`, which would only add interpreter-lock
-    churn.
+    run — every wave and morsel batch — or one load
+    (:meth:`Table.build_dictionaries
+    <repro.engine.table.Table.build_dictionaries>`), and starts its
+    pool threads at most once, because every thread keeps a malloc
+    arena of its own: with a pool per wave, ``peak_rss_mb`` on the
+    session benchmark varied from 201 to 232 MB between runs of one
+    build, with one per run from 204 to 209 (``docs/performance.md``).
+    Never more threads than :func:`usable_cpus`, which would only add
+    interpreter-lock churn — so no task run by :meth:`map` may open a
+    second instance.
     """
 
     def __init__(self, parallelism: int, name: str) -> None:

@@ -170,9 +170,43 @@ class Table:
         self._pending[column] = derive
 
     def build_dictionaries(self) -> None:
-        """Eagerly dictionary-encode every column (load-time work)."""
+        """Eagerly dictionary-encode every column (load-time work).
+
+        Columns with neither a built nor a deferred dictionary are
+        encoded concurrently on the usable CPUs — numpy's sort, scatter
+        and cumsum kernels release the GIL — largest ``nbytes`` first,
+        so the longest encode starts at once and the short ones fill
+        in behind it.  Nothing is stored unless every encode succeeds.
+        Serial with one usable CPU, one column to encode, or fewer than
+        ``MORSEL_MIN_ROWS`` rows.  Deferred dictionaries are realised
+        by their re-rank, never re-encoded.
+        """
+        from repro.costmodel.engine_model import MORSEL_MIN_ROWS
+        from repro.engine import morsel
+        from repro.engine.dictcache import encode_column
+
+        columns = sorted(
+            (
+                column
+                for column in self._columns
+                if column not in self._dictionaries
+                and column not in self._pending
+            ),
+            key=lambda column: self._columns[column].nbytes,
+            reverse=True,
+        )
+        arrays = [self._columns[column] for column in columns]
+        parallelism = min(morsel.usable_cpus(), len(columns))
+        if parallelism > 1 and self._num_rows >= MORSEL_MIN_ROWS:
+            with morsel.Workers(parallelism, "repro-load") as workers:
+                encoded = workers.map(
+                    lambda index: encode_column(arrays[index]), len(arrays)
+                )
+        else:
+            encoded = [encode_column(array) for array in arrays]
+        self._dictionaries.update(zip(columns, encoded))
         for column in self.column_names:
-            self.dictionary(column)
+            self.cached_dictionary(column)
 
     def drop_dictionaries(self) -> int:
         """Drop every cached dictionary; returns how many built ones were dropped.

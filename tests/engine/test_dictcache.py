@@ -68,6 +68,44 @@ def string_columns(draw):
     return with_layout(array, draw(st.booleans()), draw(st.booleans()))
 
 
+@st.composite
+def shared_prefix_columns(draw):
+    """Rows that share 8- or 16-byte prefixes and differ only in a later
+    word: whole-word prefixes at 1, 2 or 4 bytes a character, with
+    non-ASCII characters mixed into both prefix and tail."""
+    char_bytes = draw(st.sampled_from([1, 2, 4]))
+    widest = CHARACTERS[{1: 0, 2: 1, 4: 2}[char_bytes]]
+    # Every prefix starts with a character of the chosen width, so the
+    # kernel packs it at char_bytes and the prefix fills whole words.
+    lead = draw(widest)
+    prefix_chars = draw(st.sampled_from([8, 16])) // char_bytes
+    tiny = st.sampled_from("ab\u00e9") | widest
+    alphabet = draw(st.lists(tiny, min_size=1, max_size=3))
+    prefixes = draw(
+        st.lists(
+            st.text(
+                alphabet=alphabet,
+                min_size=prefix_chars - 1,
+                max_size=prefix_chars - 1,
+            ).map(lambda rest: lead + rest),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    tails = draw(
+        st.lists(st.text(alphabet=alphabet, max_size=12), min_size=1, max_size=4)
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(prefixes), st.sampled_from(tails)),
+            max_size=40,
+        )
+    )
+    width = prefix_chars + 12 + draw(st.integers(0, 3))
+    array = np.array([p + t for p, t in rows], dtype=f"U{width}")
+    return with_layout(array, draw(st.booleans()), draw(st.booleans()))
+
+
 class TestEncodeColumn:
     def test_dense_int_fast_path(self):
         assert_same_encoding(np.array([5, 3, 5, 7, 3, 3], dtype=np.int64))
@@ -101,8 +139,8 @@ class TestEncodeColumn:
                 )
                 assert_same_encoding(array)
 
-    @settings(max_examples=300, deadline=None)
-    @given(string_columns())
+    @settings(max_examples=600, deadline=None)
+    @given(string_columns() | shared_prefix_columns())
     @example(np.array([], dtype="U30"))
     @example(np.array(["zz"], dtype=">U30"))
     @example(np.full(2, "same", dtype="U9"))
@@ -115,6 +153,14 @@ class TestEncodeColumn:
     )
     def test_strings_match_reference(self, array):
         assert_same_encoding(array)
+
+    def test_word_that_splits_a_group_is_ranked(self):
+        # The first word leaves groups {AAAAAAAA1, AAAAAAAA2} and
+        # {BBBBBBBB1}; the second word ("1", "2", "1") splits the first
+        # of them, so it must be ranked, not skipped.
+        assert_same_encoding(
+            np.array(["AAAAAAAA1", "AAAAAAAA2", "BBBBBBBB1"], dtype="U9")
+        )
 
     def test_float_column(self):
         assert_same_encoding(np.array([2.5, 1.0, 2.5, -0.5]))

@@ -6,13 +6,19 @@ tables and equal aggregated :class:`ExecutionMetrics` totals versus a
 serial run of the same plan.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.costmodel.engine_model import MORSEL_MIN_ROWS
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan
+from repro.engine import executor as executor_module, morsel
+from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionError, PlanExecutor
+from repro.engine.table import Table
 from repro.obs.tracer import Tracer
 from repro.workloads.customers import make_customers
 from repro.workloads.queries import combi_workload
@@ -127,6 +133,48 @@ class TestHandBuiltPlans:
         for query in a.results:
             assert_tables_identical(a.results[query], b.results[query])
         assert a.metrics.as_dict() == b.metrics.as_dict()
+
+    def test_cube_expand_opens_no_pool_inside_a_plan(self, monkeypatch):
+        """A CUBE top above the load floor, answered on a wave worker:
+        no ``Workers`` pool may open on a thread already inside
+        ``Workers.map`` (that would exceed ``usable_cpus()``)."""
+        inside = threading.local()
+
+        class GuardedWorkers(morsel.Workers):
+            def __init__(self, parallelism, name):
+                assert not getattr(inside, "depth", 0), (
+                    f"pool {name!r} opened inside a running Workers.map"
+                )
+                super().__init__(parallelism, name)
+
+            def map(self, task, count):
+                def marked(index):
+                    inside.depth = getattr(inside, "depth", 0) + 1
+                    try:
+                        return task(index)
+                    finally:
+                        inside.depth -= 1
+
+                return super().map(marked, count)
+
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(morsel, "Workers", GuardedWorkers)
+        monkeypatch.setattr(executor_module, "Workers", GuardedWorkers)
+        n = MORSEL_MIN_ROWS + 1_000
+        rows = np.arange(n)
+        # Every (low, mid) pair is distinct, so the CUBE top keeps all
+        # n rows and carries two aggregate columns to encode.
+        table = Table("r", {"low": rows % 300, "mid": rows // 300, "v": rows})
+        catalog = Catalog()
+        catalog.add_table(table)
+        aggregates = [AggregateSpec.count_star(), AggregateSpec.sum_of("v")]
+        run = PlanExecutor(
+            catalog, "r", aggregates=aggregates, parallelism=2,
+            mode="wavefront",
+        ).execute(self.cube_plan())
+        assert run.metrics.mode == "wavefront"
+        assert run.results[fs("low", "mid")].num_rows == n
+        assert run.results[fs("low")]["cnt"].sum() == n
 
     def rollup_plan(self):
         node = PlanNode(fs("low", "mid"), NodeKind.ROLLUP, ("low", "mid"))

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.costmodel.engine_model import MORSEL_MIN_ROWS
+from repro.engine import dictcache, morsel
+from repro.engine.dictcache import encode_column
 from repro.engine.table import Table
 from repro.engine.types import INT_NULL, SchemaError
+from repro.workloads.sales import make_sales
+from repro.workloads.tpch import make_lineitem
 
 
 class TestConstruction:
@@ -139,6 +144,130 @@ class TestDictionary:
         table = Table("t", {"x": [INT_NULL, 1, INT_NULL]})
         codes, values = table.dictionary("x")
         assert len(values) == 2
+
+
+LOADS = {"lineitem": make_lineitem, "sales": make_sales}
+
+
+@pytest.fixture(scope="module")
+def loads():
+    """Each 40k-row load table with its serially encoded columns."""
+    out = {}
+    for name, make in LOADS.items():
+        table = make(40_000)
+        out[name] = (
+            table,
+            {c: encode_column(table[c]) for c in table.column_names},
+        )
+    return out
+
+
+def unencoded(table):
+    """The same arrays in a fresh table with no dictionaries."""
+    return Table(table.name, {c: table[c] for c in table.column_names})
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Spy on ``Workers``: the list of pools opened (by parallelism)."""
+    opened = []
+
+    class SpyWorkers(morsel.Workers):
+        def __init__(self, parallelism, name):
+            super().__init__(parallelism, name)
+            opened.append(self.parallelism)
+
+    monkeypatch.setattr(morsel, "Workers", SpyWorkers)
+    return opened
+
+
+def spy_encodes(monkeypatch, table, fail_on=None):
+    """Record which columns ``encode_column`` sees, in call order;
+    raise on column ``fail_on``."""
+    names = {id(table[c]): c for c in table.column_names}
+    seen = []
+
+    def spy(array):
+        column = names[id(array)]
+        seen.append(column)
+        if column == fail_on:
+            raise ValueError(f"encode of {column} failed")
+        return encode_column(array)
+
+    monkeypatch.setattr(dictcache, "encode_column", spy)
+    return seen
+
+
+class TestParallelLoad:
+    """``build_dictionaries`` encodes columns concurrently on the usable
+    CPUs, bit-identical to the serial encode."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("workload", sorted(LOADS))
+    def test_bit_identical_to_serial_encode(
+        self, loads, pools, monkeypatch, workload, cpus
+    ):
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: cpus)
+        base, expected = loads[workload]
+        table = unencoded(base)
+        table.build_dictionaries()
+        for column, (codes, uniques) in expected.items():
+            got_codes, got_uniques = table.cached_dictionary(column)
+            np.testing.assert_array_equal(got_codes, codes)
+            np.testing.assert_array_equal(got_uniques, uniques)
+            assert got_codes.dtype == codes.dtype
+            assert got_uniques.dtype == uniques.dtype
+        assert pools == ([] if cpus == 1 else [cpus])
+
+    def test_largest_column_first(self, loads, monkeypatch):
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 1)
+        table = unencoded(loads["lineitem"][0])
+        seen = spy_encodes(monkeypatch, table)
+        table.build_dictionaries()
+        sizes = [table[c].nbytes for c in seen]
+        assert seen[0] == "l_comment"
+        assert sizes == sorted(sizes, reverse=True)
+        assert sorted(seen) == sorted(table.column_names)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_deferred_dictionary_realised_not_encoded(
+        self, loads, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: cpus)
+        base, expected = loads["lineitem"]
+        table = unencoded(base)
+        realised = []
+
+        def derive():
+            realised.append(True)
+            return expected["l_comment"]
+
+        table.defer_dictionary("l_comment", derive)
+        seen = spy_encodes(monkeypatch, table)
+        table.build_dictionaries()
+        assert "l_comment" not in seen
+        assert len(seen) == len(table.column_names) - 1
+        assert realised == [True]
+        assert table.cached_dictionary("l_comment") is expected["l_comment"]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_failed_encode_stores_nothing(self, loads, monkeypatch, cpus):
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: cpus)
+        table = unencoded(loads["sales"][0])
+        spy_encodes(monkeypatch, table, fail_on=table.column_names[1])
+        with pytest.raises(ValueError, match="failed"):
+            table.build_dictionaries()
+        for column in table.column_names:
+            assert table.cached_dictionary(column) is None
+
+    def test_below_floor_opens_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 4)
+        table = make_sales(MORSEL_MIN_ROWS - 1)
+        table.build_dictionaries()
+        assert pools == []
+        for column in table.column_names:
+            codes, uniques = table.cached_dictionary(column)
+            np.testing.assert_array_equal(uniques[codes], table[column])
 
 
 class TestDictionaryStaleness:
