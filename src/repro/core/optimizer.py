@@ -12,11 +12,12 @@ only O(n^2) SubPlanMerge calls are made across the whole run: after a
 merge, only pairs involving the newly created sub-plan are evaluated.
 
 A pair is priced cheapest bound first, each from statistics that already
-exist: the edge from R to the union of its roots alone
-(:meth:`PlanCoster.root_cost_bound`), then — only if that still promises
-a gain when the pair reaches the top of the heap — a floor over every
-candidate (:meth:`PlanCoster.subplan_cost_bound`), then, on the same
-condition, the exact cost: optimizer calls, a new statistic for the
+exist: the edge from R to the union of its roots alone, every pair of a
+walk in one array expression (:meth:`PlanCoster.root_cost_bounds`), then
+— only if that still promises a gain when the pair reaches the top of
+the heap — a floor over every candidate
+(:meth:`PlanCoster.subplan_cost_bound`), then, on the same condition,
+the exact cost: optimizer calls, a new statistic for the
 union.  The merges made are those of the eager loop, ties included.
 """
 
@@ -25,13 +26,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 from repro.core.merge import MergeOptions, subplan_merge
 from repro.core.plan import LogicalPlan, NodeKind, SubPlan, naive_plan
 from repro.core.storage import min_intermediate_storage
-from repro.costmodel.base import PlanCoster
+from repro.costmodel.base import PlanCoster, RootArrays
 from repro.obs.clock import monotonic
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.telemetry import SearchTelemetry
@@ -208,14 +210,22 @@ class GbMqoOptimizer:
         merge_opts = self.options.merge_options()
 
         # Forest state: sequence-numbered sub-plans and their costs (what
-        # every delta of a pair subtracts).
+        # every delta of a pair subtracts), also kept as arrays by id, with
+        # the roots' bitmasks, for the walks' root floors.
         forest: dict[int, SubPlan] = {}
         costs: dict[int, float] = {}
+        roots = RootArrays(frozenset().union(*required_sets))
         next_id = 0
-        for subplan in plan.subplans:
+
+        def add(subplan: SubPlan) -> None:
+            nonlocal next_id
             forest[next_id] = subplan
             costs[next_id] = self._coster.subplan_cost(subplan)
+            roots.append(subplan.node.columns, costs[next_id])
             next_id += 1
+
+        for subplan in plan.subplans:
+            add(subplan)
 
         # Every pair is priced once, when it is first walked, by its root
         # floor: the materialised Group By on v1 | v2 from R, less the two
@@ -239,16 +249,6 @@ class GbMqoOptimizer:
         iterations = 0
         merge_log: list[str] = []
         coster = self._coster
-
-        def root_floor(id1: int, id2: int) -> float:
-            """The pair's first price: no candidate built, no child edge
-            read."""
-            v1, v2 = forest[id1].node.columns, forest[id2].node.columns
-            return (
-                coster.root_cost_bound(v1 | v2, (v1, v2))
-                - costs[id1]
-                - costs[id2]
-            )
 
         def delta_floor(id1: int, id2: int) -> float:
             """A value no candidate of the pair can cost less than, over
@@ -295,30 +295,42 @@ class GbMqoOptimizer:
             ) as iteration_span:
                 ids = sorted(forest)
                 pair_count = len(ids) * (len(ids) - 1) // 2
-                # Each pair is walked once, in (id1, id2) order: every pair
-                # at first, then those of the newest sub-plan (the highest
-                # id).  The rest wait in the heap from an earlier walk.
-                if iterations == 1:
-                    walk = list(combinations(ids, 2))
-                else:
-                    walk = [(id1, ids[-1]) for id1 in ids[:-1]]
                 telemetry.pairs_considered += pair_count
-                for id1, id2 in walk:
-                    # A CUBE / ROLLUP root has no candidates and never
-                    # merges again: no bound is read for it.
-                    if (
-                        forest[id1].node.kind is not NodeKind.GROUP_BY
-                        or forest[id2].node.kind is not NodeKind.GROUP_BY
+                # A CUBE / ROLLUP root has no candidates and never merges
+                # again: no bound is read for it.
+                plain = np.array(
+                    [i for i in ids if forest[i].node.kind is NodeKind.GROUP_BY],
+                    dtype=np.int64,
+                )
+                # Each pair is walked once: every pair at first, then those
+                # of the newest sub-plan (the highest id).  The rest wait in
+                # the heap from an earlier walk.
+                if iterations == 1:
+                    first, second = np.triu_indices(len(plain), 1)
+                    first, second = plain[first], plain[second]
+                elif len(plain) and plain[-1] == ids[-1]:
+                    first = plain[:-1]
+                    second = np.full(len(first), ids[-1], dtype=np.int64)
+                else:
+                    first = second = plain[:0]
+                if len(first):
+                    # The pair's first price: no candidate built, no child
+                    # edge read.
+                    floors = (
+                        coster.root_cost_bounds(roots, first, second)
+                        - roots.costs[first]
+                        - roots.costs[second]
+                    )
+                    promising = floors < -EPSILON
+                    refused = len(floors) - int(np.count_nonzero(promising))
+                    telemetry.pairs_refused_at_root += refused
+                    telemetry.pairs_refused_by_bound += refused
+                    for entry in zip(
+                        floors[promising].tolist(),
+                        first[promising].tolist(),
+                        second[promising].tolist(),
                     ):
-                        continue
-                    floor = root_floor(id1, id2)
-                    if floor >= -EPSILON:
-                        telemetry.pairs_refused_at_root += 1
-                        telemetry.pairs_refused_by_bound += 1
-                    else:
-                        heapq.heappush(
-                            profitable, (floor, id1, id2, _ROOT, None)
-                        )
+                        heapq.heappush(profitable, (*entry, _ROOT, None))
 
                 # A popped entry is dropped for good when one side has been
                 # merged away.
@@ -359,9 +371,7 @@ class GbMqoOptimizer:
                 for stale in (id1, id2):
                     del forest[stale]
                     del costs[stale]
-                forest[next_id] = candidate
-                costs[next_id] = coster.subplan_cost(candidate)
-                next_id += 1
+                add(candidate)
 
         final = LogicalPlan(
             relation,

@@ -14,6 +14,9 @@ remaining grouping is computed from that materialized result.
 from __future__ import annotations
 
 from functools import partial
+from typing import Callable
+
+import numpy as np
 
 from repro.core.plan import NodeKind, PlanNode
 from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
@@ -41,6 +44,16 @@ class CardinalityCostModel:
         materialize_child: bool,
     ) -> float:
         return self.edge_cost_bound(parent, child, materialize_child, None)
+
+    def root_terms(self, columns: frozenset[str]) -> tuple[float, ...]:
+        """The materialised Group By on ``columns`` from R costs |R|."""
+        return (float(self._estimator.base_rows),)
+
+    def root_edge_bounds(
+        self, terms: np.ndarray, rows: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """That edge of many unions at once; no cardinality is read."""
+        return terms[:, 0]
 
     def edge_cost_bound(
         self,

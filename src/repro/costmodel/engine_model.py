@@ -15,7 +15,9 @@ wall-clock seconds; only relative costs matter for plan choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
 from repro.core.scheduling import Step, wavefront_schedule
@@ -83,6 +85,14 @@ MORSEL_DISPATCH_COST = 50_000.0
 #: pipeline's Python steps hold (≈ 200 µs on a 2-vCPU VM, where a
 #: 12-pipeline plan over 40k rows ran slower in waves than serially).
 WAVEFRONT_DISPATCH_COST = 1_500_000.0
+
+
+def _spool_cost(rows, width, ncols):
+    """Writing ``rows`` result rows of ``width`` bytes plus
+    dictionary-encoding their ``ncols`` key columns, so children can
+    aggregate cheaply (the executor does both).  Floats or arrays alike:
+    the search prices a walk's root edges through this same expression."""
+    return rows * width * WRITE_BYTE + rows * ncols * ENCODE_CPU
 
 
 @dataclass(frozen=True)
@@ -229,7 +239,7 @@ class EngineCostModel:
         if cpu is None:
             cpu = len(columns) * HASH_CPU
             domain = 1.0
-            for column in columns:
+            for column in sorted(columns):
                 domain *= max(self._estimator.rows(frozenset([column])), 1.0)
                 if domain > HASH_DOMAIN_LIMIT:
                     cpu += SORT_GROUP_CPU
@@ -280,10 +290,7 @@ class EngineCostModel:
         width = self._estimator.row_width(columns)
         if known is None:
             self.whatif.create(columns, rows, width)
-        # Writing the rows plus dictionary-encoding the key columns so
-        # children can aggregate cheaply (the executor does both).
-        encode = rows * len(columns) * ENCODE_CPU
-        return rows * width * WRITE_BYTE + encode
+        return _spool_cost(rows, width, len(columns))
 
     # -- per-physical-operator costs --------------------------------------------
     #
@@ -293,9 +300,10 @@ class EngineCostModel:
     # constants the logical edge costs above are built from.
 
     def grouping_domain(self, columns: Iterable[str]) -> float:
-        """Estimated composite key domain: product of per-column counts."""
+        """Estimated composite key domain: product of per-column counts,
+        in sorted column order."""
         domain = 1.0
-        for column in columns:
+        for column in sorted(columns):
             domain *= max(self._estimator.rows(frozenset([column])), 1.0)
         return domain
 
@@ -517,6 +525,23 @@ class EngineCostModel:
         materialize_child: bool,
     ) -> float:
         return self.edge_cost_bound(parent, child, materialize_child, None)
+
+    def root_terms(self, columns: frozenset[str]) -> tuple[float, ...]:
+        """What the materialised Group By on ``columns`` from R costs apart
+        from its rows: the base scan, the row width and the key count."""
+        return (
+            self._base_scan_cost(columns),
+            self._estimator.row_width(columns),
+            float(len(columns)),
+        )
+
+    def root_edge_bounds(
+        self, terms: np.ndarray, rows: Callable[[], np.ndarray]
+    ) -> np.ndarray:
+        """``group_by_cost(None, columns, True, known)`` of many unions at
+        once: one :meth:`root_terms` row per union and ``rows()`` their
+        cardinality floors."""
+        return terms[:, 0] + _spool_cost(rows(), terms[:, 1], terms[:, 2])
 
     def edge_cost_bound(
         self,

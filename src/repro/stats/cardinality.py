@@ -22,7 +22,9 @@ Both also have a ``rows_lower_bound`` method (reached through
 :func:`rows_lower_bound_of`): a floor under ``rows`` of a column set
 whose statistic does not exist yet, read off the statistics of its known
 subsets.  The search costs a merge optimistically with it and creates
-the union's statistic only when that optimism still wins.
+the union's statistic only when that optimism still wins.  The floor is
+made of the parts :class:`RowsFloors` names, so the search can also take
+it for a whole walk of pairs at once, as arrays (:func:`floors_of`).
 """
 
 from __future__ import annotations
@@ -81,6 +83,67 @@ def rows_lower_bound_of(estimator: CardinalityEstimator) -> RowsLowerBound:
     if bound is not None:
         return bound
     return lambda columns, known: estimator.rows(columns)
+
+
+class RowsFloors(Protocol):
+    """The parts ``rows_lower_bound(columns, known)`` is made of.
+
+    With ``u`` the union of the known sets, the floor is
+    ``statistic(u)`` when that is not None, and otherwise
+    ``profile_floor(d, f1, cap(u))`` at the componentwise maximum
+    ``(d, f1)`` of the known sets' profiles.  ``profile_floor`` takes
+    floats and arrays alike, so the floors of many pairs are one array
+    expression, equal bit for bit to the floors taken one at a time.
+    """
+
+    def statistic(self, columns: frozenset[str]) -> float | None:
+        """A floor under ``rows(columns)`` that reads no other column
+        set, or None; creates nothing."""
+        ...
+
+    def profile(self, columns: frozenset[str]) -> tuple[float, float]:
+        """``(d, f1)`` of ``columns``, which no superset's falls under
+        (the statistic of ``columns`` is created if missing)."""
+        ...
+
+    def cap(self, columns: frozenset[str]) -> float:
+        """The ceiling every estimate of ``columns`` is cut at."""
+        ...
+
+    def profile_floor(self, d, f1, cap):
+        """The floor under every profile at least ``(d, f1)``, cut at
+        ``cap``."""
+        ...
+
+
+def floors_of(estimator: CardinalityEstimator) -> RowsFloors:
+    """``estimator`` itself when it builds its floors from profiles;
+    otherwise a view whose ``statistic`` is the estimator's floor over
+    no known set (its ``rows`` when it cannot bound at all)."""
+    if hasattr(estimator, "profile_floor"):
+        return estimator
+    return _UnionFloors(rows_lower_bound_of(estimator))
+
+
+class _UnionFloors:
+    """:class:`RowsFloors` of an estimator with no profiles: every union
+    has a ``statistic``, its floor over no known set, so the profile
+    parts are never read."""
+
+    def __init__(self, bound: RowsLowerBound) -> None:
+        self._bound = bound
+
+    def statistic(self, columns: frozenset[str]) -> float:
+        return self._bound(columns, ())
+
+    def profile(self, columns: frozenset[str]) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def cap(self, columns: frozenset[str]) -> float:
+        raise NotImplementedError
+
+    def profile_floor(self, d, f1, cap):
+        raise NotImplementedError
 
 
 class _CodesCache:
@@ -154,14 +217,49 @@ def _subsets_to_read(
     return subsets
 
 
-class ExactCardinalityEstimator:
-    """Exact group counts with caching (a perfect-statistics oracle)."""
+class _ProfileFloors:
+    """``rows_lower_bound`` from the :class:`RowsFloors` parts, for the
+    estimators that have them."""
+
+    def rows_lower_bound(
+        self, columns: frozenset[str], known: tuple[frozenset[str], ...]
+    ) -> float:
+        """A floor under ``rows(columns)``: the statistic of ``columns``
+        as it is when it exists, and otherwise the floor at the largest
+        ``(d, f1)`` among the ``known`` subsets of ``columns`` and the
+        single columns they leave out, whose statistics are created if
+        missing."""
+        exact = self.statistic(columns)
+        if exact is not None:
+            return exact
+        if not columns:
+            return 1.0
+        # A full floor reads the union's rows on several of its edges.
+        floor = self._floors.get((columns, known))
+        if floor is None:
+            d = f1 = 0
+            for subset in _subsets_to_read(columns, known):
+                subset_d, subset_f1 = self.profile(subset)
+                d = max(d, subset_d)
+                f1 = max(f1, subset_f1)
+            floor = float(self.profile_floor(d, f1, self.cap(columns)))
+            self._floors[columns, known] = floor
+        return floor
+
+
+class ExactCardinalityEstimator(_ProfileFloors):
+    """Exact group counts with caching (a perfect-statistics oracle).
+
+    Its floor is the largest exact count among the known subsets: a
+    grouping has at least as many groups as any coarser one.
+    """
 
     def __init__(self, table: Table) -> None:
         self._table = table
         self._codes = _CodesCache(table)
         self._widths = _WidthModel(table)
         self._cache: dict[frozenset[str], float] = {}
+        self._floors: dict[tuple[object, ...], float] = {}
 
     @property
     def base_rows(self) -> int:
@@ -176,27 +274,23 @@ class ExactCardinalityEstimator:
             self._cache[columns] = float(len(np.unique(combined)))
         return self._cache[columns]
 
-    def rows_lower_bound(
-        self, columns: frozenset[str], known: tuple[frozenset[str], ...]
-    ) -> float:
-        """The largest exact count among the ``known`` subsets of
-        ``columns`` (and the single columns they leave out): a grouping
-        has at least as many groups as any coarser one.  An existing
-        count of ``columns`` is returned as it is."""
-        exact = self._cache.get(columns)
-        if exact is not None:
-            return exact
-        if not columns:
-            return 1.0
-        return max(
-            self.rows(subset) for subset in _subsets_to_read(columns, known)
-        )
+    def statistic(self, columns: frozenset[str]) -> float | None:
+        return self._cache.get(columns)
+
+    def profile(self, columns: frozenset[str]) -> tuple[float, float]:
+        return self.rows(columns), 0.0
+
+    def cap(self, columns: frozenset[str]) -> float:
+        return float(self._table.num_rows)
+
+    def profile_floor(self, d, f1, cap):
+        return np.minimum(d, cap)
 
     def row_width(self, columns: frozenset[str]) -> float:
         return self._widths.row_width(columns)
 
 
-class SampledCardinalityEstimator:
+class SampledCardinalityEstimator(_ProfileFloors):
     """Sample + distinct-estimator scaling, with metered statistics creation.
 
     Args:
@@ -225,6 +319,9 @@ class SampledCardinalityEstimator:
         #: superset's floor is computed from.
         self._profiles: dict[frozenset[str], tuple[int, int]] = {}
         self._caps: dict[frozenset[str], float] = {}
+        #: ``rows_lower_bound`` per ``(columns, known)``, while ``columns``
+        #: has no statistic.
+        self._floors: dict[tuple[object, ...], float] = {}
         self._sample_codes: _CodesCache | None = None
         #: Column sets for which a statistic was created, in order.
         self.created_statistics: list[frozenset[str]] = []
@@ -252,56 +349,42 @@ class SampledCardinalityEstimator:
             self._cache[columns] = self._create_statistic(columns)
         return self._cache[columns]
 
-    def rows_lower_bound(
-        self,
-        columns: frozenset[str],
-        known: tuple[frozenset[str], ...],
-    ) -> float:
-        """A floor under ``rows(columns)`` that leaves the sample alone.
+    def statistic(self, columns: frozenset[str]) -> float | None:
+        return self._cache.get(columns)
 
-        Grouping by more columns only splits the sample's groups, so the
-        distinct count ``d`` and the singleton count ``f1`` of every
-        subset bound those of ``columns`` from below; the estimator's
-        floor at the largest such pair
+    def profile(self, columns: frozenset[str]) -> tuple[float, float]:
+        self.rows(columns)
+        return self._profiles[columns]
+
+    def profile_floor(self, d, f1, cap):
+        """The floor ``rows_lower_bound`` reads, which leaves the sample
+        alone: grouping by more columns only splits the sample's groups,
+        so the ``d`` and ``f1`` of every subset bound those of a superset
+        from below, and the estimator's floor at the largest such pair
         (:func:`~repro.stats.distinct.profile_lower_bound`), under the
-        same two caps ``rows`` applies, cannot exceed the estimate.  The
-        subsets read are the members of ``known`` inside ``columns`` and
-        the single columns they leave out; their statistics are created
-        if missing.  A statistic of ``columns`` that exists is returned
-        as it is.
-        """
-        exact = self._cache.get(columns)
-        if exact is not None:
-            return exact
-        if not columns:
-            return 1.0
-        d = f1 = 0
-        for subset in _subsets_to_read(columns, known):
-            self.rows(subset)
-            subset_d, subset_f1 = self._profiles[subset]
-            d = max(d, subset_d)
-            f1 = max(f1, subset_f1)
-        return min(
+        same two caps ``rows`` applies, cannot exceed its estimate."""
+        return np.minimum(
             profile_lower_bound(
                 d, f1, self.sample_size, self._table.num_rows, self._method
             ),
-            self._cap(columns),
+            cap,
         )
 
     def row_width(self, columns: frozenset[str]) -> float:
         return self._widths.row_width(columns)
 
-    def _cap(self, columns: frozenset[str]) -> float:
+    def cap(self, columns: frozenset[str]) -> float:
         """The ceiling on an estimate: the product of the single-column
         estimates (independence) or the table cardinality, whichever is
         smaller.  Remembered per column set, so a floor and the estimate
-        it bounds are cut at the same float."""
+        it bounds are cut at the same float; multiplied in sorted column
+        order, so the float does not depend on set iteration order."""
         cap = self._caps.get(columns)
         if cap is None:
             cap = float(self._table.num_rows)
             if len(columns) > 1:
                 product = 1.0
-                for column in columns:
+                for column in sorted(columns):
                     product *= self._cache[frozenset([column])]
                     if product >= cap:
                         break
@@ -319,7 +402,7 @@ class SampledCardinalityEstimator:
             profile, sample.num_rows, self._table.num_rows, self._method
         )
         self._profiles[columns] = profile[:2]
-        estimate = min(estimate, self._cap(columns))
+        estimate = min(estimate, self.cap(columns))
         self.created_statistics.append(columns)
         self.creation_seconds += monotonic() - started
         return estimate

@@ -53,9 +53,15 @@ def sample_profile(sample_values: np.ndarray) -> SampleProfile:
     return d, f1, f2
 
 
-def _clamp(estimate: float, d: int, population: int) -> float:
-    """Estimates can never be below the observed d or above the table."""
-    return float(min(max(estimate, d), population))
+def _clamp(estimate, d, population: int):
+    """Estimates can never be below the observed d or above the table.
+
+    Like every floor below, this takes floats and arrays alike: the
+    search prices a walk's pairs as one array expression, and the same
+    operations in the same order make it equal to the scalar floor bit
+    for bit.
+    """
+    return np.minimum(np.maximum(estimate, d), population)
 
 
 def gee_estimate(
@@ -93,9 +99,12 @@ def jackknife_estimate(
     d, f1, _ = profile
     q = sample_size / population
     denominator = 1.0 - (1.0 - q) * f1 / max(sample_size, 1)
-    if denominator <= 0:
-        return _clamp(float(population), d, population)
-    return _clamp(d / denominator, d, population)
+    # A non-positive denominator reads as the whole table.
+    positive = denominator > 0
+    estimate = np.where(
+        positive, d / np.where(positive, denominator, 1.0), population
+    )
+    return _clamp(estimate, d, population)
 
 
 def hybrid_estimate(
@@ -132,11 +141,9 @@ ESTIMATORS = {
 }
 
 
-def _floor_d(
-    profile: SampleProfile, sample_size: int, population: int
-) -> float:
+def _floor_d(profile: SampleProfile, sample_size: int, population: int):
     """The observed distinct count, which ``_clamp`` never goes below."""
-    return float(profile[0])
+    return np.asarray(profile[0], dtype=np.float64)
 
 
 #: For each estimator, a function of ``(d, f1)`` alone that is
@@ -160,9 +167,11 @@ def _scale_up(
     sample_size: int,
     population: int,
     method: str,
-) -> float:
+):
     """Apply ``table[method]`` to a profile: an empty sample gives 0 and a
-    sample covering the whole table is exact, whatever the method."""
+    sample covering the whole table is exact, whatever the method.
+    ``d`` and ``f1`` may be arrays when the method takes them (the
+    entries of :data:`LOWER_BOUNDS` do)."""
     try:
         function = table[method]
     except KeyError:
@@ -171,23 +180,23 @@ def _scale_up(
             f"choose from {sorted(ESTIMATORS)}"
         ) from None
     d = profile[0]
-    if d == 0:
-        return 0.0
     if sample_size >= population:
-        return float(d)
-    return function(profile, sample_size, population)
+        scaled = np.asarray(d, dtype=np.float64)
+    else:
+        scaled = function(profile, sample_size, population)
+    return np.where(d == 0, 0.0, scaled)
 
 
 def estimate_from_profile(
     profile: SampleProfile, sample_size: int, population: int, method: str
 ) -> float:
     """Scale a sample's profile up to the table with the named estimator."""
-    return _scale_up(ESTIMATORS, profile, sample_size, population, method)
+    return float(
+        _scale_up(ESTIMATORS, profile, sample_size, population, method)
+    )
 
 
-def profile_lower_bound(
-    d: int, f1: int, sample_size: int, population: int, method: str
-) -> float:
+def profile_lower_bound(d, f1, sample_size: int, population: int, method: str):
     """A floor under :func:`estimate_from_profile` for every profile whose
     ``d`` and ``f1`` are at least the given ones.
 
@@ -197,6 +206,9 @@ def profile_lower_bound(
     holds in floating point as well — every step is a correctly rounded
     monotone operation, except GEE's ``d - f1`` term, whose decrease is
     outweighed by ``sqrt(N/n) * f1`` for any sample under ~4e7 rows.
+
+    ``d`` and ``f1`` may be equal-shaped arrays (one floor each) or
+    numbers (a 0-d array back).
     """
     return _scale_up(
         LOWER_BOUNDS, (d, f1, 0), sample_size, population, method

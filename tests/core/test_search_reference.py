@@ -27,6 +27,7 @@ from repro.core.plan import NodeKind
 from repro.core.pruning import MonotonicityPruner, eager_search
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
+from repro.costmodel.engine_model import EngineCostModel
 from repro.stats.cardinality import SampledCardinalityEstimator
 from repro.workloads.queries import (
     containment_workload,
@@ -160,6 +161,83 @@ def test_search_equals_full_rescan(workloads, workload, option_name):
     assert set(created) <= set(twin.estimator.created_statistics) | roots
 
 
+#: Rows and sample of the scaled-up differential: the sample is a tenth
+#: of the table, so every floor scales up by ``sqrt(N/n)``.
+SCALED_ROWS, SCALED_SAMPLE = 20_000, 2_000
+
+SCALED_CASES = {
+    "sales_tc": ("sales", two_column_queries(SALES_COLUMNS)),
+    "sales_tc8": ("sales", two_column_queries(SALES_COLUMNS[:8])),
+    "lineitem_sc": ("lineitem", single_column_queries(LINEITEM_SC_COLUMNS)),
+    "lineitem_tc": ("lineitem", two_column_queries(LINEITEM_SC_COLUMNS)),
+}
+
+
+@pytest.fixture(scope="module")
+def scaled_tables():
+    tables = {}
+
+    def table(name, seed):
+        if (name, seed) not in tables:
+            make = make_sales if name == "sales" else make_lineitem
+            tables[name, seed] = make(SCALED_ROWS, seed=seed)
+        return tables[name, seed]
+
+    return table
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("case", sorted(SCALED_CASES))
+def test_search_equals_full_rescan_when_sampled(scaled_tables, case, seed):
+    """The benchmark's workload shapes with the sample smaller than the
+    table: the floors a walk prices at once take the scale-up branch."""
+    name, queries = SCALED_CASES[case]
+    table = scaled_tables(name, seed)
+
+    def fresh():
+        return Session.for_table(
+            table, statistics="sampled", sample_rows=SCALED_SAMPLE, seed=seed
+        )
+
+    session, twin = fresh(), fresh()
+    assert session.estimator.sample_size < table.num_rows
+    result = session.optimize(queries)
+    reference = eager_search(
+        GbMqoOptimizer(twin.coster()), twin.base_table, queries
+    )
+    assert_same_search(result, reference)
+    assert result.telemetry.merges_accepted > 0
+    assert result.telemetry.pairs_refused_at_root > 0
+    created = session.estimator.created_statistics
+    assert len(created) == len(set(created))
+    roots = {frozenset(query) for query in queries}
+    assert set(created) <= set(twin.estimator.created_statistics) | roots
+
+
+@pytest.mark.parametrize("slack", [None, 0.5])
+def test_search_equals_full_rescan_beyond_64_columns(slack):
+    """Roots over more columns than an int64 bitmask holds keep their
+    bitmasks as Python ints; the walks must price them all the same."""
+    columns = [f"c{i:02d}" for i in range(70)]
+    singles = {column: 3 + i % 7 for i, column in enumerate(columns)}
+    queries = [frozenset([column]) for column in columns[::7]] + [
+        frozenset([columns[0], columns[69]]),
+        frozenset([columns[65], columns[66]]),
+    ]
+
+    def optimizer():
+        if slack is None:
+            estimator = FakeEstimator(100_000, singles)
+        else:
+            estimator = SlackEstimator(slack, 100_000, singles)
+        return GbMqoOptimizer(PlanCoster(EngineCostModel(estimator)))
+
+    result = optimizer().optimize("R", queries)
+    reference = eager_search(optimizer(), "R", queries)
+    assert_same_search(result, reference)
+    assert result.telemetry.merges_accepted > 0
+
+
 def test_storage_bound_and_pruners_bite(workloads):
     """The option values above must exercise their code, not idle."""
     table, queries = workloads["sales_tc"]
@@ -270,15 +348,14 @@ def test_search_prices_each_pair_once(
     merge of v1 <= v2 makes a new sub-plan rooted on v2.)"""
     table, queries = workloads[workload]
     priced = []
-    root_cost_bound = PlanCoster.root_cost_bound
+    root_cost_bounds = PlanCoster.root_cost_bounds
 
-    def spy(coster, columns, known):
-        # The pair is the caller's: the search's sequence-numbered ids.
-        pair = sys._getframe(1).f_locals
-        priced.append((pair["id1"], pair["id2"]))
-        return root_cost_bound(coster, columns, known)
+    def spy(coster, roots, first, second):
+        # The pairs are the search's sequence-numbered ids.
+        priced.extend(zip(first.tolist(), second.tolist()))
+        return root_cost_bounds(coster, roots, first, second)
 
-    monkeypatch.setattr(PlanCoster, "root_cost_bound", spy)
+    monkeypatch.setattr(PlanCoster, "root_cost_bounds", spy)
     session = Session.for_table(table, statistics="sampled")
     result = GbMqoOptimizer(session.coster(), options).optimize(
         session.base_table, queries

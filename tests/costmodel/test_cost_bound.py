@@ -7,15 +7,17 @@ above the cost — compared as floats, no tolerance — and computing it
 must send nothing to the optimizer, declare no what-if table and create
 no statistic beyond the roots'.
 
-``PlanCoster.root_cost_bound`` is the rung below it: the one edge every
+``PlanCoster.root_cost_bounds`` is the rung below it: the one edge every
 candidate of a pair starts its sum with, read before any candidate is
-built.  The rungs must be ordered, again as floats with no tolerance:
-the model's floor of that edge <= root floor <= every candidate's floor
-<= its exact delta.
+built, which the search reads for a whole walk of pairs at once.  The
+rungs must be ordered, again as floats with no tolerance: the model's
+floor of that edge <= root floor <= every candidate's floor <= its exact
+delta.
 """
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,12 +25,12 @@ from repro.api import Session
 from repro.core.merge import MergeOptions, subplan_merge
 from repro.core.optimizer import GbMqoOptimizer
 from repro.core.plan import NodeKind, PlanNode, SubPlan, naive_plan
-from repro.costmodel.base import PlanCoster
+from repro.costmodel.base import PlanCoster, RootArrays
 from repro.costmodel.cardinality import CardinalityCostModel
 from repro.costmodel.engine_model import EngineCostModel
 from repro.workloads.queries import containment_workload, two_column_queries
 from repro.workloads.sales import SALES_COLUMNS, make_sales
-from tests.core.support import SlackEstimator
+from tests.core.support import FakeEstimator, SlackEstimator
 
 OPERATORS = MergeOptions(enable_cube=True, enable_rollup=True)
 
@@ -194,21 +196,40 @@ def random_forest(queries, steps):
     return required, forest
 
 
+def forest_roots(forest):
+    """The roots of ``forest`` as the search keeps them (the batched entry
+    reads no sub-plan cost)."""
+    roots = RootArrays(frozenset().union(*(p.node.columns for p in forest)))
+    for subplan in forest:
+        roots.append(subplan.node.columns, 0.0)
+    return roots
+
+
+def root_floors(coster, forest):
+    """``{(i, j): root floor}`` of every pair of ``forest``, read from the
+    batched entry in one call, as the search reads its first walk."""
+    first, second = np.triu_indices(len(forest), 1)
+    floors = coster.root_cost_bounds(forest_roots(forest), first, second)
+    return dict(zip(zip(first.tolist(), second.tolist()), floors.tolist()))
+
+
 def broken_rungs(coster, required, forest, options):
     """``(root, candidate)`` of every candidate of every pair for which
         model floor of R -> v1 | v2 <= root floor <= candidate floor <= delta
     does not hold, every term less the same two operand costs."""
     model = coster.model
+    roots = forest_roots(forest)
     broken = []
     checked = 0
-    for p1, p2 in combinations(forest, 2):
+    for i, j in combinations(range(len(forest)), 2):
+        p1, p2 = forest[i], forest[j]
         v1, v2 = p1.node.columns, p2.node.columns
         known = (v1, v2)
         c1, c2 = coster.subplan_cost(p1), coster.subplan_cost(p2)
         # In the order the search reads them: a floor read later leans
         # on more statistics and is never looser.
         edge = model.edge_cost_bound(None, PlanNode(v1 | v2), True, known)
-        root = coster.root_cost_bound(v1 | v2, known)
+        (root,) = coster.root_cost_bounds(roots, np.array([i]), np.array([j]))
         candidates = subplan_merge(p1, p2, required, options)
         floors = [
             coster.subplan_cost_bound(candidate, known)
@@ -280,39 +301,106 @@ def test_rungs_are_ordered_over_a_table(
         st.integers(2, 5_000),
         max_size=12,
     ),
-    slack=st.sampled_from([0.0, 0.5, 0.999]),
+    # None: the estimator cannot bound, so every floor is its estimate.
+    slack=st.sampled_from([None, 0.0, 0.5, 0.999]),
     model=st.sampled_from([EngineCostModel, CardinalityCostModel]),
 )
 def test_rungs_are_ordered_under_slack_floors(
     forest, options, singles, overrides, slack, model
 ):
-    estimator = SlackEstimator(
-        slack, 5_000, dict(zip(COLUMNS, singles)), overrides
-    )
+    cardinalities = (5_000, dict(zip(COLUMNS, singles)), overrides)
+    if slack is None:
+        estimator = FakeEstimator(*cardinalities)
+    else:
+        estimator = SlackEstimator(slack, *cardinalities)
     broken, _ = broken_rungs(
         PlanCoster(model(estimator)), *random_forest(*forest), options
     )
     assert broken == []
 
 
-class UnmaterialisedRoot(PlanCoster):
-    """Mutant: the root edge without the spool every candidate pays."""
+def coster_for(table, statistics, cost_model):
+    """A fresh coster whose estimator is ``statistics``: a table's sampled
+    or exact statistics, or a ``SlackEstimator`` / ``FakeEstimator`` (no
+    bound) over the table's exact counts."""
+    session = Session.for_table(
+        table,
+        statistics="exact" if statistics in ("slack", "none") else statistics,
+        sample_rows=2_000,
+        cost_model=cost_model,
+    )
+    if statistics not in ("slack", "none"):
+        return session.coster()
+    exact = session.estimator
+    columns = table.column_names
+    singles = {c: exact.rows(frozenset([c])) for c in columns}
+    overrides = {
+        frozenset(s): exact.rows(frozenset(s))
+        for size in (2, 3, 4)
+        for s in combinations(SALES_COLUMNS[:8], size)
+    }
+    args = (table.num_rows, singles, overrides)
+    estimator = (
+        SlackEstimator(0.5, *args) if statistics == "slack"
+        else FakeEstimator(*args)
+    )
+    model = {"engine": EngineCostModel, "cardinality": CardinalityCostModel}
+    return PlanCoster(model[cost_model](estimator))
 
-    def root_cost_bound(self, columns, known):
-        return self._edge(None, PlanNode(columns), False, known)
+
+@pytest.mark.parametrize("cost_model", ["engine", "cardinality"])
+@pytest.mark.parametrize("statistics", ["sampled", "exact", "slack", "none"])
+def test_batched_floor_is_the_models_floor(sales, statistics, cost_model):
+    """One formula: the batched root floor of every pair of the TC leaves
+    is, bit for bit, the model's own floor of the materialised Group By
+    on the pair's union over the two roots, read first (no union here is
+    a root, so both see the same statistics) — with the sample smaller
+    than the table, so the estimators scale up."""
+    coster = coster_for(sales, statistics, cost_model)
+    forest = naive_plan("sales", workload("tc")).subplans
+    model = coster.model
+    expected = {}
+    for i, j in combinations(range(len(forest)), 2):
+        v1, v2 = forest[i].node.columns, forest[j].node.columns
+        expected[i, j] = model.edge_cost_bound(
+            None, PlanNode(v1 | v2), True, (v1, v2)
+        )
+    assert root_floors(coster, forest) == expected
+    if statistics == "sampled":
+        assert coster.model.estimator.sample_size < sales.num_rows
+
+
+class UnmaterialisedRoot(PlanCoster):
+    """Mutant: the root edge without the spool every candidate pays —
+    the batched routine with no rows to write."""
+
+    def root_cost_bounds(self, roots, first, second):
+        model = self.model
+        real = model.root_edge_bounds
+        model.root_edge_bounds = lambda terms, rows: real(
+            terms, lambda: np.zeros(len(terms))
+        )
+        try:
+            return super().root_cost_bounds(roots, first, second)
+        finally:
+            del model.root_edge_bounds
 
 
 class SubtractsChildren(PlanCoster):
     """Mutant: the edges to the two operands, which the root floor drops
     (reads as free), taken off it instead."""
 
-    def root_cost_bound(self, columns, known):
-        root = PlanNode(columns)
-        bound = super().root_cost_bound(columns, known)
-        for child in known:
-            if child < columns:
-                bound -= self._edge(root, PlanNode(child), True, known)
-        return bound
+    def root_cost_bounds(self, roots, first, second):
+        bounds = super().root_cost_bounds(roots, first, second)
+        for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+            v1, v2 = roots.columns[i], roots.columns[j]
+            root = PlanNode(v1 | v2)
+            for child in (v1, v2):
+                if child < root.columns:
+                    bounds[k] -= self._edge(
+                        root, PlanNode(child), True, (v1, v2)
+                    )
+        return bounds
 
 
 @pytest.mark.parametrize(
