@@ -381,15 +381,18 @@ class EngineCostModel:
         :func:`~repro.core.scheduling.wavefront_schedule` waves:
 
         * serial pays every edge, one after another;
-        * wavefront pays, per wave, its largest pipeline or the wave's
-          total spread over the workers, whichever is more, plus
+        * wavefront pays, per wave, one read of each input that two or
+          more of the wave's plain groupings share, spread over the
+          workers; then every pipeline's edge less that shared read,
+          as the largest pipeline or the total spread over the
+          workers, whichever is more; plus
           :data:`WAVEFRONT_DISPATCH_COST` per pipeline;
         * morsel pays, per wave and input, one shared scan plus the
           feasible groupings' partial work spread over the workers,
           then — one after another — the merges, the materializations,
           and every fallback (a grouping whose composite domain exceeds
           ``max(MORSEL_TARGET_ROWS, MORSEL_RADIX_SLACK * rows)``, which
-          pays its own full edge).
+          pays its full edge less the read the shared scan made).
 
         One worker, a memory budget (checked per operator, so k
         concurrent operators could each fill it), fewer base rows than
@@ -407,10 +410,8 @@ class EngineCostModel:
                 self.edge_cost(step.parent, step.node, step.materialize)
                 for step in wave.steps
             ]
-            total = sum(edges)
-            serial_cost += total
-            wavefront_cost += max(max(edges, default=0.0), total / k)
-            wavefront_cost += len(edges) * WAVEFRONT_DISPATCH_COST
+            serial_cost += sum(edges)
+            wavefront_cost += self._wavefront_wave_cost(wave.steps, edges, k)
             morsel_cost += self._morsel_wave_cost(wave.steps, edges, k)
             groupings += len(edges)
         if k == 1:
@@ -451,6 +452,58 @@ class EngineCostModel:
             reason=reason,
         )
 
+    def _input_shape(self, parent: PlanNode | None) -> tuple[float, float]:
+        """(rows, row width) of a grouping's input: R when ``parent`` is
+        None, else the materialized parent."""
+        if parent is None:
+            return float(self._estimator.base_rows), self._base_row_width
+        return (
+            self._rows(parent.columns, None),
+            self._estimator.row_width(parent.columns),
+        )
+
+    @staticmethod
+    def _readers_by_input(
+        steps: Sequence[Step], edges: Sequence[float]
+    ) -> tuple[dict[PlanNode | None, list[tuple[Step, float]]], list[float]]:
+        """A wave's plain groupings keyed by the input they read, and
+        the edges of the rest (CUBE and ROLLUP nodes), as the executor
+        groups a wave's shared-scan readers."""
+        readers: dict[PlanNode | None, list[tuple[Step, float]]] = {}
+        rest: list[float] = []
+        for step, edge in zip(steps, edges):
+            if step.node.kind is NodeKind.GROUP_BY:
+                readers.setdefault(step.parent, []).append((step, edge))
+            else:
+                rest.append(edge)
+        return readers, rest
+
+    def _wavefront_wave_cost(
+        self, steps: Sequence[Step], edges: Sequence[float], k: int
+    ) -> float:
+        """One wave's price under wavefront execution (see the caller).
+
+        Mirrors the executor: an input with two or more plain-grouping
+        readers is read once, split over the workers, and its readers'
+        pipelines then pay their edge without that read.
+        """
+        readers, pipelines = self._readers_by_input(steps, edges)
+        shared = 0.0
+        for parent, members in readers.items():
+            if len(members) < 2:
+                pipelines.extend(edge for _, edge in members)
+                continue
+            rows, width = self._input_shape(parent)
+            read = rows * width * READ_BYTE
+            shared += read
+            # Clamped: an index-served edge reads less than the input.
+            pipelines.extend(max(edge - read, 0.0) for _, edge in members)
+        return (
+            shared / k
+            + max(max(pipelines, default=0.0), sum(pipelines) / k)
+            + len(edges) * WAVEFRONT_DISPATCH_COST
+        )
+
     def _morsel_wave_cost(
         self, steps: Sequence[Step], edges: Sequence[float], k: int
     ) -> float:
@@ -460,20 +513,10 @@ class EngineCostModel:
         same input form a batch, and a batch with fewer than two
         feasible members runs every member on its own.
         """
-        cost = 0.0
-        batches: dict[PlanNode | None, list[tuple[Step, float]]] = {}
-        for step, edge in zip(steps, edges):
-            if step.node.kind is NodeKind.GROUP_BY:
-                batches.setdefault(step.parent, []).append((step, edge))
-            else:
-                cost += edge
+        batches, rest = self._readers_by_input(steps, edges)
+        cost = sum(rest)
         for parent, members in batches.items():
-            if parent is None:
-                input_rows = float(self._estimator.base_rows)
-                width = self._base_row_width
-            else:
-                input_rows = self._rows(parent.columns, None)
-                width = self._estimator.row_width(parent.columns)
+            input_rows, width = self._input_shape(parent)
             cap = max(MORSEL_TARGET_ROWS, MORSEL_RADIX_SLACK * input_rows)
             feasible = [
                 self.grouping_domain(step.node.columns) <= cap
@@ -483,12 +526,14 @@ class EngineCostModel:
                 cost += sum(edge for _, edge in members)
                 continue
             morsels = morsel_count(int(input_rows), k)
-            shared = input_rows * width * READ_BYTE
+            read = input_rows * width * READ_BYTE
+            shared = read
             after = morsels * MORSEL_DISPATCH_COST
             for (step, edge), ok in zip(members, feasible):
                 columns = step.node.columns
                 if not ok:
-                    after += edge
+                    # The batch's morsels already read the input.
+                    after += max(edge - read, 0.0)
                     continue
                 shared += input_rows * (
                     self._group_cpu(columns) + MORSEL_PARTIAL_CPU

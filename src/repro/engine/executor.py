@@ -19,10 +19,13 @@ Execution comes in three modes:
 * **parallel wavefront** (``mode="wavefront"``): the lowered plan
   carries dependency waves; pipelines within a wave share no
   dependencies and run on a thread pool (numpy releases the GIL inside
-  the reductions).  Results are bit-identical to serial execution and
-  the merged :class:`ExecutionMetrics` totals are equal — each pipeline
+  the reductions).  An input that two or more of a wave's plain
+  groupings read pays **one** shared row-store pass per wave, split
+  into row ranges across the workers, instead of one per grouping.
+  Results are bit-identical to serial execution and the merged
+  :class:`ExecutionMetrics` totals are equal — each pipeline
   aggregates into its own metrics object, folded back in deterministic
-  schedule order.
+  schedule order, and every grouping is metered as serial meters it.
 * **morsel** (``mode="morsel"``): two-phase morsel-driven aggregation.
   Groupings in a wave that read the same input are batched; the input
   splits into row-range morsels, each morsel pays **one** shared
@@ -72,6 +75,7 @@ from repro.engine.morsel import (
     MorselGrouping,
     Workers,
     compute_morsel_groupings,
+    morsel_ranges,
     usable_cpus,
 )
 from repro.engine.partitioned_cube import partition_by_values
@@ -89,6 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         GroupingOperator,
         PhysicalPipeline,
         PhysicalPlan,
+        PhysicalWave,
         RollupExpand,
     )
     from repro.stats.cardinality import CardinalityEstimator
@@ -503,6 +508,10 @@ class PlanExecutor:
         """Run the dependency-wave schedule, each wave's pipelines side
         by side on ``workers``.
 
+        Before a wave's pipelines start, every input that two or more of
+        its plain groupings read pays one shared row-store pass
+        (:meth:`_run_shared_scan`); those groupings are *prepaid* and
+        run their single-pass kernels without touching the input again.
         Each pipeline aggregates into its own ``ExecutionMetrics``;
         after every wave the per-pipeline metrics fold into the result
         in schedule order, so totals are deterministic and equal to a
@@ -516,11 +525,24 @@ class PlanExecutor:
                 index=wave.index,
                 nodes=len(wave.pipelines),
             ) as wave_span:
+                prepaid: set[int] = set()
+                for source_name, members in self._shared_scan_readers(
+                    physical, wave
+                ).items():
+                    # A single reader shares nothing: it pays its own
+                    # pass inside its kernel, as serial does.
+                    if len(members) < 2:
+                        continue
+                    self._run_shared_scan(
+                        source_name, len(members), wave_span, workers
+                    )
+                    prepaid.update(op.op_id for _index, op in members)
                 pipelines = [physical.pipelines[i] for i in wave.pipelines]
                 wave_metrics = workers.map(
                     partial(
                         self._run_wave_pipeline,
                         physical, pipelines, result, dictionaries, wave_span,
+                        frozenset(prepaid),
                     ),
                     len(pipelines),
                 )
@@ -533,6 +555,32 @@ class PlanExecutor:
             for index in wave.drops:
                 self._run_drop(physical, physical.pipelines[index])
         return local_peak
+
+    def _run_shared_scan(
+        self,
+        source_name: str,
+        readers: int,
+        wave_span: Span,
+        workers: Workers,
+    ) -> None:
+        """Pay one row-store pass over ``source_name`` for a wave.
+
+        The pass splits into ``workers.parallelism`` row ranges run on
+        the plan's workers — the physical traffic the wave's
+        ``readers`` prepaid groupings would otherwise each pay in full.
+        """
+        table = self._catalog.get(source_name)
+        ranges = morsel_ranges(table.num_rows, workers.parallelism)
+        with self._tracer.span_under(
+            wave_span,
+            "execute.shared_scan",
+            source=source_name,
+            readers=readers,
+        ) as span:
+            read = workers.map(
+                lambda index: table.touch_range(*ranges[index]), len(ranges)
+            )
+            span.set(bytes=sum(read))
 
     def _execute_morsel(
         self,
@@ -562,18 +610,10 @@ class PlanExecutor:
                 index=wave.index,
                 nodes=len(wave.pipelines),
             ) as wave_span:
-                batches: dict[str, list[tuple[int, object]]] = {}
-                for index in wave.pipelines:
-                    entry = self._morsel_batch_entry(
-                        physical, physical.pipelines[index]
-                    )
-                    if entry is not None:
-                        source_name, op = entry
-                        batches.setdefault(source_name, []).append(
-                            (index, op)
-                        )
                 precomputed: dict[int, Table] = {}
-                for source_name, members in batches.items():
+                for source_name, members in self._shared_scan_readers(
+                    physical, wave
+                ).items():
                     # A batch of one shares nothing: the serial path is
                     # strictly cheaper than partial-state plumbing.
                     if len(members) < 2:
@@ -603,16 +643,37 @@ class PlanExecutor:
                     self._run_drop(physical, physical.pipelines[index])
         return local_peak
 
-    def _morsel_batch_entry(
+    def _shared_scan_readers(
+        self, physical: "PhysicalPlan", wave: "PhysicalWave"
+    ) -> dict[str, list[tuple[int, "GroupingOperator"]]]:
+        """The wave's plain groupings, keyed by the input they read.
+
+        Values are ``(pipeline index, grouping op)`` in schedule order —
+        the readers one shared pass over that input can feed (a
+        wavefront shared scan, or a morsel batch).
+        """
+        readers: dict[str, list[tuple[int, GroupingOperator]]] = {}
+        for index in wave.pipelines:
+            entry = self._shared_scan_entry(
+                physical, physical.pipelines[index]
+            )
+            if entry is not None:
+                source_name, op = entry
+                readers.setdefault(source_name, []).append((index, op))
+        return readers
+
+    def _shared_scan_entry(
         self, physical: "PhysicalPlan", pipeline: "PhysicalPipeline"
     ) -> tuple[str, "GroupingOperator"] | None:
-        """(input table name, grouping op) if the pipeline batches.
+        """(input table name, grouping op) if the pipeline can share a
+        scan of its input.
 
-        A pipeline joins a morsel batch when its unpartitioned grouping
-        reads either the base relation through a plain ``Scan`` or a
-        materialized temp through ``Reaggregate``; index scans and
-        budget-partitioned groupings keep their own execution scheme.
-        A single-morsel batch still shares its one scan across every
+        A pipeline is a plain grouping — and so a shared-scan reader —
+        when its unpartitioned grouping reads either the base relation
+        through a plain ``Scan`` or a materialized temp through
+        ``Reaggregate``; index scans, budget-partitioned groupings and
+        CUBE/ROLLUP pipelines keep their own execution scheme.  A
+        single-morsel batch still shares its one scan across every
         member, so small inputs batch too.
         """
         from repro.physical import plan as phys
@@ -639,7 +700,7 @@ class PlanExecutor:
         self,
         physical: "PhysicalPlan",
         source_name: str,
-        members: list[tuple[int, object]],
+        members: list[tuple[int, "GroupingOperator"]],
         dictionaries: DictionaryCache,
         precomputed: dict[int, Table],
         wave_span: Span,
@@ -652,7 +713,6 @@ class PlanExecutor:
         groupings = []
         morsels = 1
         for _index, op in members:
-            assert isinstance(op, phys.GroupingOperator)
             aggregates = (
                 self._reaggregates
                 if isinstance(op, phys.Reaggregate)
@@ -723,8 +783,7 @@ class PlanExecutor:
                         stop - start,
                         relation=relation,
                     )
-        for (index, op), out in zip(members, tables):
-            assert isinstance(op, phys.GroupingOperator)
+        for (_index, op), out in zip(members, tables):
             precomputed[op.op_id] = out
 
     def _run_wave_pipeline(
@@ -734,6 +793,7 @@ class PlanExecutor:
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         wave_span: Span,
+        prepaid: frozenset[int],
         index: int,
     ) -> ExecutionMetrics:
         """Run ``pipelines[index]`` of a wave into its own metrics."""
@@ -745,6 +805,7 @@ class PlanExecutor:
             dictionaries,
             metrics=metrics,
             parent_span=wave_span,
+            prepaid=prepaid,
         )
         return metrics
 
@@ -773,7 +834,14 @@ class PlanExecutor:
         metrics: ExecutionMetrics | None = None,
         parent_span: Span | None = None,
         precomputed: dict[int, Table] | None = None,
+        prepaid: frozenset[int] = frozenset(),
     ) -> None:
+        """Interpret one pipeline.
+
+        ``precomputed`` maps grouping op ids to results a morsel batch
+        already computed; ``prepaid`` holds the op ids of groupings
+        whose input pass a wave's shared scan already paid.
+        """
         metrics = result.metrics if metrics is None else metrics
         bytes_before = metrics.work
         attrs = dict(
@@ -797,7 +865,7 @@ class PlanExecutor:
             for op_id in pipeline.ops:
                 produced = self._run_op(
                     physical, physical.op(op_id), env, result, metrics,
-                    dictionaries, span, precomputed,
+                    dictionaries, span, precomputed, prepaid,
                 )
                 if rows_out is None and produced is not None:
                     rows_out = produced
@@ -816,19 +884,20 @@ class PlanExecutor:
         dictionaries: DictionaryCache,
         node_span: Span,
         precomputed: dict[int, Table] | None = None,
+        prepaid: frozenset[int] = frozenset(),
     ) -> int | None:
         """Interpret one operator; returns grouping output rows (else None)."""
         registry = self._metrics
         if not registry.enabled:
             return self._interpret_op(
                 physical, op, env, result, metrics, dictionaries, node_span,
-                precomputed,
+                precomputed, prepaid,
             )
         op_started = monotonic()
         try:
             return self._interpret_op(
                 physical, op, env, result, metrics, dictionaries, node_span,
-                precomputed,
+                precomputed, prepaid,
             )
         finally:
             registry.observe(
@@ -848,6 +917,7 @@ class PlanExecutor:
         dictionaries: DictionaryCache,
         node_span: Span,
         precomputed: dict[int, Table] | None = None,
+        prepaid: frozenset[int] = frozenset(),
     ) -> int | None:
         from repro.physical import plan as phys
 
@@ -890,10 +960,14 @@ class PlanExecutor:
                     physical, op, precomputed[op.op_id], metrics
                 )
             elif isinstance(op, phys.Reaggregate):
-                table = self._run_reaggregate(physical, op, env, metrics,
-                                              dictionaries)
+                table = self._run_reaggregate(
+                    physical, op, env, metrics, dictionaries,
+                    op.op_id in prepaid,
+                )
             elif isinstance(op, phys.GroupingOperator):
-                table = self._run_grouping(op, env, metrics, dictionaries)
+                table = self._run_grouping(
+                    op, env, metrics, dictionaries, op.op_id in prepaid
+                )
             elif isinstance(op, phys.CubeExpand):
                 self._run_cube_expand(op, env, result, metrics, dictionaries)
                 op_span.set(queries=len(op.queries))
@@ -954,12 +1028,8 @@ class PlanExecutor:
         """Adopt a morsel-batch result, metered exactly as serial is.
 
         The batch already did the physical work — one shared row-store
-        pass per morsel for the whole batch.  The *deterministic*
-        counters, however, charge this operator what the serial
-        interpreter would: one full scan of its input
-        (``scan_bytes`` meters without re-touching memory) plus one
-        grouping.  Metrics totals are therefore mode-independent while
-        the real memory traffic is what morsel execution saves.
+        pass per morsel for the whole batch — so the operator is
+        metered by :meth:`_meter_prepaid`.
         """
         from repro.physical import plan as phys
 
@@ -972,10 +1042,26 @@ class PlanExecutor:
             scan = physical.op(op.source)
             assert isinstance(scan, phys.Scan)
             source = self._catalog.get(scan.table)
+        self._meter_prepaid(source, op, metrics)
+        return table
+
+    @staticmethod
+    def _meter_prepaid(
+        source: Table, op: "GroupingOperator", metrics: ExecutionMetrics
+    ) -> None:
+        """Meter a grouping whose pass over ``source`` was paid upstream.
+
+        A shared pass (a wave's shared scan, a morsel batch, a charged
+        ``Scan``) did the physical traffic.  The *deterministic*
+        counters charge this operator what the serial interpreter
+        would: one full scan of its input when ``charge_scan``
+        (``scan_bytes`` meters without re-touching memory) plus one
+        grouping.  Metrics totals are therefore mode-independent while
+        the real memory traffic is what the shared pass saves.
+        """
         if op.charge_scan:
             metrics.record_scan(source.num_rows, source.scan_bytes())
         metrics.record_group_by()
-        return table
 
     def _run_grouping(
         self,
@@ -983,8 +1069,10 @@ class PlanExecutor:
         env: dict[int, Table | Index],
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
+        prepaid: bool,
     ) -> Table:
-        """HashGroupBy / SortGroupBy over an access path in ``env``."""
+        """HashGroupBy / SortGroupBy over an access path in ``env``;
+        ``prepaid``: a wave's shared scan already read the input."""
         from repro.physical.plan import SortGroupBy
 
         metrics.queries_executed += 1
@@ -1009,7 +1097,7 @@ class PlanExecutor:
             return self._group_partitioned(
                 source, op, self._aggregates, metrics, dictionaries, strategy
             )
-        if op.charge_scan:
+        if op.charge_scan and not prepaid:
             return group_by(
                 source,
                 keys,
@@ -1019,8 +1107,8 @@ class PlanExecutor:
                 dictionaries=dictionaries,
                 strategy=strategy,
             )
-        # An upstream charged Scan already paid for the pass over the
-        # input (shared scan); meter only the grouping itself.
+        # A shared pass (the wave's, or an upstream charged Scan's)
+        # already read the input; meter without touching it again.
         table = group_by(
             source,
             keys,
@@ -1030,7 +1118,7 @@ class PlanExecutor:
             dictionaries=dictionaries,
             strategy=strategy,
         )
-        metrics.record_group_by()
+        self._meter_prepaid(source, op, metrics)
         return table
 
     def _run_reaggregate(
@@ -1040,11 +1128,13 @@ class PlanExecutor:
         env: dict[int, Table | Index],
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
+        prepaid: bool,
     ) -> Table:
         """Group a materialized intermediate, resolved via the catalog.
 
         When the producer is a CacheRead the intermediate never touched
         the catalog — it lives only in the pipeline environment.
+        ``prepaid``: a wave's shared scan already read the input.
         """
         from repro.physical.plan import CacheRead as CacheReadOp
         from repro.physical.plan import Materialize as MaterializeOp
@@ -1075,15 +1165,18 @@ class PlanExecutor:
                 source, op, self._reaggregates, metrics, dictionaries,
                 op.strategy,
             )
-        return group_by(
+        table = group_by(
             source,
             list(op.keys),
             self._reaggregates,
             name=op.output,
-            metrics=metrics,
+            metrics=None if prepaid else metrics,
             dictionaries=dictionaries,
             strategy=op.strategy,
         )
+        if prepaid:
+            self._meter_prepaid(source, op, metrics)
+        return table
 
     def _run_cache_read(
         self,

@@ -1,8 +1,9 @@
 """Morsel-driven two-phase aggregation: row-range partials + merge.
 
-The wavefront executor parallelizes *across* plan nodes, which on a
-row-store pays one full scan per Group By and serializes small numpy
-kernels on the GIL.  Morsel execution turns that inside out: the base
+The wavefront executor parallelizes *across* plan nodes, one whole
+single-pass kernel per thread (its waves share one row-store pass per
+input, but each grouping's kernel runs alone).  Morsel execution turns
+that inside out: the base
 relation (or a materialized temp) is split into row-range **morsels**;
 each morsel pays one shared row-store pass (``Table.touch_range``) that
 feeds *every* grouping in the batch, and each grouping computes a
@@ -306,10 +307,9 @@ class MorselGrouping:
     def fallback(self) -> Table:
         """Single-pass computation for infeasible groupings.
 
-        Pays its own row-store pass (``touch``), exactly the work the
-        serial executor would do for this grouping.
+        Runs the single-pass kernel without a row-store pass of its
+        own: the batch's shared morsel scans already read the table.
         """
-        self.table.touch()
         return group_by(
             self.table,
             self.keys,
@@ -338,8 +338,8 @@ def compute_morsel_groupings(
     """Run a batch of groupings over shared morsel scans.
 
     Each morsel pays one ``touch_range`` pass over ``table`` — shared
-    by every feasible grouping in the batch — then computes every
-    grouping's partial state for that row range.  Morsels run on
+    by every grouping in the batch, fallbacks included — then computes
+    every feasible grouping's partial state for that row range.  Morsels run on
     ``workers`` — a plan run's :class:`Workers`, or a thread count to
     open one for this batch (numpy kernels release the GIL); partials
     are merged in morsel-index order regardless of completion order, so
@@ -350,7 +350,7 @@ def compute_morsel_groupings(
         order.
     """
     feasible = [g for g in groupings if g.feasible]
-    ranges = morsel_ranges(table.num_rows, morsels) if feasible else []
+    ranges = morsel_ranges(table.num_rows, morsels) if groupings else []
     bytes_per_morsel = [0] * len(ranges)
     partials: dict[int, list[PartialGroupState | None]] = {
         id(grouping): [None] * len(ranges) for grouping in feasible

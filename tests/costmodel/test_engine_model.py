@@ -5,6 +5,7 @@ import pytest
 from repro.core.plan import PlanNode, naive_plan
 from repro.costmodel.engine_model import (
     EngineCostModel,
+    HASH_CPU,
     HASH_DOMAIN_LIMIT,
     READ_BYTE,
     WAVEFRONT_DISPATCH_COST,
@@ -176,12 +177,19 @@ class TestExecutionModeChoice:
         choice = model.execution_mode_choice(self._plan(["a"]), parallelism=4)
         assert choice.mode == "serial"
 
+    #: One full read of ``_narrow``'s 200-byte rows at 1M rows.
+    NARROW_READ = 1_000_000 * 200.0 * READ_BYTE
+
     def test_one_worker_stays_serial(self):
         model, plan = self._narrow(1_000_000)
         choice = model.execution_mode_choice(plan, parallelism=1)
         assert choice.mode == "serial"
+        # The four groupings share one read of R; each pipeline pays
+        # its edge less that read.
         assert choice.wavefront_cost == pytest.approx(
-            choice.serial_cost + 4 * WAVEFRONT_DISPATCH_COST
+            choice.serial_cost
+            - 3 * self.NARROW_READ
+            + 4 * WAVEFRONT_DISPATCH_COST
         )
 
     def test_memory_budget_stays_serial(self):
@@ -193,9 +201,24 @@ class TestExecutionModeChoice:
         assert "budget" in choice.reason
         assert choice.morsel_cost < choice.serial_cost
 
-    def test_scale_picks_morsel_and_costs_order(self):
+    def test_shared_read_picks_wavefront(self):
+        """Four workers: the shared read leaves each pipeline only its
+        grouping CPU, four pipelines fill the four workers, and
+        wavefront beats morsel's partial-state overhead."""
         model, plan = self._narrow(1_000_000)
         choice = model.execution_mode_choice(plan, parallelism=4)
+        assert choice.mode == "wavefront"
+        cpu = 1_000_000 * HASH_CPU
+        assert choice.wavefront_cost == pytest.approx(
+            self.NARROW_READ / 4 + cpu + 4 * WAVEFRONT_DISPATCH_COST
+        )
+        assert choice.wavefront_cost < choice.morsel_cost < choice.serial_cost
+
+    def test_scale_picks_morsel_and_costs_order(self):
+        """Eight workers and four pipelines: wavefront leaves half the
+        workers idle while morsels split every grouping eight ways."""
+        model, plan = self._narrow(1_000_000)
+        choice = model.execution_mode_choice(plan, parallelism=8)
         assert choice.mode == "morsel"
         assert choice.morsels > 1
         assert choice.morsel_cost < choice.wavefront_cost < choice.serial_cost
@@ -209,15 +232,34 @@ class TestExecutionModeChoice:
         assert choice.wavefront_cost < choice.serial_cost
 
     def test_wavefront_pays_its_largest_pipeline(self):
-        """Eight workers cannot split a pipeline: a wave of two costs
-        the larger one, not an eighth of the pair."""
+        """Eight workers cannot split a pipeline: a wave of two pays the
+        shared read spread eight ways, then the larger pipeline less
+        that read — not an eighth of the pair."""
         model = self._model(1_000_000, {"a": 10.0, "b": 10.0})
         larger = model.edge_cost(None, PlanNode(fs("a", "b")), False)
         choice = model.execution_mode_choice(
             self._plan(["ab", "a"]), parallelism=8
         )
         assert choice.wavefront_cost == pytest.approx(
-            larger + 2 * WAVEFRONT_DISPATCH_COST
+            self.NARROW_READ / 8
+            + larger
+            - self.NARROW_READ
+            + 2 * WAVEFRONT_DISPATCH_COST
+        )
+
+    def test_morsel_fallback_shares_the_batch_read(self):
+        """A fallback in a running batch pays its edge less the read
+        the batch's morsels already made."""
+        model = self._model(
+            1_000_000, {"a": 10.0, "b": 10.0, "c": 2_000.0, "d": 2_000.0}
+        )
+        fallback = model.edge_cost(None, PlanNode(fs("c", "d")), False)
+        without = model.execution_mode_choice(self._plan(["a", "b"]), 2)
+        with_fallback = model.execution_mode_choice(
+            self._plan(["a", "b", "cd"]), 2
+        )
+        assert with_fallback.morsel_cost - without.morsel_cost == (
+            pytest.approx(fallback - self.NARROW_READ)
         )
 
     def test_default_mode_mirrors_floors(self):
@@ -236,3 +278,39 @@ class TestExecutionModeChoice:
         assert default_execution_mode(
             MORSEL_MIN_ROWS, MORSEL_MIN_GROUPINGS - 1, 2
         ) == "serial"
+
+
+class TestBenchmarkPlanModes:
+    """``auto`` on the two plan workloads of the end-to-end benchmark,
+    at its scale and seed on two CPUs: both price wavefront cheapest.
+    Pins the wavefront and morsel prices against a change that would
+    quietly send either workload back to morsel."""
+
+    @pytest.mark.parametrize("workload", ["sales_tc", "lineitem_sc"])
+    def test_auto_picks_wavefront(self, workload, monkeypatch):
+        from repro.api import Session
+        from repro.engine import executor, morsel
+        from repro.workloads.queries import (
+            single_column_queries,
+            two_column_queries,
+        )
+        from repro.workloads.sales import SALES_COLUMNS, make_sales
+        from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
+
+        monkeypatch.setattr(morsel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
+        if workload == "sales_tc":
+            table = make_sales(250_000, seed=0)
+            queries = two_column_queries(SALES_COLUMNS)
+        else:
+            table = make_lineitem(500_000, seed=0)
+            queries = single_column_queries(LINEITEM_SC_COLUMNS)
+        session = Session.for_table(table, statistics="sampled", seed=0)
+        plan = session.optimize(queries).plan
+        model = EngineCostModel(
+            session.estimator, catalog=session.catalog,
+            base_table=session.base_table,
+        )
+        choice = model.execution_mode_choice(plan, parallelism=2)
+        assert choice.mode == "wavefront", choice.reason
+        assert session.lower(plan).mode == "wavefront"

@@ -174,7 +174,7 @@ class TestBatchExecution:
         for (keys, aggs), out in zip(specs, tables):
             assert_tables_bit_identical(group_by(table, keys, aggs), out)
 
-    def test_batch_with_infeasible_member_falls_back(self):
+    def test_batch_with_infeasible_member_falls_back(self, monkeypatch):
         # 12_000 x 7 = 84k composite slots: past the feasibility floor.
         table = make_table(12_000, rng_seed=5)
         wide = Table.wrap(
@@ -186,8 +186,18 @@ class TestBatchExecution:
             MorselGrouping(wide, ["a"], [AggregateSpec.count_star()]),
             MorselGrouping(wide, ["u", "a"], [AggregateSpec.count_star()]),
         ]
+        rows_read = []
+        touch_range = Table.touch_range
+
+        def spy(self, start, stop, columns=None):
+            rows_read.append(stop - start)
+            return touch_range(self, start, stop, columns)
+
+        monkeypatch.setattr(Table, "touch_range", spy)
         tables, stats = compute_morsel_groupings(wide, groupings, 3, 1)
         assert stats.fallbacks == 1
+        # The fallback reads nothing more: the morsels' one pass is all.
+        assert sum(rows_read) == wide.num_rows
         assert_tables_bit_identical(
             group_by(wide, ["u", "a"], [AggregateSpec.count_star()]),
             tables[1],

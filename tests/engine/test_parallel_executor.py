@@ -270,3 +270,132 @@ class TestParallelContract:
         first_misses = cache.stats()["misses"]
         executor.execute(plan)
         assert cache.stats()["misses"] == first_misses
+
+
+class TestWavefrontSharedScan:
+    """A wave pays one row-store pass per input its groupings share."""
+
+    ROWS = 40_000
+
+    @staticmethod
+    def plan(relation):
+        """Wave 0: four groupings read R (one materializes each of two
+        temps).  Wave 1: two groupings share ``tmp__channel__region``;
+        one reads ``tmp__payment_type__promo_flag`` alone."""
+        shared_parent = SubPlan(
+            PlanNode(fs("region", "channel")),
+            (SubPlan.leaf(fs("region")), SubPlan.leaf(fs("channel"))),
+            required=False,
+        )
+        lone_parent = SubPlan(
+            PlanNode(fs("payment_type", "promo_flag")),
+            (SubPlan.leaf(fs("payment_type")),),
+            required=False,
+        )
+        leaves = ("region", "channel", "category", "brand", "payment_type")
+        return LogicalPlan(
+            relation,
+            (
+                shared_parent,
+                SubPlan.leaf(fs("category")),
+                SubPlan.leaf(fs("brand")),
+                lone_parent,
+            ),
+            frozenset(fs(column) for column in leaves),
+        )
+
+    @staticmethod
+    def spy_reads(monkeypatch, fail_on=None):
+        """Record every ``touch_range`` as (table, rows read, table rows)
+        and every full ``touch`` by table; raise inside reads of
+        ``fail_on``."""
+        reads, touches = [], []
+        lock = threading.Lock()
+        touch_range, touch = Table.touch_range, Table.touch
+
+        def spy_touch_range(self, start, stop, columns=None):
+            if self.name == fail_on:
+                raise RuntimeError(f"injected read failure on {fail_on}")
+            with lock:
+                reads.append((self.name, stop - start, self.num_rows))
+            return touch_range(self, start, stop, columns)
+
+        def spy_touch(self, columns=None):
+            with lock:
+                touches.append(self.name)
+            return touch(self, columns)
+
+        monkeypatch.setattr(Table, "touch_range", spy_touch_range)
+        monkeypatch.setattr(Table, "touch", spy_touch)
+        return reads, touches
+
+    def run(self, parallelism, mode, tracer=None):
+        session = Session.for_table(
+            make_sales(self.ROWS, seed=0), statistics="exact"
+        )
+        result = session.execute(
+            self.plan(session.base_table),
+            parallelism=parallelism,
+            mode=mode,
+            tracer=tracer,
+        )
+        return session, result
+
+    def test_each_shared_input_read_once_per_wave(self, monkeypatch):
+        reads, touches = self.spy_reads(monkeypatch)
+        tracer = Tracer()
+        session, result = self.run(2, "wavefront", tracer)
+        assert result.metrics.mode == "wavefront"
+        rows_read: dict[str, int] = {}
+        table_rows: dict[str, int] = {}
+        for name, rows, num_rows in reads:
+            rows_read[name] = rows_read.get(name, 0) + rows
+            table_rows[name] = num_rows
+        base = session.base_table
+        lone = "tmp__payment_type__promo_flag"
+        assert set(rows_read) == {base, "tmp__channel__region", lone}
+        # One pass each: R and the shared temp by their wave's shared
+        # scan, the single-reader temp by its own grouping.
+        assert rows_read == table_rows
+        assert touches == [lone]
+        scans = [s for s in tracer.spans if s.name == "execute.shared_scan"]
+        assert sorted(
+            (s.attributes["source"], s.attributes["readers"]) for s in scans
+        ) == [(base, 4), ("tmp__channel__region", 2)]
+        waves = {s.span_id for s in tracer.spans if s.name == "execute.wave"}
+        assert all(s.parent_id in waves for s in scans)
+        base_bytes = session.catalog.get(base).scan_bytes()
+        assert [
+            s.attributes["bytes"]
+            for s in scans
+            if s.attributes["source"] == base
+        ] == [base_bytes]
+
+    def test_metrics_and_results_match_serial(self):
+        _, serial = self.run(1, "serial")
+        _, wavefront = self.run(2, "wavefront")
+        assert serial.metrics.as_dict(
+            per_query=True
+        ) == wavefront.metrics.as_dict(per_query=True)
+        assert set(serial.results) == set(wavefront.results)
+        for query in serial.results:
+            assert_tables_identical(
+                serial.results[query], wavefront.results[query]
+            )
+
+    def test_failed_shared_pass_leaves_no_temps(self, monkeypatch):
+        self.spy_reads(monkeypatch, fail_on="tmp__channel__region")
+        session = Session.for_table(
+            make_sales(self.ROWS, seed=0), statistics="exact"
+        )
+        before = session.catalog.current_temp_bytes
+        with pytest.raises(RuntimeError, match="injected read failure"):
+            session.execute(
+                self.plan(session.base_table), parallelism=2, mode="wavefront"
+            )
+        assert session.catalog.current_temp_bytes == before
+        assert not [
+            name
+            for name in session.catalog.temp_names()
+            if name.startswith("tmp__")
+        ]
