@@ -2,11 +2,9 @@
 
 GB-MQO decides *what* to materialize; the datacube literature supplies
 the operators that execute sets of groupings.  This example runs the
-same workload through five of them and compares scan volume:
+same workload through four of them and compares scan volume:
 
 * naive — one hash aggregation per query off the base table;
-* shared scan (refs [2,8]) — one pass filling every aggregation state,
-  within a memory budget;
 * PipeSort (refs [2,4]) — shared sorts along inclusion chains;
 * Partitioned-Cube (ref [16]) — out-of-memory cube by partitioning;
 * GB-MQO staging — the paper's materialized intermediates.
@@ -19,7 +17,6 @@ Run with::
 import sys
 
 from repro import api
-from repro.baselines.shared_scan import shared_scan
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.partitioned_cube import partitioned_cube
 from repro.engine.pipesort import pipesort
@@ -43,11 +40,6 @@ def main() -> None:
 
     naive = session.run_naive(queries)
     report.append(("naive", naive.metrics.work, naive.wall_seconds))
-
-    shared = shared_scan(
-        session.catalog, table.name, queries, session.estimator
-    )
-    report.append(("shared scan", shared.metrics.work, shared.wall_seconds))
 
     metrics = ExecutionMetrics()
     import time

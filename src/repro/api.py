@@ -452,10 +452,11 @@ class Session:
                 plan: serial for ``parallelism=1``, under a memory
                 budget, or below the cost model's row and grouping
                 floors (so parallel execution never regresses small
-                inputs); otherwise the cheapest of the three as
-                :meth:`~repro.costmodel.engine_model.EngineCostModel.
-                execution_mode_choice` prices the plan's waves and
-                edges.  The resolved mode is reported on
+                inputs); otherwise the cheaper of serial and
+                wavefront as :meth:`~repro.costmodel.engine_model.
+                EngineCostModel.execution_mode_choice` prices the
+                plan's waves and edges.  'morsel' runs only when
+                forced.  The resolved mode is reported on
                 ``result.metrics.mode``.
         """
         executor, steps = self._prepare(

@@ -523,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=("auto", "serial", "wavefront", "morsel"),
             default="auto",
-            help="execution mode; auto picks the cheapest of serial, "
-            "wavefront and morsel as the engine cost model prices the "
-            "plan (default auto)",
+            help="execution mode; auto picks the cheaper of serial and "
+            "wavefront as the engine cost model prices the plan, and "
+            "morsel runs only when forced (default auto)",
         )
         p.add_argument(
             "--memory-budget-bytes",

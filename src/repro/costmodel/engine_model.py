@@ -22,11 +22,6 @@ import numpy as np
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
 from repro.core.scheduling import Step, wavefront_schedule
 from repro.engine.catalog import Catalog
-from repro.engine.morsel import (
-    MORSEL_RADIX_SLACK,
-    MORSEL_TARGET_ROWS,
-    morsel_count,
-)
 from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
 from repro.stats.whatif import WhatIfRegistry
 
@@ -74,12 +69,6 @@ MORSEL_MIN_ROWS = 32_768
 #: Minimum groupings before parallel execution pays off — a single
 #: grouping shares no scan and has no sibling to run beside.
 MORSEL_MIN_GROUPINGS = 2
-#: Extra CPU per row per grouping the two-phase partial pass costs
-#: over the single-pass kernels (per-morsel partial states); the merge
-#: by key code is priced apart, per merged group.
-MORSEL_PARTIAL_CPU = 8.0
-#: Fixed scheduling cost per morsel dispatched to the worker pool.
-MORSEL_DISPATCH_COST = 50_000.0
 #: Fixed cost per pipeline a wavefront run hands to its thread pool:
 #: the submit, and the wait for the interpreter lock that the
 #: pipeline's Python steps hold (≈ 200 µs on a 2-vCPU VM, where a
@@ -121,21 +110,16 @@ class ModeChoice:
     """The costed execution-mode decision for one plan run.
 
     Attributes:
-        mode: ``'serial'``, ``'wavefront'`` or ``'morsel'`` — the
-            cheapest priced mode, or serial where a floor, a memory
-            budget or a single worker rules the others out.
-        morsels: morsel count the morsel mode would split the base
-            relation into.
-        serial_cost / wavefront_cost / morsel_cost: the plan's price
-            under each mode.
+        mode: ``'serial'`` or ``'wavefront'`` — the cheaper priced
+            mode, or serial where a floor, a memory budget or a single
+            worker rules wavefront out.
+        serial_cost / wavefront_cost: the plan's price under each mode.
         reason: one-line explanation of the decision.
     """
 
     mode: str
-    morsels: int
     serial_cost: float
     wavefront_cost: float
-    morsel_cost: float
     reason: str
 
 
@@ -153,7 +137,7 @@ def default_execution_mode(
         and base_rows >= MORSEL_MIN_ROWS
         and n_groupings >= MORSEL_MIN_GROUPINGS
     ):
-        return "morsel"
+        return "wavefront"
     return "serial"
 
 
@@ -375,9 +359,9 @@ class EngineCostModel:
         parallelism: int,
         memory_budget_bytes: float | None = None,
     ) -> ModeChoice:
-        """Price ``plan`` under each execution mode and pick the cheapest.
+        """Price ``plan`` as serial and as wavefront and pick the cheaper.
 
-        Every price is built from the plan's own edge costs, walked in
+        Both prices are built from the plan's own edge costs, walked in
         :func:`~repro.core.scheduling.wavefront_schedule` waves:
 
         * serial pays every edge, one after another;
@@ -386,24 +370,18 @@ class EngineCostModel:
           workers; then every pipeline's edge less that shared read,
           as the largest pipeline or the total spread over the
           workers, whichever is more; plus
-          :data:`WAVEFRONT_DISPATCH_COST` per pipeline;
-        * morsel pays, per wave and input, one shared scan plus the
-          feasible groupings' partial work spread over the workers,
-          then — one after another — the merges, the materializations,
-          and every fallback (a grouping whose composite domain exceeds
-          ``max(MORSEL_TARGET_ROWS, MORSEL_RADIX_SLACK * rows)``, which
-          pays its full edge less the read the shared scan made).
+          :data:`WAVEFRONT_DISPATCH_COST` per pipeline.
 
         One worker, a memory budget (checked per operator, so k
         concurrent operators could each fill it), fewer base rows than
         :data:`MORSEL_MIN_ROWS` or fewer groupings than
         :data:`MORSEL_MIN_GROUPINGS` run serial whatever the prices.
-        Ties go to the simpler mode: serial, then wavefront.
+        A tie goes to serial, the simpler mode.  Morsel execution is
+        never chosen: it runs only when forced.
         """
         k = max(int(parallelism), 1)
         rows = max(float(self._estimator.base_rows), 0.0)
-        morsels = morsel_count(int(rows), k)
-        serial_cost = wavefront_cost = morsel_cost = 0.0
+        serial_cost = wavefront_cost = 0.0
         groupings = 0
         for wave in wavefront_schedule(plan):
             edges = [
@@ -412,7 +390,6 @@ class EngineCostModel:
             ]
             serial_cost += sum(edges)
             wavefront_cost += self._wavefront_wave_cost(wave.steps, edges, k)
-            morsel_cost += self._morsel_wave_cost(wave.steps, edges, k)
             groupings += len(edges)
         if k == 1:
             mode, reason = "serial", "one worker"
@@ -431,119 +408,55 @@ class EngineCostModel:
                 f"{groupings} grouping(s): nothing to run side by side"
             )
         else:
-            prices = {
-                "serial": serial_cost,
-                "wavefront": wavefront_cost,
-                "morsel": morsel_cost,
-            }
-            mode = min(prices, key=prices.__getitem__)
+            mode = "wavefront" if wavefront_cost < serial_cost else "serial"
             reason = (
-                f"cheapest of {groupings} groupings on {k} workers: "
-                + ", ".join(
-                    f"{name} {price:.3g}" for name, price in prices.items()
-                )
+                f"{groupings} groupings on {k} workers: "
+                f"serial {serial_cost:.3g}, wavefront {wavefront_cost:.3g}"
             )
         return ModeChoice(
             mode=mode,
-            morsels=morsels,
             serial_cost=serial_cost,
             wavefront_cost=wavefront_cost,
-            morsel_cost=morsel_cost,
             reason=reason,
         )
-
-    def _input_shape(self, parent: PlanNode | None) -> tuple[float, float]:
-        """(rows, row width) of a grouping's input: R when ``parent`` is
-        None, else the materialized parent."""
-        if parent is None:
-            return float(self._estimator.base_rows), self._base_row_width
-        return (
-            self._rows(parent.columns, None),
-            self._estimator.row_width(parent.columns),
-        )
-
-    @staticmethod
-    def _readers_by_input(
-        steps: Sequence[Step], edges: Sequence[float]
-    ) -> tuple[dict[PlanNode | None, list[tuple[Step, float]]], list[float]]:
-        """A wave's plain groupings keyed by the input they read, and
-        the edges of the rest (CUBE and ROLLUP nodes), as the executor
-        groups a wave's shared-scan readers."""
-        readers: dict[PlanNode | None, list[tuple[Step, float]]] = {}
-        rest: list[float] = []
-        for step, edge in zip(steps, edges):
-            if step.node.kind is NodeKind.GROUP_BY:
-                readers.setdefault(step.parent, []).append((step, edge))
-            else:
-                rest.append(edge)
-        return readers, rest
 
     def _wavefront_wave_cost(
         self, steps: Sequence[Step], edges: Sequence[float], k: int
     ) -> float:
         """One wave's price under wavefront execution (see the caller).
 
-        Mirrors the executor: an input with two or more plain-grouping
-        readers is read once, split over the workers, and its readers'
-        pipelines then pay their edge without that read.
+        Mirrors the executor: an input that two or more of the wave's
+        plain groupings read is read once, split over the workers, and
+        its readers' pipelines then pay their edge without that read.
+        CUBE and ROLLUP pipelines pay their whole edge.
         """
-        readers, pipelines = self._readers_by_input(steps, edges)
+        readers: dict[PlanNode | None, list[float]] = {}
+        pipelines: list[float] = []
+        for step, edge in zip(steps, edges):
+            if step.node.kind is NodeKind.GROUP_BY:
+                readers.setdefault(step.parent, []).append(edge)
+            else:
+                pipelines.append(edge)
         shared = 0.0
         for parent, members in readers.items():
             if len(members) < 2:
-                pipelines.extend(edge for _, edge in members)
+                pipelines.extend(members)
                 continue
-            rows, width = self._input_shape(parent)
-            read = rows * width * READ_BYTE
+            if parent is None:
+                read = float(self._estimator.base_rows) * self._base_row_width
+            else:
+                read = self._rows(parent.columns, None) * (
+                    self._estimator.row_width(parent.columns)
+                )
+            read *= READ_BYTE
             shared += read
             # Clamped: an index-served edge reads less than the input.
-            pipelines.extend(max(edge - read, 0.0) for _, edge in members)
+            pipelines.extend(max(edge - read, 0.0) for edge in members)
         return (
             shared / k
             + max(max(pipelines, default=0.0), sum(pipelines) / k)
             + len(edges) * WAVEFRONT_DISPATCH_COST
         )
-
-    def _morsel_wave_cost(
-        self, steps: Sequence[Step], edges: Sequence[float], k: int
-    ) -> float:
-        """One wave's price under morsel execution (see the caller).
-
-        Mirrors the executor: plain groupings of the wave that read the
-        same input form a batch, and a batch with fewer than two
-        feasible members runs every member on its own.
-        """
-        batches, rest = self._readers_by_input(steps, edges)
-        cost = sum(rest)
-        for parent, members in batches.items():
-            input_rows, width = self._input_shape(parent)
-            cap = max(MORSEL_TARGET_ROWS, MORSEL_RADIX_SLACK * input_rows)
-            feasible = [
-                self.grouping_domain(step.node.columns) <= cap
-                for step, _ in members
-            ]
-            if sum(feasible) < 2:
-                cost += sum(edge for _, edge in members)
-                continue
-            morsels = morsel_count(int(input_rows), k)
-            read = input_rows * width * READ_BYTE
-            shared = read
-            after = morsels * MORSEL_DISPATCH_COST
-            for (step, edge), ok in zip(members, feasible):
-                columns = step.node.columns
-                if not ok:
-                    # The batch's morsels already read the input.
-                    after += max(edge - read, 0.0)
-                    continue
-                shared += input_rows * (
-                    self._group_cpu(columns) + MORSEL_PARTIAL_CPU
-                )
-                groups = min(morsels * self._rows(columns, None), input_rows)
-                after += groups * HASH_CPU
-                if step.materialize:
-                    after += self._materialize_cost(columns, None)
-            cost += shared / min(k, morsels) + after
-        return cost
 
     # -- public API -------------------------------------------------------------
 

@@ -26,24 +26,20 @@ Execution comes in three modes:
   :class:`ExecutionMetrics` totals are equal — each pipeline
   aggregates into its own metrics object, folded back in deterministic
   schedule order, and every grouping is metered as serial meters it.
-* **morsel** (``mode="morsel"``): two-phase morsel-driven aggregation.
-  Groupings in a wave that read the same input are batched; the input
-  splits into row-range morsels, each morsel pays **one** shared
-  row-store pass feeding every grouping in the batch, and each grouping
-  computes decomposable partial states per morsel which merge into
-  results bit-identical to the single-pass kernels
-  (:mod:`repro.engine.morsel`).  Thread-parallelism runs *inside* the
-  operator batch — morsel workers — instead of across plan nodes.
-  Deterministic counters are recorded exactly as a serial run would
-  (each grouping is charged one full pass over its input), so metrics
-  totals are equal to serial's even though the physical traffic is one
-  pass per morsel per batch.
+* **morsel** (``mode="morsel"``, never chosen by ``auto``): the same
+  wave loop, but a wave's shared pass over an input with two or more
+  feasible readers is a morsel batch — the input splits into row-range
+  morsels, each morsel pays the pass for every reader, and the feasible
+  readers compute decomposable partial states per morsel which merge
+  into results bit-identical to the single-pass kernels
+  (:mod:`repro.engine.morsel`).  The batch's other readers run their
+  single-pass kernels on the pass it paid.
 
 ``mode="auto"`` (the default) resolves per plan: serial when
 ``parallelism`` is 1, under a memory budget, or below the cost model's
 row and grouping floors (small inputs never regress); otherwise
-whichever of the three the cost model prices cheapest for this plan.
-``parallelism`` defaults to every CPU the process may use.
+whichever of serial and wavefront the cost model prices cheaper for
+this plan.  ``parallelism`` defaults to every CPU the process may use.
 
 Either way, one plan-wide
 :class:`~repro.engine.dictcache.DictionaryCache` is threaded through
@@ -152,14 +148,15 @@ class PlanExecutor:
             None (the default) is every CPU the process may use
             (:func:`~repro.engine.morsel.usable_cpus`).  1 executes the
             lowered linear schedule serially; >= 2 may run concurrently
-            (waves of pipelines, or morsel workers inside operator
-            batches), producing bit-identical tables and equal metrics
-            totals.
+            (a wave's pipelines, and its shared input passes split into
+            row ranges), producing bit-identical tables and equal
+            metrics totals.
         mode: execution mode — one of :data:`MODE_CHOICES`.  ``auto``
             (the default) picks serial for ``parallelism=1`` and
-            otherwise the cheapest of serial, wavefront and morsel as
-            the cost model prices the plan (:meth:`resolve_mode`).
-            ``serial``, ``wavefront``, and ``morsel`` force that mode.
+            otherwise the cheaper of serial and wavefront as the cost
+            model prices the plan (:meth:`resolve_mode`).  ``serial``,
+            ``wavefront``, and ``morsel`` force that mode; ``morsel``
+            runs only when forced.
         dictionary_cache: a shared plan-wide dictionary cache.  By
             default each ``execute`` call builds a fresh one; serving
             workloads that re-execute plans over the same base relation
@@ -242,7 +239,7 @@ class PlanExecutor:
         Forced modes pass through.  ``auto`` runs serial with one
         worker; otherwise the cost model's :meth:`~repro.costmodel.
         engine_model.EngineCostModel.execution_mode_choice` prices the
-        plan as serial, wavefront and morsel and picks the cheapest —
+        plan as serial and as wavefront and picks the cheaper —
         serial below its row and grouping floors and under a memory
         budget, so parallel execution never regresses small workloads.
         Without an estimator only the floors decide.
@@ -378,23 +375,14 @@ class PlanExecutor:
         with self._tracer.span(
             "execute.plan",
             relation=physical.relation,
-            steps=(
-                len(physical.compute_pipelines())
-                if parallel
-                else len(physical.pipelines)
-            ),
+            steps=len(physical.compute_pipelines()),
             parallelism=self._parallelism,
             mode=physical.mode,
         ) as plan_span:
             try:
                 if parallel:
                     with Workers(self._parallelism, "repro-exec") as workers:
-                        run = (
-                            self._execute_morsel
-                            if physical.mode == "morsel"
-                            else self._execute_wavefront
-                        )
-                        local_peak = run(
+                        local_peak = self._execute_waves(
                             physical, result, dictionaries, current_before,
                             workers,
                         )
@@ -491,13 +479,15 @@ class PlanExecutor:
         local_peak = current_before
         for pipeline in physical.pipelines:
             if pipeline.is_compute:
-                self._run_pipeline(physical, pipeline, result, dictionaries)
+                self._run_pipeline(
+                    physical, pipeline, result, dictionaries, prepaid={}
+                )
             else:
                 self._run_drop(physical, pipeline)
             local_peak = max(local_peak, self._catalog.current_temp_bytes)
         return local_peak
 
-    def _execute_wavefront(
+    def _execute_waves(
         self,
         physical: "PhysicalPlan",
         result: ExecutionResult,
@@ -509,13 +499,17 @@ class PlanExecutor:
         by side on ``workers``.
 
         Before a wave's pipelines start, every input that two or more of
-        its plain groupings read pays one shared row-store pass
-        (:meth:`_run_shared_scan`); those groupings are *prepaid* and
-        run their single-pass kernels without touching the input again.
-        Each pipeline aggregates into its own ``ExecutionMetrics``;
-        after every wave the per-pipeline metrics fold into the result
-        in schedule order, so totals are deterministic and equal to a
-        serial run's regardless of thread interleaving.
+        its plain groupings read pays one shared pass: under forced
+        ``morsel`` mode a morsel batch when two or more of those readers
+        can run two-phase (:meth:`_run_morsel_batch`), otherwise one
+        row-store pass (:meth:`_run_shared_scan`).  Those readers are
+        *prepaid*: ``prepaid`` maps each one's op id to its merged
+        morsel result, or to None when its single-pass kernel still
+        runs — without touching the input again.  Each pipeline
+        aggregates into its own ``ExecutionMetrics``; after every wave
+        the per-pipeline metrics fold into the result in schedule
+        order, so totals are deterministic and equal to a serial run's
+        regardless of thread interleaving.
         """
         local_peak = current_before
         assert physical.waves is not None
@@ -525,24 +519,34 @@ class PlanExecutor:
                 index=wave.index,
                 nodes=len(wave.pipelines),
             ) as wave_span:
-                prepaid: set[int] = set()
-                for source_name, members in self._shared_scan_readers(
+                prepaid: dict[int, Table | None] = {}
+                for source_name, readers in self._shared_scan_readers(
                     physical, wave
                 ).items():
                     # A single reader shares nothing: it pays its own
                     # pass inside its kernel, as serial does.
-                    if len(members) < 2:
+                    if len(readers) < 2:
                         continue
-                    self._run_shared_scan(
-                        source_name, len(members), wave_span, workers
+                    merged = (
+                        self._run_morsel_batch(
+                            physical, source_name, readers, dictionaries,
+                            wave_span, workers,
+                        )
+                        if physical.mode == "morsel"
+                        else {}
                     )
-                    prepaid.update(op.op_id for _index, op in members)
+                    if not merged:
+                        self._run_shared_scan(
+                            source_name, len(readers), wave_span, workers
+                        )
+                    for op in readers:
+                        prepaid[op.op_id] = merged.get(op.op_id)
                 pipelines = [physical.pipelines[i] for i in wave.pipelines]
                 wave_metrics = workers.map(
                     partial(
                         self._run_wave_pipeline,
                         physical, pipelines, result, dictionaries, wave_span,
-                        frozenset(prepaid),
+                        prepaid,
                     ),
                     len(pipelines),
                 )
@@ -582,84 +586,22 @@ class PlanExecutor:
             )
             span.set(bytes=sum(read))
 
-    def _execute_morsel(
-        self,
-        physical: "PhysicalPlan",
-        result: ExecutionResult,
-        dictionaries: DictionaryCache,
-        current_before: int,
-        workers: Workers,
-    ) -> int:
-        """Run the wave schedule with morsel-driven operator batches.
-
-        Per wave, pipelines whose grouping was lowered with
-        ``morsels > 1`` are batched by input table; each batch computes
-        all its groupings over shared morsel scans
-        (:func:`~repro.engine.morsel.compute_morsel_groupings`), with
-        thread workers *inside* the batch.  Pipelines then run in
-        schedule order — batched groupings pick up their precomputed
-        result and record the exact counters a serial run would, the
-        rest execute normally — so results and metrics are
-        deterministic and equal to serial execution's.
-        """
-        local_peak = current_before
-        assert physical.waves is not None
-        for wave in physical.waves:
-            with self._tracer.span(
-                "execute.wave",
-                index=wave.index,
-                nodes=len(wave.pipelines),
-            ) as wave_span:
-                precomputed: dict[int, Table] = {}
-                for source_name, members in self._shared_scan_readers(
-                    physical, wave
-                ).items():
-                    # A batch of one shares nothing: the serial path is
-                    # strictly cheaper than partial-state plumbing.
-                    if len(members) < 2:
-                        continue
-                    self._run_morsel_batch(
-                        physical,
-                        source_name,
-                        members,
-                        dictionaries,
-                        precomputed,
-                        wave_span,
-                        workers,
-                    )
-                for index in wave.pipelines:
-                    self._run_pipeline(
-                        physical,
-                        physical.pipelines[index],
-                        result,
-                        dictionaries,
-                        parent_span=wave_span,
-                        precomputed=precomputed,
-                    )
-                local_peak = max(
-                    local_peak, self._catalog.current_temp_bytes
-                )
-                for index in wave.drops:
-                    self._run_drop(physical, physical.pipelines[index])
-        return local_peak
-
     def _shared_scan_readers(
         self, physical: "PhysicalPlan", wave: "PhysicalWave"
-    ) -> dict[str, list[tuple[int, "GroupingOperator"]]]:
+    ) -> dict[str, list["GroupingOperator"]]:
         """The wave's plain groupings, keyed by the input they read.
 
-        Values are ``(pipeline index, grouping op)`` in schedule order —
-        the readers one shared pass over that input can feed (a
-        wavefront shared scan, or a morsel batch).
+        Values are grouping ops in schedule order — the readers one
+        shared pass over that input can feed.
         """
-        readers: dict[str, list[tuple[int, GroupingOperator]]] = {}
+        readers: dict[str, list[GroupingOperator]] = {}
         for index in wave.pipelines:
             entry = self._shared_scan_entry(
                 physical, physical.pipelines[index]
             )
             if entry is not None:
                 source_name, op = entry
-                readers.setdefault(source_name, []).append((index, op))
+                readers.setdefault(source_name, []).append(op)
         return readers
 
     def _shared_scan_entry(
@@ -671,80 +613,75 @@ class PlanExecutor:
         A pipeline is a plain grouping — and so a shared-scan reader —
         when its unpartitioned grouping reads either the base relation
         through a plain ``Scan`` or a materialized temp through
-        ``Reaggregate``; index scans, budget-partitioned groupings and
-        CUBE/ROLLUP pipelines keep their own execution scheme.  A
-        single-morsel batch still shares its one scan across every
-        member, so small inputs batch too.
+        ``Reaggregate``; index scans and budget-partitioned groupings
+        keep their own execution scheme.
         """
         from repro.physical import plan as phys
 
         for op_id in pipeline.ops:
             op = physical.op(op_id)
+            if not isinstance(op, phys.GroupingOperator):
+                continue
+            if op.partitions != 1:
+                return None
+            source = physical.op(op.source)
             if isinstance(op, phys.Reaggregate):
-                if op.partitions != 1:
+                if not isinstance(source, phys.Materialize):
                     return None
-                producer = physical.op(op.source)
-                if not isinstance(producer, phys.Materialize):
-                    return None
-                return producer.output, op
-            if isinstance(op, phys.GroupingOperator):
-                if op.partitions != 1:
-                    return None
-                source = physical.op(op.source)
-                if not isinstance(source, phys.Scan):
-                    return None
-                return source.table, op
+                return source.output, op
+            if not isinstance(source, phys.Scan):
+                return None
+            return source.table, op
         return None
 
     def _run_morsel_batch(
         self,
         physical: "PhysicalPlan",
         source_name: str,
-        members: list[tuple[int, "GroupingOperator"]],
+        readers: list["GroupingOperator"],
         dictionaries: DictionaryCache,
-        precomputed: dict[int, Table],
         wave_span: Span,
         workers: Workers,
-    ) -> None:
-        """Compute one shared-scan batch of groupings over morsels."""
+    ) -> dict[int, Table]:
+        """Pay a wave's shared pass over ``source_name`` as a morsel
+        batch; returns the feasible readers' merged results by op id.
+
+        Feasibility is only known here (it needs the per-key
+        cardinalities).  With fewer than two feasible readers a batch
+        amortizes nothing, so nothing runs and the result is empty.
+        """
         from repro.physical import plan as phys
 
         table = self._catalog.get(source_name)
-        groupings = []
-        morsels = 1
-        for _index, op in members:
-            aggregates = (
-                self._reaggregates
-                if isinstance(op, phys.Reaggregate)
-                else self._aggregates
+        groupings: dict[int, MorselGrouping] = {}
+        for op in readers:
+            grouping = MorselGrouping(
+                table,
+                list(op.keys),
+                (
+                    self._reaggregates
+                    if isinstance(op, phys.Reaggregate)
+                    else self._aggregates
+                ),
+                name=op.output,
+                dictionaries=dictionaries,
             )
-            groupings.append(
-                MorselGrouping(
-                    table,
-                    list(op.keys),
-                    aggregates,
-                    name=op.output,
-                    dictionaries=dictionaries,
-                )
-            )
-            morsels = max(morsels, op.morsels)
-        # Feasibility is only known here (it needs the per-key
-        # cardinalities).  With fewer than two feasible groupings the
-        # shared scan amortizes nothing, so the whole batch — including
-        # would-be fallbacks — takes the serial interpreter instead.
-        if sum(1 for g in groupings if g.feasible) < 2:
-            return
+            if grouping.feasible:
+                groupings[op.op_id] = grouping
+        if len(groupings) < 2:
+            return {}
+        morsels = max(op.morsels for op in readers)
         registry = self._metrics
         with self._tracer.span_under(
             wave_span,
             "execute.morsel_batch",
             source=source_name,
-            groupings=len(members),
+            groupings=len(readers),
             morsels=morsels,
         ) as batch_span:
             started = monotonic()
             tables, stats = compute_morsel_groupings(
-                table, groupings, morsels, workers
+                table, list(groupings.values()), morsels, workers
             )
             batch_seconds = monotonic() - started
             for i, (start, stop) in enumerate(stats.ranges):
@@ -758,7 +695,7 @@ class PlanExecutor:
                     pass
             batch_span.set(
                 morsels_run=stats.morsels,
-                fallbacks=stats.fallbacks,
+                single_pass=len(readers) - len(groupings),
                 bytes=sum(stats.bytes_per_morsel),
             )
             if registry.enabled:
@@ -783,8 +720,7 @@ class PlanExecutor:
                         stop - start,
                         relation=relation,
                     )
-        for (_index, op), out in zip(members, tables):
-            precomputed[op.op_id] = out
+        return dict(zip(groupings, tables))
 
     def _run_wave_pipeline(
         self,
@@ -793,7 +729,7 @@ class PlanExecutor:
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         wave_span: Span,
-        prepaid: frozenset[int],
+        prepaid: dict[int, Table | None],
         index: int,
     ) -> ExecutionMetrics:
         """Run ``pipelines[index]`` of a wave into its own metrics."""
@@ -803,9 +739,9 @@ class PlanExecutor:
             pipelines[index],
             result,
             dictionaries,
+            prepaid,
             metrics=metrics,
             parent_span=wave_span,
-            prepaid=prepaid,
         )
         return metrics
 
@@ -831,16 +767,15 @@ class PlanExecutor:
         pipeline: "PhysicalPipeline",
         result: ExecutionResult,
         dictionaries: DictionaryCache,
+        prepaid: dict[int, Table | None],
         metrics: ExecutionMetrics | None = None,
         parent_span: Span | None = None,
-        precomputed: dict[int, Table] | None = None,
-        prepaid: frozenset[int] = frozenset(),
     ) -> None:
         """Interpret one pipeline.
 
-        ``precomputed`` maps grouping op ids to results a morsel batch
-        already computed; ``prepaid`` holds the op ids of groupings
-        whose input pass a wave's shared scan already paid.
+        ``prepaid`` maps the op ids of groupings whose input pass a
+        wave already paid to a morsel batch's merged result, or to None
+        when the grouping's kernel still runs (:meth:`_group_input`).
         """
         metrics = result.metrics if metrics is None else metrics
         bytes_before = metrics.work
@@ -865,7 +800,7 @@ class PlanExecutor:
             for op_id in pipeline.ops:
                 produced = self._run_op(
                     physical, physical.op(op_id), env, result, metrics,
-                    dictionaries, span, precomputed, prepaid,
+                    dictionaries, span, prepaid,
                 )
                 if rows_out is None and produced is not None:
                     rows_out = produced
@@ -883,21 +818,20 @@ class PlanExecutor:
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
         node_span: Span,
-        precomputed: dict[int, Table] | None = None,
-        prepaid: frozenset[int] = frozenset(),
+        prepaid: dict[int, Table | None],
     ) -> int | None:
         """Interpret one operator; returns grouping output rows (else None)."""
         registry = self._metrics
         if not registry.enabled:
             return self._interpret_op(
                 physical, op, env, result, metrics, dictionaries, node_span,
-                precomputed, prepaid,
+                prepaid,
             )
         op_started = monotonic()
         try:
             return self._interpret_op(
                 physical, op, env, result, metrics, dictionaries, node_span,
-                precomputed, prepaid,
+                prepaid,
             )
         finally:
             registry.observe(
@@ -916,8 +850,7 @@ class PlanExecutor:
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
         node_span: Span,
-        precomputed: dict[int, Table] | None = None,
-        prepaid: frozenset[int] = frozenset(),
+        prepaid: dict[int, Table | None],
     ) -> int | None:
         from repro.physical import plan as phys
 
@@ -926,8 +859,6 @@ class PlanExecutor:
         ) as op_span:
             if isinstance(op, phys.Scan):
                 table = self._catalog.get(op.table)
-                if op.charge:
-                    metrics.record_scan(table.num_rows, table.touch())
                 env[op.op_id] = table
                 op_span.set(rows_out=table.num_rows)
                 return None
@@ -949,24 +880,13 @@ class PlanExecutor:
                     derived=op.derived,
                 )
                 return table.num_rows
-            morsel_batched = (
-                precomputed is not None
-                and op.op_id in precomputed
-                and isinstance(op, phys.GroupingOperator)
-            )
-            if morsel_batched:
-                assert precomputed is not None
-                table = self._claim_precomputed(
-                    physical, op, precomputed[op.op_id], metrics
-                )
-            elif isinstance(op, phys.Reaggregate):
+            if isinstance(op, phys.Reaggregate):
                 table = self._run_reaggregate(
-                    physical, op, env, metrics, dictionaries,
-                    op.op_id in prepaid,
+                    physical, op, env, metrics, dictionaries, prepaid
                 )
             elif isinstance(op, phys.GroupingOperator):
                 table = self._run_grouping(
-                    op, env, metrics, dictionaries, op.op_id in prepaid
+                    op, env, metrics, dictionaries, prepaid
                 )
             elif isinstance(op, phys.CubeExpand):
                 self._run_cube_expand(op, env, result, metrics, dictionaries)
@@ -989,7 +909,7 @@ class PlanExecutor:
                     f"unknown physical operator {op.op_name!r}"
                 )
             # Shared tail of the grouping operators.
-            if morsel_batched:
+            if prepaid.get(op.op_id) is not None:
                 regime = "morsel"
             elif isinstance(op, phys.Reaggregate):
                 regime = op.strategy
@@ -1018,61 +938,15 @@ class PlanExecutor:
                 return index
         raise ExecutionError(f"index {name!r} on {table!r} does not exist")
 
-    def _claim_precomputed(
-        self,
-        physical: "PhysicalPlan",
-        op: "GroupingOperator",
-        table: Table,
-        metrics: ExecutionMetrics,
-    ) -> Table:
-        """Adopt a morsel-batch result, metered exactly as serial is.
-
-        The batch already did the physical work — one shared row-store
-        pass per morsel for the whole batch — so the operator is
-        metered by :meth:`_meter_prepaid`.
-        """
-        from repro.physical import plan as phys
-
-        metrics.queries_executed += 1
-        if isinstance(op, phys.Reaggregate):
-            producer = physical.op(op.source)
-            assert isinstance(producer, phys.Materialize)
-            source = self._catalog.get(producer.output)
-        else:
-            scan = physical.op(op.source)
-            assert isinstance(scan, phys.Scan)
-            source = self._catalog.get(scan.table)
-        self._meter_prepaid(source, op, metrics)
-        return table
-
-    @staticmethod
-    def _meter_prepaid(
-        source: Table, op: "GroupingOperator", metrics: ExecutionMetrics
-    ) -> None:
-        """Meter a grouping whose pass over ``source`` was paid upstream.
-
-        A shared pass (a wave's shared scan, a morsel batch, a charged
-        ``Scan``) did the physical traffic.  The *deterministic*
-        counters charge this operator what the serial interpreter
-        would: one full scan of its input when ``charge_scan``
-        (``scan_bytes`` meters without re-touching memory) plus one
-        grouping.  Metrics totals are therefore mode-independent while
-        the real memory traffic is what the shared pass saves.
-        """
-        if op.charge_scan:
-            metrics.record_scan(source.num_rows, source.scan_bytes())
-        metrics.record_group_by()
-
     def _run_grouping(
         self,
         op: "GroupingOperator",
         env: dict[int, Table | Index],
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
-        prepaid: bool,
+        prepaid: dict[int, Table | None],
     ) -> Table:
-        """HashGroupBy / SortGroupBy over an access path in ``env``;
-        ``prepaid``: a wave's shared scan already read the input."""
+        """HashGroupBy / SortGroupBy over an access path in ``env``."""
         from repro.physical.plan import SortGroupBy
 
         metrics.queries_executed += 1
@@ -1083,43 +957,19 @@ class PlanExecutor:
                 f"operator {op.op_id} reads missing pipeline input "
                 f"{op.source}"
             )
-        keys = list(op.keys)
         if isinstance(source, Index):
             return source.group_by(
-                keys,
+                list(op.keys),
                 self._aggregates,
                 op.output,
                 metrics,
                 dictionaries=dictionaries,
                 strategy=strategy,
             )
-        if op.partitions > 1:
-            return self._group_partitioned(
-                source, op, self._aggregates, metrics, dictionaries, strategy
-            )
-        if op.charge_scan and not prepaid:
-            return group_by(
-                source,
-                keys,
-                self._aggregates,
-                name=op.output,
-                metrics=metrics,
-                dictionaries=dictionaries,
-                strategy=strategy,
-            )
-        # A shared pass (the wave's, or an upstream charged Scan's)
-        # already read the input; meter without touching it again.
-        table = group_by(
-            source,
-            keys,
-            self._aggregates,
-            name=op.output,
-            metrics=None,
-            dictionaries=dictionaries,
-            strategy=strategy,
+        return self._group_input(
+            source, op, self._aggregates, strategy, metrics, dictionaries,
+            prepaid,
         )
-        self._meter_prepaid(source, op, metrics)
-        return table
 
     def _run_reaggregate(
         self,
@@ -1128,13 +978,12 @@ class PlanExecutor:
         env: dict[int, Table | Index],
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
-        prepaid: bool,
+        prepaid: dict[int, Table | None],
     ) -> Table:
         """Group a materialized intermediate, resolved via the catalog.
 
         When the producer is a CacheRead the intermediate never touched
         the catalog — it lives only in the pipeline environment.
-        ``prepaid``: a wave's shared scan already read the input.
         """
         from repro.physical.plan import CacheRead as CacheReadOp
         from repro.physical.plan import Materialize as MaterializeOp
@@ -1160,23 +1009,61 @@ class PlanExecutor:
             raise ExecutionError(
                 f"reaggregate {op.op_id} does not read a Materialize"
             )
+        return self._group_input(
+            source, op, self._reaggregates, op.strategy, metrics,
+            dictionaries, prepaid,
+        )
+
+    def _group_input(
+        self,
+        source: Table,
+        op: "GroupingOperator",
+        aggregates: list[AggregateSpec],
+        strategy: str,
+        metrics: ExecutionMetrics,
+        dictionaries: DictionaryCache,
+        prepaid: dict[int, Table | None],
+    ) -> Table:
+        """Group ``source`` on ``op``'s keys, metered as serial meters it.
+
+        A prepaid grouping adopts its morsel batch's merged result, or
+        runs its kernel without touching ``source`` again when the map
+        holds None; either way :meth:`_meter_prepaid` meters it.
+        """
         if op.partitions > 1:
             return self._group_partitioned(
-                source, op, self._reaggregates, metrics, dictionaries,
-                op.strategy,
+                source, op, aggregates, metrics, dictionaries, strategy
             )
-        table = group_by(
-            source,
-            list(op.keys),
-            self._reaggregates,
-            name=op.output,
-            metrics=None if prepaid else metrics,
-            dictionaries=dictionaries,
-            strategy=op.strategy,
-        )
-        if prepaid:
-            self._meter_prepaid(source, op, metrics)
+        paid = op.op_id in prepaid
+        table = prepaid.get(op.op_id)
+        if table is None:
+            table = group_by(
+                source,
+                list(op.keys),
+                aggregates,
+                name=op.output,
+                metrics=None if paid else metrics,
+                dictionaries=dictionaries,
+                strategy=strategy,
+            )
+        if paid:
+            self._meter_prepaid(source, metrics)
         return table
+
+    @staticmethod
+    def _meter_prepaid(source: Table, metrics: ExecutionMetrics) -> None:
+        """Meter a grouping whose pass over ``source`` a wave paid.
+
+        The shared pass (a row-store pass or a morsel batch) did the
+        physical traffic.  The *deterministic* counters charge this
+        operator what the serial interpreter would: one full scan of
+        its input (``scan_bytes`` meters without re-touching memory)
+        plus one grouping.  Metrics totals are therefore
+        mode-independent while the real memory traffic is what the
+        shared pass saves.
+        """
+        metrics.record_scan(source.num_rows, source.scan_bytes())
+        metrics.record_group_by()
 
     def _run_cache_read(
         self,
@@ -1247,8 +1134,7 @@ class PlanExecutor:
         the partitioned pass still reads each row once.
         """
         keys = list(op.keys)
-        if op.charge_scan:
-            metrics.record_scan(source.num_rows, source.touch())
+        metrics.record_scan(source.num_rows, source.touch())
         metrics.record_group_by()
         parts = partition_by_values(source, keys[0], op.partitions)
         if len(parts) <= 1:

@@ -5,8 +5,8 @@ single-pass kernel per thread (its waves share one row-store pass per
 input, but each grouping's kernel runs alone).  Morsel execution turns
 that inside out: the base
 relation (or a materialized temp) is split into row-range **morsels**;
-each morsel pays one shared row-store pass (``Table.touch_range``) that
-feeds *every* grouping in the batch, and each grouping computes a
+each morsel pays one shared row-store pass (``Table.touch_range``) for
+the whole batch, and each grouping computes a
 decomposable :class:`~repro.engine.aggregation.PartialGroupState` per
 morsel (count → sum of counts, sum → sum, min/max → min/max, avg →
 (sum, count)).  Partials then merge by composite key code into final
@@ -16,10 +16,12 @@ thread-parallelism *inside* the operator batch (morsel workers run
 numpy kernels that release the GIL) instead of across plan nodes.
 
 :class:`MorselGrouping` prepares one grouping for morsel execution and
-falls back to plain :func:`~repro.engine.aggregation.group_by` when the
-two-phase plan cannot apply (empty key list, empty input, compressed
-composite codes).  :func:`compute_morsel_groupings` runs a whole batch:
-one shared scan per morsel, all partials, all merges.
+says whether the two-phase plan applies (``feasible``: a non-empty key
+list, a non-empty input, an uncompressed composite code).
+:func:`compute_morsel_groupings` runs a batch of feasible groupings:
+one shared scan per morsel, all partials, all merges.  The executor
+runs an infeasible reader of the same input as a plain single-pass
+kernel that the batch's morsels already paid the pass for.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.engine.aggregation import (
     _combined_codes,
     decode_parent_codes,
     defer_key_dictionaries,
-    group_by,
     merge_partial_states,
     partial_aggregate_state,
 )
@@ -64,7 +65,7 @@ MAX_MORSELS = 64
 #: per-morsel regime loses: bincount partials pay O(radix) slot scans
 #: per morsel, sort partials pay a comparison sort per morsel, and the
 #: merge re-walks the domain — all to rediscover groups the single-pass
-#: kernel finds in one bincount.  Such groupings fall back.
+#: kernel finds in one bincount.  Such groupings run single-pass.
 MORSEL_RADIX_SLACK = 2
 
 
@@ -191,8 +192,7 @@ class MorselGrouping:
     :meth:`partial` states and the final :meth:`merge`.  ``feasible``
     is False when the two-phase plan cannot apply — empty key list,
     empty input, or a compressed composite code (no per-key layout to
-    decode groups from) — in which case :meth:`fallback` computes the
-    grouping with the single-pass kernel instead.
+    decode groups from) — and the grouping must run single-pass.
 
     Args:
         table: input relation (base table or materialized temp).
@@ -226,8 +226,8 @@ class MorselGrouping:
             # Cheap precheck: the composite radix is the product of the
             # per-key dictionary cardinalities, so infeasibility is
             # known before paying for the combined-code array.  The
-            # per-column codes come from the plan-wide cache, where the
-            # fallback's single-pass kernel reuses them.
+            # per-column codes come from the plan-wide cache, where an
+            # infeasible grouping's single-pass kernel reuses them.
             radix = 1
             for key in self.keys:
                 _, uniques = _column_codes(table, key, dictionaries)
@@ -274,7 +274,8 @@ class MorselGrouping:
         """Merge morsel partials into the final result table.
 
         Output columns, ordering, dtypes, and group numbering are
-        identical to the single-pass :func:`group_by` result.
+        identical to the single-pass
+        :func:`~repro.engine.aggregation.group_by` result.
         """
         assert self._cards is not None
         codes, _counts, merged = merge_partial_states(
@@ -304,20 +305,6 @@ class MorselGrouping:
         defer_key_dictionaries(result, parent_codes, parent_uniques)
         return result
 
-    def fallback(self) -> Table:
-        """Single-pass computation for infeasible groupings.
-
-        Runs the single-pass kernel without a row-store pass of its
-        own: the batch's shared morsel scans already read the table.
-        """
-        return group_by(
-            self.table,
-            self.keys,
-            self.aggregates,
-            name=self.name,
-            dictionaries=self._dictionaries,
-        )
-
 
 @dataclass
 class MorselBatchStats:
@@ -326,7 +313,6 @@ class MorselBatchStats:
     morsels: int
     ranges: list[tuple[int, int]]
     bytes_per_morsel: list[int]
-    fallbacks: int
 
 
 def compute_morsel_groupings(
@@ -335,11 +321,11 @@ def compute_morsel_groupings(
     morsels: int,
     workers: Workers | int = 1,
 ) -> tuple[list[Table], MorselBatchStats]:
-    """Run a batch of groupings over shared morsel scans.
+    """Run a batch of feasible groupings over shared morsel scans.
 
     Each morsel pays one ``touch_range`` pass over ``table`` — shared
-    by every grouping in the batch, fallbacks included — then computes
-    every feasible grouping's partial state for that row range.  Morsels run on
+    by every grouping in the batch — then computes every grouping's
+    partial state for that row range.  Morsels run on
     ``workers`` — a plan run's :class:`Workers`, or a thread count to
     open one for this batch (numpy kernels release the GIL); partials
     are merged in morsel-index order regardless of completion order, so
@@ -348,20 +334,24 @@ def compute_morsel_groupings(
     Returns:
         (result tables, batch stats) with results in ``groupings``
         order.
+
+    Raises:
+        ValueError: a grouping is not ``feasible``.
     """
-    feasible = [g for g in groupings if g.feasible]
+    if not all(grouping.feasible for grouping in groupings):
+        raise ValueError("a morsel batch takes feasible groupings only")
     ranges = morsel_ranges(table.num_rows, morsels) if groupings else []
     bytes_per_morsel = [0] * len(ranges)
-    partials: dict[int, list[PartialGroupState | None]] = {
-        id(grouping): [None] * len(ranges) for grouping in feasible
-    }
+    partials: list[list[PartialGroupState | None]] = [
+        [None] * len(ranges) for _ in groupings
+    ]
 
     def run_morsel(index: int) -> None:
         start, stop = ranges[index]
         # One shared row-store pass feeds every grouping in the batch.
         bytes_per_morsel[index] = table.touch_range(start, stop)
-        for grouping in feasible:
-            partials[id(grouping)][index] = grouping.partial(start, stop)
+        for grouping, states in zip(groupings, partials):
+            states[index] = grouping.partial(start, stop)
 
     if ranges:
         if isinstance(workers, Workers):
@@ -370,21 +360,12 @@ def compute_morsel_groupings(
             with Workers(workers, "repro-morsel") as own:
                 own.map(run_morsel, len(ranges))
 
-    results: list[Table] = []
-    fallbacks = 0
-    for grouping in groupings:
-        if grouping.feasible:
-            states = partials[id(grouping)]
-            assert all(state is not None for state in states)
-            results.append(
-                grouping.merge([s for s in states if s is not None])
-            )
-        else:
-            fallbacks += 1
-            results.append(grouping.fallback())
+    results = [
+        grouping.merge([s for s in states if s is not None])
+        for grouping, states in zip(groupings, partials)
+    ]
     return results, MorselBatchStats(
         morsels=len(ranges),
         ranges=ranges,
         bytes_per_morsel=bytes_per_morsel,
-        fallbacks=fallbacks,
     )

@@ -12,9 +12,8 @@ lower`) that maps a logical plan onto those operators using the cost
 model and column statistics.
 
 The executor (:class:`repro.engine.executor.PlanExecutor`) is an
-interpreter of physical plans: serial and wavefront-parallel execution,
-the naive baseline, and the shared-scan baseline all run through the
-same operator set.
+interpreter of physical plans: serial, wavefront and morsel execution
+and the naive baseline all run through the same operator set.
 """
 
 from repro.physical.plan import (

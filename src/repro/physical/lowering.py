@@ -25,10 +25,6 @@ onto a pipeline of :mod:`repro.physical.plan` operators:
 
 Without an estimator the lowering is purely structural (hash-preferred
 groupings, zero estimates) — the naive baseline path.
-
-:func:`lower_shared_scan` lowers the shared-scan baseline's batches
-onto the same operator set: one charged :class:`~repro.physical.plan.
-Scan` per batch feeding uncharged groupings.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from repro.physical.plan import (
     CacheRead,
     CubeExpand,
     DropTemp,
-    GroupingOperator,
     HashGroupBy,
     IndexScan,
     Materialize,
@@ -663,90 +658,3 @@ def lower(
         mode=mode,
     )
 
-
-def lower_shared_scan(
-    batches: Sequence[Sequence[frozenset[str]]],
-    *,
-    catalog: Catalog,
-    base_table: str,
-    estimator: CardinalityEstimator | None = None,
-) -> PhysicalPlan:
-    """Lower shared-scan batches onto physical operators.
-
-    One *charged* :class:`Scan` per batch feeds one grouping operator
-    per query with ``charge_scan=False`` — the batch pays for a single
-    pass over R no matter how many aggregation states it fills, which
-    is exactly the shared-scan cost semantics.
-    """
-    model = (
-        EngineCostModel(estimator, catalog=catalog, base_table=base_table)
-        if estimator is not None
-        else None
-    )
-    base = catalog.get(base_table)
-    input_rows = (
-        float(estimator.base_rows)
-        if estimator is not None
-        else float(base.num_rows)
-    )
-    ops: list[PhysicalOperator] = []
-    pipelines: list[PhysicalPipeline] = []
-    for batch_index, batch in enumerate(batches):
-        pipeline_ops: list[int] = []
-        scan = Scan(
-            op_id=len(ops),
-            table=base_table,
-            charge=True,
-            est_rows=input_rows,
-            est_cost=(
-                model.scan_op_cost(input_rows, float(base.row_width()))
-                if model is not None
-                else 0.0
-            ),
-        )
-        ops.append(scan)
-        pipeline_ops.append(scan.op_id)
-        for query in batch:
-            keys = tuple(sorted(query))
-            if model is not None:
-                choice = model.grouping_choice(keys, input_rows)
-                strategy = choice.strategy
-                cost = (
-                    choice.hash_cost
-                    if strategy == "hash"
-                    else choice.sort_cost
-                )
-                mem = choice.mem_bytes
-            else:
-                strategy, cost, mem = "hash", 0.0, 0.0
-            cls = HashGroupBy if strategy == "hash" else SortGroupBy
-            group: GroupingOperator = cls(
-                op_id=len(ops),
-                source=scan.op_id,
-                keys=keys,
-                output="shared_" + "_".join(keys),
-                query=keys,
-                charge_scan=False,
-                est_rows=(
-                    float(estimator.rows(frozenset(query)))
-                    if estimator is not None
-                    else 0.0
-                ),
-                est_cost=cost,
-                est_mem_bytes=mem,
-            )
-            ops.append(group)
-            pipeline_ops.append(group.op_id)
-        pipelines.append(
-            PhysicalPipeline(
-                ops=tuple(pipeline_ops),
-                label=f"shared-scan batch {batch_index}",
-                kind="batch",
-                attribute=False,
-            )
-        )
-    return PhysicalPlan(
-        relation=base_table,
-        operators=tuple(ops),
-        pipelines=tuple(pipelines),
-    )

@@ -69,20 +69,16 @@ class PhysicalOperator:
 class Scan(PhysicalOperator):
     """Access path: read a named table from the catalog.
 
-    ``charge`` scans meter their bytes against the run's metrics (the
-    shared-scan baseline's one-scan-per-batch accounting); uncharged
-    scans are pure source resolution — the downstream grouping operator
-    meters the read, matching row-store scan semantics.
+    Pure source resolution — the downstream grouping operator meters
+    the read, matching row-store scan semantics.
     """
 
     table: str
-    charge: bool = False
 
     op_name: ClassVar[str] = "scan"
 
     def describe(self) -> str:
-        charged = " (charged)" if self.charge else ""
-        return f"Scan {self.table}{charged}"
+        return f"Scan {self.table}"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -115,9 +111,6 @@ class GroupingOperator(PhysicalOperator):
         output: name of the result table.
         query: the required query this grouping answers directly, as a
             sorted column tuple — None for purely intermediate results.
-        charge_scan: meter the input scan on this operator (the default
-            row-store semantics); False when an upstream charged
-            :class:`Scan` already paid for the pass (shared scan).
         partitions: >1 executes the grouping per value-range partition
             of the first key and concatenates — the out-of-memory
             fallback when the estimate exceeds the plan budget.
@@ -133,7 +126,6 @@ class GroupingOperator(PhysicalOperator):
     keys: tuple[str, ...]
     output: str
     query: tuple[str, ...] | None = None
-    charge_scan: bool = True
     partitions: int = 1
     morsels: int = 1
 
@@ -362,8 +354,9 @@ class PhysicalWave:
 #: Execution modes a lowered plan can carry.  ``serial`` runs the
 #: pipelines in order, ``wavefront`` runs dependency waves across a
 #: thread pool (node-level parallelism), ``morsel`` runs the same waves
-#: but batches each wave's morselized groupings over shared row-range
-#: scans (operator-internal parallelism).  All three produce
+#: but pays a wave's shared input pass as a batch of row-range morsels
+#: that also compute its morselized groupings (operator-internal
+#: parallelism); it runs only when forced.  All three produce
 #: bit-identical tables and metrics totals.
 EXECUTION_MODES = ("serial", "wavefront", "morsel")
 

@@ -74,7 +74,6 @@ def force_strategy(physical, strategy):
                     keys=op.keys,
                     output=op.output,
                     query=op.query,
-                    charge_scan=op.charge_scan,
                     partitions=op.partitions,
                 )
             )

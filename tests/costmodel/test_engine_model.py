@@ -140,7 +140,7 @@ class TestCubeRollup:
 
 
 class TestExecutionModeChoice:
-    """``auto`` prices a plan built here as serial, wavefront and morsel."""
+    """``auto`` prices a plan built here as serial and as wavefront."""
 
     @staticmethod
     def _model(rows, cards, row_width=200.0):
@@ -157,8 +157,8 @@ class TestExecutionModeChoice:
         return self._model(rows, cards), self._plan("abcd")
 
     def _wide(self, rows):
-        """Ten two-column groupings whose domains (2000^2) pass the
-        morsel cap of max(65,536, 2 x rows)."""
+        """Ten two-column groupings over wide domains (2000^2, still
+        within the hash regime's limit)."""
         columns = "abcde"
         cards = {c: 2_000.0 for c in columns}
         pairs = [a + b for i, a in enumerate(columns) for b in columns[i + 1:]]
@@ -199,37 +199,51 @@ class TestExecutionModeChoice:
         )
         assert choice.mode == "serial"
         assert "budget" in choice.reason
-        assert choice.morsel_cost < choice.serial_cost
+        assert choice.wavefront_cost < choice.serial_cost
 
     def test_shared_read_picks_wavefront(self):
         """Four workers: the shared read leaves each pipeline only its
-        grouping CPU, four pipelines fill the four workers, and
-        wavefront beats morsel's partial-state overhead."""
+        grouping CPU, and four pipelines fill the four workers."""
         model, plan = self._narrow(1_000_000)
         choice = model.execution_mode_choice(plan, parallelism=4)
         assert choice.mode == "wavefront"
         cpu = 1_000_000 * HASH_CPU
+        assert choice.serial_cost == pytest.approx(
+            4 * (self.NARROW_READ + cpu)
+        )
         assert choice.wavefront_cost == pytest.approx(
             self.NARROW_READ / 4 + cpu + 4 * WAVEFRONT_DISPATCH_COST
         )
-        assert choice.wavefront_cost < choice.morsel_cost < choice.serial_cost
 
-    def test_scale_picks_morsel_and_costs_order(self):
+    def test_eight_workers_pick_wavefront(self):
         """Eight workers and four pipelines: wavefront leaves half the
-        workers idle while morsels split every grouping eight ways."""
+        workers idle and still pays a fraction of serial's price."""
         model, plan = self._narrow(1_000_000)
         choice = model.execution_mode_choice(plan, parallelism=8)
-        assert choice.mode == "morsel"
-        assert choice.morsels > 1
-        assert choice.morsel_cost < choice.wavefront_cost < choice.serial_cost
+        assert choice.mode == "wavefront"
+        cpu = 1_000_000 * HASH_CPU
+        assert choice.serial_cost == pytest.approx(
+            4 * (self.NARROW_READ + cpu)
+        )
+        # The largest pipeline (one grouping's CPU) outweighs the
+        # four pipelines spread eight ways.
+        assert choice.wavefront_cost == pytest.approx(
+            self.NARROW_READ / 8 + cpu + 4 * WAVEFRONT_DISPATCH_COST
+        )
+        assert choice.wavefront_cost < choice.serial_cost
 
     def test_wide_domains_pick_wavefront(self):
         model, plan = self._wide(1_000_000)
         choice = model.execution_mode_choice(plan, parallelism=2)
         assert choice.mode == "wavefront"
-        # Every grouping falls back, so morsel pays serial's price.
-        assert choice.morsel_cost == pytest.approx(choice.serial_cost)
-        assert choice.wavefront_cost < choice.serial_cost
+        cpu = 1_000_000 * 2 * HASH_CPU
+        assert choice.serial_cost == pytest.approx(
+            10 * (self.NARROW_READ + cpu)
+        )
+        assert choice.wavefront_cost == pytest.approx(
+            self.NARROW_READ / 2 + 10 * cpu / 2
+            + 10 * WAVEFRONT_DISPATCH_COST
+        )
 
     def test_wavefront_pays_its_largest_pipeline(self):
         """Eight workers cannot split a pipeline: a wave of two pays the
@@ -247,21 +261,6 @@ class TestExecutionModeChoice:
             + 2 * WAVEFRONT_DISPATCH_COST
         )
 
-    def test_morsel_fallback_shares_the_batch_read(self):
-        """A fallback in a running batch pays its edge less the read
-        the batch's morsels already made."""
-        model = self._model(
-            1_000_000, {"a": 10.0, "b": 10.0, "c": 2_000.0, "d": 2_000.0}
-        )
-        fallback = model.edge_cost(None, PlanNode(fs("c", "d")), False)
-        without = model.execution_mode_choice(self._plan(["a", "b"]), 2)
-        with_fallback = model.execution_mode_choice(
-            self._plan(["a", "b", "cd"]), 2
-        )
-        assert with_fallback.morsel_cost - without.morsel_cost == (
-            pytest.approx(fallback - self.NARROW_READ)
-        )
-
     def test_default_mode_mirrors_floors(self):
         from repro.costmodel.engine_model import (
             MORSEL_MIN_GROUPINGS,
@@ -271,7 +270,7 @@ class TestExecutionModeChoice:
 
         assert default_execution_mode(
             MORSEL_MIN_ROWS, MORSEL_MIN_GROUPINGS, 2
-        ) == "morsel"
+        ) == "wavefront"
         assert default_execution_mode(
             MORSEL_MIN_ROWS - 1, MORSEL_MIN_GROUPINGS, 2
         ) == "serial"
@@ -282,9 +281,9 @@ class TestExecutionModeChoice:
 
 class TestBenchmarkPlanModes:
     """``auto`` on the two plan workloads of the end-to-end benchmark,
-    at its scale and seed on two CPUs: both price wavefront cheapest.
-    Pins the wavefront and morsel prices against a change that would
-    quietly send either workload back to morsel."""
+    at its scale and seed on two CPUs: both price wavefront cheaper
+    than serial.  Pins the prices against a change that would quietly
+    send either workload back to serial."""
 
     @pytest.mark.parametrize("workload", ["sales_tc", "lineitem_sc"])
     def test_auto_picks_wavefront(self, workload, monkeypatch):

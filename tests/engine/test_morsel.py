@@ -70,10 +70,11 @@ def make_table(n, rng_seed=0, card=7):
 
 
 def two_phase(table, keys, aggregates, morsels):
-    """Compute one grouping via partial states + merge (or fallback)."""
+    """Compute one grouping via partial states + merge, or single-pass
+    where two-phase cannot apply (as the executor runs it)."""
     grouping = MorselGrouping(table, keys, aggregates)
     if not grouping.feasible:
-        return grouping.fallback()
+        return group_by(table, keys, aggregates)
     parts = [
         grouping.partial(start, stop)
         for start, stop in morsel_ranges(table.num_rows, morsels)
@@ -149,8 +150,9 @@ class TestPartialMergeBitIdentity:
         )
         grouping = MorselGrouping(table, ["hi", "lo"], [AggregateSpec.count_star()])
         assert not grouping.feasible
-        single = group_by(table, ["hi", "lo"], [AggregateSpec.count_star()])
-        assert_tables_bit_identical(single, grouping.fallback())
+        # The executor runs it single-pass; a morsel batch refuses it.
+        with pytest.raises(ValueError, match="feasible"):
+            compute_morsel_groupings(table, [grouping], 2, 1)
 
 
 class TestBatchExecution:
@@ -169,39 +171,9 @@ class TestBatchExecution:
             table, groupings, 4, parallelism
         )
         assert stats.morsels == 4
-        assert stats.fallbacks == 0
         assert sum(stats.bytes_per_morsel) > 0
         for (keys, aggs), out in zip(specs, tables):
             assert_tables_bit_identical(group_by(table, keys, aggs), out)
-
-    def test_batch_with_infeasible_member_falls_back(self, monkeypatch):
-        # 12_000 x 7 = 84k composite slots: past the feasibility floor.
-        table = make_table(12_000, rng_seed=5)
-        wide = Table.wrap(
-            table.name,
-            {**{c: table[c] for c in table.column_names},
-             "u": np.arange(table.num_rows, dtype=np.int64)},
-        )
-        groupings = [
-            MorselGrouping(wide, ["a"], [AggregateSpec.count_star()]),
-            MorselGrouping(wide, ["u", "a"], [AggregateSpec.count_star()]),
-        ]
-        rows_read = []
-        touch_range = Table.touch_range
-
-        def spy(self, start, stop, columns=None):
-            rows_read.append(stop - start)
-            return touch_range(self, start, stop, columns)
-
-        monkeypatch.setattr(Table, "touch_range", spy)
-        tables, stats = compute_morsel_groupings(wide, groupings, 3, 1)
-        assert stats.fallbacks == 1
-        # The fallback reads nothing more: the morsels' one pass is all.
-        assert sum(rows_read) == wide.num_rows
-        assert_tables_bit_identical(
-            group_by(wide, ["u", "a"], [AggregateSpec.count_star()]),
-            tables[1],
-        )
 
     def test_attached_dictionaries_match_plain_group_by(self):
         table = make_table(600, rng_seed=7)
@@ -352,11 +324,25 @@ class TestExecutorModes:
         result = session.execute(plan, parallelism=4)
         assert result.metrics.mode == "serial"
 
-    def test_auto_picks_morsel_at_scale(self):
+    def test_auto_picks_wavefront_at_scale(self):
+        """``auto`` prices two modes; morsel runs only when forced."""
+        from repro.costmodel.engine_model import EngineCostModel
+
         session = self._session(40_000)
         plan = self._plan(session)
+        choice = EngineCostModel(
+            session.estimator,
+            catalog=session.catalog,
+            base_table=session.base_table,
+        ).execution_mode_choice(plan, parallelism=4)
+        assert choice.mode == "wavefront"
+        assert choice.wavefront_cost < choice.serial_cost
+        assert choice.reason.endswith(
+            f"serial {choice.serial_cost:.3g}, "
+            f"wavefront {choice.wavefront_cost:.3g}"
+        )
         result = session.execute(plan, parallelism=4)
-        assert result.metrics.mode == "morsel"
+        assert result.metrics.mode == "wavefront"
 
     def test_parallelism_one_is_always_serial(self):
         session = self._session(40_000)

@@ -399,3 +399,143 @@ class TestWavefrontSharedScan:
             for name in session.catalog.temp_names()
             if name.startswith("tmp__")
         ]
+
+
+class TestForcedMorselWaves:
+    """Forced ``morsel`` runs the wavefront loop: a wave's shared pass
+    over an input with two or more feasible readers is a morsel batch,
+    and every other reader of that input runs on the pass it paid."""
+
+    ROWS = 40_000
+    #: 5,000 products x 5,000 customers: far past the two-phase cap of
+    #: max(65,536, 2 x rows) composite slots.
+    NEAR_UNIQUE = fs("product_id", "customer_id")
+
+    def plan(self, relation):
+        """:meth:`TestWavefrontSharedScan.plan` plus a near-unique
+        grouping in wave 0, beside the two that materialize temps."""
+        base = TestWavefrontSharedScan.plan(relation)
+        return LogicalPlan(
+            relation,
+            base.subplans + (SubPlan.leaf(self.NEAR_UNIQUE),),
+            base.required | {self.NEAR_UNIQUE},
+        )
+
+    def run(self, parallelism, mode, **kwargs):
+        session = Session.for_table(
+            make_sales(self.ROWS, seed=0), statistics="exact", **kwargs
+        )
+        result = session.execute(
+            self.plan(session.base_table),
+            parallelism=parallelism,
+            mode=mode,
+        )
+        return session, result
+
+    def test_one_read_per_wave_and_input(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+
+        reads, touches = TestWavefrontSharedScan.spy_reads(monkeypatch)
+        tracer, registry = Tracer(), MetricsRegistry()
+        session, result = self.run(
+            2, "morsel", tracer=tracer, metrics=registry
+        )
+        assert result.metrics.mode == "morsel"
+        rows_read: dict[str, int] = {}
+        table_rows: dict[str, int] = {}
+        for name, rows, num_rows in reads:
+            rows_read[name] = rows_read.get(name, 0) + rows
+            table_rows[name] = num_rows
+        base = session.base_table
+        lone = "tmp__payment_type__promo_flag"
+        # One pass each: R and the shared temp by their wave's morsel
+        # batch — the near-unique reader of R included — and the
+        # single-reader temp by its own grouping.
+        assert rows_read == table_rows
+        assert set(rows_read) == {base, "tmp__channel__region", lone}
+        assert touches == [lone]
+        batches = [
+            s for s in tracer.spans if s.name == "execute.morsel_batch"
+        ]
+        assert sorted(
+            (
+                s.attributes["source"],
+                s.attributes["groupings"],
+                s.attributes["single_pass"],
+            )
+            for s in batches
+        ) == [(base, 5, 1), ("tmp__channel__region", 2, 0)]
+        assert not [
+            s for s in tracer.spans if s.name == "execute.shared_scan"
+        ]
+        # The near-unique reader ran its own kernel, not a merge.
+        regimes = {
+            s.attributes["op_id"]: s.attributes["regime"]
+            for s in tracer.spans
+            if "regime" in s.attributes
+        }
+        physical = session.lower(
+            self.plan(base), parallelism=2, mode="morsel"
+        )
+        (near_unique,) = [
+            op for op in physical.grouping_ops()
+            if frozenset(op.keys) == self.NEAR_UNIQUE
+        ]
+        assert regimes[near_unique.op_id] != "morsel"
+        assert list(regimes.values()).count("morsel") == 6
+        assert registry.value(
+            "repro_executor_morsel_batches_total", relation=base
+        ) == 2
+
+    def test_matches_serial(self):
+        _, serial = self.run(1, "serial")
+        _, morsel_run = self.run(2, "morsel")
+        assert set(serial.results) == set(morsel_run.results)
+        for query in serial.results:
+            assert_tables_identical(
+                serial.results[query], morsel_run.results[query]
+            )
+        assert serial.metrics.as_dict(
+            per_query=True
+        ) == morsel_run.metrics.as_dict(per_query=True)
+
+    def test_failed_partial_leaves_no_temps(self, monkeypatch):
+        partial = morsel.MorselGrouping.partial
+
+        def failing_partial(self, start, stop):
+            # Wave 1 reads a temp materialized in wave 0.
+            if self.table.name.startswith("tmp__"):
+                raise RuntimeError("injected partial failure")
+            return partial(self, start, stop)
+
+        monkeypatch.setattr(morsel.MorselGrouping, "partial", failing_partial)
+        session = Session.for_table(
+            make_sales(self.ROWS, seed=0), statistics="exact"
+        )
+        before = session.catalog.current_temp_bytes
+        with pytest.raises(RuntimeError, match="injected partial failure"):
+            session.execute(
+                self.plan(session.base_table), parallelism=2, mode="morsel"
+            )
+        assert session.catalog.current_temp_bytes == before
+        assert not [
+            name
+            for name in session.catalog.temp_names()
+            if name.startswith("tmp__")
+        ]
+
+
+@pytest.mark.parametrize("mode", ["serial", "wavefront", "morsel"])
+def test_steps_count_compute_pipelines_in_every_mode(mode):
+    """``execute.plan``'s ``steps`` leaves out the DROP pipelines."""
+    session = Session.for_table(
+        make_sales(40_000, seed=0), statistics="exact"
+    )
+    table = session.catalog.get(session.base_table)
+    queries = combi_workload(list(table.column_names)[:5], 2)
+    plan = session.optimize(queries).plan
+    tracer = Tracer()
+    session.execute(plan, parallelism=2, mode=mode, tracer=tracer)
+    (plan_span,) = [s for s in tracer.spans if s.name == "execute.plan"]
+    # Every node of the plan is one compute pipeline.
+    assert plan_span.attributes["steps"] == plan.node_count()

@@ -3,8 +3,8 @@ groupings must agree.
 
 The repository ends up with six independent implementations that can
 answer the same workload — naive Group Bys, GB-MQO plans, the
-commercial GROUPING SETS baseline, PipeSort, PipeHash, the shared scan,
-and (for full lattices) cube / partitioned cube.  Any divergence
+commercial GROUPING SETS baseline, PipeSort, PipeHash, and (for full
+lattices) cube / partitioned cube.  Any divergence
 between them is a bug in exactly one place, which makes this the
 highest-leverage integration test in the suite.
 """
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.baselines.grouping_sets import CommercialGroupingSetsPlanner
-from repro.baselines.shared_scan import shared_scan
 from repro.engine.grouping_sets import cube
 from repro.engine.partitioned_cube import partitioned_cube
 from repro.engine.pipesort import pipehash, pipesort
@@ -70,12 +69,6 @@ def test_all_implementations_agree(seed):
     for results in (pipesort(table, queries).results, pipehash(table, queries)):
         for q in queries:
             assert canonical(results[q], q) == reference[q]
-
-    # Shared scan, bounded and unbounded.
-    for budget in (float("inf"), 25.0):
-        run = shared_scan(session.catalog, "x", queries, session.estimator, budget)
-        for q in queries:
-            assert canonical(run.results[q], q) == reference[q]
 
     # Cube and partitioned cube (the workload is the full lattice).
     for results in (

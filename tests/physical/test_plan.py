@@ -100,7 +100,6 @@ class TestOperators:
 
     def test_describe_strings(self):
         assert "Scan r" in Scan(op_id=0, table="r").describe()
-        assert "(charged)" in Scan(op_id=0, table="r", charge=True).describe()
         ix = IndexScan(op_id=0, table="r", index="ix_a", sorted_prefix=True)
         assert "[sorted prefix]" in ix.describe()
         sort = SortGroupBy(
