@@ -417,7 +417,6 @@ _HOT_PATH_MODULES = (
     "repro/engine/indexes",
     "repro/engine/join",
     "repro/engine/grouping_sets",
-    "repro/engine/multi_aggregate",
     "repro/engine/partitioned_cube",
     "repro/engine/pipesort",
     "repro/engine/expressions",

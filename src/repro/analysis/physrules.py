@@ -7,15 +7,20 @@ interpret.  They enforce the data-flow contract between pipelines:
 
 * PV012 — the operator graph is a well-formed DAG (ids are positions,
   every edge points backwards, pipelines reference real operators,
-  partition counts are positive);
+  partition counts are positive) and the waves schedule every pipeline
+  exactly once, computes as computes and drops as drops;
 * PV013 — data crossing a pipeline boundary goes through a
-  ``Materialize`` that runs in a strictly earlier pipeline than its
+  ``Materialize`` that runs in a strictly earlier wave than its
   consumer;
 * PV014 — every materialized temp is dropped exactly once, after its
   last consumer, and nothing drops a temp that was never materialized;
 * PV015 — per-operator transient-memory estimates respect the plan's
   memory budget (a warning: the lowering should have demoted the
   operator to sorting or partitioned execution).
+
+PV013 and PV014 order pipelines by the wave that runs them — a wave's
+drops after its computes — because the executor runs a wave's computes
+side by side: list position says nothing about that.
 
 Rules PV016+ are the dataflow catalog (:mod:`repro.analysis.dataflow`):
 they consume the abstract interpreter's per-operator states (available
@@ -107,21 +112,31 @@ def physical_rule(
     return register
 
 
-def _pipeline_of(plan: PhysicalPlan) -> dict[int, int]:
-    """op id -> index of the pipeline that runs it."""
-    owner: dict[int, int] = {}
+def _rank_of(plan: PhysicalPlan) -> dict[int, int]:
+    """op id -> when it runs: ``2w`` for wave ``w``'s computes, ``2w + 1``
+    for its drops.  Equal ranks run side by side; operators of a
+    pipeline no wave schedules have none (PV012 reports them)."""
+    slot: dict[int, int] = {}
+    for position, wave in enumerate(plan.waves):
+        for index in wave.pipelines:
+            slot.setdefault(index, 2 * position)
+        for index in wave.drops:
+            slot.setdefault(index, 2 * position + 1)
+    rank: dict[int, int] = {}
     for index, pipeline in enumerate(plan.pipelines):
-        for op_id in pipeline.ops:
-            owner.setdefault(op_id, index)
-    return owner
+        if index in slot:
+            for op_id in pipeline.ops:
+                rank.setdefault(op_id, slot[index])
+    return rank
 
 
 @physical_rule(
     "PV012",
     "physical-dag",
     "Operator ids are positions, every data edge points backwards, "
-    "pipelines reference real operators exactly once, and partition "
-    "counts are positive.",
+    "pipelines reference real operators exactly once, partition "
+    "counts are positive, and each pipeline sits in exactly one wave "
+    "slot of its kind.",
 )
 def check_physical_dag(
     analysis: DataflowAnalysis, out: DiagnosticCollector
@@ -182,19 +197,50 @@ def check_physical_dag(
                 f"op {op.op_id} ({op.describe()})",
                 "operator belongs to no pipeline",
             )
+    slots = [0] * len(plan.pipelines)
+    for wave in plan.waves:
+        for indices, compute in ((wave.pipelines, True), (wave.drops, False)):
+            for index in indices:
+                if not 0 <= index < len(plan.pipelines):
+                    out.emit(
+                        "PV012",
+                        Severity.ERROR,
+                        f"wave {wave.index}",
+                        f"schedules unknown pipeline {index}",
+                    )
+                    continue
+                slots[index] += 1
+                pipeline = plan.pipelines[index]
+                if pipeline.is_compute != compute:
+                    out.emit(
+                        "PV012",
+                        Severity.ERROR,
+                        f"wave {wave.index}",
+                        f"schedules {pipeline.kind} pipeline {index} "
+                        f"({pipeline.label}) as a "
+                        + ("compute" if compute else "drop"),
+                    )
+    for index, count in enumerate(slots):
+        if count != 1:
+            out.emit(
+                "PV012",
+                Severity.ERROR,
+                f"pipeline {index} ({plan.pipelines[index].label})",
+                f"sits in {count} wave slots, not exactly one",
+            )
 
 
 @physical_rule(
     "PV013",
     "materialize-before-reuse",
     "Every cross-pipeline input is a Materialize operator running in a "
-    "strictly earlier pipeline than its consumer.",
+    "strictly earlier wave than its consumer.",
 )
 def check_materialize_before_reuse(
     analysis: DataflowAnalysis, out: DiagnosticCollector
 ) -> None:
     plan = analysis.plan
-    owner = _pipeline_of(plan)
+    rank = _rank_of(plan)
     for op in plan.operators:
         if not isinstance(op, Reaggregate):
             continue
@@ -216,8 +262,8 @@ def check_materialize_before_reuse(
                 "its source must be the parent's Materialize.",
             )
             continue
-        producer = owner.get(source.op_id)
-        consumer = owner.get(op.op_id)
+        producer = rank.get(source.op_id)
+        consumer = rank.get(op.op_id)
         if producer is None or consumer is None:
             continue  # PV012 reports orphans
         if producer >= consumer:
@@ -225,8 +271,9 @@ def check_materialize_before_reuse(
                 "PV013",
                 Severity.ERROR,
                 where,
-                f"consumes {source.describe()} from pipeline {producer}, "
-                f"which does not run before pipeline {consumer}",
+                f"consumes {source.describe()} from wave "
+                f"{producer // 2}, which does not run before wave "
+                f"{consumer // 2}",
             )
 
 
@@ -241,25 +288,25 @@ def check_drop_after_last_use(
     analysis: DataflowAnalysis, out: DiagnosticCollector
 ) -> None:
     plan = analysis.plan
-    owner = _pipeline_of(plan)
+    rank = _rank_of(plan)
     materialized: dict[str, int] = {}
     drops: dict[str, list[int]] = {}
     last_use: dict[str, int] = {}
     for op in plan.operators:
-        pipeline = owner.get(op.op_id)
-        if pipeline is None:
+        when = rank.get(op.op_id)
+        if when is None:
             continue
         if isinstance(op, Materialize):
-            materialized[op.output] = pipeline
+            materialized[op.output] = when
         elif isinstance(op, DropTemp):
-            drops.setdefault(op.temp, []).append(pipeline)
+            drops.setdefault(op.temp, []).append(when)
         elif isinstance(op, Reaggregate):
             source = plan.operators[op.source] if 0 <= op.source < len(
                 plan.operators
             ) else None
             if isinstance(source, Materialize):
                 last_use[source.output] = max(
-                    last_use.get(source.output, -1), pipeline
+                    last_use.get(source.output, -1), when
                 )
     for temp, producer in materialized.items():
         temp_drops = drops.get(temp, [])
@@ -279,8 +326,8 @@ def check_drop_after_last_use(
                 "PV014",
                 Severity.ERROR,
                 f"temp {temp}",
-                f"dropped in pipeline {drop_at} but still used in "
-                f"pipeline {cutoff}",
+                f"dropped in wave {drop_at // 2} but still used in "
+                f"wave {cutoff // 2}",
             )
     for temp in drops:
         if temp not in materialized:

@@ -29,6 +29,12 @@ from repro.costmodel.base import CostModel, PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
 from repro.costmodel.engine_model import EngineCostModel
 from repro.cache import CacheConfig, ResultCache
+from repro.core.extensions import (
+    AggregateQuery,
+    AggregatesByQuery,
+    aggregates_by_columns,
+    queries_to_column_sets,
+)
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionResult, PlanExecutor
@@ -365,7 +371,7 @@ class Session:
 
     def _executor(
         self,
-        aggregates: list[AggregateSpec] | None,
+        aggregates: list[AggregateSpec] | AggregatesByQuery | None,
         tracer: Tracer | None,
         parallelism: int | None,
         memory_budget_bytes: float | None,
@@ -389,7 +395,7 @@ class Session:
         self,
         plan: LogicalPlan,
         schedule: str,
-        aggregates: list[AggregateSpec] | None,
+        aggregates: list[AggregateSpec] | AggregatesByQuery | None,
         tracer: Tracer | None,
         parallelism: int | None,
         memory_budget_bytes: float | None,
@@ -416,7 +422,7 @@ class Session:
         self,
         plan: LogicalPlan,
         schedule: str = "storage",
-        aggregates: list[AggregateSpec] | None = None,
+        aggregates: list[AggregateSpec] | AggregatesByQuery | None = None,
         tracer: Tracer | None = None,
         parallelism: int | None = None,
         memory_budget_bytes: float | None = None,
@@ -435,7 +441,10 @@ class Session:
                 the run is serial — forced, or ``auto`` resolved to it
                 on any worker count; wavefront and morsel runs derive
                 their own wavefront schedule from the plan.
-            aggregates: aggregate list (COUNT(*) by default).
+            aggregates: aggregate list every query computes (COUNT(*)
+                by default), or each query's own list by column set as
+                :func:`~repro.core.extensions.aggregates_by_columns`
+                builds it (Section 7.2).
             tracer: span tracer for this run only (defaults to the
                 session tracer).
             parallelism: worker threads for parallel execution; None
@@ -469,7 +478,7 @@ class Session:
         self,
         plan: LogicalPlan,
         schedule: str = "storage",
-        aggregates: list[AggregateSpec] | None = None,
+        aggregates: list[AggregateSpec] | AggregatesByQuery | None = None,
         parallelism: int | None = None,
         memory_budget_bytes: float | None = None,
         mode: str = "auto",
@@ -524,10 +533,9 @@ class Session:
         """EXPLAIN ANALYZE: execute the plan under a private tracer and
         report estimated vs actual rows/bytes/time and q-error per node.
 
-        The plan is lowered once and that physical plan is the one
-        executed, so the returned explanation's ``physical`` is exactly
-        what its actuals describe.  Arguments are those of
-        :meth:`execute`.
+        The explanation's ``physical`` is the plan the run executed
+        (``ExecutionResult.physical``), so it is exactly what its
+        actuals describe.  Arguments are those of :meth:`execute`.
 
         Returns:
             A :class:`repro.core.explain.PlanExplanation` carrying
@@ -536,43 +544,38 @@ class Session:
         from repro.core.explain import explain_plan
 
         tracer = Tracer()
-        executor, steps = self._prepare(
-            plan, schedule, None, tracer, parallelism, memory_budget_bytes,
-            mode,
+        execution = self.execute(
+            plan,
+            schedule,
+            tracer=tracer,
+            parallelism=parallelism,
+            memory_budget_bytes=memory_budget_bytes,
+            mode=mode,
         )
-        physical = executor.lower(plan, steps)
-        physical.check(executor.analysis_context())
-        execution = executor.execute_physical(physical)
         return explain_plan(
             plan,
             self.coster(),
             self.estimator,
             execution=execution,
             spans=tracer.spans,
-            physical=physical,
+            physical=execution.physical,
         )
 
-    def run_with_aggregates(self, queries, options=None):
+    def run_with_aggregates(
+        self,
+        queries: list[AggregateQuery],
+        options: OptimizerOptions | None = None,
+    ) -> tuple[OptimizationResult, ExecutionResult]:
         """Optimize and execute a workload with per-query aggregates.
 
-        The Section 7.2 extension end to end: the optimizer plans over
-        the queries' column sets; execution materializes the union of
-        each subtree's aggregates and re-aggregates distributively
-        (AVG is decomposed and recombined automatically).
-
-        Args:
-            queries: list of :class:`repro.core.extensions.AggregateQuery`.
-            options: optimizer knobs (CUBE/ROLLUP must stay disabled).
-
-        Returns:
-            (OptimizationResult, MultiAggregateResult).
+        The Section 7.2 extension end to end: :meth:`optimize` over the
+        queries' column sets, then :meth:`execute` with each query's
+        own aggregate list — every grouping carries the union of its
+        subtree's aggregates, re-aggregated distributively (AVG is
+        decomposed and recombined automatically).
         """
-        from repro.core.extensions import queries_to_column_sets
-        from repro.engine.multi_aggregate import execute_multi_aggregate
-
-        column_sets = queries_to_column_sets(queries)
-        optimization = self.optimize(column_sets, options)
-        execution = execute_multi_aggregate(
-            self.catalog, self.base_table, optimization.plan, queries
+        optimization = self.optimize(queries_to_column_sets(queries), options)
+        execution = self.execute(
+            optimization.plan, aggregates=aggregates_by_columns(queries)
         )
         return optimization, execution

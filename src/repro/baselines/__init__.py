@@ -1,7 +1,8 @@
 """Baselines the paper compares GB-MQO against.
 
-* :mod:`repro.baselines.naive` — one Group By per input query, straight
-  off the base relation.
+* the naive plan — one Group By per input query, straight off the base
+  relation — is :func:`repro.core.plan.naive_plan`, run by
+  :meth:`repro.api.Session.run_naive`.
 * :mod:`repro.baselines.grouping_sets` — the strategies the paper
   reports observing in a commercial GROUPING SETS implementation:
   shared-sort pipelines when the inputs overlap (CONT), otherwise the
@@ -16,12 +17,10 @@ from repro.baselines.grouping_sets import (
     CommercialGroupingSetsPlanner,
     GroupingSetsOutcome,
 )
-from repro.baselines.naive import run_naive
 from repro.baselines.partial_cube import GreedyLatticePlanner
 
 __all__ = [
     "CommercialGroupingSetsPlanner",
     "GreedyLatticePlanner",
     "GroupingSetsOutcome",
-    "run_naive",
 ]

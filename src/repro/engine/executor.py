@@ -12,10 +12,12 @@ statistics; per-operator memory estimates are threaded against an
 optional plan-wide budget, falling back to the engine's partitioned
 execution when a grouping's transient state would not fit.
 
-Execution comes in three modes:
+Every mode runs the lowered plan's waves, one after the other, in one
+loop (:meth:`PlanExecutor._execute_waves`); the modes differ in what a
+wave holds and how it pays for its inputs:
 
-* **serial**: pipelines run in order — exactly the
-  paper's client-side script of Group By / DROP statements.
+* **serial**: one pipeline per wave, in the lowered linear schedule —
+  exactly the paper's client-side script of Group By / DROP statements.
 * **parallel wavefront** (``mode="wavefront"``): the lowered plan
   carries dependency waves; pipelines within a wave share no
   dependencies and run on a thread pool (numpy releases the GIL inside
@@ -50,15 +52,21 @@ CUBE and ROLLUP nodes (Section 7.1) execute exactly the strategy their
 cost model assumes: the full Group By is computed from the node's
 parent, and every other covered grouping is computed from that result
 by the expand operators.
+
+Per-query aggregates (Section 7.2) run on the same path: each grouping
+operator carries the aggregates its subtree needs, and each query's
+result is projected back to the aliases it asked for
+(:class:`~repro.core.extensions.QueryAggregates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.cache import ResultCache, aggregate_signature
+from repro.core.extensions import AggregatesByQuery, QueryAggregates
 from repro.core.plan import LogicalPlan, PlanNode
 from repro.core.scheduling import Step
 from repro.engine.aggregation import AggregateSpec, group_by, reaggregate_specs
@@ -114,16 +122,19 @@ class ExecutionResult:
     """Results and accounting for one plan execution.
 
     Attributes:
-        results: query column set -> result table (keys + ``cnt``).
+        results: query column set -> result table (keys + the query's
+            aggregate columns, ``cnt`` by default).
         metrics: operator-level counters for the run.
         peak_temp_bytes: highest temporary storage held at once.
         wall_seconds: elapsed wall-clock time.
+        physical: the physical plan that ran.
     """
 
     results: dict[frozenset[str], Table] = field(default_factory=dict)
     metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
     peak_temp_bytes: int = 0
     wall_seconds: float = 0.0
+    physical: "PhysicalPlan | None" = None
 
 
 class PlanExecutor:
@@ -134,13 +145,16 @@ class PlanExecutor:
         base_table: name of the base relation R.
         aggregates: aggregate list for every required query; defaults to
             COUNT(*) AS cnt.  Must be distributive (see
-            :func:`repro.engine.aggregation.reaggregate_specs`).
+            :func:`repro.engine.aggregation.reaggregate_specs`).  A
+            mapping from query column set to that query's own list
+            (:func:`repro.core.extensions.aggregates_by_columns`) runs
+            Section 7.2's per-query aggregates, AVG included.
         use_indexes: answer base-table Group Bys from a covering index
             when one exists and is narrower than the referenced columns.
         tracer: span tracer; when enabled, the run is wrapped in an
-            ``execute.plan`` span with one ``execute.node`` child per
-            pipeline carrying actual rows/bytes (grouped under
-            ``execute.wave`` spans in parallel mode) and one
+            ``execute.plan`` span with one ``execute.wave`` child per
+            wave, one ``execute.node`` under it per pipeline carrying
+            actual rows/bytes, and one
             ``execute.<operator>`` grandchild per physical operator.
             Tracing is read-only: results and deterministic counters
             are identical with it on or off.
@@ -196,7 +210,7 @@ class PlanExecutor:
         self,
         catalog: Catalog,
         base_table: str,
-        aggregates: list[AggregateSpec] | None = None,
+        aggregates: list[AggregateSpec] | AggregatesByQuery | None = None,
         use_indexes: bool = True,
         tracer: Tracer | None = None,
         parallelism: int | None = None,
@@ -219,7 +233,7 @@ class PlanExecutor:
         self._catalog = catalog
         self._base_table = base_table
         self._aggregates = aggregates or [AggregateSpec.count_star("cnt")]
-        self._reaggregates = reaggregate_specs(self._aggregates)
+        self._query_aggregates = QueryAggregates(self._aggregates)
         self._use_indexes = use_indexes
         self._tracer = tracer or NOOP_TRACER
         self._parallelism = parallelism
@@ -229,7 +243,6 @@ class PlanExecutor:
         self._metrics = metrics if metrics is not None else get_metrics()
         self._mode = mode
         self._result_cache = result_cache
-        self._agg_sig = aggregate_signature(self._aggregates)
 
     # -- lowering -----------------------------------------------------------------
 
@@ -359,7 +372,6 @@ class PlanExecutor:
             return self._run_physical(physical)
 
     def _run_physical(self, physical: "PhysicalPlan") -> ExecutionResult:
-        parallel = physical.waves is not None
         dictionaries = self._dictionary_cache or DictionaryCache(
             metrics=self._metrics
         )
@@ -367,7 +379,7 @@ class PlanExecutor:
         dictionary_stats_before = (
             dictionaries.stats() if registry.enabled else {}
         )
-        result = ExecutionResult()
+        result = ExecutionResult(physical=physical)
         started = monotonic()
         peak_before = self._catalog.peak_temp_bytes
         current_before = self._catalog.current_temp_bytes
@@ -380,15 +392,10 @@ class PlanExecutor:
             mode=physical.mode,
         ) as plan_span:
             try:
-                if parallel:
-                    with Workers(self._parallelism, "repro-exec") as workers:
-                        local_peak = self._execute_waves(
-                            physical, result, dictionaries, current_before,
-                            workers,
-                        )
-                else:
-                    local_peak = self._execute_serial(
-                        physical, result, dictionaries, current_before
+                with Workers(self._parallelism, "repro-exec") as workers:
+                    local_peak = self._execute_waves(
+                        physical, result, dictionaries, current_before,
+                        workers,
                     )
             finally:
                 # Leave none of this run's temporaries behind, even on
@@ -469,24 +476,6 @@ class PlanExecutor:
 
     # -- execution modes -----------------------------------------------------------
 
-    def _execute_serial(
-        self,
-        physical: "PhysicalPlan",
-        result: ExecutionResult,
-        dictionaries: DictionaryCache,
-        current_before: int,
-    ) -> int:
-        local_peak = current_before
-        for pipeline in physical.pipelines:
-            if pipeline.is_compute:
-                self._run_pipeline(
-                    physical, pipeline, result, dictionaries, prepaid={}
-                )
-            else:
-                self._run_drop(physical, pipeline)
-            local_peak = max(local_peak, self._catalog.current_temp_bytes)
-        return local_peak
-
     def _execute_waves(
         self,
         physical: "PhysicalPlan",
@@ -495,8 +484,8 @@ class PlanExecutor:
         current_before: int,
         workers: Workers,
     ) -> int:
-        """Run the dependency-wave schedule, each wave's pipelines side
-        by side on ``workers``.
+        """Run the plan's waves in order, each wave's pipelines side by
+        side on ``workers`` (a serial wave holds one pipeline).
 
         Before a wave's pipelines start, every input that two or more of
         its plain groupings read pays one shared pass: under forced
@@ -512,7 +501,6 @@ class PlanExecutor:
         regardless of thread interleaving.
         """
         local_peak = current_before
-        assert physical.waves is not None
         for wave in physical.waves:
             with self._tracer.span(
                 "execute.wave",
@@ -544,9 +532,9 @@ class PlanExecutor:
                 pipelines = [physical.pipelines[i] for i in wave.pipelines]
                 wave_metrics = workers.map(
                     partial(
-                        self._run_wave_pipeline,
-                        physical, pipelines, result, dictionaries, wave_span,
-                        prepaid,
+                        self._run_pipeline,
+                        physical, pipelines, result, dictionaries, prepaid,
+                        wave_span,
                     ),
                     len(pipelines),
                 )
@@ -659,9 +647,9 @@ class PlanExecutor:
                 table,
                 list(op.keys),
                 (
-                    self._reaggregates
+                    reaggregate_specs(op.aggregates)
                     if isinstance(op, phys.Reaggregate)
-                    else self._aggregates
+                    else op.aggregates
                 ),
                 name=op.output,
                 dictionaries=dictionaries,
@@ -722,29 +710,6 @@ class PlanExecutor:
                     )
         return dict(zip(groupings, tables))
 
-    def _run_wave_pipeline(
-        self,
-        physical: "PhysicalPlan",
-        pipelines: list["PhysicalPipeline"],
-        result: ExecutionResult,
-        dictionaries: DictionaryCache,
-        wave_span: Span,
-        prepaid: dict[int, Table | None],
-        index: int,
-    ) -> ExecutionMetrics:
-        """Run ``pipelines[index]`` of a wave into its own metrics."""
-        metrics = ExecutionMetrics()
-        self._run_pipeline(
-            physical,
-            pipelines[index],
-            result,
-            dictionaries,
-            prepaid,
-            metrics=metrics,
-            parent_span=wave_span,
-        )
-        return metrics
-
     # -- pipeline interpreter ------------------------------------------------------
 
     def _run_drop(
@@ -764,34 +729,29 @@ class PlanExecutor:
     def _run_pipeline(
         self,
         physical: "PhysicalPlan",
-        pipeline: "PhysicalPipeline",
+        pipelines: list["PhysicalPipeline"],
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         prepaid: dict[int, Table | None],
-        metrics: ExecutionMetrics | None = None,
-        parent_span: Span | None = None,
-    ) -> None:
-        """Interpret one pipeline.
+        wave_span: Span,
+        index: int,
+    ) -> ExecutionMetrics:
+        """Interpret a wave's ``pipelines[index]`` into its own metrics.
 
         ``prepaid`` maps the op ids of groupings whose input pass a
         wave already paid to a morsel batch's merged result, or to None
         when the grouping's kernel still runs (:meth:`_group_input`).
         """
-        metrics = result.metrics if metrics is None else metrics
-        bytes_before = metrics.work
-        attrs = dict(
+        pipeline = pipelines[index]
+        metrics = ExecutionMetrics()
+        with self._tracer.span_under(
+            wave_span,
+            "execute.node",
             node=pipeline.label,
             source=pipeline.source,
             kind=pipeline.kind,
             materialized=pipeline.materialized,
-        )
-        if parent_span is None:
-            span_context = self._tracer.span("execute.node", **attrs)
-        else:
-            span_context = self._tracer.span_under(
-                parent_span, "execute.node", **attrs
-            )
-        with span_context as span:
+        ) as span:
             # Intra-pipeline data flow: operator id -> produced input
             # (a Table, or the Index an IndexScan resolved).  Data from
             # other pipelines is only reachable through the catalog.
@@ -804,10 +764,10 @@ class PlanExecutor:
                 )
                 if rows_out is None and produced is not None:
                     rows_out = produced
-            step_bytes = metrics.work - bytes_before
             if pipeline.attribute:
-                metrics.per_query_bytes[pipeline.label] = step_bytes
-            span.set(rows_out=rows_out or 0, bytes=step_bytes)
+                metrics.per_query_bytes[pipeline.label] = metrics.work
+            span.set(rows_out=rows_out or 0, bytes=metrics.work)
+        return metrics
 
     def _run_op(
         self,
@@ -873,7 +833,7 @@ class PlanExecutor:
                 )
                 env[op.op_id] = table
                 if op.query is not None:
-                    result.results[frozenset(op.query)] = table
+                    self._answer(result, op.query, table)
                 op_span.set(
                     rows_out=table.num_rows,
                     served=served,
@@ -889,20 +849,19 @@ class PlanExecutor:
                     op, env, metrics, dictionaries, prepaid
                 )
             elif isinstance(op, phys.CubeExpand):
-                self._run_cube_expand(op, env, result, metrics, dictionaries)
+                self._run_cube_expand(
+                    physical, op, env, result, metrics, dictionaries
+                )
                 op_span.set(queries=len(op.queries))
                 return None
             elif isinstance(op, phys.RollupExpand):
                 self._run_rollup_expand(
-                    op, env, result, metrics, dictionaries
+                    physical, op, env, result, metrics, dictionaries
                 )
                 op_span.set(prefixes=len(op.order) - 1)
                 return None
             elif isinstance(op, phys.Materialize):
                 self._run_materialize(physical, op, env, metrics)
-                return None
-            elif isinstance(op, phys.DropTemp):
-                self._catalog.drop_temp(op.temp)
                 return None
             else:
                 raise ExecutionError(
@@ -919,7 +878,7 @@ class PlanExecutor:
                 regime = "hash"
             env[op.op_id] = table
             if op.query is not None:
-                result.results[frozenset(op.query)] = table
+                self._answer(result, op.query, table)
             if self._result_cache is not None:
                 self._populate_cache(op, table)
             op_span.set(rows_out=table.num_rows, regime=regime)
@@ -931,6 +890,16 @@ class PlanExecutor:
             return table.num_rows
 
     # -- operator implementations --------------------------------------------------
+
+    def _answer(
+        self, result: ExecutionResult, query: tuple[str, ...], table: Table
+    ) -> None:
+        """Record ``table`` as ``query``'s result, projected to the
+        aggregate aliases the query asked for."""
+        columns = frozenset(query)
+        result.results[columns] = self._query_aggregates.project(
+            columns, table
+        )
 
     def _resolve_index(self, table: str, name: str) -> Index:
         for index in self._catalog.indexes_on(table):
@@ -960,14 +929,14 @@ class PlanExecutor:
         if isinstance(source, Index):
             return source.group_by(
                 list(op.keys),
-                self._aggregates,
+                op.aggregates,
                 op.output,
                 metrics,
                 dictionaries=dictionaries,
                 strategy=strategy,
             )
         return self._group_input(
-            source, op, self._aggregates, strategy, metrics, dictionaries,
+            source, op, op.aggregates, strategy, metrics, dictionaries,
             prepaid,
         )
 
@@ -1010,15 +979,15 @@ class PlanExecutor:
                 f"reaggregate {op.op_id} does not read a Materialize"
             )
         return self._group_input(
-            source, op, self._reaggregates, op.strategy, metrics,
-            dictionaries, prepaid,
+            source, op, reaggregate_specs(op.aggregates), op.strategy,
+            metrics, dictionaries, prepaid,
         )
 
     def _group_input(
         self,
         source: Table,
         op: "GroupingOperator",
-        aggregates: list[AggregateSpec],
+        aggregates: Sequence[AggregateSpec],
         strategy: str,
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
@@ -1094,7 +1063,7 @@ class PlanExecutor:
         table = group_by(
             source,
             list(op.keys),
-            self._aggregates,
+            op.aggregates,
             name=op.output,
             metrics=metrics,
             dictionaries=dictionaries,
@@ -1112,14 +1081,14 @@ class PlanExecutor:
             table,
             est_cost=op.est_cost,
             input_rows=base.num_rows,
-            agg_sig=self._agg_sig,
+            agg_sig=aggregate_signature(op.aggregates),
         )
 
     def _group_partitioned(
         self,
         source: Table,
         op: "GroupingOperator",
-        aggregates: list[AggregateSpec],
+        aggregates: Sequence[AggregateSpec],
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
         strategy: str,
@@ -1163,6 +1132,7 @@ class PlanExecutor:
 
     def _run_cube_expand(
         self,
+        physical: "PhysicalPlan",
         op: "CubeExpand",
         env: dict[int, Table | Index],
         result: ExecutionResult,
@@ -1176,6 +1146,7 @@ class PlanExecutor:
                 f"cube expand {op.op_id} reads missing pipeline input "
                 f"{op.source}"
             )
+        aggregates = self._partials_of(physical, op.source)
         # Each grouping encodes what it reads through the plan-wide
         # cache: an eager top.build_dictionaries() here would open a
         # load pool inside the plan's workers.
@@ -1184,15 +1155,16 @@ class PlanExecutor:
             table = group_by(
                 top,
                 list(query),
-                self._reaggregates,
+                aggregates,
                 name="cube_" + "_".join(query),
                 metrics=metrics,
                 dictionaries=dictionaries,
             )
-            result.results[frozenset(query)] = table
+            self._answer(result, query, table)
 
     def _run_rollup_expand(
         self,
+        physical: "PhysicalPlan",
         op: "RollupExpand",
         env: dict[int, Table | Index],
         result: ExecutionResult,
@@ -1206,6 +1178,7 @@ class PlanExecutor:
                 f"rollup expand {op.op_id} reads missing pipeline input "
                 f"{op.source}"
             )
+        aggregates = self._partials_of(physical, op.source)
         answers = set(op.answers)
         for i in range(len(op.order) - 1, 0, -1):
             prefix = list(op.order[:i])
@@ -1213,13 +1186,27 @@ class PlanExecutor:
             current = group_by(
                 current,
                 prefix,
-                self._reaggregates,
+                aggregates,
                 name="rollup_" + "_".join(prefix),
                 metrics=metrics,
                 dictionaries=dictionaries,
             )
             if tuple(sorted(prefix)) in answers:
-                result.results[frozenset(prefix)] = current
+                self._answer(result, tuple(sorted(prefix)), current)
+
+    @staticmethod
+    def _partials_of(
+        physical: "PhysicalPlan", top: int
+    ) -> list[AggregateSpec]:
+        """Re-aggregation specs over the top grouping ``top``'s result."""
+        from repro.physical.plan import GroupingOperator as GroupingOp
+
+        grouping = physical.op(top)
+        if not isinstance(grouping, GroupingOp):
+            raise ExecutionError(
+                f"expand reads operator {top}, which is not a grouping"
+            )
+        return reaggregate_specs(grouping.aggregates)
 
     def _run_materialize(
         self,

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import time
 
-from repro.core.extensions import AggregateQuery
-from repro.engine.aggregation import AggregateSpec
-from repro.engine.multi_aggregate import execute_multi_aggregate
+from repro.core.extensions import AggregateQuery, aggregates_by_columns
 from repro.core.plan import naive_plan
+from repro.engine.aggregation import AggregateSpec
 from repro.experiments.harness import make_session
 from repro.experiments.report import ExperimentResult
 from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
@@ -45,6 +44,7 @@ def run(rows: int = 150_000, repeats: int = 1) -> ExperimentResult:
     session = make_session(table)
     queries = build_workload()
     column_sets = [q.columns for q in queries]
+    aggregates = aggregates_by_columns(queries)
 
     optimization = session.optimize(column_sets)
 
@@ -53,9 +53,7 @@ def run(rows: int = 150_000, repeats: int = 1) -> ExperimentResult:
         run_out = None
         for _ in range(max(1, repeats)):
             started = time.perf_counter()
-            run_out = execute_multi_aggregate(
-                session.catalog, table.name, plan, queries
-            )
+            run_out = session.execute(plan, aggregates=aggregates)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
         return best, run_out

@@ -18,6 +18,9 @@ onto a pipeline of :mod:`repro.physical.plan` operators:
   demoted to sort, and a sort grouping still over budget falls back to
   the engine's partitioned execution (``partitions > 1`` splits on the
   first sorted key, keeping concatenated output bit-identical);
+* every grouping carries the aggregates its result needs: the
+  workload's list, or — with per-query aggregates (Section 7.2) — the
+  union of what its subtree's queries need;
 * CUBE / ROLLUP nodes lower to a top grouping plus an expand operator,
   and materialized intermediates get explicit
   :class:`~repro.physical.plan.Materialize` / :class:`~repro.physical.
@@ -33,6 +36,7 @@ import math
 from typing import Sequence
 
 from repro.cache import ResultCache, aggregate_signature
+from repro.core.extensions import AggregatesByQuery, QueryAggregates
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
 from repro.core.scheduling import (
     Step,
@@ -80,7 +84,7 @@ class _Lowering:
         plan: LogicalPlan,
         catalog: Catalog,
         base_table: str,
-        aggregates: Sequence[AggregateSpec],
+        aggregates: QueryAggregates,
         use_indexes: bool,
         estimator: CardinalityEstimator | None,
         memory_budget_bytes: float | None,
@@ -91,14 +95,26 @@ class _Lowering:
         self.plan = plan
         self.catalog = catalog
         self.base_table = base_table
-        self.aggregates = list(aggregates)
+        self.aggregates = aggregates
+        # Per-query aggregates: each node's subtree queries.
+        self.subtree_queries: dict[PlanNode, set[frozenset[str]]] = {}
+        if aggregates.shared is None:
+            self.subtree_queries = {
+                sub.node: sub.answered_queries()
+                for sub in plan.iter_subplans()
+            }
+            unanswered = set(aggregates.needs) ^ plan.answered_queries()
+            if unanswered:
+                raise PhysicalPlanError(
+                    f"the per-query aggregates and the plan's queries "
+                    f"differ on {len(unanswered)} column set(s)"
+                )
         self.use_indexes = use_indexes
         self.estimator = estimator
         self.budget = memory_budget_bytes
         self.mode = mode
         self.parallelism = parallelism
         self.result_cache = result_cache
-        self.agg_sig = aggregate_signature(aggregates)
         self.model: EngineCostModel | None = (
             EngineCostModel(
                 estimator,
@@ -122,6 +138,10 @@ class _Lowering:
 
     def next_id(self) -> int:
         return len(self.ops)
+
+    def aggregates_for(self, node: PlanNode) -> tuple[AggregateSpec, ...]:
+        """The aggregates ``node``'s groupings carry."""
+        return self.aggregates.union(self.subtree_queries.get(node, ()))
 
     def est_rows(self, columns: frozenset[str]) -> float:
         if self.estimator is None:
@@ -216,6 +236,7 @@ class _Lowering:
                     keys=keys,
                     output=temp,
                     query=self._query_for(step),
+                    aggregates=self.aggregates_for(node),
                     strategy=strategy,
                     partitions=partitions,
                     morsels=self.morsels_for(input_rows, partitions),
@@ -280,7 +301,10 @@ class _Lowering:
         cache = self.result_cache
         if cache is None or step.node.kind is not NodeKind.GROUP_BY:
             return None
-        probe = cache.probe(self.base_table, keys, self.agg_sig)
+        aggregates = self.aggregates_for(step.node)
+        probe = cache.probe(
+            self.base_table, keys, aggregate_signature(aggregates)
+        )
         if probe is None or probe.entry.version != self.catalog.version(
             self.base_table
         ):
@@ -300,6 +324,7 @@ class _Lowering:
                     output=temp,
                     derived=False,
                     query=self._query_for(step),
+                    aggregates=aggregates,
                     est_rows=float(entry.rows),
                     est_cost=0.0,
                 )
@@ -322,6 +347,7 @@ class _Lowering:
                 version=entry.version,
                 output="tmp__" + "__".join(sorted(entry.keys)),
                 derived=True,
+                aggregates=aggregates,
                 est_rows=entry_rows,
                 est_cost=0.0,
             )
@@ -334,6 +360,7 @@ class _Lowering:
                 keys=keys,
                 output=temp,
                 query=self._query_for(step),
+                aggregates=aggregates,
                 strategy=strategy,
                 partitions=partitions,
                 est_rows=self.est_rows(step.node.columns),
@@ -374,10 +401,11 @@ class _Lowering:
     ) -> int:
         """Access path + grouping operator for a base-relation node."""
         base = self.catalog.get(self.base_table)
+        aggregates = self.aggregates_for(step.node)
         index = None
         if self.use_indexes:
             needed = set(keys) | {
-                a.column for a in self.aggregates if a.column is not None
+                a.column for a in aggregates if a.column is not None
             }
             candidate = self.catalog.find_covering_index(
                 self.base_table, needed
@@ -393,6 +421,7 @@ class _Lowering:
             "keys": keys,
             "output": temp,
             "query": self._query_for(step),
+            "aggregates": aggregates,
             "est_rows": self.est_rows(step.node.columns),
         }
         if index is not None:
@@ -569,7 +598,7 @@ def lower(
     *,
     catalog: Catalog,
     base_table: str,
-    aggregates: Sequence[AggregateSpec],
+    aggregates: Sequence[AggregateSpec] | AggregatesByQuery,
     use_indexes: bool = True,
     estimator: CardinalityEstimator | None = None,
     memory_budget_bytes: float | None = None,
@@ -585,8 +614,11 @@ def lower(
         catalog: catalog holding the base relation (access-path and
             index decisions bind to its current state).
         base_table: name of R.
-        aggregates: the workload's aggregate list (used for covering-
-            index resolution and lowered pipelines' aggregate flavor).
+        aggregates: the aggregate list every query computes, or each
+            query's own list by column set (Section 7.2; see
+            :class:`~repro.core.extensions.QueryAggregates`).  Decides
+            what each grouping carries, covering-index resolution and
+            the cache signature.
         use_indexes: allow covering-index access paths.
         estimator: column statistics the lowering builds its
             :class:`EngineCostModel` from, for the hash-vs-sort choice
@@ -598,7 +630,9 @@ def lower(
         steps: an explicit linear schedule to honor (serial mode); None
             derives depth-first order.
         mode: execution mode to lower for — one of
-            :data:`~repro.physical.plan.EXECUTION_MODES`.  ``wavefront``
+            :data:`~repro.physical.plan.EXECUTION_MODES`.  ``serial``
+            runs ``steps`` as one wave per compute step
+            (:func:`~repro.physical.plan.linear_waves`); ``wavefront``
             and ``morsel`` build the wavefront schedule; ``morsel``
             additionally splits grouping inputs into row-range morsels
             sized from ``parallelism``.
@@ -616,7 +650,7 @@ def lower(
         plan,
         catalog,
         base_table,
-        aggregates,
+        QueryAggregates(aggregates),
         use_indexes,
         estimator,
         memory_budget_bytes,
@@ -624,7 +658,7 @@ def lower(
         parallelism=parallelism,
         result_cache=result_cache,
     )
-    waves: tuple[PhysicalWave, ...] | None = None
+    waves: tuple[PhysicalWave, ...] = ()
     if mode != "serial":
         if steps is not None:
             raise PhysicalPlanError(
@@ -647,6 +681,7 @@ def lower(
     else:
         if steps is None:
             steps = depth_first_schedule(plan)
+        # ``waves`` stays empty: the plan builds the linear waves.
         for step in steps:
             lowering.lower_step(step)
     return PhysicalPlan(

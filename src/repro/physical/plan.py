@@ -12,9 +12,9 @@ enforce.
 Operators reference their input by operator id (``source``), ids are
 positions in :attr:`PhysicalPlan.operators`, and every edge points
 backwards (``source < op_id``), so a well-formed plan is acyclic by
-construction.  The serial execution order is the pipeline order;
-:attr:`PhysicalPlan.waves` optionally groups the same pipelines into
-dependency waves for the parallel executor.
+construction.  :attr:`PhysicalPlan.waves` is the schedule the executor
+runs in every mode: the dependency waves of a parallel plan, or one
+wave per compute pipeline in a serial plan's linear order.
 
 Every operator carries the lowering pass's estimates — output rows,
 operator cost, transient memory — which EXPLAIN renders and the
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator
 
 from repro.core.plan import PlanError
+from repro.engine.aggregation import AggregateSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow import AnalysisContext
@@ -111,6 +112,10 @@ class GroupingOperator(PhysicalOperator):
         output: name of the result table.
         query: the required query this grouping answers directly, as a
             sorted column tuple — None for purely intermediate results.
+        aggregates: the aggregates its result carries — the workload's
+            list, or the union of what its subtree's queries need
+            (Section 7.2); a ``Reaggregate`` combines them
+            distributively from its input's partials.
         partitions: >1 executes the grouping per value-range partition
             of the first key and concatenates — the out-of-memory
             fallback when the estimate exceeds the plan budget.
@@ -126,6 +131,7 @@ class GroupingOperator(PhysicalOperator):
     keys: tuple[str, ...]
     output: str
     query: tuple[str, ...] | None = None
+    aggregates: tuple[AggregateSpec, ...] = (AggregateSpec.count_star(),)
     partitions: int = 1
     morsels: int = 1
 
@@ -257,6 +263,8 @@ class CacheRead(PhysicalOperator):
             (hit accounting: derived_hits vs hits).
         query: the required query this read answers directly, as a
             sorted column tuple — None when it feeds a Reaggregate.
+        aggregates: the entry's aggregates — what a cold recomputation
+            computes if the entry was evicted before the read.
     """
 
     table: str
@@ -266,6 +274,7 @@ class CacheRead(PhysicalOperator):
     output: str
     derived: bool = False
     query: tuple[str, ...] | None = None
+    aggregates: tuple[AggregateSpec, ...] = (AggregateSpec.count_star(),)
 
     op_name: ClassVar[str] = "cache_read"
 
@@ -340,7 +349,7 @@ class PhysicalPipeline:
 
 @dataclass(frozen=True)
 class PhysicalWave:
-    """One rank of the parallel schedule: independent pipelines.
+    """One rank of the schedule: pipelines that may run side by side.
 
     ``pipelines``/``drops`` are indices into the owning plan's pipeline
     tuple; drops run after every compute pipeline of the wave finishes.
@@ -351,13 +360,34 @@ class PhysicalWave:
     drops: tuple[int, ...] = ()
 
 
-#: Execution modes a lowered plan can carry.  ``serial`` runs the
-#: pipelines in order, ``wavefront`` runs dependency waves across a
-#: thread pool (node-level parallelism), ``morsel`` runs the same waves
-#: but pays a wave's shared input pass as a batch of row-range morsels
-#: that also compute its morselized groupings (operator-internal
-#: parallelism); it runs only when forced.  All three produce
-#: bit-identical tables and metrics totals.
+def linear_waves(
+    pipelines: tuple[PhysicalPipeline, ...],
+) -> tuple[PhysicalWave, ...]:
+    """A linear schedule as waves: one wave per compute pipeline, in
+    order, each drop in the wave it follows (a leading drop gets a wave
+    of its own)."""
+    waves: list[PhysicalWave] = []
+    for index, pipeline in enumerate(pipelines):
+        if pipeline.is_compute or not waves:
+            computes = (index,) if pipeline.is_compute else ()
+            waves.append(PhysicalWave(len(waves), computes))
+        else:
+            last = waves[-1]
+            waves[-1] = PhysicalWave(
+                last.index, last.pipelines, last.drops + (index,)
+            )
+    return tuple(waves)
+
+
+#: Execution modes a lowered plan can carry.  Every mode runs the
+#: plan's waves in order.  ``serial`` waves hold one pipeline each, in
+#: the lowered linear schedule; ``wavefront`` waves are the plan's
+#: dependency ranks, run across a thread pool (node-level
+#: parallelism); ``morsel`` runs the same waves but pays a wave's
+#: shared input pass as a batch of row-range morsels that also compute
+#: its morselized groupings (operator-internal parallelism); it runs
+#: only when forced.  All three produce bit-identical tables and
+#: metrics totals.
 EXECUTION_MODES = ("serial", "wavefront", "morsel")
 
 
@@ -368,18 +398,18 @@ class PhysicalPlan:
     Args:
         relation: the base relation R.
         operators: every operator; ids equal positions.
-        pipelines: serial execution order (compute and drop pipelines).
-        waves: optional parallel schedule over the same pipelines.
+        pipelines: compute and drop pipelines, in lowering order.
+        waves: the schedule over the same pipelines; empty (the
+            default) means :func:`linear_waves` of ``pipelines``.
         memory_budget_bytes: plan-wide transient-memory budget the
             lowering honored, or None for unbounded.
-        mode: one of :data:`EXECUTION_MODES`; ``wavefront`` and
-            ``morsel`` need ``waves``.
+        mode: one of :data:`EXECUTION_MODES`.
     """
 
     relation: str
     operators: tuple[PhysicalOperator, ...]
     pipelines: tuple[PhysicalPipeline, ...]
-    waves: tuple[PhysicalWave, ...] | None = None
+    waves: tuple[PhysicalWave, ...] = ()
     memory_budget_bytes: float | None = None
     mode: str = "serial"
 
@@ -389,10 +419,8 @@ class PhysicalPlan:
                 f"unknown execution mode {self.mode!r}; "
                 f"expected one of {EXECUTION_MODES}"
             )
-        if self.mode != "serial" and self.waves is None:
-            raise PhysicalPlanError(
-                f"mode {self.mode!r} requires a wave schedule"
-            )
+        if not self.waves:
+            object.__setattr__(self, "waves", linear_waves(self.pipelines))
         for position, op in enumerate(self.operators):
             if op.op_id != position:
                 raise PhysicalPlanError(
@@ -434,11 +462,7 @@ class PhysicalPlan:
 
     def render(self) -> str:
         """Human-readable operator tree with per-operator estimates."""
-        mode = (
-            f"{self.mode} ({len(self.waves)} waves)"
-            if self.waves is not None
-            else self.mode
-        )
+        mode = f"{self.mode} ({len(self.waves)} waves)"
         budget = (
             f" budget={_fmt(self.memory_budget_bytes)}B"
             if self.memory_budget_bytes is not None

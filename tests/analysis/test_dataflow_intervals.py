@@ -74,6 +74,7 @@ def force_strategy(physical, strategy):
                     keys=op.keys,
                     output=op.output,
                     query=op.query,
+                    aggregates=op.aggregates,
                     partitions=op.partitions,
                 )
             )
@@ -105,7 +106,9 @@ def test_executed_rows_within_inferred_intervals(
     # parallelism.
     mode = "serial" if parallelism == 1 else "wavefront"
     physical = session.lower(plan, parallelism=parallelism, mode=mode)
-    assert (physical.waves is not None) == (parallelism > 1)
+    assert physical.mode == mode
+    if mode == "serial":
+        assert all(len(wave.pipelines) == 1 for wave in physical.waves)
     if strategy is not None:
         physical = force_strategy(physical, strategy)
     context = AnalysisContext(

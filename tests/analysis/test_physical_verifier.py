@@ -16,6 +16,7 @@ from repro.physical.plan import (
     Materialize,
     PhysicalPipeline,
     PhysicalPlan,
+    PhysicalWave,
     Reaggregate,
     Scan,
 )
@@ -32,8 +33,13 @@ def staged_plan(
     drop=True,
     drop_temp="tmp__a__b",
     pipeline_order=(0, 1, 2),
+    waves=(),
 ):
-    """Scan -> HashGroupBy -> Materialize; Reaggregate; DropTemp."""
+    """Scan -> HashGroupBy -> Materialize; Reaggregate; DropTemp.
+
+    ``waves`` schedules pipelines 0 (materialize), 1 (reaggregate) and
+    2 (drop); the default is the linear schedule of ``pipeline_order``.
+    """
     ops = (
         Scan(op_id=0, table="r"),
         HashGroupBy(
@@ -56,7 +62,21 @@ def staged_plan(
     if not drop:
         ops = ops[:4]
         pipelines = tuple(p for p in pipelines if p.kind != "drop")
-    return PhysicalPlan(relation="r", operators=ops, pipelines=pipelines)
+    return PhysicalPlan(
+        relation="r",
+        operators=ops,
+        pipelines=pipelines,
+        waves=waves,
+        mode="wavefront" if waves else "serial",
+    )
+
+
+def waves(*slots):
+    """``PhysicalWave``s from ``(computes, drops)`` pairs."""
+    return tuple(
+        PhysicalWave(i, computes, drops)
+        for i, (computes, drops) in enumerate(slots)
+    )
 
 
 def fired(diagnostics):
@@ -133,6 +153,26 @@ class TestPV012:
         diagnostics = verify_physical_plan(plan, rules=["PV012"])
         assert any("must be >= 1" in d.message for d in diagnostics)
 
+    def test_dependency_waves_clean(self):
+        plan = staged_plan(waves=waves(((0,), ()), ((1,), (2,))))
+        assert verify_physical_plan(plan, rules=["PV012"]) == []
+
+    def test_unscheduled_pipeline_flagged(self):
+        """Seeded defect: the drop pipeline sits in no wave."""
+        plan = staged_plan(waves=waves(((0,), ()), ((1,), ())))
+        diagnostics = verify_physical_plan(plan, rules=["PV012"])
+        assert any("0 wave slots" in d.message for d in diagnostics)
+
+    def test_twice_scheduled_pipeline_flagged(self):
+        plan = staged_plan(waves=waves(((0,), ()), ((0, 1), (2,))))
+        diagnostics = verify_physical_plan(plan, rules=["PV012"])
+        assert any("2 wave slots" in d.message for d in diagnostics)
+
+    def test_drop_in_compute_slot_flagged(self):
+        plan = staged_plan(waves=waves(((0,), ()), ((1, 2), ())))
+        diagnostics = verify_physical_plan(plan, rules=["PV012"])
+        assert any("as a compute" in d.message for d in diagnostics)
+
 
 class TestPV013:
     def test_reaggregate_from_materialize_clean(self):
@@ -148,6 +188,14 @@ class TestPV013:
 
     def test_consumer_before_producer_flagged(self):
         plan = staged_plan(pipeline_order=(1, 0, 2))
+        diagnostics = verify_physical_plan(plan, rules=["PV013"])
+        assert any("does not run before" in d.message for d in diagnostics)
+
+    def test_consumer_in_producers_wave_flagged(self):
+        """Seeded defect: the Reaggregate shares its producer's wave, so
+        the two would run side by side although the list order is
+        right."""
+        plan = staged_plan(waves=waves(((0, 1), (2,))))
         diagnostics = verify_physical_plan(plan, rules=["PV013"])
         assert any("does not run before" in d.message for d in diagnostics)
 
@@ -172,6 +220,17 @@ class TestPV014:
         plan = staged_plan(pipeline_order=(0, 2, 1))
         diagnostics = verify_physical_plan(plan, rules=["PV014"])
         assert any("still used" in d.message for d in diagnostics)
+
+    def test_drop_in_wave_before_last_use_flagged(self):
+        """Seeded defect: the list puts the drop last, but its wave runs
+        before the consumer's."""
+        plan = staged_plan(waves=waves(((0,), (2,)), ((1,), ())))
+        diagnostics = verify_physical_plan(plan, rules=["PV014"])
+        assert any("still used" in d.message for d in diagnostics)
+
+    def test_drop_in_last_consumers_wave_clean(self):
+        plan = staged_plan(waves=waves(((0,), ()), ((1,), (2,))))
+        assert verify_physical_plan(plan, rules=["PV014"]) == []
 
 
 class TestPV015:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.grouping_sets import CommercialGroupingSetsPlanner
-from repro.baselines.naive import run_naive
 from repro.baselines.partial_cube import (
     GreedyLatticePlanner,
     LatticeTooLargeError,
@@ -27,15 +26,15 @@ def catalog(random_table):
 
 
 class TestNaive:
-    def test_results_correct(self, catalog, random_table):
-        result = run_naive(catalog, "r", [fs("low"), fs("mid")])
+    def test_results_correct(self, session, random_table):
+        result = session.run_naive([fs("low"), fs("mid")])
         for column in ("low", "mid"):
             assert result_as_dict(
                 result.results[fs(column)], [column]
             ) == brute_force_group_by(random_table, [column])
 
-    def test_one_query_per_input(self, catalog):
-        result = run_naive(catalog, "r", [fs("low"), fs("mid"), fs("low")])
+    def test_one_query_per_input(self, session):
+        result = session.run_naive([fs("low"), fs("mid"), fs("low")])
         assert result.metrics.queries_executed == 2  # deduped
 
 

@@ -1,20 +1,22 @@
-"""Unit + property tests for per-query aggregate execution (Section 7.2)."""
+"""Unit, property and differential tests for per-query aggregates
+(Section 7.2), which run through ``Session.execute``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
-from repro.core.extensions import AggregateQuery
-from repro.core.plan import naive_plan
-from repro.engine.aggregation import AggregateSpec
-from repro.engine.multi_aggregate import (
-    MultiAggregateError,
+from repro.core.extensions import (
+    AggregateQuery,
+    QueryAggregates,
+    aggregates_by_columns,
     canonical_alias,
-    execute_multi_aggregate,
-    prepare_workload,
 )
+from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan, naive_plan
+from repro.engine.aggregation import AggregateSpec
+from repro.engine.executor import ExecutionError
 from repro.engine.table import Table
+from repro.physical.plan import CacheRead
 from tests.conftest import brute_force_group_by, result_as_dict
 
 
@@ -35,24 +37,32 @@ def reference(table, keys, func, column):
     return brute_force_group_by(table, keys, func, column)
 
 
+def run_per_query(session, plan, queries, **knobs):
+    return session.execute(
+        plan, aggregates=aggregates_by_columns(queries), **knobs
+    )
+
+
 class TestPrepare:
     def test_canonical_alias(self):
         assert canonical_alias("count", None) == "cnt"
         assert canonical_alias("sum", "x") == "sum_x"
 
     def test_shared_identity(self):
-        workload = prepare_workload(
-            [
-                q(["a"], AggregateSpec("sum", "x", "total")),
-                q(["a"], AggregateSpec("sum", "x", "other_name")),
-            ]
+        workload = QueryAggregates(
+            aggregates_by_columns(
+                [
+                    q(["a"], AggregateSpec("sum", "x", "total")),
+                    q(["a"], AggregateSpec("sum", "x", "other_name")),
+                ]
+            )
         )
         assert len(workload.needs[fs("a")]) == 1
-        assert len(workload.captures[fs("a")]) == 2
+        assert len(workload.outputs[fs("a")]) == 2
 
     def test_avg_decomposed(self):
-        workload = prepare_workload(
-            [q(["a"], AggregateSpec("avg", "x", "mean_x"))]
+        workload = QueryAggregates(
+            {fs("a"): (AggregateSpec("avg", "x", "mean_x"),)}
         )
         identities = set(workload.needs[fs("a")])
         assert identities == {("sum", "x"), ("count", None)}
@@ -91,36 +101,26 @@ class TestExecution:
         for key, value in expected.items():
             assert got[key] == pytest.approx(value)
 
-    def test_results_via_merged_plan_match_naive_plan(self, random_table):
+    def test_results_via_merged_plan_match_naive_plan(self, session):
         """Same aggregates through a merged tree and the naive plan."""
         queries = [
             q(["low"], AggregateSpec("sum", "high", "s")),
             q(["mid"], AggregateSpec("sum", "high", "s")),
         ]
-        from repro.core.plan import LogicalPlan, PlanNode, SubPlan
-        from repro.engine.catalog import Catalog
-
-        catalog = Catalog()
-        catalog.add_table(random_table)
         merged_root = SubPlan(
             PlanNode(fs("low", "mid")),
             (SubPlan.leaf(fs("low")), SubPlan.leaf(fs("mid"))),
         )
         merged = LogicalPlan("r", (merged_root,), frozenset([fs("low"), fs("mid")]))
         naive = naive_plan("r", [fs("low"), fs("mid")])
-        run_merged = execute_multi_aggregate(catalog, "r", merged, queries)
-        run_naive = execute_multi_aggregate(catalog, "r", naive, queries)
+        run_merged = run_per_query(session, merged, queries)
+        run_naive = run_per_query(session, naive, queries)
         for columns in (fs("low"), fs("mid")):
             assert sorted(run_merged.results[columns].to_rows()) == sorted(
                 run_naive.results[columns].to_rows()
             )
 
-    def test_required_intermediate_with_aggregates(self, random_table):
-        from repro.core.plan import LogicalPlan, PlanNode, SubPlan
-        from repro.engine.catalog import Catalog
-
-        catalog = Catalog()
-        catalog.add_table(random_table)
+    def test_required_intermediate_with_aggregates(self, session, random_table):
         root = SubPlan(
             PlanNode(fs("low", "mid")), (SubPlan.leaf(fs("low")),), required=True
         )
@@ -131,39 +131,146 @@ class TestExecution:
             q(["low", "mid"], AggregateSpec("max", "high", "m")),
             q(["low"], AggregateSpec.count_star()),
         ]
-        run = execute_multi_aggregate(catalog, "r", plan, queries)
+        run = run_per_query(session, plan, queries)
         got = result_as_dict(
             run.results[fs("low", "mid")], ["low", "mid"], "m"
         )
         assert got == reference(random_table, ["low", "mid"], "max", "high")
 
-    def test_plan_must_answer_queries(self, random_table):
-        from repro.engine.catalog import Catalog
-
-        catalog = Catalog()
-        catalog.add_table(random_table)
+    def test_plan_must_answer_queries(self, session):
         plan = naive_plan("r", [fs("low")])
-        with pytest.raises(MultiAggregateError):
-            execute_multi_aggregate(
-                catalog, "r", plan, [q(["mid"], AggregateSpec.count_star())]
+        with pytest.raises(ExecutionError, match="differ"):
+            run_per_query(
+                session, plan, [q(["mid"], AggregateSpec.count_star())]
             )
 
-    def test_cube_nodes_rejected(self, random_table):
-        from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan
-        from repro.engine.catalog import Catalog
-
-        catalog = Catalog()
-        catalog.add_table(random_table)
+    def test_cube_nodes_answered(self, session, random_table):
         node = SubPlan(
             PlanNode(fs("low"), NodeKind.CUBE),
             (),
             direct_answers=frozenset([fs("low")]),
         )
         plan = LogicalPlan("r", (node,), frozenset([fs("low")]))
-        with pytest.raises(MultiAggregateError):
-            execute_multi_aggregate(
-                catalog, "r", plan, [q(["low"], AggregateSpec.count_star())]
-            )
+        run = run_per_query(
+            session, plan, [q(["low"], AggregateSpec("avg", "high", "m"))]
+        )
+        got = result_as_dict(run.results[fs("low")], ["low"], "m")
+        expected = reference(random_table, ["low"], "avg", "high")
+        assert got == pytest.approx(expected)
+
+
+#: A mixed §7.2 workload: COUNT(*), COUNT(col), SUM, MIN, MAX, AVG and
+#: two aliases of one aggregate identity.
+MIXED = [
+    q(
+        ["low"],
+        AggregateSpec.count_star("n"),
+        AggregateSpec("sum", "high", "s"),
+        AggregateSpec("avg", "high", "mean"),
+    ),
+    q(
+        ["mid"],
+        AggregateSpec("min", "high", "lo"),
+        AggregateSpec("max", "high", "hi"),
+        AggregateSpec("count_col", "shadow", "nn"),
+    ),
+    q(
+        ["low", "mid"],
+        AggregateSpec("sum", "high", "total"),
+        AggregateSpec("sum", "high", "total_again"),
+    ),
+    q(["mid", "txt"], AggregateSpec("avg", "shadow", "avg_shadow")),
+]
+
+#: COUNT(col) over a column without NULLs is COUNT(*).
+REFERENCE_FUNC = {"count_col": "count"}
+
+
+def mixed_plan(kind):
+    queries = [query.columns for query in MIXED]
+    if kind == "naive":
+        return naive_plan("r", queries)
+    if kind == "merged":
+        low_mid = SubPlan(
+            PlanNode(fs("low", "mid")),
+            (SubPlan.leaf(fs("low")), SubPlan.leaf(fs("mid"))),
+            required=True,
+        )
+        root = SubPlan(
+            PlanNode(fs("low", "mid", "txt")),
+            (low_mid, SubPlan.leaf(fs("mid", "txt"))),
+        )
+        return LogicalPlan("r", (root,), frozenset(queries))
+    cube = SubPlan(
+        PlanNode(fs("low", "mid"), NodeKind.CUBE),
+        (),
+        direct_answers=frozenset([fs("low"), fs("mid"), fs("low", "mid")]),
+    )
+    return LogicalPlan(
+        "r", (cube, SubPlan.leaf(fs("mid", "txt"))), frozenset(queries)
+    )
+
+
+_MIXED_EXPECTED: dict = {}
+
+
+@pytest.fixture
+def mixed_expected(random_table):
+    """query columns -> {alias: brute-force result} for :data:`MIXED`
+    (computed once: ``random_table`` is seeded)."""
+    if not _MIXED_EXPECTED:
+        for query in MIXED:
+            keys = sorted(query.columns)
+            _MIXED_EXPECTED[query.columns] = {
+                spec.alias: reference(
+                    random_table,
+                    keys,
+                    REFERENCE_FUNC.get(spec.func, spec.func),
+                    spec.column,
+                )
+                for spec in query.aggregates
+            }
+    return _MIXED_EXPECTED
+
+
+def assert_mixed_results(run, expected):
+    assert set(run.results) == set(expected)
+    for query in MIXED:
+        keys = sorted(query.columns)
+        table = run.results[query.columns]
+        assert list(table.column_names) == keys + [
+            s.alias for s in query.aggregates
+        ]
+        for alias, want in expected[query.columns].items():
+            assert result_as_dict(table, keys, alias) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("mode", ["serial", "wavefront", "morsel"])
+@pytest.mark.parametrize("kind", ["merged", "naive", "cube"])
+def test_mixed_workload_differential(
+    random_table, mixed_expected, kind, mode, parallelism, cache
+):
+    """Every plan shape, mode and worker count returns the brute-force
+    answer; with the cache on, a cold run and an exact-hit rerun do."""
+    session = Session.for_table(random_table, cache=cache)
+    plan = mixed_plan(kind)
+    plan.validate()
+    knobs = dict(mode=mode, parallelism=parallelism)
+    cold = run_per_query(session, plan, MIXED, **knobs)
+    assert cold.metrics.mode == mode
+    assert_mixed_results(cold, mixed_expected)
+    if not cache:
+        return
+    warm = run_per_query(session, plan, MIXED, **knobs)
+    assert warm.metrics.mode == mode
+    assert any(
+        isinstance(op, CacheRead) and not op.derived
+        for op in warm.physical.operators
+    )
+    assert session.cache_stats()["hits"] > 0
+    assert_mixed_results(warm, mixed_expected)
 
 
 @settings(max_examples=20, deadline=None)

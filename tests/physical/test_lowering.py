@@ -132,9 +132,21 @@ class TestStructure:
         if any(isinstance(op, Reaggregate) for op in physical.operators):
             assert "drop" in labels
 
-    def test_serial_plan_has_no_waves(self, session):
-        physical = session.lower(naive_plan("r", [fs("low")]))
-        assert physical.waves is None
+    def test_serial_plan_has_one_compute_per_wave(self, session):
+        queries = containment_workload(["low", "mid", "txt"])
+        plan = session.optimize(queries).plan
+        for schedule in ("storage", "depth_first"):
+            physical = session.lower(plan, schedule=schedule, mode="serial")
+            assert all(len(wave.pipelines) == 1 for wave in physical.waves)
+            # The waves replay the linear schedule: computes in order,
+            # each drop right after the compute it follows.
+            order = [
+                index
+                for wave in physical.waves
+                for index in wave.pipelines + wave.drops
+            ]
+            assert order == list(range(len(physical.pipelines)))
+            assert len(physical.waves) == len(physical.compute_pipelines())
 
     def test_parallel_plan_builds_waves(self, session):
         queries = [fs("mid"), fs("low"), fs("mid", "low")]

@@ -60,7 +60,7 @@ def small_plan(waves=False, budget=None):
                 PhysicalWave(1, (1,), drops=(2,)),
             )
             if waves
-            else None
+            else ()
         ),
         memory_budget_bytes=budget,
         mode="wavefront" if waves else "serial",
