@@ -6,7 +6,8 @@ optimizer's output; these rules check the *lowering's* output — the
 interpret.  They enforce the data-flow contract between pipelines:
 
 * PV012 — the operator graph is a well-formed DAG (ids are positions,
-  every edge points backwards, pipelines reference real operators,
+  every edge points backwards, pipelines reference real operators —
+  only ``DropTemp`` in a drop pipeline, none in a compute pipeline —
   partition counts are positive) and the waves schedule every pipeline
   exactly once, computes as computes and drops as drops;
 * PV013 — data crossing a pipeline boundary goes through a
@@ -134,9 +135,9 @@ def _rank_of(plan: PhysicalPlan) -> dict[int, int]:
     "PV012",
     "physical-dag",
     "Operator ids are positions, every data edge points backwards, "
-    "pipelines reference real operators exactly once, partition "
-    "counts are positive, and each pipeline sits in exactly one wave "
-    "slot of its kind.",
+    "pipelines reference real operators exactly once and only of their "
+    "kind, partition counts are positive, and each pipeline sits in "
+    "exactly one wave slot of its kind.",
 )
 def check_physical_dag(
     analysis: DataflowAnalysis, out: DiagnosticCollector
@@ -187,6 +188,17 @@ def check_physical_dag(
                     Severity.ERROR,
                     where,
                     f"operator {op_id} appears in more than one pipeline",
+                )
+            elif isinstance(plan.operators[op_id], DropTemp) == (
+                pipeline.is_compute
+            ):
+                out.emit(
+                    "PV012",
+                    Severity.ERROR,
+                    where,
+                    f"{pipeline.kind} pipeline holds "
+                    f"{plan.operators[op_id].describe()}: drop pipelines "
+                    "hold only DropTemp, compute pipelines none",
                 )
             seen.add(op_id)
     for op in plan.operators:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.analysis.diagnostics import DiagnosticCollector, Severity
 from repro.core.columnset import format_columns
 from repro.core.plan import LogicalPlan, NodeKind, SubPlan
+from repro.core.storage import estimator_size_fn, min_intermediate_storage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.analysis.verifier import VerifyContext
@@ -309,26 +310,10 @@ def check_cost_monotonicity(plan, ctx, out) -> None:
     requires=("estimator", "max_storage_bytes"),
 )
 def check_storage_bound(plan, ctx, out) -> None:
-    estimator = ctx.estimator
     limit = ctx.max_storage_bytes
-
-    def size_of(node: SubPlan) -> float:
-        if not node.is_materialized:
-            return 0.0
-        rows = estimator.rows(node.columns)
-        return rows * estimator.row_width(node.columns)
-
-    def storage(node: SubPlan) -> float:
-        # The paper's Section 4.4.1 recursion.
-        if not node.children:
-            return size_of(node)
-        own = size_of(node)
-        breadth_first = own + sum(size_of(child) for child in node.children)
-        depth_first = own + max(storage(child) for child in node.children)
-        return min(breadth_first, depth_first)
-
+    size_of = estimator_size_fn(ctx.estimator)
     for i, root in enumerate(plan.subplans):
-        peak = storage(root)
+        peak = min_intermediate_storage(root, size_of)
         if peak > limit:
             out.emit(
                 "PV011",

@@ -19,11 +19,7 @@ from repro.core.optimizer import (
     OptimizerOptions,
 )
 from repro.core.plan import LogicalPlan, naive_plan
-from repro.core.scheduling import (
-    Step,
-    depth_first_schedule,
-    storage_minimizing_schedule,
-)
+from repro.core.scheduling import Step, storage_minimizing_schedule
 from repro.core.storage import estimator_size_fn
 from repro.costmodel.base import CostModel, PlanCoster
 from repro.costmodel.cardinality import CardinalityCostModel
@@ -360,22 +356,13 @@ class Session:
         )
         return optimizer.optimize(self.base_table, queries)
 
-    def _schedule_steps(self, plan: LogicalPlan, schedule: str) -> list[Step]:
-        if schedule == "storage":
-            return storage_minimizing_schedule(
-                plan, estimator_size_fn(self.estimator)
-            )
-        if schedule == "depth_first":
-            return depth_first_schedule(plan)
-        raise ValueError(f"unknown schedule {schedule!r}")
-
     def _executor(
         self,
         aggregates: list[AggregateSpec] | AggregatesByQuery | None,
         tracer: Tracer | None,
         parallelism: int | None,
         memory_budget_bytes: float | None,
-        mode: str = "auto",
+        mode: str,
     ) -> PlanExecutor:
         return PlanExecutor(
             self.catalog,
@@ -391,37 +378,9 @@ class Session:
             result_cache=self._result_cache,
         )
 
-    def _prepare(
-        self,
-        plan: LogicalPlan,
-        schedule: str,
-        aggregates: list[AggregateSpec] | AggregatesByQuery | None,
-        tracer: Tracer | None,
-        parallelism: int | None,
-        memory_budget_bytes: float | None,
-        mode: str,
-    ) -> tuple[PlanExecutor, list[Step] | None]:
-        """The executor for one run, bound to its resolved mode, and the
-        linear schedule it follows (None for the parallel modes, which
-        schedule themselves).  Resolving first is what lets ``schedule``
-        hold whenever ``auto`` resolves to serial, on any worker count.
-        """
-        executor = self._executor(
-            aggregates, tracer, parallelism, memory_budget_bytes, mode
-        )
-        resolved = executor.resolve_mode(plan)
-        if resolved != mode:
-            executor = self._executor(
-                aggregates, tracer, parallelism, memory_budget_bytes, resolved
-            )
-        if resolved != "serial":
-            return executor, None
-        return executor, self._schedule_steps(plan, schedule)
-
     def execute(
         self,
         plan: LogicalPlan,
-        schedule: str = "storage",
         aggregates: list[AggregateSpec] | AggregatesByQuery | None = None,
         tracer: Tracer | None = None,
         parallelism: int | None = None,
@@ -432,15 +391,11 @@ class Session:
 
         The plan is lowered to costed physical operators
         (:mod:`repro.physical`) — hash vs sort grouping chosen per node
-        from the session's statistics — verified, and interpreted.
+        from the session's statistics, pipelines in the Section 4.4.1
+        storage-minimizing order — verified, and interpreted.
 
         Args:
             plan: the plan to run.
-            schedule: 'storage' follows the Section 4.4.1 BF/DF marking;
-                'depth_first' uses plain pre-order.  Honoured whenever
-                the run is serial — forced, or ``auto`` resolved to it
-                on any worker count; wavefront and morsel runs derive
-                their own wavefront schedule from the plan.
             aggregates: aggregate list every query computes (COUNT(*)
                 by default), or each query's own list by column set as
                 :func:`~repro.core.extensions.aggregates_by_columns`
@@ -457,27 +412,26 @@ class Session:
                 the sort regime and then to partitioned execution.
                 Results stay bit-identical.
             mode: execution mode — 'auto' (default), 'serial',
-                'wavefront', or 'morsel'.  'auto' resolves from the
-                plan: serial for ``parallelism=1``, under a memory
-                budget, or below the cost model's row and grouping
-                floors (so parallel execution never regresses small
-                inputs); otherwise the cheaper of serial and
-                wavefront as :meth:`~repro.costmodel.engine_model.
-                EngineCostModel.execution_mode_choice` prices the
-                plan's waves and edges.  'morsel' runs only when
-                forced.  The resolved mode is reported on
-                ``result.metrics.mode``.
+                'wavefront', or 'morsel'.  The lowering resolves 'auto'
+                (:func:`~repro.physical.lowering.lower`): serial for
+                ``parallelism=1``, under a memory budget, or below the
+                cost model's row and grouping floors (so parallel
+                execution never regresses small inputs); otherwise the
+                cheaper of serial and wavefront as :meth:`~repro.
+                costmodel.engine_model.EngineCostModel.
+                execution_mode_choice` prices the plan's depth ranks
+                and edges.  'morsel' runs only when forced.  The
+                resolved mode is reported on ``result.metrics.mode``
+                and ``result.physical.mode_reason`` says why.
         """
-        executor, steps = self._prepare(
-            plan, schedule, aggregates, tracer, parallelism,
-            memory_budget_bytes, mode,
+        executor = self._executor(
+            aggregates, tracer, parallelism, memory_budget_bytes, mode
         )
-        return executor.execute(plan, steps)
+        return executor.execute(plan, self._storage_order(plan))
 
     def lower(
         self,
         plan: LogicalPlan,
-        schedule: str = "storage",
         aggregates: list[AggregateSpec] | AggregatesByQuery | None = None,
         parallelism: int | None = None,
         memory_budget_bytes: float | None = None,
@@ -489,11 +443,16 @@ class Session:
         :class:`~repro.physical.plan.PhysicalPlan` that ``execute``
         would interpret (render it with ``.render()``).
         """
-        executor, steps = self._prepare(
-            plan, schedule, aggregates, None, parallelism,
-            memory_budget_bytes, mode,
+        executor = self._executor(
+            aggregates, None, parallelism, memory_budget_bytes, mode
         )
-        return executor.lower(plan, steps)
+        return executor.lower(plan, self._storage_order(plan))
+
+    def _storage_order(self, plan: LogicalPlan) -> list[Step]:
+        """The Section 4.4.1 storage-minimizing schedule of ``plan``."""
+        return storage_minimizing_schedule(
+            plan, estimator_size_fn(self.estimator)
+        )
 
     def run(
         self,
@@ -525,7 +484,6 @@ class Session:
     def explain_analyze(
         self,
         plan: LogicalPlan,
-        schedule: str = "storage",
         parallelism: int | None = None,
         mode: str = "auto",
         memory_budget_bytes: float | None = None,
@@ -546,7 +504,6 @@ class Session:
         tracer = Tracer()
         execution = self.execute(
             plan,
-            schedule,
             tracer=tracer,
             parallelism=parallelism,
             memory_budget_bytes=memory_budget_bytes,

@@ -70,6 +70,7 @@ from repro.obs import (
     write_collapsed,
     write_jsonl,
 )
+from repro.physical.plan import EXECUTION_MODES
 from repro.workloads.customers import make_customers
 from repro.workloads.queries import combi_workload, single_column_queries
 from repro.workloads.sales import make_sales
@@ -521,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--mode",
-            choices=("auto", "serial", "wavefront", "morsel"),
+            choices=("auto", *EXECUTION_MODES),
             default="auto",
             help="execution mode; auto picks the cheaper of serial and "
             "wavefront as the engine cost model prices the plan, and "

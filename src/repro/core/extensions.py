@@ -117,17 +117,6 @@ def choose_merge_strategy(
     return MergeStrategy(kind, union_cost, split_cost)
 
 
-def rewrite_for_parent(
-    aggregates: Sequence[AggregateSpec],
-) -> tuple[AggregateSpec, ...]:
-    """Aggregates to request from a child computed off a materialized
-    parent (COUNT -> SUM-of-count etc.); see
-    :func:`repro.engine.aggregation.reaggregate_specs`."""
-    from repro.engine.aggregation import reaggregate_specs
-
-    return tuple(reaggregate_specs(list(aggregates)))
-
-
 def queries_to_column_sets(
     queries: Sequence[AggregateQuery],
 ) -> list[frozenset[str]]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.merge import MergeOptions, subplan_merge
 from repro.core.plan import LogicalPlan, NodeKind, SubPlan, naive_plan
-from repro.core.storage import min_intermediate_storage
+from repro.core.storage import estimator_size_fn, min_intermediate_storage
 from repro.costmodel.base import PlanCoster, RootArrays
 from repro.obs.clock import monotonic
 from repro.obs.metrics import MetricsRegistry, get_metrics
@@ -463,15 +463,8 @@ class GbMqoOptimizer:
         limit = self.options.max_storage_bytes
         if limit is None:
             return True
-        model = self._coster.model
-        estimator = getattr(model, "estimator", None)
+        estimator = getattr(self._coster.model, "estimator", None)
         if estimator is None:
             return True
-
-        def size_of(subplan: SubPlan) -> float:
-            if not subplan.is_materialized:
-                return 0.0
-            rows = estimator.rows(subplan.node.columns)
-            return rows * estimator.row_width(subplan.node.columns)
-
+        size_of = estimator_size_fn(estimator)
         return min_intermediate_storage(candidate, size_of) <= limit

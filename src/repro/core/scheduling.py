@@ -6,14 +6,11 @@ schedule can follow the storage-minimizing BF/DF marking of Section
 (:func:`depth_first_schedule`); either way, a temporary table is dropped
 as soon as all of its children have been computed.
 
-:func:`wavefront_schedule` exposes the plan's *dependency structure*
-instead of a linear order: nodes are grouped into waves by depth, every
-step inside one wave is independent of every other (their parents were
-all materialized by earlier waves), and each wave carries the drops that
-become legal once it completes.  The parallel executor runs each wave's
-steps concurrently; :func:`flatten_waves` lowers the same schedule to a
-valid linear one, so serial and parallel execution share a single
-source of step ordering.
+:func:`depth_ranks` exposes the plan's *dependency structure* instead of
+a linear order: the compute steps grouped by depth, every step of one
+rank independent of every other (their parents were all materialized by
+earlier ranks).  The lowering maps these ranks onto a parallel plan's
+waves, and the engine cost model prices them.
 """
 
 from __future__ import annotations
@@ -80,82 +77,34 @@ def depth_first_schedule(plan: LogicalPlan) -> list[Step]:
     return steps
 
 
-@dataclass(frozen=True)
-class Wave:
-    """One rank of the dependency-graph schedule.
+def depth_ranks(plan: LogicalPlan) -> list[tuple[Step, ...]]:
+    """The plan's compute steps grouped into ranks by depth.
 
-    ``steps`` are compute steps that may run in any order — or all at
-    once — because every parent was materialized by an earlier wave.
-    ``drops`` become legal the moment the wave's computes finish: they
-    name materialized nodes whose last child was computed in this wave.
+    Rank d holds every node whose path from the base relation has d
+    edges: all of rank d's sources were materialized by rank d-1, so
+    the steps within one rank share no dependencies and can execute
+    concurrently.  A materialized node of rank d may be dropped once
+    rank d+1 — which holds all of its children — has run.
+
+    Steps within a rank are ordered deterministically (by node
+    description), so waves — and the executor's merged metrics — are
+    reproducible run to run.
     """
-
-    index: int
-    steps: tuple[Step, ...]
-    drops: tuple[Step, ...] = ()
-
-    def describe(self) -> str:
-        computed = ", ".join(step.node.describe() for step in self.steps)
-        dropped = ", ".join(step.node.describe() for step in self.drops)
-        text = f"wave {self.index}: {computed}"
-        if dropped:
-            text += f"; drop {dropped}"
-        return text
-
-
-def wavefront_schedule(plan: LogicalPlan) -> list[Wave]:
-    """Group the plan's steps into mutually-independent waves by depth.
-
-    Wave k holds every node whose path from the base relation has k
-    edges: all of wave k's sources were materialized by wave k-1, so
-    the steps within one wave share no dependencies and can execute
-    concurrently.  A materialized node's drop is attached to the wave
-    that computes its children (its last dependents), which is the
-    earliest legal point — the same as-soon-as-possible drop rule the
-    linear schedules follow.
-
-    Steps within a wave are ordered deterministically (by node
-    description), so schedules — and the executor's merged metrics —
-    are reproducible run to run.
-    """
-    levels: list[list[tuple[SubPlan, PlanNode | None]]] = []
+    ranks: list[list[Step]] = []
 
     def assign(subplan: SubPlan, parent: PlanNode | None, depth: int) -> None:
-        while len(levels) <= depth:
-            levels.append([])
-        levels[depth].append((subplan, parent))
+        while len(ranks) <= depth:
+            ranks.append([])
+        ranks[depth].append(_compute_step(subplan, parent))
         for child in subplan.children:
             assign(child, subplan.node, depth + 1)
 
     for subplan in plan.subplans:
         assign(subplan, None, 0)
-
-    waves: list[Wave] = []
-    for depth, entries in enumerate(levels):
-        entries.sort(key=lambda entry: entry[0].node.describe())
-        steps = tuple(
-            _compute_step(subplan, parent) for subplan, parent in entries
-        )
-        # Drop the previous wave's materialized nodes: their children are
-        # exactly this wave's steps, all computed once the wave ends.
-        drops = ()
-        if depth > 0:
-            drops = tuple(
-                _drop_step(subplan)
-                for subplan, _parent in levels[depth - 1]
-                if subplan.is_materialized
-            )
-        waves.append(Wave(depth, steps, drops))
-    return waves
-
-
-def flatten_waves(waves: list[Wave]) -> list[Step]:
-    """Lower a wavefront schedule to a valid linear schedule."""
-    steps: list[Step] = []
-    for wave in waves:
-        steps.extend(wave.steps)
-        steps.extend(wave.drops)
-    return steps
+    return [
+        tuple(sorted(rank, key=lambda step: step.node.describe()))
+        for rank in ranks
+    ]
 
 
 def _marked(mark: StorageMark, parent: PlanNode | None) -> Iterator[Step]:

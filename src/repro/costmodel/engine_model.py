@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
-from repro.core.scheduling import Step, wavefront_schedule
+from repro.core.scheduling import Step, depth_ranks
 from repro.engine.catalog import Catalog
 from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
 from repro.stats.whatif import WhatIfRegistry
@@ -362,7 +362,8 @@ class EngineCostModel:
         """Price ``plan`` as serial and as wavefront and pick the cheaper.
 
         Both prices are built from the plan's own edge costs, walked in
-        :func:`~repro.core.scheduling.wavefront_schedule` waves:
+        :func:`~repro.core.scheduling.depth_ranks` — the ranks a
+        wavefront run's waves hold:
 
         * serial pays every edge, one after another;
         * wavefront pays, per wave, one read of each input that two or
@@ -383,13 +384,13 @@ class EngineCostModel:
         rows = max(float(self._estimator.base_rows), 0.0)
         serial_cost = wavefront_cost = 0.0
         groupings = 0
-        for wave in wavefront_schedule(plan):
+        for steps in depth_ranks(plan):
             edges = [
                 self.edge_cost(step.parent, step.node, step.materialize)
-                for step in wave.steps
+                for step in steps
             ]
             serial_cost += sum(edges)
-            wavefront_cost += self._wavefront_wave_cost(wave.steps, edges, k)
+            wavefront_cost += self._wavefront_wave_cost(steps, edges, k)
             groupings += len(edges)
         if k == 1:
             mode, reason = "serial", "one worker"

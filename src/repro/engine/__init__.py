@@ -4,7 +4,7 @@ This package is the substrate that stands in for the commercial DBMS used
 in the paper's experiments.  It provides columnar tables, a catalog with
 temporary-table storage accounting, physical operators (scan, filter,
 project, hash/sort group-by, hash join, union-all, CUBE / ROLLUP /
-GROUPING SETS), covering indexes, the PipeSort/PipeHash shared-sort
+GROUPING SETS), covering indexes, the PipeSort shared-sort
 operators, an executor for GB-MQO logical plans, and a SQL text generator
 for the client-side implementation described in Section 5.2 of the paper.
 """

@@ -18,8 +18,8 @@ wave holds and how it pays for its inputs:
 
 * **serial**: one pipeline per wave, in the lowered linear schedule —
   exactly the paper's client-side script of Group By / DROP statements.
-* **parallel wavefront** (``mode="wavefront"``): the lowered plan
-  carries dependency waves; pipelines within a wave share no
+* **parallel wavefront** (``mode="wavefront"``): the lowered plan's
+  waves are its depth ranks; pipelines within a wave share no
   dependencies and run on a thread pool (numpy releases the GIL inside
   the reductions).  An input that two or more of a wave's plain
   groupings read pays **one** shared row-store pass per wave, split
@@ -37,11 +37,12 @@ wave holds and how it pays for its inputs:
   (:mod:`repro.engine.morsel`).  The batch's other readers run their
   single-pass kernels on the pass it paid.
 
-``mode="auto"`` (the default) resolves per plan: serial when
-``parallelism`` is 1, under a memory budget, or below the cost model's
-row and grouping floors (small inputs never regress); otherwise
-whichever of serial and wavefront the cost model prices cheaper for
-this plan.  ``parallelism`` defaults to every CPU the process may use.
+``mode="auto"`` (the default) is resolved per plan by the lowering:
+serial when ``parallelism`` is 1, under a memory budget, or below the
+cost model's row and grouping floors (small inputs never regress);
+otherwise whichever of serial and wavefront the cost model prices
+cheaper for this plan.  ``parallelism`` defaults to every CPU the
+process may use.
 
 Either way, one plan-wide
 :class:`~repro.engine.dictcache.DictionaryCache` is threaded through
@@ -107,11 +108,6 @@ class ExecutionError(EngineError):
     """The executor was given an inconsistent plan or schedule."""
 
 
-#: Mode knob values: ``auto`` resolves per plan, the rest force one of
-#: :data:`repro.physical.plan.EXECUTION_MODES` (kept in sync by test).
-MODE_CHOICES = ("auto", "serial", "wavefront", "morsel")
-
-
 def temp_name_for(node: PlanNode) -> str:
     """Deterministic temporary-table name for a plan node."""
     return "tmp__" + "__".join(sorted(node.columns))
@@ -165,12 +161,13 @@ class PlanExecutor:
             (a wave's pipelines, and its shared input passes split into
             row ranges), producing bit-identical tables and equal
             metrics totals.
-        mode: execution mode — one of :data:`MODE_CHOICES`.  ``auto``
-            (the default) picks serial for ``parallelism=1`` and
-            otherwise the cheaper of serial and wavefront as the cost
-            model prices the plan (:meth:`resolve_mode`).  ``serial``,
-            ``wavefront``, and ``morsel`` force that mode; ``morsel``
-            runs only when forced.
+        mode: execution mode — ``auto`` (the default) or one of
+            :data:`~repro.physical.plan.EXECUTION_MODES`.  The lowering
+            resolves ``auto`` (:func:`~repro.physical.lowering.lower`):
+            serial for ``parallelism=1``, otherwise the cheaper of
+            serial and wavefront as the cost model prices the plan.
+            ``serial``, ``wavefront``, and ``morsel`` force that mode;
+            ``morsel`` runs only when forced.
         dictionary_cache: a shared plan-wide dictionary cache.  By
             default each ``execute`` call builds a fresh one; serving
             workloads that re-execute plans over the same base relation
@@ -225,10 +222,12 @@ class PlanExecutor:
             parallelism = usable_cpus()
         if parallelism < 1:
             raise ExecutionError("parallelism must be >= 1")
-        if mode not in MODE_CHOICES:
+        from repro.physical.plan import EXECUTION_MODES
+
+        if mode != "auto" and mode not in EXECUTION_MODES:
             raise ExecutionError(
-                f"unknown execution mode {mode!r}; expected one of "
-                f"{MODE_CHOICES}"
+                f"unknown execution mode {mode!r}; expected 'auto' or one "
+                f"of {EXECUTION_MODES}"
             )
         self._catalog = catalog
         self._base_table = base_table
@@ -246,66 +245,17 @@ class PlanExecutor:
 
     # -- lowering -----------------------------------------------------------------
 
-    def resolve_mode(self, plan: LogicalPlan) -> str:
-        """The execution mode this executor would run ``plan`` under.
-
-        Forced modes pass through.  ``auto`` runs serial with one
-        worker; otherwise the cost model's :meth:`~repro.costmodel.
-        engine_model.EngineCostModel.execution_mode_choice` prices the
-        plan as serial and as wavefront and picks the cheaper —
-        serial below its row and grouping floors and under a memory
-        budget, so parallel execution never regresses small workloads.
-        Without an estimator only the floors decide.
-        """
-        if self._mode != "auto":
-            return self._mode
-        if self._parallelism <= 1:
-            return "serial"
-        if self._estimator is not None:
-            from repro.costmodel.engine_model import EngineCostModel
-
-            model = EngineCostModel(
-                self._estimator,
-                catalog=self._catalog,
-                base_table=self._base_table,
-                use_indexes=self._use_indexes,
-            )
-            return model.execution_mode_choice(
-                plan, self._parallelism, self._memory_budget_bytes
-            ).mode
-        if self._memory_budget_bytes is not None:
-            return "serial"
-        from repro.costmodel.engine_model import default_execution_mode
-
-        rows = self._catalog.get(self._base_table).num_rows
-        return default_execution_mode(
-            rows, plan.node_count(), self._parallelism
-        )
-
     def lower(
         self, plan: LogicalPlan, steps: list[Step] | None = None
     ) -> "PhysicalPlan":
         """Lower ``plan`` to the physical plan this executor would run.
 
-        Serial lowering honors ``steps`` (depth-first when None);
-        wavefront and morsel lowering build the wavefront schedule and
-        reject an explicit linear order, as does ``auto`` with more
-        than one worker.
+        The pipelines follow ``steps`` (depth-first when None) in every
+        mode; the lowering decides the mode and builds the waves.
         """
         from repro.physical.lowering import lower as lower_plan
         from repro.physical.plan import PhysicalPlanError
 
-        mode = self.resolve_mode(plan)
-        if steps is not None and (
-            mode != "serial" or (self._mode == "auto" and self._parallelism > 1)
-        ):
-            # Even when auto resolves a parallel executor to serial, a
-            # caller-supplied linear order has no meaning: the executor
-            # stays free to re-resolve per plan.  Force ``serial`` to
-            # honour one on any worker count.
-            raise ExecutionError(
-                "parallel execution schedules itself; pass steps=None"
-            )
         try:
             return lower_plan(
                 plan,
@@ -316,7 +266,7 @@ class PlanExecutor:
                 estimator=self._estimator,
                 memory_budget_bytes=self._memory_budget_bytes,
                 steps=steps,
-                mode=mode,
+                mode=self._mode,
                 parallelism=self._parallelism,
                 result_cache=self._result_cache,
             )
@@ -328,12 +278,8 @@ class PlanExecutor:
     def execute(
         self, plan: LogicalPlan, steps: list[Step] | None = None
     ) -> ExecutionResult:
-        """Lower ``plan``, verify the physical plan, and interpret it.
-
-        Parallel modes use the plan's wavefront schedule, and ``steps``
-        must be None unless the executor runs serial: forced, or
-        ``auto`` with one worker.
-        """
+        """Lower ``plan`` (pipelines in ``steps`` order), verify the
+        physical plan, and interpret it."""
         if plan.relation != self._base_table:
             raise ExecutionError(
                 f"plan targets {plan.relation!r}, executor is bound to "
@@ -390,6 +336,7 @@ class PlanExecutor:
             steps=len(physical.compute_pipelines()),
             parallelism=self._parallelism,
             mode=physical.mode,
+            mode_reason=physical.mode_reason,
         ) as plan_span:
             try:
                 with Workers(self._parallelism, "repro-exec") as workers:

@@ -1,4 +1,4 @@
-"""PipeSort / PipeHash shared-computation operators (related work [2,4]).
+"""PipeSort shared-computation operators (related work [2,4]).
 
 These are the physical operators commercial GROUPING SETS plans use to
 share work when the requested groupings overlap (Section 6.1's CONT
@@ -9,9 +9,6 @@ chain in a single pass.
 Pipeline construction assigns each grouping to a chain via minimum-cost
 bipartite matching (scipy's Hungarian algorithm), level by level, which
 is the assignment step of the original PipeSort algorithm.
-
-PipeHash-style sharing is provided too: each grouping is hash-computed
-from its smallest strict superset among the groupings already computed.
 """
 
 from __future__ import annotations
@@ -21,11 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.engine.aggregation import (
-    AggregateSpec,
-    group_by,
-    reaggregate_specs,
-)
+from repro.engine.aggregation import AggregateSpec, group_by
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
 
@@ -163,34 +156,3 @@ def _sort_by_codes(table: Table, order: tuple[str, ...]) -> Table:
         return table.sort_by(list(order))
     permutation = np.argsort(combined, kind="stable")
     return table.take(permutation)
-
-
-def pipehash(
-    table: Table,
-    queries: list[frozenset[str]],
-    aggregates: list[AggregateSpec] | None = None,
-    metrics: ExecutionMetrics | None = None,
-) -> dict[frozenset[str], Table]:
-    """Hash-based sharing: compute each grouping from its smallest
-    strict superset among the groupings already computed."""
-    aggregates = aggregates or [AggregateSpec.count_star("cnt")]
-    reaggregates = reaggregate_specs(aggregates)
-    metrics = metrics or ExecutionMetrics()
-    results: dict[frozenset[str], Table] = {}
-    for query in sorted(set(queries), key=lambda q: (-len(q), sorted(q))):
-        supersets = [q for q in results if query < q]
-        if supersets:
-            source_query = min(
-                supersets, key=lambda q: results[q].num_rows
-            )
-            source, specs = results[source_query], reaggregates
-        else:
-            source, specs = table, aggregates
-        results[query] = group_by(
-            source,
-            sorted(query),
-            specs,
-            name="pipehash_" + "_".join(sorted(query)),
-            metrics=metrics,
-        )
-    return results

@@ -24,7 +24,11 @@ onto a pipeline of :mod:`repro.physical.plan` operators:
 * CUBE / ROLLUP nodes lower to a top grouping plus an expand operator,
   and materialized intermediates get explicit
   :class:`~repro.physical.plan.Materialize` / :class:`~repro.physical.
-  plan.DropTemp` operators.
+  plan.DropTemp` operators;
+* how the plan runs is decided here, once: the pipelines follow the
+  caller's one linear schedule in every mode, ``auto`` is priced from
+  the plan's depth ranks, and a parallel plan's waves are those ranks
+  mapped onto the pipelines.
 
 Without an estimator the lowering is purely structural (hash-preferred
 groupings, zero estimates) — the naive baseline path.
@@ -38,14 +42,11 @@ from typing import Sequence
 from repro.cache import ResultCache, aggregate_signature
 from repro.core.extensions import AggregatesByQuery, QueryAggregates
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
-from repro.core.scheduling import (
-    Step,
-    depth_first_schedule,
-    wavefront_schedule,
-)
+from repro.core.scheduling import Step, depth_first_schedule, depth_ranks
 from repro.costmodel.engine_model import (
     SORT_ROW_BYTES,
     EngineCostModel,
+    default_execution_mode,
 )
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
@@ -129,6 +130,8 @@ class _Lowering:
         self.pipelines: list[PhysicalPipeline] = []
         self.materialized: dict[PlanNode, int] = {}
         self.depths: dict[PlanNode, int] = {}
+        # (step action, node) -> index of the pipeline lowered for it.
+        self.pipeline_of: dict[tuple[str, PlanNode], int] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -589,8 +592,69 @@ class _Lowering:
             pipeline = self.lower_drop(step)
         else:
             raise PhysicalPlanError(f"unknown step action {step.action!r}")
+        self.pipeline_of[(step.action, step.node)] = len(self.pipelines)
         self.pipelines.append(pipeline)
         return pipeline
+
+    # -- how the plan runs -----------------------------------------------------
+
+    def choose_mode(self, requested: str) -> tuple[str, str]:
+        """(mode, reason) the plan runs under.
+
+        A forced mode passes through.  ``auto`` runs serial with one
+        worker; otherwise the cost model's :meth:`~repro.costmodel.
+        engine_model.EngineCostModel.execution_mode_choice` prices the
+        plan as serial and as wavefront and picks the cheaper — serial
+        below its row and grouping floors and under a memory budget, so
+        parallel execution never regresses small workloads.  Without
+        an estimator only the floors decide.
+        """
+        if requested != "auto":
+            return requested, "forced"
+        if self.parallelism <= 1:
+            return "serial", "one worker"
+        if self.model is not None:
+            choice = self.model.execution_mode_choice(
+                self.plan, self.parallelism, self.budget
+            )
+            return choice.mode, choice.reason
+        if self.budget is not None:
+            return "serial", "a memory budget and no statistics"
+        rows = self.catalog.get(self.base_table).num_rows
+        nodes = self.plan.node_count()
+        return default_execution_mode(rows, nodes, self.parallelism), (
+            f"no statistics: {rows} base rows, {nodes} groupings "
+            "against the parallel floors"
+        )
+
+    def rank_waves(self) -> tuple[PhysicalWave, ...]:
+        """The plan's depth ranks as waves over the lowered pipelines:
+        wave d computes rank d and drops rank d-1's materialized nodes,
+        whose children rank d holds."""
+        ranks = depth_ranks(self.plan)
+        waves = []
+        for depth, steps in enumerate(ranks):
+            earlier = ranks[depth - 1] if depth else ()
+            waves.append(
+                PhysicalWave(
+                    depth,
+                    tuple(self.index_of("compute", s.node) for s in steps),
+                    tuple(
+                        self.index_of("drop", s.node)
+                        for s in earlier
+                        if s.materialize
+                    ),
+                )
+            )
+        return tuple(waves)
+
+    def index_of(self, action: str, node: PlanNode) -> int:
+        index = self.pipeline_of.get((action, node))
+        if index is None:
+            raise PhysicalPlanError(
+                f"the schedule has no {action} step for {node.describe()}"
+            )
+        return index
 
 
 def lower(
@@ -607,7 +671,8 @@ def lower(
     parallelism: int = 1,
     result_cache: ResultCache | None = None,
 ) -> PhysicalPlan:
-    """Lower a logical plan to a :class:`PhysicalPlan`.
+    """Lower a logical plan to a :class:`PhysicalPlan`, and decide how
+    it runs.
 
     Args:
         plan: the logical plan.
@@ -621,29 +686,32 @@ def lower(
             the cache signature.
         use_indexes: allow covering-index access paths.
         estimator: column statistics the lowering builds its
-            :class:`EngineCostModel` from, for the hash-vs-sort choice
-            and operator estimates; None lowers structurally
-            (hash-preferred groupings, zero estimates).
+            :class:`EngineCostModel` from, for the hash-vs-sort choice,
+            operator estimates and the ``auto`` mode price; None lowers
+            structurally (hash-preferred groupings, zero estimates).
         memory_budget_bytes: plan-wide transient-memory budget; grouping
             operators estimated over it are demoted hash -> sort ->
             partitioned execution.
-        steps: an explicit linear schedule to honor (serial mode); None
-            derives depth-first order.
-        mode: execution mode to lower for — one of
-            :data:`~repro.physical.plan.EXECUTION_MODES`.  ``serial``
-            runs ``steps`` as one wave per compute step
-            (:func:`~repro.physical.plan.linear_waves`); ``wavefront``
-            and ``morsel`` build the wavefront schedule; ``morsel``
-            additionally splits grouping inputs into row-range morsels
-            sized from ``parallelism``.
-        parallelism: worker count the morsel split targets.
+        steps: the linear schedule whose order the pipelines follow in
+            every mode; None derives depth-first order.
+        mode: ``auto`` or one of
+            :data:`~repro.physical.plan.EXECUTION_MODES`.  ``auto``
+            resolves to serial or wavefront (:meth:`_Lowering.
+            choose_mode`).  ``serial`` runs ``steps`` as one wave per
+            compute step (:func:`~repro.physical.plan.linear_waves`);
+            ``wavefront`` and ``morsel`` run the plan's depth ranks
+            (:func:`~repro.core.scheduling.depth_ranks`) as waves;
+            ``morsel`` additionally splits grouping inputs into
+            row-range morsels sized from ``parallelism``.
+        parallelism: worker count ``auto`` prices and the morsel split
+            targets.
         result_cache: semantic result cache to probe for exact and
             derivable hits; None (the default) lowers cache-unaware —
             bit-identical to the pre-cache behavior.
     """
-    if mode not in EXECUTION_MODES:
+    if mode != "auto" and mode not in EXECUTION_MODES:
         raise PhysicalPlanError(
-            f"unknown execution mode {mode!r}; expected one of "
+            f"unknown execution mode {mode!r}; expected 'auto' or one of "
             f"{EXECUTION_MODES}"
         )
     lowering = _Lowering(
@@ -658,38 +726,18 @@ def lower(
         parallelism=parallelism,
         result_cache=result_cache,
     )
-    waves: tuple[PhysicalWave, ...] = ()
-    if mode != "serial":
-        if steps is not None:
-            raise PhysicalPlanError(
-                "parallel lowering schedules itself; pass steps=None"
-            )
-        physical_waves = []
-        for wave in wavefront_schedule(plan):
-            compute_idx = []
-            drop_idx = []
-            for step in wave.steps:
-                compute_idx.append(len(lowering.pipelines))
-                lowering.lower_step(step)
-            for drop in wave.drops:
-                drop_idx.append(len(lowering.pipelines))
-                lowering.lower_step(drop)
-            physical_waves.append(
-                PhysicalWave(wave.index, tuple(compute_idx), tuple(drop_idx))
-            )
-        waves = tuple(physical_waves)
-    else:
-        if steps is None:
-            steps = depth_first_schedule(plan)
-        # ``waves`` stays empty: the plan builds the linear waves.
-        for step in steps:
-            lowering.lower_step(step)
+    for step in depth_first_schedule(plan) if steps is None else steps:
+        lowering.lower_step(step)
+    for subplan in plan.iter_subplans():
+        lowering.index_of("compute", subplan.node)
+    mode, reason = lowering.choose_mode(mode)
     return PhysicalPlan(
         relation=plan.relation,
         operators=tuple(lowering.ops),
         pipelines=tuple(lowering.pipelines),
-        waves=waves,
+        # Empty: the plan builds the linear waves.
+        waves=() if mode == "serial" else lowering.rank_waves(),
         memory_budget_bytes=memory_budget_bytes,
         mode=mode,
+        mode_reason=reason,
     )
-

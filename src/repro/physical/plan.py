@@ -13,8 +13,8 @@ Operators reference their input by operator id (``source``), ids are
 positions in :attr:`PhysicalPlan.operators`, and every edge points
 backwards (``source < op_id``), so a well-formed plan is acyclic by
 construction.  :attr:`PhysicalPlan.waves` is the schedule the executor
-runs in every mode: the dependency waves of a parallel plan, or one
-wave per compute pipeline in a serial plan's linear order.
+runs in every mode: the depth ranks of a parallel plan's pipelines, or
+one wave per compute pipeline in a serial plan's linear order.
 
 Every operator carries the lowering pass's estimates — output rows,
 operator cost, transient memory — which EXPLAIN renders and the
@@ -379,14 +379,15 @@ def linear_waves(
     return tuple(waves)
 
 
-#: Execution modes a lowered plan can carry.  Every mode runs the
-#: plan's waves in order.  ``serial`` waves hold one pipeline each, in
-#: the lowered linear schedule; ``wavefront`` waves are the plan's
-#: dependency ranks, run across a thread pool (node-level
-#: parallelism); ``morsel`` runs the same waves but pays a wave's
-#: shared input pass as a batch of row-range morsels that also compute
-#: its morselized groupings (operator-internal parallelism); it runs
-#: only when forced.  All three produce bit-identical tables and
+#: Execution modes a lowered plan can carry; a caller may also ask
+#: the lowering for ``"auto"``, which resolves to serial or wavefront.
+#: Every mode runs the plan's waves in order.  ``serial`` waves hold
+#: one pipeline each, in the lowered linear schedule; ``wavefront``
+#: waves are the plan's depth ranks, run across a thread pool
+#: (node-level parallelism); ``morsel`` runs the same waves but pays a
+#: wave's shared input pass as a batch of row-range morsels that also
+#: compute its morselized groupings (operator-internal parallelism); it
+#: runs only when forced.  All three produce bit-identical tables and
 #: metrics totals.
 EXECUTION_MODES = ("serial", "wavefront", "morsel")
 
@@ -404,6 +405,9 @@ class PhysicalPlan:
         memory_budget_bytes: plan-wide transient-memory budget the
             lowering honored, or None for unbounded.
         mode: one of :data:`EXECUTION_MODES`.
+        mode_reason: why the plan runs in ``mode`` — the lowering's
+            ``auto`` decision (:class:`~repro.costmodel.engine_model.
+            ModeChoice` ``reason``), or ``"forced"``.
     """
 
     relation: str
@@ -412,6 +416,7 @@ class PhysicalPlan:
     waves: tuple[PhysicalWave, ...] = ()
     memory_budget_bytes: float | None = None
     mode: str = "serial"
+    mode_reason: str = "forced"
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
@@ -471,7 +476,8 @@ class PhysicalPlan:
         lines = [
             f"physical plan: {self.relation}  "
             f"ops={len(self.operators)} pipelines={len(self.pipelines)} "
-            f"mode={mode}{budget}"
+            f"mode={mode}{budget}",
+            f"mode reason: {self.mode_reason}",
         ]
         for pipeline in self.pipelines:
             indent = "    " * pipeline.depth

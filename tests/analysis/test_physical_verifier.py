@@ -173,6 +173,40 @@ class TestPV012:
         diagnostics = verify_physical_plan(plan, rules=["PV012"])
         assert any("as a compute" in d.message for d in diagnostics)
 
+    @staticmethod
+    def _regrouped(kind):
+        """``staged_plan``'s operators with the Reaggregate and the
+        DropTemp in one second pipeline of ``kind``."""
+        plan = staged_plan()
+        pipelines = (
+            plan.pipelines[0],
+            PhysicalPipeline(ops=(3, 4), label="(a)", kind=kind),
+        )
+        return PhysicalPlan(
+            relation="r", operators=plan.operators, pipelines=pipelines
+        )
+
+    def test_drop_operator_in_compute_pipeline_flagged(self):
+        """Seeded defect: the DropTemp rides in the Reaggregate's
+        compute pipeline, in a wave slot of the right kind."""
+        plan = self._regrouped("group_by")
+        diagnostics = verify_physical_plan(plan, rules=["PV012"])
+        assert any(
+            "group_by pipeline holds DropTemp" in d.message
+            for d in diagnostics
+        )
+        with pytest.raises(PlanVerificationError, match="PV012"):
+            check_physical_plan(plan)
+
+    def test_grouping_in_drop_pipeline_flagged(self):
+        """Seeded defect: the Reaggregate rides in the drop pipeline."""
+        plan = self._regrouped("drop")
+        diagnostics = verify_physical_plan(plan, rules=["PV012"])
+        assert any(
+            "drop pipeline holds Reaggregate" in d.message
+            for d in diagnostics
+        )
+
 
 class TestPV013:
     def test_reaggregate_from_materialize_clean(self):

@@ -8,7 +8,6 @@ from repro.core.extensions import (
     aggregate_width,
     choose_merge_strategy,
     queries_to_column_sets,
-    rewrite_for_parent,
     union_aggregates,
 )
 from repro.engine.aggregation import AggregateSpec
@@ -74,11 +73,6 @@ class TestStrategyChoice:
 class TestHelpers:
     def test_aggregate_width(self):
         assert aggregate_width([COUNT, SUM_X]) == 16
-
-    def test_rewrite_for_parent(self):
-        rewritten = rewrite_for_parent((COUNT, SUM_X))
-        assert rewritten[0].func == "sum" and rewritten[0].column == "cnt"
-        assert rewritten[1].func == "sum"
 
     def test_queries_to_column_sets(self):
         queries = [q(["a"], COUNT), q(["b"], SUM_X)]

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.plan import LogicalPlan, PlanNode, SubPlan, naive_plan
 from repro.core.scheduling import (
+    Step,
     depth_first_schedule,
-    flatten_waves,
-    wavefront_schedule,
+    depth_ranks,
     peak_storage_of_schedule,
     storage_minimizing_schedule,
 )
@@ -145,56 +145,89 @@ def test_marked_schedule_vs_storage_recursion(subplan, unit):
         assert peak == formula
 
 
+def flatten(ranks):
+    """The ranks as one linear order, each rank's materialized nodes
+    dropped after the next rank — the waves a parallel lowering builds."""
+    steps = []
+    for depth, rank in enumerate(ranks):
+        steps.extend(rank)
+        if depth:
+            steps.extend(
+                Step("drop", step.node)
+                for step in ranks[depth - 1]
+                if step.materialize
+            )
+    return steps
+
+
 class TestWavefront:
+    """:func:`depth_ranks` — the ranks a parallel plan's waves hold."""
+
     def test_flattened_waves_are_a_valid_schedule(self):
-        waves = wavefront_schedule(sample_plan())
-        computed = schedule_invariants(flatten_waves(waves))
+        computed = schedule_invariants(flatten(depth_ranks(sample_plan())))
         assert len(computed) == 4
 
     def test_waves_grouped_by_depth(self):
-        waves = wavefront_schedule(sample_plan())
-        assert len(waves) == 2
-        assert {s.node.columns for s in waves[0].steps} == {
-            fs("a", "b"),
-            fs("c"),
-        }
-        assert {s.node.columns for s in waves[1].steps} == {fs("a"), fs("b")}
+        ranks = depth_ranks(sample_plan())
+        assert len(ranks) == 2
+        assert {s.node.columns for s in ranks[0]} == {fs("a", "b"), fs("c")}
+        assert {s.node.columns for s in ranks[1]} == {fs("a"), fs("b")}
 
     def test_drops_attached_to_child_wave(self):
-        waves = wavefront_schedule(sample_plan())
+        """The lowering drops a node in the wave after its own: the wave
+        that computes its children."""
+        from repro.engine.aggregation import AggregateSpec
+        from repro.engine.catalog import Catalog
+        from repro.engine.table import Table
+        from repro.physical.lowering import lower
+
+        catalog = Catalog()
+        catalog.add_table(
+            Table("R", {"a": [1, 2, 1], "b": [3, 3, 4], "c": [5, 6, 5]})
+        )
+        physical = lower(
+            sample_plan(),
+            catalog=catalog,
+            base_table="R",
+            aggregates=[AggregateSpec.count_star("cnt")],
+            mode="wavefront",
+            parallelism=2,
+        )
+        waves = physical.waves
         assert waves[0].drops == ()
-        assert [s.node.columns for s in waves[1].drops] == [fs("a", "b")]
+        assert [physical.pipelines[i].label for i in waves[1].drops] == [
+            PlanNode(fs("a", "b")).describe()
+        ]
 
     def test_in_wave_order_deterministic(self):
-        a = wavefront_schedule(sample_plan())
-        b = wavefront_schedule(sample_plan())
-        for wave_a, wave_b in zip(a, b):
-            assert [s.node for s in wave_a.steps] == [
-                s.node for s in wave_b.steps
+        a = depth_ranks(sample_plan())
+        b = depth_ranks(sample_plan())
+        for rank_a, rank_b in zip(a, b):
+            assert [s.node for s in rank_a] == [s.node for s in rank_b]
+            assert [s.describe() for s in rank_a] == [
+                s.describe() for s in rank_b
             ]
-            assert wave_a.describe() == wave_b.describe()
 
     def test_wave_steps_mutually_independent(self):
-        waves = wavefront_schedule(sample_plan())
-        for wave in waves:
-            nodes = {s.node for s in wave.steps}
-            for step in wave.steps:
+        for rank in depth_ranks(sample_plan()):
+            nodes = {s.node for s in rank}
+            for step in rank:
                 assert step.parent not in nodes
 
     @settings(max_examples=60, deadline=None)
     @given(subplan=random_subplans())
     def test_random_plans_flatten_validly(self, subplan):
         plan = LogicalPlan("R", (subplan,), frozenset())
-        waves = wavefront_schedule(plan)
-        computed = schedule_invariants(flatten_waves(waves))
+        ranks = depth_ranks(plan)
+        computed = schedule_invariants(flatten(ranks))
         assert computed == {
             s.node for s in depth_first_schedule(plan) if s.action == "compute"
         }
-        # Parents always land in an earlier wave than their children.
-        wave_of = {
-            step.node: wave.index for wave in waves for step in wave.steps
+        # Parents always land in an earlier rank than their children.
+        rank_of = {
+            step.node: depth for depth, rank in enumerate(ranks) for step in rank
         }
-        for wave in waves:
-            for step in wave.steps:
+        for depth, rank in enumerate(ranks):
+            for step in rank:
                 if step.parent is not None:
-                    assert wave_of[step.parent] < wave.index
+                    assert rank_of[step.parent] < depth

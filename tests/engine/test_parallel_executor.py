@@ -214,15 +214,19 @@ class TestParallelContract:
             PlanExecutor(catalog, "r", parallelism=0)
 
     def test_explicit_steps_rejected_in_parallel(self, random_table):
+        """Parallel runs lower the caller's steps too, so steps that skip
+        a node of the plan are rejected before anything runs."""
         from repro.core.plan import naive_plan
         from repro.core.scheduling import depth_first_schedule
 
         catalog = Catalog()
         catalog.add_table(random_table)
-        executor = PlanExecutor(catalog, "r", parallelism=2)
-        plan = naive_plan("r", [fs("low")])
-        with pytest.raises(ExecutionError):
-            executor.execute(plan, depth_first_schedule(plan))
+        executor = PlanExecutor(catalog, "r", parallelism=2, mode="wavefront")
+        plan = naive_plan("r", [fs("low"), fs("mid")])
+        steps = depth_first_schedule(plan)
+        assert len(executor.execute(plan, steps).results) == 2
+        with pytest.raises(ExecutionError, match="no compute step"):
+            executor.execute(plan, steps[:1])
 
     def test_temps_cleaned_up(self, random_table):
         catalog = Catalog()

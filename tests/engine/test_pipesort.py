@@ -1,8 +1,8 @@
-"""Unit tests for PipeSort pipelines and PipeHash sharing."""
+"""Unit tests for PipeSort pipelines."""
 
 import pytest
 
-from repro.engine.pipesort import build_pipelines, pipehash, pipesort
+from repro.engine.pipesort import build_pipelines, pipesort
 from tests.conftest import brute_force_group_by, result_as_dict
 
 
@@ -69,27 +69,3 @@ class TestPipesortExecution:
         queries = [fs("low"), fs("low", "mid"), fs("mid")]
         shared = pipesort(random_table, queries)
         assert shared.sorts_performed < len(queries)
-
-
-class TestPipehash:
-    def test_results_match(self, random_table):
-        queries = [fs("low"), fs("mid"), fs("low", "mid")]
-        results = pipehash(random_table, queries)
-        for query in queries:
-            keys = sorted(query)
-            assert result_as_dict(
-                results[query], keys
-            ) == brute_force_group_by(random_table, keys)
-
-    def test_subset_computed_from_superset(self, random_table):
-        from repro.engine.metrics import ExecutionMetrics
-
-        metrics = ExecutionMetrics()
-        pipehash(
-            random_table,
-            [fs("low"), fs("low", "mid")],
-            metrics=metrics,
-        )
-        # The subset is answered from the superset's (smaller) result,
-        # so scanned rows are below two full scans of the base.
-        assert metrics.rows_scanned < 2 * random_table.num_rows

@@ -29,7 +29,9 @@ class TestTable1:
 
 class TestTable2:
     def test_sc_beats_grouping_sets(self):
-        result = exp_table2.run(rows=40_000)
+        # Best of three timed runs per side: one wall-clock run is at
+        # the mercy of whatever else the machine is doing.
+        result = exp_table2.run(rows=40_000, repeats=3)
         by_query = dict(zip(result.column("Query"), result.column("Speedup")))
         assert by_query["SC"] > 1.0
         strategies = dict(

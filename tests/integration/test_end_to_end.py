@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import Session
 from repro.core.optimizer import GbMqoOptimizer, OptimizerOptions
 from repro.core.pruning import eager_search
+from repro.engine.executor import PlanExecutor
 from repro.engine.table import Table
 from repro.workloads.queries import single_column_queries, two_column_queries
 from tests.conftest import brute_force_group_by, result_as_dict
@@ -137,8 +138,12 @@ def test_depth_first_and_storage_schedules_agree():
     session = Session.for_table(table, statistics="exact")
     queries = single_column_queries(table.column_names)
     result = session.optimize(queries)
-    storage_run = session.execute(result.plan, schedule="storage")
-    df_run = session.execute(result.plan, schedule="depth_first")
+    # The session lowers the Section 4.4.1 storage order; an executor
+    # given no schedule lowers depth-first.
+    storage_run = session.execute(result.plan)
+    df_run = PlanExecutor(
+        session.catalog, session.base_table, estimator=session.estimator
+    ).execute(result.plan)
     assert_same_results(session, storage_run, df_run, queries)
 
 

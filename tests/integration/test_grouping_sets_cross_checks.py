@@ -1,10 +1,10 @@
 """Cross-implementation consistency: every way of computing a set of
 groupings must agree.
 
-The repository ends up with six independent implementations that can
+The repository ends up with five independent implementations that can
 answer the same workload — naive Group Bys, GB-MQO plans, the
-commercial GROUPING SETS baseline, PipeSort, PipeHash, and (for full
-lattices) cube / partitioned cube.  Any divergence
+commercial GROUPING SETS baseline, PipeSort, and (for full lattices)
+cube / partitioned cube.  Any divergence
 between them is a bug in exactly one place, which makes this the
 highest-leverage integration test in the suite.
 """
@@ -17,7 +17,7 @@ from repro.api import Session
 from repro.baselines.grouping_sets import CommercialGroupingSetsPlanner
 from repro.engine.grouping_sets import cube
 from repro.engine.partitioned_cube import partitioned_cube
-from repro.engine.pipesort import pipehash, pipesort
+from repro.engine.pipesort import pipesort
 from repro.engine.table import Table
 from repro.workloads.queries import combi_workload
 
@@ -65,10 +65,10 @@ def test_all_implementations_agree(seed):
     for q in queries:
         assert canonical(gs.results[q], q) == reference[q]
 
-    # PipeSort / PipeHash.
-    for results in (pipesort(table, queries).results, pipehash(table, queries)):
-        for q in queries:
-            assert canonical(results[q], q) == reference[q]
+    # PipeSort.
+    results = pipesort(table, queries).results
+    for q in queries:
+        assert canonical(results[q], q) == reference[q]
 
     # Cube and partitioned cube (the workload is the full lattice).
     for results in (

@@ -6,6 +6,8 @@ import pytest
 from repro.api import Session
 from repro.core.optimizer import OptimizerOptions
 from repro.core.plan import naive_plan
+from repro.costmodel.engine_model import EngineCostModel
+from repro.engine.executor import PlanExecutor
 from repro.physical.lowering import lower
 from repro.physical.plan import (
     HashGroupBy,
@@ -38,6 +40,17 @@ def sales_queries():
         fs("state"),
         fs("product_id"),
     ]
+
+
+def depth_first_executor(session, **kwargs):
+    """An executor over the session's table without the session's
+    Section 4.4.1 order: its lowering follows depth-first order."""
+    return PlanExecutor(
+        session.catalog,
+        session.base_table,
+        estimator=session.estimator,
+        **kwargs,
+    )
 
 
 def grouping_types(physical):
@@ -135,8 +148,9 @@ class TestStructure:
     def test_serial_plan_has_one_compute_per_wave(self, session):
         queries = containment_workload(["low", "mid", "txt"])
         plan = session.optimize(queries).plan
-        for schedule in ("storage", "depth_first"):
-            physical = session.lower(plan, schedule=schedule, mode="serial")
+        storage = session.lower(plan, mode="serial")
+        depth_first = depth_first_executor(session, mode="serial").lower(plan)
+        for physical in (storage, depth_first):
             assert all(len(wave.pipelines) == 1 for wave in physical.waves)
             # The waves replay the linear schedule: computes in order,
             # each drop right after the compute it follows.
@@ -159,9 +173,28 @@ class TestStructure:
         ]
         assert sorted(covered) == list(range(len(physical.pipelines)))
 
+    def test_parallel_pipelines_follow_the_steps(self, session):
+        """Every mode lowers the caller's one linear schedule; a
+        parallel plan's waves are its depth ranks over those pipelines."""
+        queries = containment_workload(["low", "mid", "txt"])
+        plan = session.optimize(queries).plan
+        serial = session.lower(plan, mode="serial")
+        parallel = session.lower(plan, parallelism=2, mode="wavefront")
+        assert [p.label for p in parallel.pipelines] == [
+            p.label for p in serial.pipelines
+        ]
+        for wave in parallel.waves:
+            depths = {parallel.pipelines[i].depth for i in wave.pipelines}
+            assert depths == {wave.index}
+            for index in wave.drops:
+                assert parallel.pipelines[index].depth == wave.index - 1
+
     def test_parallel_with_steps_rejected(self, session):
+        """A parallel lowering maps the plan's depth ranks onto the
+        pipelines the steps lowered, so steps that skip a node of the
+        plan are rejected."""
         plan = naive_plan("r", [fs("low")])
-        with pytest.raises(PhysicalPlanError, match="schedules itself"):
+        with pytest.raises(PhysicalPlanError, match="no compute step"):
             lower(
                 plan,
                 catalog=session.catalog,
@@ -188,6 +221,44 @@ class TestStructure:
         assert isinstance(scan, Scan)
         assert scan.est_rows == 5000.0
         assert scan.est_cost > 0
+
+
+class TestModeDecision:
+    """``lower`` decides how the plan runs and says why."""
+
+    def test_forced_mode_says_forced(self, session):
+        plan = naive_plan("r", [fs("low"), fs("mid")])
+        for mode in ("serial", "wavefront", "morsel"):
+            physical = session.lower(plan, parallelism=2, mode=mode)
+            assert (physical.mode, physical.mode_reason) == (mode, "forced")
+
+    def test_one_worker_runs_serial(self, session):
+        physical = session.lower(naive_plan("r", [fs("low")]), parallelism=1)
+        assert (physical.mode, physical.mode_reason) == ("serial", "one worker")
+
+    def test_auto_reason_is_the_priced_choice(self, session):
+        plan = session.optimize(containment_workload(["low", "mid"])).plan
+        choice = EngineCostModel(
+            session.estimator,
+            catalog=session.catalog,
+            base_table=session.base_table,
+        ).execution_mode_choice(plan, parallelism=2)
+        physical = session.lower(plan, parallelism=2)
+        assert physical.mode == choice.mode
+        assert physical.mode_reason == choice.reason
+        assert f"mode reason: {choice.reason}" in physical.render()
+
+    def test_without_statistics_only_the_floors_decide(self, session):
+        physical = lower(
+            naive_plan("r", [fs("low"), fs("mid")]),
+            catalog=session.catalog,
+            base_table="r",
+            aggregates=[],
+            mode="auto",
+            parallelism=2,
+        )
+        assert physical.mode == "serial"
+        assert physical.mode_reason.startswith("no statistics")
 
 
 class TestCubeRollup:
@@ -217,7 +288,9 @@ class TestBitIdentity:
         """Lowered plans agree across serial, parallel, and budgeted."""
         result = sales_session.optimize(sales_queries())
         serial = sales_session.execute(result.plan)
-        depth = sales_session.execute(result.plan, schedule="depth_first")
+        depth = depth_first_executor(sales_session, parallelism=1).execute(
+            result.plan
+        )
         par = sales_session.execute(result.plan, parallelism=4)
         tight = sales_session.execute(
             result.plan, memory_budget_bytes=64 * 1024.0

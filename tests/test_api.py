@@ -86,9 +86,21 @@ class TestRun:
             assert len(subplan.children) in (0, 2)
 
     def test_unknown_schedule(self, session, queries):
+        """A schedule that is not the plan's is rejected in every mode,
+        not run as far as it goes."""
+        from repro.core.plan import naive_plan
+        from repro.core.scheduling import depth_first_schedule
+        from repro.engine.executor import ExecutionError, PlanExecutor
+
         result = session.optimize(queries)
-        with pytest.raises(ValueError):
-            session.execute(result.plan, schedule="reverse")
+        other = depth_first_schedule(naive_plan("r", queries[:1]))
+        for mode in ("serial", "wavefront"):
+            executor = PlanExecutor(
+                session.catalog, "r", parallelism=2, mode=mode
+            )
+            with pytest.raises(ExecutionError, match="no compute step"):
+                executor.execute(result.plan, other)
+            assert session.catalog.temp_names() == ()
 
     @pytest.mark.parametrize("statistics", ["exact", "sampled"])
     def test_unknown_query_column_names_the_base_table(
@@ -224,6 +236,28 @@ class TestWorkersByDefault:
         assert result.metrics.mode in modes
         (plan_span,) = [s for s in tracer.spans if s.name == "execute.plan"]
         assert plan_span.attributes["parallelism"] == cpus
+        assert plan_span.attributes["mode_reason"]
+        assert plan_span.attributes["mode_reason"] == (
+            result.physical.mode_reason
+        )
+
+    def test_one_cost_model_per_execute(self, sales_40k, monkeypatch):
+        """How the plan runs is decided where it is lowered, on the
+        lowering's own model: one ``EngineCostModel`` per run."""
+        table, queries = sales_40k
+        session = Session.for_table(table, statistics="exact")
+        plan = session.optimize(queries).plan
+        built = []
+        init = EngineCostModel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EngineCostModel, "__init__", counting)
+        result = session.execute(plan, parallelism=2)
+        assert result.metrics.mode == "wavefront"
+        assert len(built) == 1
 
     def test_memory_budget_runs_serial(self, sales_40k):
         table, queries = sales_40k
@@ -240,8 +274,11 @@ class TestWorkersByDefault:
         assert forced.metrics.mode == "morsel"
 
     def test_requested_schedule_survives_workers(self):
-        """``auto`` resolving to serial on two workers keeps the Section
-        4.4.1 storage order — and ``depth_first`` when asked for it."""
+        """Every run lowers the Section 4.4.1 storage order: ``auto``
+        resolving to serial on two workers keeps it, and a forced
+        parallel run's pipelines follow it too.  An executor without
+        the session lowers depth-first."""
+        from repro.engine.executor import PlanExecutor
         from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
 
         session = Session.for_table(
@@ -249,13 +286,22 @@ class TestWorkersByDefault:
         )
         plan = session.optimize(single_column_queries(LINEITEM_SC_COLUMNS)).plan
 
-        def order(**kwargs):
-            physical = session.lower(plan, **kwargs)
-            assert physical.mode == "serial"
+        def order(physical):
             return [op.describe() for op in physical.iter_ops()]
 
-        storage = order(parallelism=1)
-        depth_first = order(parallelism=1, schedule="depth_first")
-        assert storage != depth_first
-        assert order(parallelism=2) == storage
-        assert order(parallelism=2, schedule="depth_first") == depth_first
+        serial = session.lower(plan, parallelism=1)
+        assert serial.mode == "serial"
+        storage = order(serial)
+        auto = session.lower(plan, parallelism=2)
+        assert auto.mode == "serial"
+        assert order(auto) == storage
+        assert order(session.lower(plan, parallelism=2, mode="wavefront")) == (
+            storage
+        )
+        depth_first = PlanExecutor(
+            session.catalog,
+            session.base_table,
+            estimator=session.estimator,
+            parallelism=1,
+        ).lower(plan)
+        assert order(depth_first) != storage
