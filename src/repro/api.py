@@ -528,8 +528,8 @@ class Session:
         The Section 7.2 extension end to end: :meth:`optimize` over the
         queries' column sets, then :meth:`execute` with each query's
         own aggregate list — every grouping carries the union of its
-        subtree's aggregates, re-aggregated distributively (AVG is
-        decomposed and recombined automatically).
+        subtree's state columns, merged up the plan and finalized into
+        each query's answer (AVG stores SUM and COUNT(col)).
         """
         optimization = self.optimize(queries_to_column_sets(queries), options)
         execution = self.execute(

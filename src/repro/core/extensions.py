@@ -12,10 +12,11 @@ sub-plans must decide what the shared intermediate node materializes:
 The paper leaves the choice cost-based; :func:`choose_merge_strategy`
 implements exactly that comparison.
 
-Execution takes the union strategy: :class:`QueryAggregates` gives each
-grouping operator the union of the aggregates its subtree's queries
-need, and projects every query's result back to the aliases it asked
-for (:meth:`QueryAggregates.project`).
+Execution takes the union strategy: each grouping operator carries the
+union of the state columns its subtree's queries need
+(:func:`~repro.engine.aggregation.state_specs`), and every query's
+answer is finalized from them
+(:func:`~repro.engine.aggregation.answer_table`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from repro.engine.aggregation import AggregateSpec
-from repro.engine.table import Table
+from repro.engine.aggregation import AggregateSpec, state_specs
 from repro.engine.types import SchemaError
 
 #: Aggregates per query column set, as :func:`aggregates_by_columns`
@@ -49,16 +47,14 @@ class AggregateQuery:
 def union_aggregates(
     first: Sequence[AggregateSpec], second: Sequence[AggregateSpec]
 ) -> tuple[AggregateSpec, ...]:
-    """Union of two aggregate lists, deduplicated by (func, column)."""
-    seen = {}
-    for spec in list(first) + list(second):
-        seen.setdefault((spec.func, spec.column), spec)
-    return tuple(seen.values())
+    """The state columns a node carrying both lists stores, each once."""
+    return state_specs([*first, *second])
 
 
 def aggregate_width(aggregates: Sequence[AggregateSpec]) -> int:
-    """Bytes per row the aggregate columns add to a materialized node."""
-    return 8 * len(aggregates)
+    """Bytes per row the aggregates' state columns add to a
+    materialized node (AVG stores two)."""
+    return 8 * len(state_specs(aggregates))
 
 
 @dataclass(frozen=True)
@@ -142,107 +138,33 @@ def aggregates_by_columns(
     return table
 
 
-def canonical_alias(func: str, column: str | None) -> str:
-    """The shared output column name of one aggregate identity."""
-    if func == "count":
-        return "cnt"
-    return f"{func}_{column}"
+def query_aggregates(
+    aggregates: Sequence[AggregateSpec] | AggregatesByQuery,
+    columns: frozenset[str],
+) -> tuple[AggregateSpec, ...]:
+    """Query ``columns``'s aggregates: its entry in a per-query mapping;
+    a list is the entry of every query."""
+    if isinstance(aggregates, Mapping):
+        return tuple(aggregates[columns])
+    return tuple(aggregates)
 
 
-def _canonical(func: str, column: str | None) -> AggregateSpec:
-    return AggregateSpec(func, column, canonical_alias(func, column))
+def per_query_aggregates(
+    aggregates: Sequence[AggregateSpec] | AggregatesByQuery,
+    queries: Iterable[frozenset[str]],
+) -> dict[frozenset[str], tuple[AggregateSpec, ...]]:
+    """The per-query mapping over ``queries``: a list becomes the
+    mapping with the same entry for every query.
 
-
-@dataclass(frozen=True)
-class OutputColumn:
-    """One requested result column, read from canonical columns.
-
-    ``source`` is the canonical column it copies — for AVG the SUM,
-    divided by the canonical COUNT named by ``count``.
+    Raises:
+        SchemaError: a mapping does not name exactly ``queries``.
     """
-
-    alias: str
-    source: str
-    count: str | None = None
-
-
-class QueryAggregates:
-    """The aggregates each query computes, normalized for one plan run.
-
-    A single list means every query computes it as given: every
-    grouping carries the list and results are returned untouched.  A
-    per-query mapping (:func:`aggregates_by_columns`) is normalized as
-    Section 7.2 plans it:
-
-    * aggregates are tracked by canonical identity (func, column), so
-      two queries asking SUM(x) under different aliases share one
-      column (:func:`canonical_alias`);
-    * AVG is decomposed into SUM + COUNT, which re-aggregate
-      distributively, and recombined when the result is projected;
-    * a grouping carries the union of its subtree's needs
-      (:meth:`union`), and each query's result is projected back to its
-      keys and requested aliases (:meth:`project`).
-    """
-
-    def __init__(
-        self, aggregates: Sequence[AggregateSpec] | AggregatesByQuery
-    ) -> None:
-        #: The one list every query computes, or None per query.
-        self.shared: tuple[AggregateSpec, ...] | None = None
-        #: Query column set -> canonical aggregates by identity.
-        self.needs: dict[
-            frozenset[str], dict[tuple[str, str | None], AggregateSpec]
-        ] = {}
-        #: Query column set -> its requested result columns, in order.
-        self.outputs: dict[frozenset[str], tuple[OutputColumn, ...]] = {}
-        if not isinstance(aggregates, Mapping):
-            self.shared = tuple(aggregates)
-            return
-        for columns, specs in aggregates.items():
-            needs: dict[tuple[str, str | None], AggregateSpec] = {}
-            outputs = []
-            for spec in specs:
-                if spec.func == "avg":
-                    parts = (
-                        _canonical("sum", spec.column),
-                        _canonical("count", None),
-                    )
-                else:
-                    parts = (_canonical(spec.func, spec.column),)
-                for part in parts:
-                    needs[(part.func, part.column)] = part
-                outputs.append(
-                    OutputColumn(spec.alias, *(part.alias for part in parts))
-                )
-            self.needs[columns] = needs
-            self.outputs[columns] = tuple(outputs)
-
-    def union(
-        self, queries: Iterable[frozenset[str]]
-    ) -> tuple[AggregateSpec, ...]:
-        """The aggregates a grouping whose subtree answers ``queries``
-        carries: the shared list, or the union of the queries' needs in
-        a deterministic order."""
-        if self.shared is not None:
-            return self.shared
-        union: dict[tuple[str, str | None], AggregateSpec] = {}
-        for columns in sorted(queries, key=sorted):
-            union.update(self.needs[columns])
-        return tuple(union.values())
-
-    def project(self, columns: frozenset[str], table: Table) -> Table:
-        """Query ``columns``'s result: ``table``'s keys plus the aliases
-        the query asked for, each read from its canonical column."""
-        if self.shared is not None:
-            return table
-        output: dict[str, np.ndarray] = {
-            key: table[key] for key in sorted(columns)
-        }
-        for column in self.outputs[columns]:
-            if column.alias in output:
-                raise SchemaError(f"duplicate output column {column.alias!r}")
-            values = table[column.source]
-            if column.count is not None:
-                values = values / np.maximum(table[column.count], 1)
-            output[column.alias] = values
-        return Table.wrap("result_" + "_".join(sorted(columns)), output)
+    wanted = set(queries)
+    if isinstance(aggregates, Mapping):
+        differ = set(aggregates) ^ wanted
+        if differ:
+            raise SchemaError(
+                f"the per-query aggregates and the plan's queries "
+                f"differ on {len(differ)} column set(s)"
+            )
+    return {columns: query_aggregates(aggregates, columns) for columns in wanted}

@@ -29,6 +29,7 @@ from repro.core.rewrites import (
     RewriteError,
     SelectExpr,
     pad_and_union,
+    require_count_star,
 )
 from repro.costmodel.base import PlanCoster
 from repro.costmodel.engine_model import EngineCostModel
@@ -119,7 +120,9 @@ def _plan_selection(
     scratch = Catalog()
     scratch.add_table(filtered.rename(filtered_name))
     scratch.get(filtered_name).build_dictionaries()
-    inner = GroupingSetsExpr(RelationExpr(filtered_name), expr.sets)
+    inner = GroupingSetsExpr(
+        RelationExpr(filtered_name), expr.sets, aggregates=expr.aggregates
+    )
     planned = _plan_direct(inner, scratch, None, options)
     return PlannedGroupingSets(
         strategy="selection_pushdown",
@@ -139,7 +142,7 @@ def _plan_direct(
     queries = [frozenset(s) for s in expr.sets]
     optimizer = _make_optimizer(catalog, relation, estimator, options)
     optimization = optimizer.optimize(relation, queries)
-    executor = PlanExecutor(catalog, relation)
+    executor = PlanExecutor(catalog, relation, list(expr.aggregates))
     run = executor.execute(optimization.plan)
     ordered = [
         (tuple(sorted(s)), run.results[frozenset(s)]) for s in expr.sets
@@ -159,6 +162,7 @@ def _plan_join_pushdown(
     estimator: CardinalityEstimator | None,
     options: OptimizerOptions | None,
 ) -> PlannedGroupingSets:
+    require_count_star(expr)
     join = expr.child
     if not isinstance(join.left, RelationExpr) or not isinstance(
         join.right, RelationExpr

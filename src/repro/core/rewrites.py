@@ -35,7 +35,7 @@ from repro.engine.expressions import Predicate, apply_filter
 from repro.engine.join import hash_join, union_all
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
-from repro.engine.types import INT_NULL, SchemaError, STR_NULL, column_kind
+from repro.engine.types import SchemaError, null_value
 
 GRP_TAG = "grp_tag"
 
@@ -142,46 +142,35 @@ class GroupingSetsExpr(Expr):
 
     The result mirrors SQL: the union-all of the individual Group By
     results, with NULL padding for absent columns and a ``grp_tag``
-    column identifying the grouping each row came from.
+    column identifying the grouping each row came from.  Each Group By
+    computes ``aggregates`` (COUNT(*) AS cnt by default).
 
-    ``count_column`` is propagated to each underlying Group By (SUM of a
-    partial count instead of COUNT(*)).
+    ``count_column`` replaces them with SUM of a partial count (above a
+    pushed-down grouping).
     """
 
     child: Expr
     sets: tuple[tuple[str, ...], ...]
     count_column: str | None = None
+    aggregates: tuple[AggregateSpec, ...] = (AggregateSpec.count_star(),)
 
     def evaluate(self, catalog, metrics=None):
         table = self.child.evaluate(catalog, metrics)
-        results = []
-        for columns in self.sets:
-            if self.count_column is None:
-                aggregates = [AggregateSpec.count_star("cnt")]
-            else:
-                aggregates = [AggregateSpec("sum", self.count_column, "cnt")]
-            results.append(
-                (
-                    columns,
-                    group_by(
-                        table, list(columns), aggregates, metrics=metrics
-                    ),
-                )
+        aggregates = list(self.aggregates)
+        if self.count_column is not None:
+            aggregates = [AggregateSpec("sum", self.count_column, "cnt")]
+        results = [
+            (
+                columns,
+                group_by(table, list(columns), aggregates, metrics=metrics),
             )
+            for columns in self.sets
+        ]
         return pad_and_union(table, results, metrics=metrics)
 
     def describe(self):
         rendered = ", ".join(format_columns(s) for s in self.sets)
         return f"GroupingSets[{rendered}]({self.child.describe()})"
-
-
-def _null_value_for(array: np.ndarray):
-    kind = column_kind(array)
-    if kind == "int":
-        return INT_NULL
-    if kind == "float":
-        return np.nan
-    return STR_NULL
 
 
 def pad_and_union(
@@ -191,8 +180,10 @@ def pad_and_union(
 ) -> Table:
     """NULL-pad per-grouping results to a common schema and union them.
 
-    ``source`` supplies column dtypes; any column it lacks falls back to
-    the dtype of the first grouping result that produced it.
+    Each result holds its grouping columns followed by the aggregate
+    columns every result shares.  ``source`` supplies column dtypes;
+    any column it lacks falls back to the dtype of the first grouping
+    result that produced it.
     """
     all_columns: list[str] = []
     seen_columns: set[str] = set()
@@ -219,13 +210,15 @@ def pad_and_union(
             if column in columns:
                 data[column] = table[column]
             else:
-                null = _null_value_for(dtype_source[column])
+                null = null_value(dtype_source[column].dtype)
                 if isinstance(null, str):
                     data[column] = np.full(table.num_rows, null, dtype="<U1")
                 else:
                     dtype = dtype_source[column].dtype
                     data[column] = np.full(table.num_rows, null, dtype=dtype)
-        data["cnt"] = table["cnt"]
+        for column in table.column_names:
+            if column not in columns:
+                data[column] = table[column]
         padded.append(Table.wrap("grouping_set", data))
     # Widen string columns to a common dtype before union.
     for column in list(padded[0].column_names):
@@ -290,7 +283,23 @@ def push_selection_below(expr: SelectExpr) -> GroupingSetsExpr:
         SelectExpr(grouping.child, expr.predicates),
         grouping.sets,
         grouping.count_column,
+        grouping.aggregates,
     )
+
+
+def require_count_star(expr: GroupingSetsExpr) -> None:
+    """The Figure 8 rewrite sums partial counts, so it computes
+    COUNT(*) AS cnt only.
+
+    Raises:
+        RewriteError: ``expr`` computes any other aggregate.
+    """
+    if expr.aggregates != (AggregateSpec.count_star(),):
+        rendered = ", ".join(spec.describe() for spec in expr.aggregates)
+        raise RewriteError(
+            f"grouping pushdown below a join computes COUNT(*) AS cnt "
+            f"only, not {rendered}"
+        )
 
 
 @dataclass(frozen=True)
@@ -320,6 +329,7 @@ def push_grouping_below_join(expr: GroupingSetsExpr) -> PushedJoinRewrite:
     """
     if not isinstance(expr.child, JoinExpr):
         raise RewriteError("expected GroupingSets(Join(...))")
+    require_count_star(expr)
     join = expr.child
     if len(join.on) != 1:
         raise RewriteError("only single-key equi-joins are supported")

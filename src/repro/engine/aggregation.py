@@ -10,37 +10,37 @@ aggregation operators of a real system:
   on the grouping key (index scans, PipeSort pipelines): groups are found
   by boundary detection, no hashing or sorting at all.
 
-COUNT(*), COUNT(col), SUM, MIN, MAX and AVG are supported.  Re-aggregation
-(SUM over a previously computed ``cnt`` column) is what lets a Group By be
-computed from a materialized ancestor instead of the base relation.
+COUNT(*), COUNT(col), SUM, MIN, MAX and AVG are each defined once, in
+:data:`FUNCTIONS`: the state columns the function stores, how rows
+*add* into them, how partial states *merge*, and how the states
+*finalize* into the answer.  Merging is what lets a Group By be computed
+from a materialized ancestor instead of the base relation (Section 5.2),
+and every path — the kernels here, re-aggregation, CUBE/ROLLUP, morsel
+partials — reads these definitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.engine.dictcache import _dense_range_budget, _scatter_rank
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
-from repro.engine.types import SchemaError, null_mask
+from repro.engine.types import SchemaError, null_mask, null_value
 
 if TYPE_CHECKING:  # import cycle guard: dictcache's kernels back Table
     from repro.engine.dictcache import DictionaryCache
-
-#: Aggregate functions understood by the engine.
-SUPPORTED_FUNCS = ("count", "count_col", "sum", "min", "max", "avg")
-
 
 @dataclass(frozen=True)
 class AggregateSpec:
     """One aggregate in the SELECT list of a Group By query.
 
     Args:
-        func: one of :data:`SUPPORTED_FUNCS`.  ``'count'`` is COUNT(*),
+        func: a key of :data:`FUNCTIONS`.  ``'count'`` is COUNT(*),
             ``'count_col'`` is COUNT(col) (non-NULL values only).
         column: input column, or None for COUNT(*).
         alias: output column name.
@@ -51,9 +51,10 @@ class AggregateSpec:
     alias: str
 
     def __post_init__(self) -> None:
-        if self.func not in SUPPORTED_FUNCS:
+        function = FUNCTIONS.get(self.func)
+        if function is None:
             raise SchemaError(f"unsupported aggregate function {self.func!r}")
-        if self.func != "count" and self.column is None:
+        if function.reads_column and self.column is None:
             raise SchemaError(f"aggregate {self.func!r} requires a column")
 
     @classmethod
@@ -66,15 +67,9 @@ class AggregateSpec:
 
     def describe(self) -> str:
         """SQL-ish rendering, e.g. ``COUNT(*) AS cnt``."""
-        func_sql = {
-            "count": "COUNT(*)",
-            "count_col": f"COUNT({self.column})",
-            "sum": f"SUM({self.column})",
-            "min": f"MIN({self.column})",
-            "max": f"MAX({self.column})",
-            "avg": f"AVG({self.column})",
-        }[self.func]
-        return f"{func_sql} AS {self.alias}"
+        function = FUNCTIONS[self.func]
+        argument = self.column if function.reads_column else "*"
+        return f"{function.sql}({argument}) AS {self.alias}"
 
 
 #: Largest composite-code domain the bincount fast path allocates for.
@@ -116,7 +111,9 @@ class GroupStructure:
     which key values are looked up in the table's dictionaries.
     ``counts`` is precomputed when the grouping pass produced it for
     free; ``ids`` (per-row dense group numbers) materializes lazily —
-    only SUM/MIN/MAX need it.
+    only SUM/MIN/MAX need it.  ``starts`` is each group's first row
+    when the rows are already in group order (boundary detection), so
+    MIN/MAX reduce in place instead of ordering the rows.
     """
 
     def __init__(
@@ -126,12 +123,14 @@ class GroupStructure:
         ids_factory,
         first: np.ndarray | None = None,
         parent_codes: dict[str, np.ndarray] | None = None,
+        starts: np.ndarray | None = None,
     ) -> None:
         self.n_groups = n_groups
         self.counts = counts
         self._ids_factory = ids_factory
         self.first = first
         self.parent_codes = parent_codes
+        self.starts = starts
         self._ids: np.ndarray | None = None
 
     @property
@@ -374,12 +373,29 @@ def _hash_group(
         )
         ids = inverse.astype(np.int64, copy=False)
         return GroupStructure(len(first), None, lambda: ids, first=first)
-    if not force_sort and _dense_domain(radix, n):
+    group_codes, structure = code_groups(
+        combined, radix, dense=not force_sort and _dense_domain(radix, n)
+    )
+    structure.parent_codes = decode_parent_codes(group_codes, keys, cards)
+    return structure
+
+
+def code_groups(
+    combined: np.ndarray, radix: int, dense: bool
+) -> tuple[np.ndarray, GroupStructure]:
+    """Group non-empty composite codes over ``[0, radix)``.
+
+    ``dense`` takes one ``bincount`` pass over the domain — the cheap
+    hash-table regime; otherwise one ``np.sort`` plus boundary detection
+    — the sort regime.  Group numbering follows sorted code order either
+    way, so both return the same (sorted distinct codes, structure).
+    """
+    n = len(combined)
+    if dense:
         counts_all = np.bincount(combined, minlength=radix)
         group_codes = np.flatnonzero(counts_all)
         counts = counts_all[group_codes]
     else:
-        # Sort regime: one np.sort plus boundary detection.
         ordered = np.sort(combined)
         boundary = np.empty(len(ordered), dtype=bool)
         boundary[0] = True
@@ -398,12 +414,7 @@ def _hash_group(
         lookup[group_codes] = np.arange(len(group_codes), dtype=np.int64)
         return lookup[combined]
 
-    return GroupStructure(
-        len(group_codes),
-        counts,
-        make_ids,
-        parent_codes=decode_parent_codes(group_codes, keys, cards),
-    )
+    return group_codes, GroupStructure(len(group_codes), counts, make_ids)
 
 
 def sorted_group_boundaries(
@@ -430,59 +441,220 @@ def sorted_group_boundaries(
     return ids, first, int(ids[-1]) + 1
 
 
-def _apply_aggregate(
-    spec: AggregateSpec,
-    table: Table,
-    group_ids: np.ndarray,
-    n_groups: int,
-    sorted_starts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Compute one aggregate over precomputed group ids.
+# -- the aggregate protocol ---------------------------------------------------
+#
+# A *state function* (COUNT(*), COUNT(col), SUM, MIN, MAX) stores one
+# state column: ``add`` folds input rows into it per group, and partial
+# states of it combine by ``add``-ing them with its ``merge`` function.
+# Every function lists the state functions it stores and ``finalize``s
+# their columns into its answer: a state function is its own state,
+# AVG stores SUM and COUNT(col).  NULL inputs (``INT_NULL``, NaN,
+# ``STR_NULL``) add nothing, and a group with no non-NULL input holds
+# the NULL of its column's kind, so a merge skips an empty partial by
+# the same rule.
 
-    ``sorted_starts`` is the first-row index of each group when the
-    caller knows ``group_ids`` is already sorted ascending (the
-    boundary-detection path): MIN/MAX then reduce over the rows in
-    place instead of re-sorting them — the row order *is* the grouped
-    order — skipping a full ``argsort``.
+
+def _count(values: np.ndarray | None, groups: GroupStructure) -> np.ndarray:
+    """COUNT(*): rows per group — free when the grouping pass counted."""
+    if groups.counts is not None:
+        return groups.counts.astype(np.int64)
+    return np.bincount(groups.ids, minlength=groups.n_groups).astype(np.int64)
+
+
+def _count_col(values: np.ndarray, groups: GroupStructure) -> np.ndarray:
+    """COUNT(col): non-NULL values per group."""
+    valid = (~null_mask(values)).astype(np.int64)
+    return np.bincount(
+        groups.ids, weights=valid, minlength=groups.n_groups
+    ).astype(np.int64)
+
+
+def _sum(values: np.ndarray, groups: GroupStructure) -> np.ndarray:
+    """SUM over non-NULL values; int64 for integer input, else float64."""
+    null = null_mask(values)
+    has_null = bool(null.any())
+    sums = np.bincount(
+        groups.ids,
+        weights=np.where(null, 0, values) if has_null else values,
+        minlength=groups.n_groups,
+    )
+    if np.issubdtype(values.dtype, np.integer):
+        sums = sums.astype(np.int64)
+    if has_null:
+        empty = np.bincount(groups.ids[~null], minlength=groups.n_groups) == 0
+        sums[empty] = null_value(sums.dtype)
+    return sums
+
+
+def _extreme(
+    values: np.ndarray, groups: GroupStructure, largest: bool
+) -> np.ndarray:
+    """MIN (or MAX with ``largest``) over non-NULL values per group."""
+    n_groups = groups.n_groups
+    reduce = np.maximum if largest else np.minimum
+    null = null_mask(values)
+    has_null = bool(null.any())
+    strings = values.dtype.kind == "U"
+    if groups.starts is not None and not has_null and not strings:
+        return reduce.reduceat(values, groups.starts)
+    ids = groups.ids
+    if has_null:
+        values, ids = values[~null], ids[~null]
+    if not len(values):
+        return np.full(n_groups, null_value(values.dtype), dtype=values.dtype)
+    # Order rows by group (and by value within it for strings, which
+    # have no min/max ufunc) and take each group's boundary element.
+    order = np.lexsort((values, ids)) if strings else np.argsort(ids, kind="stable")
+    ordered_ids = ids[order]
+    boundary = np.empty(len(order), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = ordered_ids[1:] != ordered_ids[:-1]
+    starts = np.flatnonzero(boundary)
+    ordered = values[order]
+    if not strings:
+        picked = reduce.reduceat(ordered, starts)
+    elif largest:
+        picked = ordered[np.append(starts[1:], len(ordered)) - 1]
+    else:
+        picked = ordered[starts]
+    if len(starts) == n_groups:
+        return picked
+    out = np.full(n_groups, null_value(values.dtype), dtype=values.dtype)
+    out[ordered_ids[starts]] = picked
+    return out
+
+
+def _mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """AVG: SUM / COUNT(col), NaN where no input was non-NULL."""
+    means = sums / np.maximum(counts, 1)
+    means[counts == 0] = np.nan
+    return means
+
+
+@dataclass(frozen=True)
+class AggregateFunction:
+    """One aggregate function, defined once for every path.
+
+    Args:
+        sql: the SQL keyword naming it (COUNT(*) and COUNT(col) share
+            ``COUNT``; ``reads_column`` tells them apart).
+        reads_column: whether it reads an input column.
+        add: a state function's kernel, ``(values, groups) -> state``.
+        merge: the state function whose ``add`` combines partial states
+            of this one (COUNT's partial counts are summed).
+        states: the state functions it stores; empty for a state
+            function, which stores itself.
+        finalize: its state columns, in ``states`` order, to the answer.
     """
-    if spec.func == "count":
-        return np.bincount(group_ids, minlength=n_groups).astype(np.int64)
-    column = table[spec.column]
-    if spec.func == "count_col":
-        valid = (~null_mask(column)).astype(np.int64)
-        return np.bincount(
-            group_ids, weights=valid, minlength=n_groups
-        ).astype(np.int64)
-    if spec.func == "sum":
-        sums = np.bincount(group_ids, weights=column, minlength=n_groups)
-        if np.issubdtype(column.dtype, np.integer):
-            return sums.astype(np.int64)
-        return sums
-    if spec.func == "avg":
-        sums = np.bincount(group_ids, weights=column, minlength=n_groups)
-        counts = np.bincount(group_ids, minlength=n_groups)
-        return sums / np.maximum(counts, 1)
-    # MIN / MAX: reduce over rows ordered by group.
-    if column.dtype.kind == "U":
-        # No unicode min/max ufunc: order rows by (group, value) and
-        # take the boundary element of each group.
-        order = np.lexsort((column, group_ids))
-        starts = np.searchsorted(group_ids[order], np.arange(n_groups))
-        if spec.func == "min":
-            return column[order][starts]
-        ends = np.searchsorted(
-            group_ids[order], np.arange(n_groups), side="right"
+
+    sql: str
+    reads_column: bool = True
+    add: Callable[[Any, GroupStructure], np.ndarray] | None = None
+    merge: str | None = None
+    states: tuple[str, ...] = ()
+    finalize: Callable[..., np.ndarray] = lambda state: state
+
+
+#: Every aggregate function the engine computes, by ``AggregateSpec.func``.
+FUNCTIONS: dict[str, AggregateFunction] = {
+    "count": AggregateFunction("COUNT", False, _count, "sum"),
+    "count_col": AggregateFunction("COUNT", True, _count_col, "sum"),
+    "sum": AggregateFunction("SUM", True, _sum, "sum"),
+    "min": AggregateFunction("MIN", True, partial(_extreme, largest=False), "min"),
+    "max": AggregateFunction("MAX", True, partial(_extreme, largest=True), "max"),
+    "avg": AggregateFunction("AVG", states=("sum", "count_col"), finalize=_mean),
+}
+
+
+def canonical_alias(func: str, column: str | None) -> str:
+    """The shared output column name of one state column."""
+    return "cnt" if column is None else f"{func}_{column}"
+
+
+def _states_of(spec: AggregateSpec) -> tuple[AggregateSpec, ...]:
+    function = FUNCTIONS[spec.func]
+    column = spec.column if function.reads_column else None
+    return tuple(
+        AggregateSpec(func, column, canonical_alias(func, column))
+        for func in function.states or (spec.func,)
+    )
+
+
+def state_specs(aggregates: Iterable[AggregateSpec]) -> tuple[AggregateSpec, ...]:
+    """The state columns ``aggregates`` store, canonically named, each
+    once, in first-use order — what a grouping computing them carries."""
+    return tuple(
+        dict.fromkeys(
+            state for spec in aggregates for state in _states_of(spec)
         )
-        return column[order][ends - 1]
-    if sorted_starts is not None:
-        if spec.func == "min":
-            return np.minimum.reduceat(column, sorted_starts)
-        return np.maximum.reduceat(column, sorted_starts)
-    order = np.argsort(group_ids, kind="stable")
-    starts = np.searchsorted(group_ids[order], np.arange(n_groups))
-    if spec.func == "min":
-        return np.minimum.reduceat(column[order], starts)
-    return np.maximum.reduceat(column[order], starts)
+    )
+
+
+def merge_specs(states: Sequence[AggregateSpec]) -> list[AggregateSpec]:
+    """Specs that merge partial ``states`` into states of a coarser
+    grouping, each under its own name (COUNT(*) becomes SUM(cnt))."""
+    specs = []
+    for state in states:
+        merge = FUNCTIONS[state.func].merge
+        assert merge is not None, f"{state.func!r} is not a state function"
+        specs.append(AggregateSpec(merge, state.alias, state.alias))
+    return specs
+
+
+def add_states(
+    states: Sequence[AggregateSpec],
+    groups: GroupStructure,
+    column: Callable[[str], np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Each state column of ``states`` over ``groups``, by alias;
+    ``column`` reads an input column by name."""
+    added = {}
+    for state in states:
+        add = FUNCTIONS[state.func].add
+        assert add is not None, f"{state.func!r} is not a state function"
+        values = None if state.column is None else column(state.column)
+        added[state.alias] = add(values, groups)
+    return added
+
+
+def finalize(
+    aggregates: Sequence[AggregateSpec],
+    states: Mapping[str, np.ndarray] | Table,
+    columns: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Add each aggregate's answer, finalized from its state columns in
+    ``states``, to the result ``columns`` (the key columns so far).
+
+    Raises:
+        SchemaError: an answer's alias names a column already there.
+    """
+    for spec in aggregates:
+        if spec.alias in columns:
+            raise SchemaError(f"duplicate output column {spec.alias!r}")
+        columns[spec.alias] = FUNCTIONS[spec.func].finalize(
+            *(states[state.alias] for state in _states_of(spec))
+        )
+    return columns
+
+
+def answer_table(
+    table: Table, keys: Sequence[str], aggregates: Sequence[AggregateSpec]
+) -> Table:
+    """The answer to ``aggregates`` grouped by ``keys`` from ``table``,
+    which holds ``keys`` and their state columns.
+
+    ``table`` itself when the aggregates are exactly its state columns
+    (as for the default ``COUNT(*) AS cnt``), so it keeps its deferred
+    key dictionaries and nothing is copied.
+    """
+    aggregates = list(aggregates)
+    if list(state_specs(aggregates)) == aggregates and table.column_names == (
+        *keys,
+        *(spec.alias for spec in aggregates),
+    ):
+        return table
+    columns = {key: table[key] for key in keys}
+    return Table.wrap(table.name, finalize(aggregates, table, columns))
 
 
 def group_by(
@@ -525,13 +697,13 @@ def group_by(
         # reads full rows.  ``touch`` pays the memory traffic for real.
         metrics.record_scan(table.num_rows, table.touch())
         metrics.record_group_by()
-    sorted_starts: np.ndarray | None = None
     if assume_sorted:
         group_ids, first, n_groups = sorted_group_boundaries(table, keys)
-        structure = GroupStructure(n_groups, None, lambda: group_ids, first=first)
         # Boundary detection leaves group_ids sorted ascending, so the
         # group starts double as MIN/MAX reduceat offsets (no argsort).
-        sorted_starts = first
+        structure = GroupStructure(
+            n_groups, None, lambda: group_ids, first=first, starts=first
+        )
     elif not keys:
         n = table.num_rows
         zeros = np.zeros(n, dtype=np.int64)
@@ -551,19 +723,8 @@ def group_by(
             key: parent_uniques[key][structure.parent_codes[key]]
             for key in keys
         }
-    for spec in aggregates:
-        if spec.alias in columns:
-            raise SchemaError(f"duplicate output column {spec.alias!r}")
-        if spec.func == "count" and structure.counts is not None:
-            columns[spec.alias] = structure.counts.astype(np.int64)
-        else:
-            columns[spec.alias] = _apply_aggregate(
-                spec,
-                table,
-                structure.ids,
-                structure.n_groups,
-                sorted_starts=sorted_starts,
-            )
+    states = add_states(state_specs(aggregates), structure, table.__getitem__)
+    finalize(aggregates, states, columns)
     result_name = name or f"groupby_{'_'.join(keys) or 'all'}"
     if not columns:
         raise SchemaError("group_by needs at least one key or aggregate")
@@ -571,286 +732,3 @@ def group_by(
     if structure.parent_codes is not None:
         defer_key_dictionaries(result, structure.parent_codes, parent_uniques)
     return result
-
-
-# -- decomposable partial aggregate states (morsel execution) ---------------
-
-#: Dense-domain budget for the order-free partial regime: a per-morsel
-#: ``bincount`` allocates ``radix`` slots, so the domain must stay small
-#: relative to the morsel (or below an absolute floor) for the O(m +
-#: radix) pass to beat the O(m log m) sort it replaces.  The slack is
-#: generous because morsel feasibility (``MORSEL_RADIX_SLACK``) already
-#: rejects domains large relative to the *whole* input, so every radix
-#: seen here is at most a small multiple of the morsel budget and the
-#: linear slot scan still beats a comparison sort of the morsel.
-PARTIAL_BINCOUNT_FLOOR = 1 << 16
-PARTIAL_BINCOUNT_SLACK = 64
-
-
-@dataclass
-class PartialGroupState:
-    """Decomposable aggregate state of one morsel (row range).
-
-    ``codes`` are the *sorted* distinct composite key codes present in
-    the morsel; ``counts`` the per-group row counts; ``partials`` maps
-    aggregate alias to its partial array (float64 running sums for
-    SUM/AVG/COUNT(col), native-dtype running MIN/MAX).  COUNT(*) needs
-    no entry — ``counts`` is its partial state.  States merge by key
-    code, so any partition of the rows yields the same final result.
-    """
-
-    codes: np.ndarray
-    counts: np.ndarray
-    partials: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def partial_aggregate_state(
-    combined: np.ndarray,
-    columns: Mapping[str, np.ndarray],
-    aggregates: Sequence[AggregateSpec],
-    radix: int | None = None,
-) -> PartialGroupState:
-    """Partial aggregate states of one morsel over composite codes.
-
-    Args:
-        combined: per-row composite key codes of the morsel slice.
-        columns: aggregate input columns, sliced to the same rows.
-        aggregates: the aggregate specs to decompose.
-        radix: composite-code domain size, when known.  Small domains
-            with no MIN/MAX take an order-free ``bincount`` regime; the
-            rest stable-sort the morsel and ``reduceat`` — both
-            accumulate each group's rows in row order, matching the
-            single-pass kernels' float summation order per morsel.
-    """
-    n = len(combined)
-    partials: dict[str, np.ndarray] = {}
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        for spec in aggregates:
-            if spec.func == "count":
-                continue
-            column = columns[spec.column]
-            dtype = column.dtype if spec.func in ("min", "max") else np.float64
-            partials[spec.alias] = np.zeros(0, dtype=dtype)
-        return PartialGroupState(empty, empty, partials)
-    dense_budget = max(PARTIAL_BINCOUNT_FLOOR, PARTIAL_BINCOUNT_SLACK * n)
-    order_free = (
-        radix is not None
-        and 0 < radix <= min(BINCOUNT_LIMIT, dense_budget)
-        and not any(spec.func in ("min", "max") for spec in aggregates)
-    )
-    if order_free:
-        counts_all = np.bincount(combined, minlength=radix)
-        occupied = np.flatnonzero(counts_all)
-        codes = occupied.astype(np.int64, copy=False)
-        counts = counts_all[occupied].astype(np.int64, copy=False)
-        for spec in aggregates:
-            if spec.func == "count":
-                continue
-            column = columns[spec.column]
-            if spec.func == "count_col":
-                weights = (~null_mask(column)).astype(np.float64)
-            else:  # sum / avg: float64 accumulation, like the serial path
-                weights = column.astype(np.float64, copy=False)
-            partials[spec.alias] = np.bincount(
-                combined, weights=weights, minlength=radix
-            )[occupied]
-        return PartialGroupState(codes, counts, partials)
-    order = np.argsort(combined, kind="stable")
-    ordered = combined[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(boundary)
-    codes = ordered[starts]
-    counts = np.diff(np.append(starts, n)).astype(np.int64, copy=False)
-    for spec in aggregates:
-        if spec.func == "count":
-            continue
-        column = columns[spec.column]
-        if spec.func in ("min", "max"):
-            if column.dtype.kind == "U":
-                picked = column[np.lexsort((column, combined))]
-                if spec.func == "min":
-                    partials[spec.alias] = picked[starts]
-                else:
-                    ends = np.append(starts[1:], n)
-                    partials[spec.alias] = picked[ends - 1]
-            elif spec.func == "min":
-                partials[spec.alias] = np.minimum.reduceat(
-                    column[order], starts
-                )
-            else:
-                partials[spec.alias] = np.maximum.reduceat(
-                    column[order], starts
-                )
-        elif spec.func == "count_col":
-            valid = (~null_mask(column)).astype(np.float64)
-            partials[spec.alias] = np.add.reduceat(valid[order], starts)
-        else:  # sum / avg
-            values = column.astype(np.float64, copy=False)
-            partials[spec.alias] = np.add.reduceat(values[order], starts)
-    return PartialGroupState(codes, counts, partials)
-
-
-def merge_partial_states(
-    partials: Sequence[PartialGroupState],
-    aggregates: Sequence[AggregateSpec],
-    column_dtypes: Mapping[str, np.dtype],
-    radix: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Merge per-morsel partial states into final group aggregates.
-
-    Returns:
-        (group_codes, counts, alias -> final aggregate array).  Group
-        codes come out sorted ascending — the same numbering the
-        single-pass regimes produce — so the merged result is
-        bit-identical to :func:`group_by` for COUNT/COUNT(col)/MIN/MAX
-        and for SUM/AVG over integer columns (float sums agree up to
-        addition order, deterministically: morsels merge in index
-        order).  ``column_dtypes`` maps aggregate input columns to
-        their dtypes, deciding SUM's int64-vs-float output.  When the
-        composite-code domain ``radix`` is known and fits the bincount
-        budget (and no MIN/MAX is present), the merge runs order-free
-        over the dense domain instead of sorting the concatenated
-        codes; both paths accumulate each group in morsel order, so
-        they agree bit for bit.
-    """
-    states = [state for state in partials if len(state.codes)]
-    merged: dict[str, np.ndarray] = {}
-    if not states:
-        empty = np.zeros(0, dtype=np.int64)
-        for spec in aggregates:
-            if spec.func in ("count", "count_col"):
-                merged[spec.alias] = empty
-            elif spec.func == "avg":
-                merged[spec.alias] = np.zeros(0, dtype=np.float64)
-            elif spec.func == "sum":
-                integral = np.issubdtype(
-                    column_dtypes[spec.column], np.integer
-                )
-                merged[spec.alias] = (
-                    empty if integral else np.zeros(0, dtype=np.float64)
-                )
-            else:
-                merged[spec.alias] = np.zeros(
-                    0, dtype=column_dtypes[spec.column]
-                )
-        return empty, empty, merged
-    all_codes = np.concatenate([state.codes for state in states])
-    dense = (
-        radix is not None
-        and 0 < radix <= BINCOUNT_LIMIT
-        and not any(spec.func in ("min", "max") for spec in aggregates)
-    )
-    if dense:
-        assert radix is not None
-        counts_dense = np.bincount(
-            all_codes,
-            weights=np.concatenate(
-                [state.counts for state in states]
-            ).astype(np.float64),
-            minlength=radix,
-        )
-        occupied = np.flatnonzero(counts_dense)
-        uniq = occupied.astype(np.int64, copy=False)
-        counts = counts_dense[occupied].astype(np.int64)
-        for spec in aggregates:
-            if spec.func == "count":
-                merged[spec.alias] = counts
-                continue
-            values = np.concatenate(
-                [state.partials[spec.alias] for state in states]
-            )
-            sums = np.bincount(
-                all_codes, weights=values, minlength=radix
-            )[occupied]
-            if spec.func == "count_col":
-                merged[spec.alias] = sums.astype(np.int64)
-            elif spec.func == "avg":
-                merged[spec.alias] = sums / np.maximum(counts, 1)
-            elif np.issubdtype(column_dtypes[spec.column], np.integer):
-                merged[spec.alias] = sums.astype(np.int64)
-            else:
-                merged[spec.alias] = sums
-        return uniq, counts, merged
-    uniq, inverse = np.unique(all_codes, return_inverse=True)
-    n_groups = len(uniq)
-    counts = np.bincount(
-        inverse,
-        weights=np.concatenate(
-            [state.counts for state in states]
-        ).astype(np.float64),
-        minlength=n_groups,
-    ).astype(np.int64)
-    order: np.ndarray | None = None
-    starts: np.ndarray | None = None
-    for spec in aggregates:
-        if spec.func == "count":
-            merged[spec.alias] = counts
-            continue
-        values = np.concatenate(
-            [state.partials[spec.alias] for state in states]
-        )
-        if spec.func in ("count_col", "sum", "avg"):
-            sums = np.bincount(inverse, weights=values, minlength=n_groups)
-            if spec.func == "count_col":
-                merged[spec.alias] = sums.astype(np.int64)
-            elif spec.func == "avg":
-                merged[spec.alias] = sums / np.maximum(counts, 1)
-            elif np.issubdtype(column_dtypes[spec.column], np.integer):
-                merged[spec.alias] = sums.astype(np.int64)
-            else:
-                merged[spec.alias] = sums
-            continue
-        # MIN / MAX over per-morsel extrema.
-        if values.dtype.kind == "U":
-            ordered_vals = values[np.lexsort((values, inverse))]
-            sorted_inverse = np.sort(inverse)
-            seg = np.searchsorted(sorted_inverse, np.arange(n_groups))
-            if spec.func == "min":
-                merged[spec.alias] = ordered_vals[seg]
-            else:
-                seg_end = np.searchsorted(
-                    sorted_inverse, np.arange(n_groups), side="right"
-                )
-                merged[spec.alias] = ordered_vals[seg_end - 1]
-            continue
-        if order is None:
-            order = np.argsort(inverse, kind="stable")
-            starts = np.searchsorted(
-                inverse[order], np.arange(n_groups)
-            )
-        if spec.func == "min":
-            merged[spec.alias] = np.minimum.reduceat(values[order], starts)
-        else:
-            merged[spec.alias] = np.maximum.reduceat(values[order], starts)
-    return uniq, counts, merged
-
-
-def reaggregate_specs(
-    aggregates: Sequence[AggregateSpec],
-) -> list[AggregateSpec]:
-    """Rewrite aggregates for computation from a materialized ancestor.
-
-    A Group By computed from an intermediate node must combine partial
-    results: COUNT(*) becomes SUM(cnt), SUM stays SUM, MIN stays MIN,
-    MAX stays MAX (the classic distributive-aggregate rewrite the paper
-    relies on in Section 5.2).
-
-    Raises:
-        SchemaError: for non-distributive aggregates (AVG must be split
-            into SUM and COUNT by the caller before planning).
-    """
-    rewritten = []
-    for spec in aggregates:
-        if spec.func in ("count", "count_col"):
-            rewritten.append(AggregateSpec("sum", spec.alias, spec.alias))
-        elif spec.func in ("sum", "min", "max"):
-            rewritten.append(AggregateSpec(spec.func, spec.alias, spec.alias))
-        else:
-            raise SchemaError(
-                f"aggregate {spec.func!r} is not distributive; "
-                "decompose it before planning"
-            )
-    return rewritten

@@ -54,10 +54,12 @@ cost model assumes: the full Group By is computed from the node's
 parent, and every other covered grouping is computed from that result
 by the expand operators.
 
-Per-query aggregates (Section 7.2) run on the same path: each grouping
-operator carries the aggregates its subtree needs, and each query's
-result is projected back to the aliases it asked for
-(:class:`~repro.core.extensions.QueryAggregates`).
+Aggregates run on one path whether one list serves every query or each
+query has its own (Section 7.2): each grouping operator carries the
+state columns its subtree's queries need
+(:data:`~repro.engine.aggregation.FUNCTIONS`), re-aggregations and
+expands merge them, and each query's answer is finalized from them
+(:func:`~repro.engine.aggregation.answer_table`).
 """
 
 from __future__ import annotations
@@ -67,10 +69,15 @@ from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cache import ResultCache, aggregate_signature
-from repro.core.extensions import AggregatesByQuery, QueryAggregates
+from repro.core.extensions import AggregatesByQuery, query_aggregates
 from repro.core.plan import LogicalPlan, PlanNode
 from repro.core.scheduling import Step
-from repro.engine.aggregation import AggregateSpec, group_by, reaggregate_specs
+from repro.engine.aggregation import (
+    AggregateSpec,
+    answer_table,
+    group_by,
+    merge_specs,
+)
 from repro.engine.catalog import Catalog
 from repro.engine.dictcache import DictionaryCache
 from repro.engine.indexes import Index
@@ -140,11 +147,11 @@ class PlanExecutor:
         catalog: catalog holding the base relation (and its indexes).
         base_table: name of the base relation R.
         aggregates: aggregate list for every required query; defaults to
-            COUNT(*) AS cnt.  Must be distributive (see
-            :func:`repro.engine.aggregation.reaggregate_specs`).  A
-            mapping from query column set to that query's own list
+            COUNT(*) AS cnt.  A mapping from query column set to that
+            query's own list
             (:func:`repro.core.extensions.aggregates_by_columns`) runs
-            Section 7.2's per-query aggregates, AVG included.
+            Section 7.2's per-query aggregates; a list is that mapping
+            with one entry for every query.
         use_indexes: answer base-table Group Bys from a covering index
             when one exists and is narrower than the referenced columns.
         tracer: span tracer; when enabled, the run is wrapped in an
@@ -232,7 +239,6 @@ class PlanExecutor:
         self._catalog = catalog
         self._base_table = base_table
         self._aggregates = aggregates or [AggregateSpec.count_star("cnt")]
-        self._query_aggregates = QueryAggregates(self._aggregates)
         self._use_indexes = use_indexes
         self._tracer = tracer or NOOP_TRACER
         self._parallelism = parallelism
@@ -594,7 +600,7 @@ class PlanExecutor:
                 table,
                 list(op.keys),
                 (
-                    reaggregate_specs(op.aggregates)
+                    merge_specs(op.aggregates)
                     if isinstance(op, phys.Reaggregate)
                     else op.aggregates
                 ),
@@ -841,11 +847,11 @@ class PlanExecutor:
     def _answer(
         self, result: ExecutionResult, query: tuple[str, ...], table: Table
     ) -> None:
-        """Record ``table`` as ``query``'s result, projected to the
-        aggregate aliases the query asked for."""
+        """Record ``table`` — ``query``'s keys and state columns — as
+        ``query``'s result, finalized into the aggregates it asked for."""
         columns = frozenset(query)
-        result.results[columns] = self._query_aggregates.project(
-            columns, table
+        result.results[columns] = answer_table(
+            table, query, query_aggregates(self._aggregates, columns)
         )
 
     def _resolve_index(self, table: str, name: str) -> Index:
@@ -926,7 +932,7 @@ class PlanExecutor:
                 f"reaggregate {op.op_id} does not read a Materialize"
             )
         return self._group_input(
-            source, op, reaggregate_specs(op.aggregates), op.strategy,
+            source, op, merge_specs(op.aggregates), op.strategy,
             metrics, dictionaries, prepaid,
         )
 
@@ -1145,7 +1151,7 @@ class PlanExecutor:
     def _partials_of(
         physical: "PhysicalPlan", top: int
     ) -> list[AggregateSpec]:
-        """Re-aggregation specs over the top grouping ``top``'s result."""
+        """Specs merging the top grouping ``top``'s state columns."""
         from repro.physical.plan import GroupingOperator as GroupingOp
 
         grouping = physical.op(top)
@@ -1153,7 +1159,7 @@ class PlanExecutor:
             raise ExecutionError(
                 f"expand reads operator {top}, which is not a grouping"
             )
-        return reaggregate_specs(grouping.aggregates)
+        return merge_specs(grouping.aggregates)
 
     def _run_materialize(
         self,

@@ -16,8 +16,10 @@ from typing import Sequence
 
 from repro.engine.aggregation import (
     AggregateSpec,
+    answer_table,
     group_by,
-    reaggregate_specs,
+    merge_specs,
+    state_specs,
 )
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.pipesort import pipesort
@@ -42,20 +44,41 @@ def cube(
 
     Every non-empty subset (plus the grand total when requested) is
     computed from its smallest already-computed strict superset, so only
-    the top grouping scans the input table.
+    the top grouping scans the input table: groupings carry the
+    aggregates' state columns, merged from the superset's, and each
+    result is finalized into the aggregates asked for.
 
     Returns:
         Mapping of grouping column set to its result table.
     """
+    aggregates = _default_aggregates(aggregates)
+    states = cube_states(
+        table, columns, state_specs(aggregates), metrics, include_grand_total
+    )
+    return {
+        grouping: answer_table(result, sorted(grouping), aggregates)
+        for grouping, result in states.items()
+    }
+
+
+def cube_states(
+    table: Table,
+    columns: Sequence[str],
+    states: Sequence[AggregateSpec],
+    metrics: ExecutionMetrics | None = None,
+    include_grand_total: bool = False,
+) -> dict[frozenset[str], Table]:
+    """:func:`cube` before finalizing: every grouping holds the state
+    columns ``states`` compute from ``table`` (named by their aliases),
+    each merged from its smallest computed superset."""
     columns = list(columns)
     if len(columns) > 16:
         raise SchemaError("cube over more than 16 columns is not practical")
-    aggregates = _default_aggregates(aggregates)
-    reaggregates = reaggregate_specs(aggregates)
+    merges = merge_specs(states)
     results: dict[frozenset[str], Table] = {}
     top = frozenset(columns)
     results[top] = group_by(
-        table, sorted(top), aggregates, name="cube_top", metrics=metrics
+        table, sorted(top), states, name="cube_top", metrics=metrics
     )
     for size in range(len(columns) - 1, 0, -1):
         for subset in combinations(sorted(columns), size):
@@ -65,14 +88,14 @@ def cube(
             results[grouping] = group_by(
                 results[parent],
                 sorted(grouping),
-                reaggregates,
+                merges,
                 name="cube_" + "_".join(sorted(grouping)),
                 metrics=metrics,
             )
     if include_grand_total:
         smallest = min(results.values(), key=lambda t: t.num_rows)
         results[frozenset()] = group_by(
-            smallest, [], reaggregates, name="cube_total", metrics=metrics
+            smallest, [], merges, name="cube_total", metrics=metrics
         )
     return results
 
@@ -85,29 +108,31 @@ def rollup(
 ) -> dict[frozenset[str], Table]:
     """Compute ROLLUP(order): every non-empty prefix of ``order``.
 
-    Each prefix is computed from the next longer one, so the input is
-    scanned exactly once (the paper's ROLLUP A, B computes (A,B) and
-    (A), but not (B)).
+    Each prefix is computed from the next longer one's state columns,
+    so the input is scanned exactly once (the paper's ROLLUP A, B
+    computes (A,B) and (A), but not (B)).
     """
     order = list(order)
     if not order:
         raise SchemaError("rollup needs at least one column")
     aggregates = _default_aggregates(aggregates)
-    reaggregates = reaggregate_specs(aggregates)
-    results: dict[frozenset[str], Table] = {}
+    states = state_specs(aggregates)
+    merges = merge_specs(states)
     current = group_by(
-        table, order, aggregates, name="rollup_top", metrics=metrics
+        table, order, states, name="rollup_top", metrics=metrics
     )
-    results[frozenset(order)] = current
+    results = {frozenset(order): answer_table(current, order, aggregates)}
     for i in range(len(order) - 1, 0, -1):
         current = group_by(
             current,
             order[:i],
-            reaggregates,
+            merges,
             name="rollup_" + "_".join(order[:i]),
             metrics=metrics,
         )
-        results[frozenset(order[:i])] = current
+        results[frozenset(order[:i])] = answer_table(
+            current, order[:i], aggregates
+        )
     return results
 
 

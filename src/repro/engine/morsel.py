@@ -6,11 +6,11 @@ input, but each grouping's kernel runs alone).  Morsel execution turns
 that inside out: the base
 relation (or a materialized temp) is split into row-range **morsels**;
 each morsel pays one shared row-store pass (``Table.touch_range``) for
-the whole batch, and each grouping computes a
-decomposable :class:`~repro.engine.aggregation.PartialGroupState` per
-morsel (count → sum of counts, sum → sum, min/max → min/max, avg →
-(sum, count)).  Partials then merge by composite key code into final
-group results, bit-identical to the single-pass ``group_by`` kernels —
+the whole batch, and each grouping *adds* the morsel's rows into its
+aggregates' state columns (:data:`~repro.engine.aggregation.FUNCTIONS`;
+AVG stores SUM and COUNT(col)).  Partials then *merge* by composite key
+code and *finalize* into final group results, bit-identical to the
+single-pass ``group_by`` kernels —
 the paper's shared-scan idea applied at the physical layer, with
 thread-parallelism *inside* the operator batch (morsel workers run
 numpy kernels that release the GIL) instead of across plan nodes.
@@ -35,17 +35,19 @@ from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 import numpy as np
 
 from repro.engine.aggregation import (
+    BINCOUNT_LIMIT,
     AggregateSpec,
-    PartialGroupState,
     _column_codes,
     _combined_codes,
+    add_states,
+    code_groups,
     decode_parent_codes,
     defer_key_dictionaries,
-    merge_partial_states,
-    partial_aggregate_state,
+    finalize,
+    merge_specs,
+    state_specs,
 )
 from repro.engine.table import Table
-from repro.engine.types import SchemaError
 
 if TYPE_CHECKING:  # import cycle guard, mirroring aggregation.py
     from repro.engine.dictcache import DictionaryCache
@@ -67,6 +69,17 @@ MAX_MORSELS = 64
 #: merge re-walks the domain — all to rediscover groups the single-pass
 #: kernel finds in one bincount.  Such groupings run single-pass.
 MORSEL_RADIX_SLACK = 2
+
+#: Dense-domain budget of a morsel's grouping pass: a per-morsel
+#: ``bincount`` allocates ``radix`` slots, so the domain must stay small
+#: relative to the morsel (or below an absolute floor) for the O(m +
+#: radix) pass to beat the O(m log m) sort it replaces.  The slack is
+#: generous because morsel feasibility (``MORSEL_RADIX_SLACK``) already
+#: rejects domains large relative to the *whole* input, so every radix
+#: seen here is at most a small multiple of the morsel budget and the
+#: linear slot scan still beats a comparison sort of the morsel.
+PARTIAL_BINCOUNT_FLOOR = 1 << 16
+PARTIAL_BINCOUNT_SLACK = 64
 
 
 def usable_cpus() -> int:
@@ -184,6 +197,20 @@ def morsel_ranges(n_rows: int, morsels: int) -> list[tuple[int, int]]:
     ]
 
 
+@dataclass
+class PartialGroupState:
+    """The state columns of one morsel (row range).
+
+    ``codes`` are the *sorted* distinct composite key codes present in
+    the morsel; ``states`` maps each state column's alias to its
+    per-group partial.  States merge by key code, so any partition of
+    the rows yields the same final result.
+    """
+
+    codes: np.ndarray
+    states: dict[str, np.ndarray]
+
+
 class MorselGrouping:
     """One grouping prepared for two-phase morsel execution.
 
@@ -213,6 +240,7 @@ class MorselGrouping:
         self.table = table
         self.keys = list(keys)
         self.aggregates = list(aggregates)
+        self.states = state_specs(self.aggregates)
         self.name = name
         self._dictionaries = dictionaries
         self._combined: np.ndarray | None = None
@@ -246,62 +274,64 @@ class MorselGrouping:
                 self._combined = combined
                 self._radix = radix
                 self._cards = cards
-        self._columns = {
-            spec.column: table[spec.column]
-            for spec in self.aggregates
-            if spec.column is not None
-        }
 
     def partial(self, start: int, stop: int) -> PartialGroupState:
-        """Partial aggregate state over rows ``[start, stop)``.
+        """State columns over rows ``[start, stop)``.
 
         Thread-safe: reads only immutable arrays prepared at
         construction, so morsel workers may call it concurrently.
         """
         assert self._combined is not None
-        sliced = {
-            name: array[start:stop]
-            for name, array in self._columns.items()
-        }
-        return partial_aggregate_state(
-            self._combined[start:stop],
-            sliced,
-            self.aggregates,
-            radix=self._radix,
+        combined = self._combined[start:stop]
+        dense_budget = max(
+            PARTIAL_BINCOUNT_FLOOR, PARTIAL_BINCOUNT_SLACK * len(combined)
         )
+        codes, groups = code_groups(
+            combined,
+            self._radix,
+            dense=self._radix <= min(BINCOUNT_LIMIT, dense_budget),
+        )
+        states = add_states(
+            self.states,
+            groups,
+            lambda column: self.table[column][start:stop],
+        )
+        return PartialGroupState(codes, states)
 
     def merge(self, partials: Sequence[PartialGroupState]) -> Table:
         """Merge morsel partials into the final result table.
 
-        Output columns, ordering, dtypes, and group numbering are
-        identical to the single-pass
+        Partials merge in morsel order, so float sums accumulate in a
+        fixed order.  Output columns, ordering, dtypes, and group
+        numbering are identical to the single-pass
         :func:`~repro.engine.aggregation.group_by` result.
         """
         assert self._cards is not None
-        codes, _counts, merged = merge_partial_states(
-            partials,
-            self.aggregates,
-            {name: array.dtype for name, array in self._columns.items()},
-            radix=self._radix,
+        all_codes = np.concatenate([state.codes for state in partials])
+        codes, groups = code_groups(
+            all_codes, self._radix, dense=self._radix <= BINCOUNT_LIMIT
+        )
+        merged = add_states(
+            merge_specs(self.states),
+            groups,
+            lambda alias: np.concatenate(
+                [state.states[alias] for state in partials]
+            ),
         )
         parent_codes = decode_parent_codes(codes, self.keys, self._cards)
         parent_uniques = {
             key: _column_codes(self.table, key, self._dictionaries)[1]
             for key in self.keys
         }
-        columns: dict[str, np.ndarray] = {
+        columns = {
             key: parent_uniques[key][parent_codes[key]] for key in self.keys
         }
-        for spec in self.aggregates:
-            if spec.alias in columns:
-                raise SchemaError(
-                    f"duplicate output column {spec.alias!r}"
-                )
-            columns[spec.alias] = merged[spec.alias]
         result_name = (
             self.name or f"groupby_{'_'.join(self.keys) or 'all'}"
         )
-        result = Table.wrap(result_name, columns)
+        result = Table.wrap(
+            result_name, finalize(self.aggregates, merged, columns)
+        )
         defer_key_dictionaries(result, parent_codes, parent_uniques)
         return result
 

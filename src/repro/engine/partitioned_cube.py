@@ -25,10 +25,12 @@ import numpy as np
 
 from repro.engine.aggregation import (
     AggregateSpec,
+    answer_table,
     group_by,
-    reaggregate_specs,
+    merge_specs,
+    state_specs,
 )
-from repro.engine.grouping_sets import cube
+from repro.engine.grouping_sets import cube_states
 from repro.engine.join import union_all
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
@@ -63,18 +65,17 @@ def partitioned_cube(
     memory_rows: int,
     aggregates: Sequence[AggregateSpec] | None = None,
     metrics: ExecutionMetrics | None = None,
-    _depth: int = 0,
 ) -> dict[frozenset[str], Table]:
     """Compute the full cube of ``columns`` within a memory budget.
 
     Args:
-        table: input relation (or a partial-aggregate thereof when
-            recursing; pass matching ``aggregates``).
+        table: input relation.
         columns: cube dimensions.
         memory_rows: rows that "fit in memory"; larger inputs are
             partitioned.
-        aggregates: aggregate list (COUNT(*) by default).  Must be
-            distributive — the recursion re-aggregates partial results.
+        aggregates: aggregate list (COUNT(*) by default).  The recursion
+            carries their state columns and finalizes every grouping
+            at the end.
         metrics: execution counters.
 
     Returns:
@@ -86,8 +87,26 @@ def partitioned_cube(
     aggregates = list(aggregates) if aggregates else [
         AggregateSpec.count_star("cnt")
     ]
+    states = _partitioned_states(
+        table, columns, memory_rows, state_specs(aggregates), metrics
+    )
+    return {
+        grouping: answer_table(result, sorted(grouping), aggregates)
+        for grouping, result in states.items()
+    }
+
+
+def _partitioned_states(
+    table: Table,
+    columns: list[str],
+    memory_rows: int,
+    states: Sequence[AggregateSpec],
+    metrics: ExecutionMetrics | None,
+) -> dict[frozenset[str], Table]:
+    """The cube's state columns: ``states`` computes them from
+    ``table`` (rows at the top, partial states when recursing)."""
     if table.num_rows <= memory_rows or len(columns) == 1:
-        return cube(table, columns, aggregates, metrics=metrics)
+        return cube_states(table, columns, states, metrics=metrics)
 
     attribute = choose_partition_attribute(table, columns)
     n_partitions = int(np.ceil(table.num_rows / memory_rows))
@@ -97,7 +116,7 @@ def partitioned_cube(
     # restricted to those groupings, concatenated.
     with_attribute: dict[frozenset[str], list[Table]] = {}
     for partition in partitions:
-        local = cube(partition, columns, aggregates, metrics=metrics)
+        local = cube_states(partition, columns, states, metrics=metrics)
         for grouping, result in local.items():
             if attribute in grouping:
                 with_attribute.setdefault(grouping, []).append(result)
@@ -109,24 +128,17 @@ def partitioned_cube(
     }
 
     # Groupings without it: recurse on the attribute-removed partial
-    # aggregate (strictly smaller input, one fewer dimension).
+    # states (strictly smaller input, one fewer dimension).
     remaining = [c for c in columns if c != attribute]
-    reaggregates = reaggregate_specs(aggregates)
+    merges = merge_specs(states)
     collapsed = group_by(
         results[frozenset(columns)],
         remaining,
-        reaggregates,
+        merges,
         name=f"{table.name}_minus_{attribute}",
         metrics=metrics,
     )
     results.update(
-        partitioned_cube(
-            collapsed,
-            remaining,
-            memory_rows,
-            reaggregates,
-            metrics=metrics,
-            _depth=_depth + 1,
-        )
+        _partitioned_states(collapsed, remaining, memory_rows, merges, metrics)
     )
     return results

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.core.rewrites import GroupingSetsExpr, RelationExpr, SelectExpr
-from repro.engine.aggregation import SUPPORTED_FUNCS, AggregateSpec
+from repro.engine.aggregation import FUNCTIONS, AggregateSpec
 from repro.engine.expressions import Predicate
 
 
@@ -48,11 +48,13 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+#: Aggregate keywords, as the engine's aggregate functions name them.
+_AGGREGATES = {function.sql.lower() for function in FUNCTIONS.values()}
+
 _KEYWORDS = {
     "select", "from", "where", "and", "group", "by",
-    "grouping", "sets", "cube", "rollup", "as", "count",
-    "sum", "min", "max", "avg", "having",
-}
+    "grouping", "sets", "cube", "rollup", "as", "having",
+} | _AGGREGATES
 
 
 @dataclass
@@ -146,7 +148,9 @@ class ParsedQuery:
         child = RelationExpr(self.table)
         if self.predicates:
             child = SelectExpr(child, self.predicates)
-        return GroupingSetsExpr(child, self.grouping_sets)
+        return GroupingSetsExpr(
+            child, self.grouping_sets, aggregates=self.aggregates
+        )
 
     def apply_having(self, result):
         """Filter a grouped result table by the HAVING predicates."""
@@ -155,23 +159,24 @@ class ParsedQuery:
         return apply_filter(result, list(self.having))
 
 
-def _parse_aggregate(parser: _Parser, func: str) -> AggregateSpec:
+def _parse_aggregate(parser: _Parser, keyword: str) -> AggregateSpec:
     parser.expect("punct", "(")
-    if func == "count" and parser.accept("punct", "*"):
-        parser.expect("punct", ")")
-        spec = AggregateSpec.count_star()
-    else:
-        column = parser.expect("ident").value
-        parser.expect("punct", ")")
-        real = "count_col" if func == "count" else func
-        spec = AggregateSpec(real, column, f"{func}_{column}")
+    column = None if parser.accept("punct", "*") else parser.expect("ident").value
+    parser.expect("punct", ")")
+    funcs = [
+        func
+        for func, function in FUNCTIONS.items()
+        if function.sql.lower() == keyword
+        and function.reads_column == (column is not None)
+    ]
+    if not funcs:
+        raise SqlParseError(f"{keyword.upper()}(*) is not an aggregate")
+    alias = "cnt" if column is None else f"{keyword}_{column}"
     if parser.accept("keyword", "as"):
         alias = parser.expect("ident").value
-        spec = AggregateSpec(spec.func, spec.column, alias)
     elif parser.peek() is not None and parser.peek().kind == "ident":
         alias = parser.next().value
-        spec = AggregateSpec(spec.func, spec.column, alias)
-    return spec
+    return AggregateSpec(funcs[0], column, alias)
 
 
 def _parse_select_list(parser: _Parser):
@@ -179,9 +184,7 @@ def _parse_select_list(parser: _Parser):
     aggregates: list[AggregateSpec] = []
     while True:
         token = parser.next()
-        if token.kind == "keyword" and token.value in (
-            "count", "sum", "min", "max", "avg",
-        ):
+        if token.kind == "keyword" and token.value in _AGGREGATES:
             aggregates.append(_parse_aggregate(parser, token.value))
         elif token.kind == "punct" and token.value == "*":
             pass  # SELECT *: grouped columns, filled in later

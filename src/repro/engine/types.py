@@ -79,6 +79,16 @@ def null_mask(array: np.ndarray) -> np.ndarray:
     return array == STR_NULL
 
 
+def null_value(dtype: np.dtype):
+    """The NULL sentinel of a column of ``dtype``'s kind."""
+    kind = column_kind(np.empty(0, dtype=dtype))
+    if kind == "int":
+        return INT_NULL
+    if kind == "float":
+        return np.nan
+    return STR_NULL
+
+
 def value_width(array: np.ndarray) -> int:
     """Bytes consumed per value of this column (storage model).
 

@@ -18,9 +18,9 @@ onto a pipeline of :mod:`repro.physical.plan` operators:
   demoted to sort, and a sort grouping still over budget falls back to
   the engine's partitioned execution (``partitions > 1`` splits on the
   first sorted key, keeping concatenated output bit-identical);
-* every grouping carries the aggregates its result needs: the
-  workload's list, or — with per-query aggregates (Section 7.2) — the
-  union of what its subtree's queries need;
+* every grouping carries the state columns its subtree's queries need
+  (Section 7.2; a list is every query's entry), which Reaggregate and
+  the expand operators merge and each answer finalizes;
 * CUBE / ROLLUP nodes lower to a top grouping plus an expand operator,
   and materialized intermediates get explicit
   :class:`~repro.physical.plan.Materialize` / :class:`~repro.physical.
@@ -40,7 +40,7 @@ import math
 from typing import Sequence
 
 from repro.cache import ResultCache, aggregate_signature
-from repro.core.extensions import AggregatesByQuery, QueryAggregates
+from repro.core.extensions import AggregatesByQuery, per_query_aggregates
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
 from repro.core.scheduling import Step, depth_first_schedule, depth_ranks
 from repro.costmodel.engine_model import (
@@ -48,10 +48,11 @@ from repro.costmodel.engine_model import (
     EngineCostModel,
     default_execution_mode,
 )
-from repro.engine.aggregation import AggregateSpec
+from repro.engine.aggregation import AggregateSpec, state_specs
 from repro.engine.catalog import Catalog
 from repro.engine.executor import temp_name_for
 from repro.engine.morsel import morsel_count
+from repro.engine.types import SchemaError
 from repro.physical.plan import (
     EXECUTION_MODES,
     CacheRead,
@@ -85,7 +86,7 @@ class _Lowering:
         plan: LogicalPlan,
         catalog: Catalog,
         base_table: str,
-        aggregates: QueryAggregates,
+        aggregates: Sequence[AggregateSpec] | AggregatesByQuery,
         use_indexes: bool,
         estimator: CardinalityEstimator | None,
         memory_budget_bytes: float | None,
@@ -96,20 +97,20 @@ class _Lowering:
         self.plan = plan
         self.catalog = catalog
         self.base_table = base_table
-        self.aggregates = aggregates
-        # Per-query aggregates: each node's subtree queries.
-        self.subtree_queries: dict[PlanNode, set[frozenset[str]]] = {}
-        if aggregates.shared is None:
-            self.subtree_queries = {
-                sub.node: sub.answered_queries()
-                for sub in plan.iter_subplans()
-            }
-            unanswered = set(aggregates.needs) ^ plan.answered_queries()
-            if unanswered:
-                raise PhysicalPlanError(
-                    f"the per-query aggregates and the plan's queries "
-                    f"differ on {len(unanswered)} column set(s)"
-                )
+        try:
+            per_query = per_query_aggregates(
+                aggregates, plan.answered_queries()
+            )
+        except SchemaError as exc:
+            raise PhysicalPlanError(str(exc)) from exc
+        # Each query's state columns.
+        self.states = {
+            query: state_specs(specs) for query, specs in per_query.items()
+        }
+        # Each node's subtree queries, whose state columns it carries.
+        self.subtree_queries = {
+            sub.node: sub.answered_queries() for sub in plan.iter_subplans()
+        }
         self.use_indexes = use_indexes
         self.estimator = estimator
         self.budget = memory_budget_bytes
@@ -143,8 +144,14 @@ class _Lowering:
         return len(self.ops)
 
     def aggregates_for(self, node: PlanNode) -> tuple[AggregateSpec, ...]:
-        """The aggregates ``node``'s groupings carry."""
-        return self.aggregates.union(self.subtree_queries.get(node, ()))
+        """The state columns ``node``'s groupings carry: those of its
+        subtree's queries, in a deterministic order."""
+        queries = sorted(self.subtree_queries[node], key=sorted)
+        return tuple(
+            dict.fromkeys(
+                state for query in queries for state in self.states[query]
+            )
+        )
 
     def est_rows(self, columns: frozenset[str]) -> float:
         if self.estimator is None:
@@ -681,9 +688,9 @@ def lower(
         base_table: name of R.
         aggregates: the aggregate list every query computes, or each
             query's own list by column set (Section 7.2; see
-            :class:`~repro.core.extensions.QueryAggregates`).  Decides
-            what each grouping carries, covering-index resolution and
-            the cache signature.
+            :func:`~repro.core.extensions.per_query_aggregates`).  Each
+            grouping carries its subtree's state columns, which decide
+            covering-index resolution and the cache signature.
         use_indexes: allow covering-index access paths.
         estimator: column statistics the lowering builds its
             :class:`EngineCostModel` from, for the hash-vs-sort choice,
@@ -718,7 +725,7 @@ def lower(
         plan,
         catalog,
         base_table,
-        QueryAggregates(aggregates),
+        aggregates,
         use_indexes,
         estimator,
         memory_budget_bytes,

@@ -112,10 +112,9 @@ class GroupingOperator(PhysicalOperator):
         output: name of the result table.
         query: the required query this grouping answers directly, as a
             sorted column tuple — None for purely intermediate results.
-        aggregates: the aggregates its result carries — the workload's
-            list, or the union of what its subtree's queries need
-            (Section 7.2); a ``Reaggregate`` combines them
-            distributively from its input's partials.
+        aggregates: the state columns its result carries — the union
+            of what its subtree's queries need (Section 7.2); a
+            ``Reaggregate`` merges them from its input's partial states.
         partitions: >1 executes the grouping per value-range partition
             of the first key and concatenates — the out-of-memory
             fallback when the estimate exceeds the plan budget.

@@ -49,8 +49,23 @@ def session(random_table) -> Session:
     return Session.for_table(random_table, statistics="exact")
 
 
+#: The engine's NULL sentinels, restated: ``INT_NULL`` for integers,
+#: NaN for floats (the only value unequal to itself), ``""`` for strings.
+NULL_OF_KIND = {"i": -(2**63), "f": float("nan"), "U": ""}
+
+
+def _is_null(value) -> bool:
+    return value != value or value in (-(2**63), "")
+
+
 def brute_force_group_by(table: Table, keys, agg="count", column=None):
-    """Reference implementation: python dict over row tuples."""
+    """Reference implementation: python dict over row tuples.
+
+    SQL NULL rules: COUNT(*) counts rows; COUNT(col), SUM, MIN, MAX and
+    AVG skip NULL inputs, and AVG is SUM / COUNT(col).  A group with no
+    non-NULL input counts 0 and otherwise yields the NULL of its column's
+    kind (NaN for AVG).
+    """
     groups: dict[tuple, list] = {}
     key_arrays = [table[k] for k in keys]
     value = table[column] if column is not None else None
@@ -59,14 +74,21 @@ def brute_force_group_by(table: Table, keys, agg="count", column=None):
         groups.setdefault(key, []).append(
             value[i].item() if value is not None else 1
         )
+    if agg == "count":
+        return {key: len(vals) for key, vals in groups.items()}
+    null = float("nan") if agg == "avg" else NULL_OF_KIND[value.dtype.kind]
     reducer = {
-        "count": len,
+        "count_col": len,
         "sum": sum,
         "min": min,
         "max": max,
         "avg": lambda vals: sum(vals) / len(vals),
     }[agg]
-    return {key: reducer(vals) for key, vals in groups.items()}
+    out = {}
+    for key, vals in groups.items():
+        present = [v for v in vals if not _is_null(v)]
+        out[key] = reducer(present) if present or agg == "count_col" else null
+    return out
 
 
 def result_as_dict(result_table: Table, keys, alias="cnt"):

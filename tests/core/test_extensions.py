@@ -74,6 +74,12 @@ class TestHelpers:
     def test_aggregate_width(self):
         assert aggregate_width([COUNT, SUM_X]) == 16
 
+    def test_width_counts_state_columns(self):
+        """AVG stores SUM and COUNT(col); SUM(x) shares its SUM."""
+        avg_x = AggregateSpec("avg", "x", "mean_x")
+        assert aggregate_width([avg_x]) == 16
+        assert aggregate_width(union_aggregates([avg_x], [SUM_X])) == 16
+
     def test_queries_to_column_sets(self):
         queries = [q(["a"], COUNT), q(["b"], SUM_X)]
         assert queries_to_column_sets(queries) == [fs("a"), fs("b")]

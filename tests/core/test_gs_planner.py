@@ -10,7 +10,9 @@ from repro.core.rewrites import (
     RelationExpr,
     RewriteError,
     SelectExpr,
+    push_grouping_below_join,
 )
+from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.expressions import Predicate
 from repro.engine.table import Table
@@ -96,6 +98,24 @@ class TestJoinPushdown:
                 )
             )
         assert got == want
+
+    @pytest.mark.parametrize(
+        "aggregates",
+        [
+            (AggregateSpec("avg", "high", "mean"),),
+            (AggregateSpec.count_star(), AggregateSpec.sum_of("high")),
+        ],
+    )
+    def test_count_star_only(self, catalog, aggregates):
+        """The Figure 8 rewrite sums partial counts: any other aggregate
+        list is refused, by the planner and by the rewrite alike."""
+        expr = GroupingSetsExpr(
+            self._expr().child, (("low",),), aggregates=aggregates
+        )
+        with pytest.raises(RewriteError, match="COUNT"):
+            plan_grouping_sets(expr, catalog)
+        with pytest.raises(RewriteError, match="COUNT"):
+            push_grouping_below_join(expr)
 
     def test_pushed_sets_are_optimized_together(self, catalog, random_table):
         planned = plan_grouping_sets(

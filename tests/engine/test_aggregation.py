@@ -10,8 +10,9 @@ from repro.engine.aggregation import (
     BINCOUNT_LIMIT,
     combined_group_codes,
     group_by,
-    reaggregate_specs,
+    merge_specs,
     sorted_group_boundaries,
+    state_specs,
 )
 from repro.engine.dictcache import encode_column
 from repro.engine.metrics import ExecutionMetrics
@@ -199,19 +200,101 @@ class TestCombinedGroupCodes:
             seen[key] = ids[i]
 
 
+class TestNullRules:
+    """SUM, MIN, MAX and AVG skip NULL inputs; AVG is SUM / COUNT(col);
+    a group with no non-NULL input yields its column kind's NULL."""
+
+    ALL = ["count", "count_col", "sum", "min", "max", "avg"]
+
+    def _table(self):
+        return Table(
+            "t",
+            {
+                "g": [1, 1, 2, 2, 3],
+                "i": [5, INT_NULL, INT_NULL, INT_NULL, 2],
+                "f": [1.5, np.nan, np.nan, np.nan, 4.0],
+                "s": ["b", "", "", "", "a"],
+            },
+        )
+
+    def _run(self, table, column, funcs, **kwargs):
+        specs = [
+            AggregateSpec(func, None if func == "count" else column, func)
+            for func in funcs
+        ]
+        return group_by(table, ["g"], specs, **kwargs)
+
+    def test_integer_column(self):
+        result = self._run(self._table(), "i", self.ALL)
+        assert list(result["count"]) == [2, 2, 1]
+        assert list(result["count_col"]) == [1, 0, 1]
+        for func in ("sum", "min", "max"):
+            assert list(result[func]) == [5, INT_NULL, 2]
+        np.testing.assert_array_equal(result["avg"], [5.0, np.nan, 2.0])
+
+    def test_float_column(self):
+        result = self._run(self._table(), "f", self.ALL)
+        assert list(result["count_col"]) == [1, 0, 1]
+        for func in ("sum", "min", "max", "avg"):
+            np.testing.assert_array_equal(result[func], [1.5, np.nan, 4.0])
+
+    def test_string_column(self):
+        result = self._run(self._table(), "s", ["count_col", "min", "max"])
+        assert list(result["count_col"]) == [1, 0, 1]
+        assert list(result["min"]) == ["b", "", "a"]
+        assert list(result["max"]) == ["b", "", "a"]
+
+    @given(
+        values=st.lists(
+            st.sampled_from([INT_NULL, -4, 0, 3, 9]), min_size=1, max_size=60
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, values, data):
+        groups = data.draw(
+            st.lists(
+                st.integers(0, 4), min_size=len(values), max_size=len(values)
+            )
+        )
+        table = Table("t", {"g": groups, "i": values})
+        for kwargs in (
+            {"strategy": "hash"},
+            {"strategy": "sort"},
+        ):
+            result = self._run(table, "i", self.ALL, **kwargs)
+            for func in self.ALL:
+                got = result_as_dict(result, ["g"], func)
+                want = brute_force_group_by(table, ["g"], func, "i")
+                assert got == pytest.approx(want, nan_ok=True)
+        ordered = table.sort_by(["g"])
+        result = self._run(ordered, "i", self.ALL, assume_sorted=True)
+        for func in self.ALL:
+            got = result_as_dict(result, ["g"], func)
+            want = brute_force_group_by(table, ["g"], func, "i")
+            assert got == pytest.approx(want, nan_ok=True)
+
+
 class TestReaggregation:
     def test_count_becomes_sum(self):
-        specs = reaggregate_specs([AggregateSpec.count_star("cnt")])
+        specs = merge_specs(state_specs([AggregateSpec.count_star("cnt")]))
         assert specs[0].func == "sum" and specs[0].column == "cnt"
 
     def test_distributive_stay(self):
         for func in ("sum", "min", "max"):
-            specs = reaggregate_specs([AggregateSpec(func, "x", "x")])
+            specs = merge_specs(state_specs([AggregateSpec(func, "x", "x")]))
             assert specs[0].func == func
 
-    def test_avg_rejected(self):
-        with pytest.raises(SchemaError):
-            reaggregate_specs([AggregateSpec("avg", "x", "a")])
+    def test_avg_merges_sum_and_count(self):
+        states = state_specs([AggregateSpec("avg", "x", "a")])
+        assert [(s.func, s.column) for s in states] == [
+            ("sum", "x"),
+            ("count_col", "x"),
+        ]
+        assert [(s.func, s.column) for s in merge_specs(states)] == [
+            ("sum", "sum_x"),
+            ("sum", "count_col_x"),
+        ]
 
     def test_two_phase_equals_one_phase(self, random_table):
         """COUNT via an intermediate node equals COUNT from base."""
@@ -222,7 +305,7 @@ class TestReaggregation:
         reagg = group_by(
             intermediate,
             ["low"],
-            reaggregate_specs([AggregateSpec.count_star()]),
+            merge_specs(state_specs([AggregateSpec.count_star()])),
         )
         assert result_as_dict(direct, ["low"]) == result_as_dict(reagg, ["low"])
 

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
-from repro.core.extensions import (
-    AggregateQuery,
-    QueryAggregates,
-    aggregates_by_columns,
-    canonical_alias,
-)
+from repro.core.extensions import AggregateQuery, aggregates_by_columns
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan, naive_plan
-from repro.engine.aggregation import AggregateSpec
+from repro.engine.aggregation import AggregateSpec, canonical_alias, state_specs
 from repro.engine.executor import ExecutionError
 from repro.engine.table import Table
+from repro.engine.types import INT_NULL
 from repro.physical.plan import CacheRead
+from repro.workloads.queries import two_column_queries
+from repro.workloads.sales import make_sales
 from tests.conftest import brute_force_group_by, result_as_dict
 
 
@@ -49,23 +47,19 @@ class TestPrepare:
         assert canonical_alias("sum", "x") == "sum_x"
 
     def test_shared_identity(self):
-        workload = QueryAggregates(
-            aggregates_by_columns(
-                [
-                    q(["a"], AggregateSpec("sum", "x", "total")),
-                    q(["a"], AggregateSpec("sum", "x", "other_name")),
-                ]
-            )
-        )
-        assert len(workload.needs[fs("a")]) == 1
-        assert len(workload.outputs[fs("a")]) == 2
+        specs = aggregates_by_columns(
+            [
+                q(["a"], AggregateSpec("sum", "x", "total")),
+                q(["a"], AggregateSpec("sum", "x", "other_name")),
+            ]
+        )[fs("a")]
+        assert len(specs) == 2
+        assert len(state_specs(specs)) == 1
 
     def test_avg_decomposed(self):
-        workload = QueryAggregates(
-            {fs("a"): (AggregateSpec("avg", "x", "mean_x"),)}
-        )
-        identities = set(workload.needs[fs("a")])
-        assert identities == {("sum", "x"), ("count", None)}
+        states = state_specs([AggregateSpec("avg", "x", "mean_x")])
+        identities = {(state.func, state.column) for state in states}
+        assert identities == {("sum", "x"), ("count_col", "x")}
 
 
 class TestExecution:
@@ -160,19 +154,25 @@ class TestExecution:
 
 
 #: A mixed §7.2 workload: COUNT(*), COUNT(col), SUM, MIN, MAX, AVG and
-#: two aliases of one aggregate identity.
+#: two aliases of one aggregate identity, over columns with and without
+#: NULLs.
 MIXED = [
     q(
         ["low"],
         AggregateSpec.count_star("n"),
         AggregateSpec("sum", "high", "s"),
         AggregateSpec("avg", "high", "mean"),
+        AggregateSpec("sum", "nullable", "s_null"),
+        AggregateSpec("avg", "nullable", "mean_null"),
+        AggregateSpec("count_col", "nullable", "n_null"),
     ),
     q(
         ["mid"],
         AggregateSpec("min", "high", "lo"),
         AggregateSpec("max", "high", "hi"),
         AggregateSpec("count_col", "shadow", "nn"),
+        AggregateSpec("min", "nullable", "lo_null"),
+        AggregateSpec("max", "nullable", "hi_null"),
     ),
     q(
         ["low", "mid"],
@@ -181,10 +181,6 @@ MIXED = [
     ),
     q(["mid", "txt"], AggregateSpec("avg", "shadow", "avg_shadow")),
 ]
-
-#: COUNT(col) over a column without NULLs is COUNT(*).
-REFERENCE_FUNC = {"count_col": "count"}
-
 
 def mixed_plan(kind):
     queries = [query.columns for query in MIXED]
@@ -215,18 +211,27 @@ _MIXED_EXPECTED: dict = {}
 
 
 @pytest.fixture
-def mixed_expected(random_table):
+def nullable_table(random_table):
+    """``random_table`` plus ``nullable``: ``high`` with NULL on every
+    third row and wherever ``low`` is 0, so some groups hold no
+    non-NULL value."""
+    nullable = random_table["high"].copy()
+    rows = np.arange(random_table.num_rows)
+    nullable[(rows % 3 == 0) | (random_table["low"] == 0)] = INT_NULL
+    columns = {name: random_table[name] for name in random_table.column_names}
+    return Table("r", {**columns, "nullable": nullable})
+
+
+@pytest.fixture
+def mixed_expected(nullable_table):
     """query columns -> {alias: brute-force result} for :data:`MIXED`
-    (computed once: ``random_table`` is seeded)."""
+    (computed once: ``nullable_table`` is seeded)."""
     if not _MIXED_EXPECTED:
         for query in MIXED:
             keys = sorted(query.columns)
             _MIXED_EXPECTED[query.columns] = {
                 spec.alias: reference(
-                    random_table,
-                    keys,
-                    REFERENCE_FUNC.get(spec.func, spec.func),
-                    spec.column,
+                    nullable_table, keys, spec.func, spec.column
                 )
                 for spec in query.aggregates
             }
@@ -242,7 +247,9 @@ def assert_mixed_results(run, expected):
             s.alias for s in query.aggregates
         ]
         for alias, want in expected[query.columns].items():
-            assert result_as_dict(table, keys, alias) == pytest.approx(want)
+            assert result_as_dict(table, keys, alias) == pytest.approx(
+                want, nan_ok=True
+            )
 
 
 @pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
@@ -250,11 +257,11 @@ def assert_mixed_results(run, expected):
 @pytest.mark.parametrize("mode", ["serial", "wavefront", "morsel"])
 @pytest.mark.parametrize("kind", ["merged", "naive", "cube"])
 def test_mixed_workload_differential(
-    random_table, mixed_expected, kind, mode, parallelism, cache
+    nullable_table, mixed_expected, kind, mode, parallelism, cache
 ):
     """Every plan shape, mode and worker count returns the brute-force
     answer; with the cache on, a cold run and an exact-hit rerun do."""
-    session = Session.for_table(random_table, cache=cache)
+    session = Session.for_table(nullable_table, cache=cache)
     plan = mixed_plan(kind)
     plan.validate()
     knobs = dict(mode=mode, parallelism=parallelism)
@@ -303,3 +310,34 @@ def test_multi_aggregate_property(seed):
     assert result_as_dict(
         run.results[fs("g1", "g2")], ["g1", "g2"], "mx"
     ) == reference(table, ["g1", "g2"], "max", "v")
+
+
+def test_list_runs_as_the_per_query_mapping():
+    """One list is the mapping with the same entry for every query: on a
+    merged 12-query plan over 20k sales rows, ``[COUNT(*), AVG(x)]``
+    equals its mapping form and the brute-force answer."""
+    table = make_sales(20_000)
+    session = Session.for_table(table, statistics="exact")
+    queries = two_column_queries(
+        ["region", "state", "city", "category", "brand", "channel"]
+    )[:12]
+    plan = session.optimize(queries).plan
+    assert any(sub.children for sub in plan.iter_subplans())
+    aggregates = [
+        AggregateSpec.count_star(),
+        AggregateSpec("avg", "quantity", "mean_quantity"),
+    ]
+    listed = session.execute(plan, aggregates=aggregates)
+    mapped = session.execute(
+        plan, aggregates={columns: aggregates for columns in queries}
+    )
+    assert set(listed.results) == set(queries)
+    for columns in queries:
+        keys = sorted(columns)
+        assert listed.results[columns].to_rows() == (
+            mapped.results[columns].to_rows()
+        )
+        for spec in aggregates:
+            got = result_as_dict(listed.results[columns], keys, spec.alias)
+            want = reference(table, keys, spec.func, spec.column)
+            assert got == pytest.approx(want)

@@ -155,6 +155,32 @@ class TestExecution:
         reference = parsed.to_expression().evaluate(catalog)
         assert sorted(planned.table.to_rows()) == sorted(reference.to_rows())
 
+    @pytest.mark.parametrize("where", ["", "WHERE mid > 30 "])
+    def test_planner_computes_parsed_aggregates(self, random_table, where):
+        """Direct and selection-pushdown plans compute the statement's
+        aggregates, and HAVING filters on their aliases."""
+        from repro.core.gs_planner import plan_grouping_sets
+        from repro.stats.cardinality import ExactCardinalityEstimator
+
+        catalog = Catalog()
+        catalog.add_table(random_table)
+        parsed = parse_sql(
+            "SELECT low, AVG(high), SUM(shadow) AS s, MIN(txt) FROM r "
+            f"{where}GROUP BY GROUPING SETS ((low), (low, mid)) HAVING s > 1000"
+        )
+        planned = plan_grouping_sets(
+            parsed.to_expression(),
+            catalog,
+            ExactCardinalityEstimator(random_table),
+        )
+        reference = parsed.to_expression().evaluate(catalog)
+        assert planned.table.column_names == reference.column_names
+        assert planned.table.column_names[-3:] == ("avg_high", "s", "min_txt")
+        assert sorted(planned.table.to_rows()) == sorted(reference.to_rows())
+        having = parsed.apply_having(planned.table)
+        assert 0 < having.num_rows < planned.table.num_rows
+        assert all(total > 1000 for total in having["s"])
+
 
 class TestHaving:
     def test_parsed(self):

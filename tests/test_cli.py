@@ -116,6 +116,13 @@ class TestCompare:
         assert "--workload" in capsys.readouterr().err
 
 
+def _result_rows(out, header):
+    """The printed result rows below ``header``, split into fields."""
+    lines = out.splitlines()
+    start = lines.index(header) + 2
+    return [line.split("  ") for line in lines[start:] if line]
+
+
 class TestSql:
     def test_grouping_sets_statement(self, csv_path, capsys):
         code = main(
@@ -152,6 +159,36 @@ class TestSql:
         )
         out = capsys.readouterr().out
         assert "strategy: direct" in out
+
+    def test_avg_is_computed(self, capsys):
+        assert main(
+            [
+                "sql", "--workload", "sales", "--rows", "2000",
+                "--limit", "100",
+                "SELECT region, AVG(quantity) FROM sales "
+                "GROUP BY GROUPING SETS ((region),(region,state))",
+            ]
+        ) == 0
+        rows = _result_rows(
+            capsys.readouterr().out, "grp_tag  region  state  avg_quantity"
+        )
+        assert rows
+        # quantity is drawn from 1..20.
+        assert all(1.0 <= float(row[-1]) <= 20.0 for row in rows)
+
+    def test_having_reads_an_aggregate_alias(self, capsys):
+        assert main(
+            [
+                "sql", "--workload", "sales", "--rows", "2000",
+                "--limit", "100",
+                "SELECT region, SUM(quantity) AS q FROM sales "
+                "GROUP BY GROUPING SETS ((region),(region,state)) "
+                "HAVING q > 10",
+            ]
+        ) == 0
+        rows = _result_rows(capsys.readouterr().out, "grp_tag  region  state  q")
+        assert rows
+        assert all(int(row[-1]) > 10 for row in rows)
 
 
 class TestExplain:
