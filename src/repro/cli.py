@@ -58,6 +58,7 @@ from repro.baselines.grouping_sets import CommercialGroupingSetsPlanner
 from repro.core.visualize import plan_to_dot
 from repro.engine.csv_io import load_csv
 from repro.engine.sqlgen import plan_to_sql
+from repro.engine.types import null_mask
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -312,8 +313,19 @@ def cmd_sql(args) -> int:
     header = "  ".join(result.column_names)
     print(header)
     print("-" * len(header))
-    for row in result.to_rows()[: args.limit]:
-        print("  ".join(str(v) for v in row))
+    rows = result.to_rows()[: args.limit]
+    # GROUPING SETS pad the keys a set leaves out with each column's
+    # NULL sentinel; SQL shows those as NULL.
+    nulls = [
+        null_mask(result[column][: len(rows)]) for column in result.column_names
+    ]
+    for index, row in enumerate(rows):
+        print(
+            "  ".join(
+                "NULL" if null[index] else str(value)
+                for value, null in zip(row, nulls)
+            )
+        )
     return 0
 
 

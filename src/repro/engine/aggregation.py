@@ -21,6 +21,7 @@ partials — reads these definitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -109,6 +110,9 @@ class GroupStructure:
     key's per-group dictionary codes in the input table
     (``parent_codes``, decoded from the composite group codes) from
     which key values are looked up in the table's dictionaries.
+    A key's parent codes are None when the grouping numbers its
+    dictionary's codes as they are (:func:`code_groups`' identity):
+    the key's values are then its dictionary's distinct values.
     ``counts`` is precomputed when the grouping pass produced it for
     free; ``ids`` (per-row dense group numbers) materializes lazily —
     only SUM/MIN/MAX need it.  ``starts`` is each group's first row
@@ -122,7 +126,7 @@ class GroupStructure:
         counts: np.ndarray | None,
         ids_factory,
         first: np.ndarray | None = None,
-        parent_codes: dict[str, np.ndarray] | None = None,
+        parent_codes: dict[str, np.ndarray | None] | None = None,
         starts: np.ndarray | None = None,
     ) -> None:
         self.n_groups = n_groups
@@ -141,15 +145,22 @@ class GroupStructure:
 
 
 def decode_parent_codes(
-    group_codes: np.ndarray, keys: Sequence[str], cards: Sequence[int]
-) -> dict[str, np.ndarray]:
+    group_codes: np.ndarray | None, keys: Sequence[str], cards: Sequence[int]
+) -> dict[str, np.ndarray | None]:
     """Split composite group codes into each key's input dictionary codes.
 
     One ``divmod`` chain from the last key (stride 1) up; what is left
-    after the second key is the first key's code.
+    after the second key is the first key's code.  The codes come out
+    ``intp``, as the gathers they index want them.  Under the identity
+    numbering (``group_codes`` None) a single key's codes stay None: its
+    groups are its dictionary.
     """
-    parents: dict[str, np.ndarray] = {}
-    rest = group_codes
+    if group_codes is None:
+        if len(keys) == 1:
+            return {keys[0]: None}
+        group_codes = np.arange(math.prod(cards))
+    parents: dict[str, np.ndarray | None] = {}
+    rest = group_codes.astype(np.intp, copy=False)
     for key, card in zip(keys[:0:-1], cards[:0:-1]):
         rest, parents[key] = np.divmod(rest, card)
     parents[keys[0]] = rest
@@ -195,9 +206,36 @@ def _rerank_dictionary(
     return inverse.astype(np.int64, copy=False), parent_uniques[uniq_codes]
 
 
+def _identity_dictionary(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dictionary of a column of distinct values in sorted order."""
+    return np.arange(len(values), dtype=np.int64), values
+
+
+def key_columns(
+    parent_codes: Mapping[str, np.ndarray | None],
+    parent_uniques: Mapping[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """A Group By result's key columns, in ``parent_uniques`` order,
+    from their per-group input codes.
+
+    A key whose codes are None (the identity numbering) is its input
+    dictionary's distinct values: a read-only view of them, neither
+    gathered nor copied.
+    """
+    columns = {}
+    for key, uniques in parent_uniques.items():
+        codes = parent_codes[key]
+        if codes is None:
+            columns[key] = uniques.view()
+            columns[key].flags.writeable = False
+        else:
+            columns[key] = uniques[codes]
+    return columns
+
+
 def defer_key_dictionaries(
     result: Table,
-    parent_codes: Mapping[str, np.ndarray],
+    parent_codes: Mapping[str, np.ndarray | None],
     parent_uniques: Mapping[str, np.ndarray],
 ) -> None:
     """Give a Group By result deferred dictionaries for its key columns.
@@ -208,16 +246,18 @@ def defer_key_dictionaries(
     key's input codes, narrowed to the smallest unsigned dtype that
     holds the input dictionary, and that dictionary's distinct values —
     so a result keeps neither the grouping's per-row codes nor its input
-    table alive.
+    table alive.  An identity-numbered key's thunk holds its result
+    column alone: its dictionary is the identity over those values.
     """
     for key, codes in parent_codes.items():
         uniques = parent_uniques[key]
-        result.defer_dictionary(
-            key,
-            partial(
+        if codes is None:
+            derive = partial(_identity_dictionary, result[key])
+        else:
+            derive = partial(
                 _rerank_dictionary, narrow_codes(codes, len(uniques)), uniques
-            ),
-        )
+            )
+        result.defer_dictionary(key, derive)
 
 
 def _column_codes(
@@ -234,29 +274,36 @@ def _combined_codes(
     keys: Sequence[str],
     dictionaries: "DictionaryCache | None" = None,
 ) -> tuple[np.ndarray, int, list[int] | None]:
-    """Combine per-column dictionary codes into one int64 composite key.
+    """Combine per-column dictionary codes into one composite key.
 
     Returns (combined, radix, cards) where ``cards[i]`` is the
     cardinality of ``keys[i]`` inside the composite code (the last key
-    has stride 1; see :func:`decode_parent_codes`).  When the composite
+    has stride 1; see :func:`decode_parent_codes`).  A domain of at most
+    2^32 codes is combined in ``uint32``, so sorting and comparing the
+    codes moves half the bytes ``int64`` would.  When the composite
     domain would overflow int64 the running key is compressed
     (factorized) and combining continues — equal key tuples still share
     one code, but per-key decoding is lost, so ``cards`` is None.  For a
     single key ``combined`` *is* the dictionary's code array: callers
     must not write to it.
     """
-    combined: np.ndarray | None = None
-    radix = 1
-    cards: list[int] = []
+    columns = [_column_codes(table, key, dictionaries) for key in keys]
+    cards = [max(len(uniques), 1) for _, uniques in columns]
+    if not columns:
+        return np.zeros(table.num_rows, dtype=np.int64), 1, cards
+    if len(columns) == 1:
+        return columns[0][0], cards[0], cards
+    radix = math.prod(cards)
+    if radix <= 1 << 32:
+        combined = columns[0][0].astype(np.uint32)
+        for (codes, _), card in zip(columns[1:], cards[1:]):
+            np.multiply(combined, card, out=combined)
+            np.add(combined, codes, out=combined, casting="unsafe")
+        return combined, radix, cards
+    combined = columns[0][0].astype(np.int64, copy=False)
+    radix = cards[0]
     compressed = False
-    for key in keys:
-        codes, uniques = _column_codes(table, key, dictionaries)
-        card = max(len(uniques), 1)
-        cards.append(card)
-        if combined is None:
-            combined = codes.astype(np.int64, copy=False)
-            radix = card
-            continue
+    for (codes, _), card in zip(columns[1:], cards[1:]):
         if radix > (2**62) // card:
             # Compress the running composite key and keep combining.
             uniq, inverse = np.unique(combined, return_inverse=True)
@@ -268,66 +315,7 @@ def _combined_codes(
         combined = combined * card
         combined += codes
         radix *= card
-    if combined is None:
-        combined = np.zeros(table.num_rows, dtype=np.int64)
     return combined, radix, None if compressed else cards
-
-
-def _dense_group_ids(
-    combined: np.ndarray, radix: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused O(n) grouping over a small composite-code domain.
-
-    One ``bincount`` pass replaces the sort ``np.unique`` would run:
-    occupied codes are ranked into dense group ids, and first-occurrence
-    indices are recovered with a reverse-order scatter (the last write
-    wins, so writing rows in reverse leaves the first occurrence).
-
-    Returns:
-        (ids, first, counts) — bit-identical to the ``np.unique``
-        equivalents, since group numbering follows sorted code order
-        either way.
-    """
-    counts_all = np.bincount(combined, minlength=radix)
-    occupied = np.flatnonzero(counts_all)
-    lookup = np.empty(radix, dtype=np.int64)
-    lookup[occupied] = np.arange(len(occupied), dtype=np.int64)
-    ids = lookup[combined]
-    first = np.empty(len(occupied), dtype=np.int64)
-    first[ids[::-1]] = np.arange(len(combined) - 1, -1, -1, dtype=np.int64)
-    return ids, first, counts_all[occupied]
-
-
-def combined_group_codes(
-    table: Table,
-    keys: Sequence[str],
-    dictionaries: "DictionaryCache | None" = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Assign each row a group id over the composite key ``keys``.
-
-    Returns:
-        (group_ids, first_row_index_per_group, n_groups).  Provided for
-        callers that need explicit ids (e.g. tests); ``group_by`` itself
-        uses the cheaper :class:`GroupStructure` representations.  When
-        the composite cardinality product fits comfortably in the
-        bincount budget the final ``np.unique`` is skipped entirely in
-        favour of the fused O(n) ranking pass.
-    """
-    if not keys:
-        n = table.num_rows
-        ids = np.zeros(n, dtype=np.int64)
-        first = np.zeros(1 if n else 0, dtype=np.int64)
-        return ids, first, 1 if n else 0
-    combined, radix, cards = _combined_codes(table, keys, dictionaries)
-    if cards is not None and len(combined) and _dense_domain(
-        radix, len(combined)
-    ):
-        ids, first, _counts = _dense_group_ids(combined, radix)
-        return ids, first, len(first)
-    _, first, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return inverse.astype(np.int64, copy=False), first, len(first)
 
 
 #: Grouping strategies :func:`group_by` accepts.  ``'auto'`` and
@@ -352,8 +340,9 @@ def _hash_group(
     (:func:`_dense_domain`), use one ``bincount`` pass — the cheap
     hash-table regime of a real aggregation operator.  Larger domains
     sort the composite codes — the sort-aggregation regime.  Both
-    *decode* the group keys from the dictionaries and never gather
-    representative rows.  Per-column codes come through ``dictionaries``
+    take the group keys from the dictionaries (by decoding, or as they
+    are when every code occurs) and never gather representative rows.
+    Per-column codes come through ``dictionaries``
     (the plan-wide cache) when one is threaded in, so repeated plan
     nodes never re-factorize a shared column.  ``force_sort`` pins the
     sort regime (the physical planner's ``SortGroupBy`` operator); group
@@ -382,29 +371,39 @@ def _hash_group(
 
 def code_groups(
     combined: np.ndarray, radix: int, dense: bool
-) -> tuple[np.ndarray, GroupStructure]:
+) -> tuple[np.ndarray | None, GroupStructure]:
     """Group non-empty composite codes over ``[0, radix)``.
 
     ``dense`` takes one ``bincount`` pass over the domain — the cheap
     hash-table regime; otherwise one ``np.sort`` plus boundary detection
     — the sort regime.  Group numbering follows sorted code order either
     way, so both return the same (sorted distinct codes, structure).
+    When every code of the domain occurs, group *g* is code *g*: the
+    distinct codes come back as None (the identity numbering) and the
+    per-row group ids are the codes themselves.
     """
     n = len(combined)
+    group_codes: np.ndarray | None
     if dense:
-        counts_all = np.bincount(combined, minlength=radix)
-        group_codes = np.flatnonzero(counts_all)
-        counts = counts_all[group_codes]
+        counts = np.bincount(combined, minlength=radix)
+        occupied = counts != 0
+        if occupied.all():
+            group_codes = None
+        else:
+            group_codes = np.flatnonzero(occupied)
+            counts = counts[group_codes]
     else:
         ordered = np.sort(combined)
-        boundary = np.empty(len(ordered), dtype=bool)
+        boundary = np.empty(n, dtype=bool)
         boundary[0] = True
-        boundary[1:] = ordered[1:] != ordered[:-1]
-        group_codes = ordered[boundary]
+        np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
         positions = np.flatnonzero(boundary)
-        counts = np.diff(np.append(positions, len(ordered)))
+        counts = np.diff(positions, append=n)
+        group_codes = None if len(positions) == radix else ordered[positions]
 
     def make_ids() -> np.ndarray:
+        if group_codes is None:
+            return combined.astype(np.intp, copy=False)
         if radix > min(BINCOUNT_LIMIT, IDS_LOOKUP_SLACK * n):
             return np.searchsorted(group_codes, combined)
         # O(n) rank scatter; identical to searchsorted over the sorted
@@ -412,9 +411,9 @@ def code_groups(
         # Only the occupied slots of the table are written or read.
         lookup = np.empty(radix, dtype=np.int64)
         lookup[group_codes] = np.arange(len(group_codes), dtype=np.int64)
-        return lookup[combined]
+        return lookup[combined.astype(np.intp, copy=False)]
 
-    return group_codes, GroupStructure(len(group_codes), counts, make_ids)
+    return group_codes, GroupStructure(len(counts), counts, make_ids)
 
 
 def sorted_group_boundaries(
@@ -456,9 +455,10 @@ def sorted_group_boundaries(
 
 def _count(values: np.ndarray | None, groups: GroupStructure) -> np.ndarray:
     """COUNT(*): rows per group — free when the grouping pass counted."""
-    if groups.counts is not None:
-        return groups.counts.astype(np.int64)
-    return np.bincount(groups.ids, minlength=groups.n_groups).astype(np.int64)
+    counts = groups.counts
+    if counts is None:
+        counts = np.bincount(groups.ids, minlength=groups.n_groups)
+    return counts.astype(np.int64, copy=False)
 
 
 def _count_col(values: np.ndarray, groups: GroupStructure) -> np.ndarray:
@@ -719,10 +719,7 @@ def group_by(
         columns = {key: table[key][structure.first] for key in keys}
     else:
         parent_uniques = {key: table.dictionary(key)[1] for key in keys}
-        columns = {
-            key: parent_uniques[key][structure.parent_codes[key]]
-            for key in keys
-        }
+        columns = key_columns(structure.parent_codes, parent_uniques)
     states = add_states(state_specs(aggregates), structure, table.__getitem__)
     finalize(aggregates, states, columns)
     result_name = name or f"groupby_{'_'.join(keys) or 'all'}"

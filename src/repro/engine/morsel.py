@@ -44,6 +44,7 @@ from repro.engine.aggregation import (
     decode_parent_codes,
     defer_key_dictionaries,
     finalize,
+    key_columns,
     merge_specs,
     state_specs,
 )
@@ -296,6 +297,8 @@ class MorselGrouping:
             groups,
             lambda column: self.table[column][start:stop],
         )
+        if codes is None:  # every code of the domain occurs here
+            codes = np.arange(self._radix)
         return PartialGroupState(codes, states)
 
     def merge(self, partials: Sequence[PartialGroupState]) -> Table:
@@ -323,9 +326,7 @@ class MorselGrouping:
             key: _column_codes(self.table, key, self._dictionaries)[1]
             for key in self.keys
         }
-        columns = {
-            key: parent_uniques[key][parent_codes[key]] for key in self.keys
-        }
+        columns = key_columns(parent_codes, parent_uniques)
         result_name = (
             self.name or f"groupby_{'_'.join(self.keys) or 'all'}"
         )

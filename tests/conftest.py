@@ -58,6 +58,12 @@ def _is_null(value) -> bool:
     return value != value or value in (-(2**63), "")
 
 
+def _key_value(value):
+    """A key value as a dict key.  NULLs group together, and NaN is the
+    one NULL unequal to itself, so every NaN becomes one NaN object."""
+    return NULL_OF_KIND["f"] if value != value else value
+
+
 def brute_force_group_by(table: Table, keys, agg="count", column=None):
     """Reference implementation: python dict over row tuples.
 
@@ -70,7 +76,7 @@ def brute_force_group_by(table: Table, keys, agg="count", column=None):
     key_arrays = [table[k] for k in keys]
     value = table[column] if column is not None else None
     for i in range(table.num_rows):
-        key = tuple(a[i].item() for a in key_arrays)
+        key = tuple(_key_value(a[i].item()) for a in key_arrays)
         groups.setdefault(key, []).append(
             value[i].item() if value is not None else 1
         )
@@ -97,5 +103,5 @@ def result_as_dict(result_table: Table, keys, alias="cnt"):
     key_arrays = [result_table[k] for k in keys]
     agg = result_table[alias]
     for i in range(result_table.num_rows):
-        out[tuple(a[i].item() for a in key_arrays)] = agg[i].item()
+        out[tuple(_key_value(a[i].item()) for a in key_arrays)] = agg[i].item()
     return out

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.aggregation import (
     AggregateSpec,
-    _dense_group_ids,
     BINCOUNT_LIMIT,
-    combined_group_codes,
+    _combined_codes,
+    code_groups,
     group_by,
     merge_specs,
     sorted_group_boundaries,
@@ -19,6 +19,16 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
 from repro.engine.types import INT_NULL, SchemaError
 from tests.conftest import brute_force_group_by, result_as_dict
+
+
+def hash_group_ids(table, keys):
+    """(per-row group ids, first row of each group, group count) of the
+    hash kernel: ``code_groups`` over the composite key."""
+    combined, radix, _ = _combined_codes(table, keys)
+    _, groups = code_groups(combined, radix, dense=True)
+    ids = groups.ids
+    first = np.unique(ids, return_index=True)[1]
+    return ids, first, groups.n_groups
 
 
 class TestAggregateSpec:
@@ -187,7 +197,7 @@ class TestSortedPath:
 
 class TestCombinedGroupCodes:
     def test_ids_consistent_with_groups(self, tiny_table):
-        ids, first, n = combined_group_codes(tiny_table, ["a", "b"])
+        ids, first, n = hash_group_ids(tiny_table, ["a", "b"])
         assert len(ids) == tiny_table.num_rows
         assert ids.max() == n - 1
         # Rows with equal keys share an id.
@@ -374,7 +384,7 @@ class TestSortedBoundariesProperty:
         keys = data.draw(st.sampled_from([["i"], ["s"], ["i", "s"], ["s", "i"]]))
         ordered = table.sort_by(keys)
         ids_a, first_a, n_a = sorted_group_boundaries(ordered, keys)
-        ids_b, first_b, n_b = combined_group_codes(ordered, keys)
+        ids_b, first_b, n_b = hash_group_ids(ordered, keys)
         assert n_a == n_b
         np.testing.assert_array_equal(ids_a, ids_b)
         np.testing.assert_array_equal(first_a, first_b)
@@ -382,7 +392,7 @@ class TestSortedBoundariesProperty:
     def test_single_group(self):
         table = Table("t", {"k": [5, 5, 5]})
         ids, first, n = sorted_group_boundaries(table, ["k"])
-        ids_h, first_h, n_h = combined_group_codes(table, ["k"])
+        ids_h, first_h, n_h = hash_group_ids(table, ["k"])
         assert (n, list(ids), list(first)) == (n_h, list(ids_h), list(first_h))
         assert n == 1
 
@@ -409,7 +419,8 @@ class TestSortedBoundariesProperty:
 
 
 class TestDenseGroupIds:
-    """The fused bincount ranking must equal np.unique exactly."""
+    """Both regimes' grouping must equal np.unique exactly, the identity
+    numbering (every code of the domain occurs) included."""
 
     @given(
         st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=80)
@@ -417,13 +428,15 @@ class TestDenseGroupIds:
     @settings(max_examples=100, deadline=None)
     def test_matches_np_unique(self, values):
         combined = np.array(values, dtype=np.int64)
-        ids, first, counts = _dense_group_ids(combined, 41)
-        _, ref_first, ref_inverse, ref_counts = np.unique(
-            combined,
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
+        radix = int(combined.max()) + 1
+        ref_codes, ref_inverse, ref_counts = np.unique(
+            combined, return_inverse=True, return_counts=True
         )
-        np.testing.assert_array_equal(ids, ref_inverse)
-        np.testing.assert_array_equal(first, ref_first)
-        np.testing.assert_array_equal(counts, ref_counts)
+        for dense in (True, False):
+            codes, groups = code_groups(combined, radix, dense=dense)
+            if codes is None:
+                assert len(ref_codes) == radix
+                codes = np.arange(radix)
+            np.testing.assert_array_equal(codes, ref_codes)
+            np.testing.assert_array_equal(groups.ids, ref_inverse)
+            np.testing.assert_array_equal(groups.counts, ref_counts)

@@ -268,14 +268,26 @@ def reachable_arrays(root) -> list[np.ndarray]:
     return arrays
 
 
-def assert_codes_narrow(result: Table, keys) -> None:
-    """Every pending key derivation holds its per-group input codes in
-    ``uint8``: each of ``keys`` has an input dictionary of at most 256
-    values (sales ``region`` has 10, ``channel`` 4)."""
+def assert_derivations_hold_per_group_arrays(result: Table, keys) -> None:
+    """Every pending key derivation holds per-group arrays only.
+
+    A single key is numbered by its own input dictionary (every code
+    occurs), so its derivation is the identity over the result column
+    and holds that column alone.  A composite key's derivation holds
+    its per-group input codes in ``uint8`` (sales ``region`` has 10
+    values, ``channel`` 4) beside the input dictionary's values.
+    """
     for key in keys:
-        codes, uniques = result._pending[key].args
-        assert len(uniques) <= 256
-        assert codes.dtype == np.uint8
+        derive = result._pending[key]
+        if len(keys) == 1:
+            assert derive.func is aggregation._identity_dictionary
+            (values,) = derive.args
+            assert values is result[key]
+            assert not values.flags.writeable
+        else:
+            codes, uniques = derive.args
+            assert len(uniques) <= 256
+            assert codes.dtype == np.uint8
 
 
 class TestRetention:
@@ -293,7 +305,7 @@ class TestRetention:
         assert 0 < result.num_rows < 4_000
         for array in reachable_arrays(result):
             assert len(array) <= result.num_rows
-        assert_codes_narrow(result, keys)
+        assert_derivations_hold_per_group_arrays(result, keys)
         assert_dictionaries_exact(result, keys)
 
     def test_morsel_result_holds_no_input(self):
@@ -310,7 +322,7 @@ class TestRetention:
         for result, keys in zip(results, (["region"], ["region", "channel"])):
             for array in reachable_arrays(result):
                 assert len(array) <= result.num_rows
-            assert_codes_narrow(result, keys)
+            assert_derivations_hold_per_group_arrays(result, keys)
 
 
 class TestDenseDomainGuard:

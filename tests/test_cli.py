@@ -190,6 +190,37 @@ class TestSql:
         assert rows
         assert all(int(row[-1]) > 10 for row in rows)
 
+    def test_padding_prints_null(self, tmp_path, capsys):
+        # Each grouping set pads the keys it leaves out: an int, a float
+        # and a string key, each printed as NULL rather than its sentinel.
+        path = tmp_path / "t.csv"
+        save_csv(
+            Table(
+                "t",
+                {
+                    "i": [1, 2, 1, 2],
+                    "f": [0.5, 0.5, 1.5, 1.5],
+                    "s": ["a", "b", "b", "a"],
+                },
+            ),
+            path,
+        )
+        assert main(
+            [
+                "sql", str(path),
+                "SELECT COUNT(*) FROM t GROUP BY GROUPING SETS ((i), (f), (s))",
+            ]
+        ) == 0
+        rows = _result_rows(capsys.readouterr().out, "grp_tag  i  f  s  cnt")
+        assert sorted(row[1:] for row in rows) == [
+            ["1", "NULL", "NULL", "2"],
+            ["2", "NULL", "NULL", "2"],
+            ["NULL", "0.5", "NULL", "2"],
+            ["NULL", "1.5", "NULL", "2"],
+            ["NULL", "NULL", "a", "2"],
+            ["NULL", "NULL", "b", "2"],
+        ]
+
 
 class TestExplain:
     def test_static_explain_on_csv(self, csv_path, capsys):
