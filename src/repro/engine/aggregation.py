@@ -28,7 +28,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.dictcache import _dense_range_budget, _scatter_rank
+from repro.engine.dictcache import (
+    _dense_range_budget,
+    _scatter_rank,
+    _sort_rank,
+    code_dtype,
+    narrow_codes,
+)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
 from repro.engine.types import SchemaError, null_mask, null_value
@@ -167,23 +173,6 @@ def decode_parent_codes(
     return parents
 
 
-#: Unsigned dtypes a pending result dictionary stores its per-group
-#: input codes in, narrowest first (see :func:`narrow_codes`).
-NARROW_CODE_DTYPES = (np.uint8, np.uint16, np.uint32)
-
-
-def narrow_codes(codes: np.ndarray, cardinality: int) -> np.ndarray:
-    """``codes`` over ``[0, cardinality)`` in the narrowest unsigned dtype.
-
-    A copy in ``uint8``/``uint16``/``uint32`` when the dictionary fits
-    one, else ``codes`` unchanged.
-    """
-    for dtype in NARROW_CODE_DTYPES:
-        if cardinality <= int(np.iinfo(dtype).max) + 1:
-            return codes.astype(dtype)
-    return codes
-
-
 def _rerank_dictionary(
     parent_codes: np.ndarray, parent_uniques: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,23 +181,23 @@ def _rerank_dictionary(
     The input's codes follow value order, so ranking the codes that
     occur ranks the values.  Within the dense budget that is one
     presence scatter over the input dictionary and a running count —
-    O(groups + dictionary) whatever the codes' dtype.  Past it the codes
-    are widened to ``int64`` first: ``np.unique`` sorts narrow unsigned
-    codes several times slower than ``int64`` ones.
+    O(groups + dictionary) whatever the codes' dtype.  Past it, one
+    argsort ranks them; the input dictionary then holds more than the
+    budget's floor of values, so its codes are ``uint32`` or wider,
+    which argsort takes at full speed.  Either way the result codes
+    come in their :func:`~repro.engine.dictcache.code_dtype`.
     """
     span = len(parent_uniques)
     if span <= _dense_range_budget(len(parent_codes)):
         ranks, present = _scatter_rank(parent_codes, span)
         return ranks, parent_uniques[np.flatnonzero(present)]
-    uniq_codes, inverse = np.unique(
-        parent_codes.astype(np.int64, copy=False), return_inverse=True
-    )
-    return inverse.astype(np.int64, copy=False), parent_uniques[uniq_codes]
+    ranks, occurring = _sort_rank(parent_codes)
+    return ranks, parent_uniques[occurring]
 
 
 def _identity_dictionary(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The dictionary of a column of distinct values in sorted order."""
-    return np.arange(len(values), dtype=np.int64), values
+    return np.arange(len(values), dtype=code_dtype(len(values))), values
 
 
 def key_columns(
@@ -280,12 +269,14 @@ def _combined_codes(
     cardinality of ``keys[i]`` inside the composite code (the last key
     has stride 1; see :func:`decode_parent_codes`).  A domain of at most
     2^32 codes is combined in ``uint32``, so sorting and comparing the
-    codes moves half the bytes ``int64`` would.  When the composite
+    codes moves half the bytes ``int64`` would; the per-column codes are
+    widened as they are combined, never multiplied in their own
+    (possibly one-byte) dtype.  When the composite
     domain would overflow int64 the running key is compressed
     (factorized) and combining continues — equal key tuples still share
     one code, but per-key decoding is lost, so ``cards`` is None.  For a
-    single key ``combined`` *is* the dictionary's code array: callers
-    must not write to it.
+    single key ``combined`` *is* the dictionary's code array, in its
+    narrow storage dtype: callers must not write to it.
     """
     columns = [_column_codes(table, key, dictionaries) for key in keys]
     cards = [max(len(uniques), 1) for _, uniques in columns]
@@ -393,7 +384,11 @@ def code_groups(
             group_codes = np.flatnonzero(occupied)
             counts = counts[group_codes]
     else:
-        ordered = np.sort(combined)
+        # np.sort takes one-byte codes many times slower than two-byte
+        # ones (docs/performance.md, "Code widths").
+        ordered = np.sort(
+            combined.astype(np.uint16) if combined.itemsize == 1 else combined
+        )
         boundary = np.empty(n, dtype=bool)
         boundary[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])

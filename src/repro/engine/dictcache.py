@@ -9,12 +9,14 @@ constant); now:
 * :func:`encode_column` is the one factorize kernel the engine uses.  For
   integer columns whose value range is dense relative to the row count it
   runs in O(n) — one ``min``/``max`` pass, one boolean-presence scatter,
-  one rank gather — and produces output *bit-identical* to
+  one rank gather — and produces the code and distinct values of
   ``np.unique(..., return_inverse=True)`` (codes follow the sorted order
   of the distinct values).  String columns are packed into big-endian
   integer words and ranked word by word (integer sorts, never a sort of
-  the strings themselves), with the same bit-identical output.  Floats
-  and wide-range integers take the sort-based path.
+  the strings themselves), with the same output.  Floats and wide-range
+  integers take the sort-based path.  Every path writes its codes in
+  :func:`code_dtype`, the narrowest unsigned dtype that holds them —
+  the one width choice for every code array the engine stores.
 * :func:`legacy_encode` is the pre-existing sort-based kernel, kept as the
   reference implementation (tests pin ``encode_column`` against it).
 * :class:`DictionaryCache` is the plan-wide cache the executor threads
@@ -59,13 +61,40 @@ DENSE_RANGE_LIMIT = 1 << 26
 
 
 def legacy_encode(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-based factorize: (codes, distinct_values) via ``np.unique``.
+    """Sort-based factorize: (``int64`` codes, distinct_values) via ``np.unique``.
 
-    The pre-cache kernel, retained as the reference implementation and
-    the path for floats and integers too wide for the dense range.
+    The pre-cache kernel, retained as the reference implementation:
+    :func:`encode_column` returns the same code values and distinct
+    values, its codes in the narrowest dtype (:func:`code_dtype`).
     """
     uniques, inverse = np.unique(array, return_inverse=True)
     return inverse.astype(np.int64, copy=False), uniques
+
+
+#: Unsigned dtypes dictionary codes are stored in, narrowest first.
+NARROW_CODE_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
+
+
+def code_dtype(cardinality: int) -> np.dtype:
+    """The dtype every dictionary code array over ``[0, cardinality)`` is
+    stored in: the narrowest of :data:`NARROW_CODE_DTYPES` that holds
+    it, ``int64`` past them.
+
+    Storage only.  Arithmetic on codes widens first — NumPy keeps
+    ``uint8`` arithmetic in ``uint8``, wrapping silently — and so does
+    ``np.sort``, which sorts one-byte codes many times slower than any
+    wider dtype (docs/performance.md, "Code widths").
+    """
+    for dtype in NARROW_CODE_DTYPES:
+        if cardinality <= 1 << (8 * dtype.itemsize):
+            return dtype
+    return np.dtype(np.int64)
+
+
+def narrow_codes(codes: np.ndarray, cardinality: int) -> np.ndarray:
+    """``codes`` over ``[0, cardinality)`` in :func:`code_dtype`:
+    ``codes`` itself when already there, else a copy."""
+    return codes.astype(code_dtype(cardinality), copy=False)
 
 
 def _dense_range_budget(n_rows: int) -> int:
@@ -73,14 +102,46 @@ def _dense_range_budget(n_rows: int) -> int:
 
 
 def _scatter_rank(shifted: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ranks of ints in ``[0, span)``: (ranks, presence mask)."""
+    """Dense ranks of ints in ``[0, span)``: (ranks, presence mask).
+
+    The rank table is built in the ranks' own :func:`code_dtype`, so
+    the gather writes the codes narrow.
+    """
     present = np.zeros(span, dtype=bool)
     present[shifted] = True
-    # rank[v] = number of distinct values <= v, minus one: the
-    # dense code of value v in sorted-distinct order.
-    rank = np.cumsum(present, dtype=np.int64)
-    rank -= 1
+    # rank[v] = number of distinct values < v: the dense code of value
+    # v in sorted-distinct order.  Only present slots are read, and each
+    # holds a rank below the distinct count; slots past the last present
+    # value hold the count itself, which may wrap.
+    rank = np.empty(span, dtype=code_dtype(int(np.count_nonzero(present))))
+    rank[:1] = 0
+    np.cumsum(present[:-1], dtype=rank.dtype, out=rank[1:])
     return rank[shifted], present
+
+
+def _sort_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks by one ``argsort``: (codes, distinct_values).
+
+    ``np.unique``'s own algorithm — the same sort, and NaNs counted as
+    one value — so the output equals :func:`legacy_encode`'s, with the
+    codes scattered straight into their :func:`code_dtype`.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if ordered.dtype.kind == "f" and len(ordered) and np.isnan(ordered[-1]):
+        first_nan = int(np.searchsorted(ordered, ordered[-1], side="left"))
+        first[first_nan] = True
+        first[first_nan + 1 :] = False
+    distinct = ordered[first]
+    sorted_codes = np.empty(len(values), dtype=code_dtype(len(distinct)))
+    sorted_codes[:1] = 0
+    np.cumsum(first[1:], dtype=sorted_codes.dtype, out=sorted_codes[1:])
+    codes = np.empty_like(sorted_codes)
+    codes[order] = sorted_codes
+    return codes, distinct
 
 
 def _dense_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
@@ -88,17 +149,10 @@ def _dense_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
     lo = key.min()
     span = int(key.max()) - int(lo) + 1
     if span <= _dense_range_budget(len(key)):
-        ranks, present = _scatter_rank((key - lo).astype(np.int64), span)
+        ranks, present = _scatter_rank(key - lo, span)
         return ranks, int(np.count_nonzero(present))
-    order = np.argsort(key)
-    ordered = key[order]
-    sorted_ranks = np.empty(len(key), dtype=np.int64)
-    sorted_ranks[0] = 0
-    np.not_equal(ordered[1:], ordered[:-1], out=sorted_ranks[1:])
-    np.cumsum(sorted_ranks, out=sorted_ranks)
-    ranks = np.empty_like(sorted_ranks)
-    ranks[order] = sorted_ranks
-    return ranks, int(sorted_ranks[-1]) + 1
+    ranks, distinct = _sort_rank(key)
+    return ranks, len(distinct)
 
 
 def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,11 +163,11 @@ def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whole 8-byte words read as big-endian integers, so integer order
     of the word tuple is numpy's code-point order of the strings
     (trailing-NUL padding and ``""`` included).  Words are folded in
-    from the most significant: ``codes * k_j + rank(word_j)`` stays
-    below ``n**2`` and is re-ranked densely, and the fold stops once
-    every row is its own group.  Words equal on every row are skipped,
-    and so is a word constant within every group told apart so far
-    (it would re-rank the codes to themselves).
+    from the most significant: ``codes * k_j + rank(word_j)``, widened
+    to ``int64`` first, stays below ``n**2`` and is re-ranked densely,
+    and the fold stops once every row is its own group.  Words equal on
+    every row are skipped, and so is a word constant within every group
+    told apart so far (it would re-rank the codes to themselves).
     """
     n = len(array)
     native = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("="))
@@ -132,7 +186,8 @@ def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     words[-1] >>= np.uint64(8 * (n_words * 8 - width))
     # k: groups told apart so far — one (every row equal) unless empty;
     # representative: one row of each.
-    codes, k = np.zeros(n, dtype=np.int64), min(n, 1)
+    k = min(n, 1)
+    codes = np.zeros(n, dtype=code_dtype(k))
     representative = np.zeros(k, dtype=np.intp)
     for j in np.flatnonzero((words != words[:, :1]).any(axis=1)):
         if k == n:
@@ -144,7 +199,7 @@ def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             continue  # constant within every group: it splits none
         else:
             word_codes, k_j = _dense_rank(word)
-            codes, k = _dense_rank(codes * k_j + word_codes)
+            codes, k = _dense_rank(codes.astype(np.int64) * k_j + word_codes)
         representative = np.empty(k, dtype=np.intp)
         representative[codes] = np.arange(n)
     return codes, array[representative]
@@ -153,9 +208,11 @@ def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def encode_column(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factorize one column into dense codes: (codes, distinct_values).
 
-    Codes follow the sorted order of the distinct values — identical to
-    :func:`legacy_encode` — so the two kernels are interchangeable and
-    downstream composite-code arithmetic is unaffected by which one ran.
+    Codes follow the sorted order of the distinct values — the values
+    of :func:`legacy_encode` — so the two kernels are interchangeable
+    and downstream composite-code arithmetic is unaffected by which one
+    ran.  The codes come in :func:`code_dtype` of the distinct count
+    (``uint8`` up to 256 values), written narrow by every path.
 
     Integer columns whose value span ``max - min + 1`` fits the dense
     budget take the O(n) path.  A column containing the ``INT_NULL``
@@ -173,13 +230,17 @@ def encode_column(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the column holds INT_NULL alongside large positives.
         span = hi - lo + 1
         if span <= _dense_range_budget(len(array)):
-            shifted = (array - lo).astype(np.int64, copy=False)
-            codes, present = _scatter_rank(shifted, span)
-            uniques = (np.flatnonzero(present) + lo).astype(
-                array.dtype, copy=False
+            # Shift in 64 bits of the column's signedness: in a narrow
+            # input dtype ``array - lo`` wraps (int8 [-100, 100] spans
+            # 201), and a uint64 ``lo`` fits no signed dtype.
+            wide = np.dtype(np.uint64 if array.dtype.kind == "u" else np.int64)
+            origin = wide.type(lo)
+            codes, present = _scatter_rank(
+                np.subtract(array, origin, dtype=wide), span
             )
-            return codes, uniques
-    return legacy_encode(array)
+            uniques = np.flatnonzero(present).astype(wide) + origin
+            return codes, uniques.astype(array.dtype)
+    return _sort_rank(array)
 
 
 class DictionaryCache:

@@ -298,7 +298,7 @@ class MorselGrouping:
             lambda column: self.table[column][start:stop],
         )
         if codes is None:  # every code of the domain occurs here
-            codes = np.arange(self._radix)
+            codes = np.arange(self._radix, dtype=combined.dtype)
         return PartialGroupState(codes, states)
 
     def merge(self, partials: Sequence[PartialGroupState]) -> Table:

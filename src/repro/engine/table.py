@@ -96,7 +96,10 @@ class Table:
         dictionary is built lazily on first use and cached (call
         :meth:`build_dictionaries` to pay the cost up front at load).
         Codes follow the sorted order of the distinct values, so
-        ``distinct_values[code]`` recovers the original value.  Dense
+        ``distinct_values[code]`` recovers the original value; they are
+        stored in the narrowest unsigned dtype that holds them
+        (:func:`repro.engine.dictcache.code_dtype`), so widen them
+        before any arithmetic.  Dense
         integer columns take the O(n) fast path of
         :func:`repro.engine.dictcache.encode_column`; a column with a
         deferred derivation (:meth:`defer_dictionary`) realises that

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
+from repro.engine.dictcache import encode_column
 from repro.engine.table import Table
 from repro.obs.clock import monotonic
 from repro.stats.distinct import (
@@ -147,21 +148,29 @@ class _UnionFloors:
 
 
 class _CodesCache:
-    """Caches per-column dense codes so combined counts are cheap."""
+    """Caches per-column dense codes so combined counts are cheap.
 
-    def __init__(self, table: Table) -> None:
-        self._table = table
+    Args:
+        dictionary: ``column -> (codes, distinct values)``, the codes
+            over the rows counted and indexing those distinct values.
+    """
+
+    def __init__(
+        self, dictionary: Callable[[str], tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        self._dictionary = dictionary
         self._codes: dict[str, tuple[np.ndarray, int]] = {}
 
     def codes(self, column: str) -> tuple[np.ndarray, int]:
         if column not in self._codes:
-            codes, uniques = self._table.dictionary(column)
+            codes, uniques = self._dictionary(column)
             self._codes[column] = (codes, len(uniques))
         return self._codes[column]
 
     def combined(self, columns: Iterable[str]) -> np.ndarray:
         """One int64 code per row for a non-empty column set (read-only:
-        a single column's codes are returned uncopied)."""
+        a single column's codes are returned uncopied when they are
+        ``int64``).  Narrow codes are widened before any arithmetic."""
         code_arrays = []
         combined = None
         radix_ok = True
@@ -256,7 +265,7 @@ class ExactCardinalityEstimator(_ProfileFloors):
 
     def __init__(self, table: Table) -> None:
         self._table = table
-        self._codes = _CodesCache(table)
+        self._codes = _CodesCache(table.dictionary)
         self._widths = _WidthModel(table)
         self._cache: dict[frozenset[str], float] = {}
         self._floors: dict[tuple[object, ...], float] = {}
@@ -322,7 +331,7 @@ class SampledCardinalityEstimator(_ProfileFloors):
         #: ``rows_lower_bound`` per ``(columns, known)``, while ``columns``
         #: has no statistic.
         self._floors: dict[tuple[object, ...], float] = {}
-        self._sample_codes: _CodesCache | None = None
+        self._sample_codes = _CodesCache(self._sample_dictionary)
         #: Column sets for which a statistic was created, in order.
         self.created_statistics: list[frozenset[str]] = []
         #: Total wall-clock seconds spent creating statistics.
@@ -334,7 +343,7 @@ class SampledCardinalityEstimator(_ProfileFloors):
 
     @property
     def sample_size(self) -> int:
-        return self._sampler.sample().num_rows
+        return len(self._sampler.indices())
 
     def rows(self, columns: frozenset[str]) -> float:
         columns = frozenset(columns)
@@ -392,14 +401,24 @@ class SampledCardinalityEstimator(_ProfileFloors):
             self._caps[columns] = cap
         return cap
 
+    def _sample_dictionary(self, column: str) -> tuple[np.ndarray, np.ndarray]:
+        """``column``'s codes at the sampled rows and the distinct values
+        they index: the table's built dictionary gathered there when it
+        has one, else an encode of the sampled values alone — never of
+        the whole column.  Either numbering partitions the sample rows
+        by value alike, so every ``(d, f1, f2)`` profile is the same."""
+        rows = self._sampler.indices()
+        built = self._table.cached_dictionary(column)
+        if built is not None:
+            codes, uniques = built
+            return codes[rows], uniques
+        return encode_column(self._table[column][rows])
+
     def _create_statistic(self, columns: frozenset[str]) -> float:
         started = monotonic()
-        sample = self._sampler.sample()
-        if self._sample_codes is None:
-            self._sample_codes = _CodesCache(sample)
         profile = sample_profile(self._sample_codes.combined(columns))
         estimate = estimate_from_profile(
-            profile, sample.num_rows, self._table.num_rows, self._method
+            profile, self.sample_size, self._table.num_rows, self._method
         )
         self._profiles[columns] = profile[:2]
         estimate = min(estimate, self.cap(columns))

@@ -4,6 +4,8 @@ Commercial optimizers build many statistics from one table sample; the
 paper leans on that to amortize statistics-creation cost (Sections 3.2.2
 and 6.7).  :class:`TableSampler` takes one sample per table and serves
 every statistic built afterwards from it, metering the one-time cost.
+The sample is a row-index array: a statistic reads only the sampled rows
+of the columns it covers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class TableSampler:
         self._table = table
         self._target = min(int(sample_rows), table.num_rows)
         self._seed = seed
+        self._indices: np.ndarray | None = None
         self._sample: Table | None = None
         self.rows_scanned_for_sample = 0
 
@@ -39,13 +42,13 @@ class TableSampler:
             return 1.0
         return self._target / self._table.num_rows
 
-    def sample(self) -> Table:
-        """Return the cached sample, drawing it on first use.
+    def indices(self) -> np.ndarray:
+        """The sampled row numbers, ascending, drawn on first use.
 
         Drawing the sample charges one scan of the base table to the
         metering counter (a real system reads pages to sample them).
         """
-        if self._sample is None:
+        if self._indices is None:
             rng = np.random.default_rng(self._seed)
             n = self._table.num_rows
             if self._target >= n:
@@ -53,8 +56,14 @@ class TableSampler:
             else:
                 indices = rng.choice(n, size=self._target, replace=False)
                 indices.sort()
-            self._sample = self._table.take(
-                indices, name=f"{self._table.name}__sample"
-            )
+            self._indices = indices
             self.rows_scanned_for_sample = n
+        return self._indices
+
+    def sample(self) -> Table:
+        """The sampled rows of every column as a table, cached."""
+        if self._sample is None:
+            self._sample = self._table.take(
+                self.indices(), name=f"{self._table.name}__sample"
+            )
         return self._sample

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.engine.dictcache import (
     DENSE_RANGE_FLOOR,
     DictionaryCache,
+    code_dtype,
     encode_column,
     legacy_encode,
 )
@@ -18,11 +19,13 @@ from repro.engine.types import INT_NULL, STR_NULL, SchemaError
 
 
 def assert_same_encoding(array):
+    """``encode_column`` gives ``legacy_encode``'s code values and
+    distinct values, the codes in the narrowest dtype that holds them."""
     codes, uniques = encode_column(array)
     ref_codes, ref_uniques = legacy_encode(array)
     np.testing.assert_array_equal(codes, ref_codes)
     np.testing.assert_array_equal(uniques, ref_uniques)
-    assert codes.dtype == ref_codes.dtype
+    assert codes.dtype == code_dtype(len(ref_uniques))
     assert uniques.dtype == ref_uniques.dtype
 
 
@@ -162,6 +165,16 @@ class TestEncodeColumn:
             np.array(["AAAAAAAA1", "AAAAAAAA2", "BBBBBBBB1"], dtype="U9")
         )
 
+    def test_fold_past_one_byte_of_codes(self):
+        # 30 first words x 30 second words: the fold's composite runs to
+        # 900, past the 256 codes the one-byte rank of each word holds,
+        # so it must be taken in a wider dtype.
+        rng = np.random.default_rng(5)
+        heads = [f"{i:08d}" for i in range(30)]
+        tails = [f"{i:08d}" for i in range(30)]
+        rows = [h + t for h in heads for t in tails]
+        assert_same_encoding(np.array(rng.permutation(rows), dtype="U16"))
+
     def test_float_column(self):
         assert_same_encoding(np.array([2.5, 1.0, 2.5, -0.5]))
 
@@ -182,6 +195,46 @@ class TestEncodeColumn:
         codes, uniques = encode_column(np.array([30, 10, 20, 10]))
         assert list(uniques) == [10, 20, 30]
         assert list(codes) == [2, 0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([-100, 100, 5], np.int8),
+            ([-128, 127, 0, 127], np.int8),
+            ([-30000, 30000, 7], np.int16),
+            ([0, 255, 7, 255], np.uint8),
+            ([0, 65535, 3], np.uint16),
+            ([2**64 - 1, 2**64 - 5, 2**64 - 1, 2**64 - 3], np.uint64),
+            ([0, 2**64 - 1, 5], np.uint64),
+        ],
+    )
+    def test_narrow_and_unsigned_inputs(self, values, dtype):
+        # The shift by the minimum is taken in 64 bits: in the input's
+        # own dtype int8 100 - (-100) wraps to -56.
+        array = np.array(values, dtype=dtype)
+        assert_same_encoding(array)
+        _, uniques = encode_column(array)
+        np.testing.assert_array_equal(uniques, sorted(set(values)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from(
+            [np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64]
+        ),
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 300),
+    )
+    def test_every_integer_dtype_matches_reference(self, dtype, seed, n):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(seed)
+        array = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+        assert_same_encoding(array)
+
+    def test_floats_with_nan_and_signed_zero(self):
+        assert_same_encoding(
+            np.array([np.nan, 0.0, -0.0, np.nan, 1.5, -np.inf, np.nan])
+        )
+        assert_same_encoding(np.array([np.nan, np.nan]))
 
 
 class TestDictionaryCache:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
-from repro.core.plan import naive_plan
+from repro.core.plan import LogicalPlan, PlanNode, SubPlan, naive_plan
 from repro.engine import aggregation, dictcache
 from repro.engine.aggregation import (
     DENSE_DOMAIN_FLOOR,
@@ -29,13 +29,17 @@ from repro.engine.aggregation import (
     AggregateSpec,
     group_by,
 )
-from repro.engine.dictcache import encode_column
+from repro.engine.dictcache import code_dtype, encode_column, legacy_encode
+from repro.engine.executor import PlanExecutor
 from repro.engine.morsel import MorselGrouping, compute_morsel_groupings
+from repro.engine.partitioned_cube import partitioned_cube
 from repro.engine.table import Table
 from repro.engine.types import INT_NULL
 from repro.physical.plan import Materialize
 from repro.workloads.queries import two_column_queries
 from repro.workloads.sales import SALES_COLUMNS, make_sales
+from repro.workloads.tpch import make_lineitem
+from tests.conftest import brute_force_group_by, result_as_dict
 from tests.engine.test_morsel import assert_tables_bit_identical
 
 COUNT = [AggregateSpec.count_star()]
@@ -47,11 +51,14 @@ COUNT_AND_SUM_SALES = [
 
 
 def assert_dictionaries_exact(result: Table, keys) -> None:
-    """``result.dictionary(k)`` is bit for bit the raw-value encode."""
+    """``result.dictionary(k)`` is the raw-value encode: the values of the
+    ``int64`` reference, the codes in the narrowest dtype that holds
+    them — bit for bit what ``encode_column`` gives."""
     for key in keys:
         codes, values = result.dictionary(key)
-        want_codes, want_values = encode_column(result[key])
-        assert codes.dtype == want_codes.dtype == np.int64
+        want_codes, want_values = legacy_encode(result[key])
+        assert codes.dtype == encode_column(result[key])[0].dtype
+        assert codes.dtype == code_dtype(len(want_values))
         assert values.dtype == want_values.dtype
         np.testing.assert_array_equal(codes, want_codes)
         np.testing.assert_array_equal(values, want_values)
@@ -361,6 +368,31 @@ class TestDenseDomainGuard:
         assert not dense(aggregation.BINCOUNT_LIMIT + 1, 10**9)
 
 
+def boundary_column(kind: str, card: int, rng: np.random.Generator) -> np.ndarray:
+    """A column of ``card`` distinct values (NULL among them for the
+    ``*_null`` kinds), each at least once, in random order."""
+    values = np.arange(card, dtype=np.int64) * 7 - 3 * card
+    if kind in ("float", "float_null"):
+        values = values / 4.0
+    elif kind in ("str", "str_null"):
+        values = np.char.add("v", values.astype("U8"))
+    if kind.endswith("_null"):
+        values[0] = {"int_null": INT_NULL, "float_null": np.nan}.get(kind, "")
+    column = np.concatenate([values, values[rng.integers(0, card, card // 2)]])
+    return rng.permutation(column)
+
+
+WIDTH_OF = {256: np.uint8, 257: np.uint16, 65_536: np.uint16, 65_537: np.uint32}
+KINDS = ["int", "float", "str", "int_null", "float_null", "str_null"]
+
+
+def assert_matches_brute_force(result: Table, table: Table, keys) -> None:
+    assert result_as_dict(result, keys) == brute_force_group_by(table, keys)
+    assert result_as_dict(result, keys, "s") == brute_force_group_by(
+        table, keys, "sum", "v"
+    )
+
+
 def reference_rerank(parent_codes, parent_uniques):
     """The re-rank as it was with ``int64`` codes: one ``np.unique``."""
     uniq_codes, inverse = np.unique(parent_codes, return_inverse=True)
@@ -368,7 +400,10 @@ def reference_rerank(parent_codes, parent_uniques):
 
 
 class TestNarrowCodes:
-    """Narrow deferred codes realise exactly the ``int64`` dictionary."""
+    """Codes are stored in the narrowest unsigned dtype: deferred codes
+    realise the ``int64`` dictionary's values, base dictionaries hold
+    ``legacy_encode``'s, and every path over them answers as the
+    reference does."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -390,7 +425,7 @@ class TestNarrowCodes:
         assert narrow.dtype == want
         got_codes, got_values = aggregation._rerank_dictionary(narrow, uniques)
         want_codes, want_values = reference_rerank(codes, uniques)
-        assert got_codes.dtype == want_codes.dtype == np.int64
+        assert got_codes.dtype == code_dtype(len(want_values))
         assert got_values.dtype == want_values.dtype
         np.testing.assert_array_equal(got_codes, want_codes)
         np.testing.assert_array_equal(got_values, want_values)
@@ -401,11 +436,159 @@ class TestNarrowCodes:
             aggregation.narrow_codes(np.array([], dtype=np.int64), 0), uniques
         )
         want = reference_rerank(np.array([], dtype=np.int64), uniques)
+        assert got[0].dtype == code_dtype(0) == np.uint8
+        assert got[1].dtype == want[1].dtype
         for got_array, want_array in zip(got, want):
-            assert got_array.dtype == want_array.dtype
             assert got_array.shape == want_array.shape == (0,)
 
     def test_wide_dictionaries_keep_int64(self):
         codes = np.array([0, 5], dtype=np.int64)
         assert aggregation.narrow_codes(codes, 1 << 32).dtype == np.uint32
         assert aggregation.narrow_codes(codes, (1 << 32) + 1) is codes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("card", sorted(WIDTH_OF))
+    def test_base_dictionary_is_narrowest(self, card, kind):
+        column = boundary_column(kind, card, np.random.default_rng(card))
+        table = Table("t", {"k": column})
+        table.build_dictionaries()
+        codes, values = table.dictionary("k")
+        want_codes, want_values = legacy_encode(table["k"])
+        assert codes.dtype == WIDTH_OF[card] == code_dtype(card)
+        assert len(want_values) == card
+        np.testing.assert_array_equal(codes, want_codes)
+        np.testing.assert_array_equal(values, want_values)
+
+    @staticmethod
+    def _table(kind: str, card: int, seed: int = 0) -> Table:
+        rng = np.random.default_rng(seed)
+        a = boundary_column(kind, card, rng)
+        return Table(
+            "t",
+            {
+                "a": a,
+                "b": rng.integers(0, 3, len(a)),
+                "v": rng.integers(-9, 9, len(a)),
+            },
+        )
+
+    @pytest.mark.parametrize("kind", ["int", "str", "float_null"])
+    @pytest.mark.parametrize("card", [256, 257])
+    @pytest.mark.parametrize("strategy", ["auto", "hash", "sort"])
+    def test_group_by_over_narrow_codes(self, card, kind, strategy):
+        table = self._table(kind, card)
+        for keys in (["a"], ["b", "a"], ["a", "b"]):
+            result = group_by(table, keys, COUNT_AND_SUM, strategy=strategy)
+            assert_matches_brute_force(result, table, keys)
+            assert_dictionaries_exact(result, keys)
+
+    @pytest.mark.parametrize(
+        "card, mode, parallelism",
+        [
+            (256, "serial", 1),
+            (256, "wavefront", 2),
+            (256, "morsel", 2),
+            (65_537, "serial", 1),
+        ],
+    )
+    def test_reaggregate_from_materialized_temp(self, card, mode, parallelism):
+        table = self._table("int", card, seed=1)
+        session = Session.for_table(table, statistics="exact")
+        ab, a, b = frozenset("ab"), frozenset("a"), frozenset("b")
+        plan = LogicalPlan(
+            session.base_table,
+            (
+                SubPlan(
+                    PlanNode(ab), (SubPlan.leaf(a), SubPlan.leaf(b)), required=True
+                ),
+            ),
+            frozenset({ab, a, b}),
+        )
+        run = session.execute(
+            plan, aggregates=COUNT_AND_SUM, mode=mode, parallelism=parallelism
+        )
+        for query in (ab, a, b):
+            assert_matches_brute_force(run.results[query], table, sorted(query))
+
+    @pytest.mark.parametrize("card", [256, 257, 65_536])
+    def test_forced_morsel_batch(self, card):
+        table = self._table("str", card, seed=2)
+        key_sets = (["a"], ["a", "b"], ["b"])
+        groupings = [MorselGrouping(table, keys, COUNT_AND_SUM) for keys in key_sets]
+        assert all(grouping.feasible for grouping in groupings)
+        results, _ = compute_morsel_groupings(table, groupings, 3, 2)
+        for result, keys in zip(results, key_sets):
+            assert_matches_brute_force(result, table, keys)
+            assert_dictionaries_exact(result, keys)
+
+    @pytest.mark.parametrize("card", [256, 257])
+    def test_partitioned_cube(self, card):
+        table = self._table("int_null", card, seed=3)
+        cube = partitioned_cube(
+            table, ["a", "b"], memory_rows=card // 3, aggregates=COUNT_AND_SUM
+        )
+        for grouping, result in cube.items():
+            assert_matches_brute_force(result, table, sorted(grouping))
+
+    @pytest.mark.parametrize("card", [16, 256, 257])
+    def test_sort_regime_never_sorts_one_byte_codes(self, card, monkeypatch):
+        sorted_itemsizes = []
+        real_sort = np.sort
+
+        def spy(array, *args, **kwargs):
+            sorted_itemsizes.append(np.asarray(array).dtype.itemsize)
+            return real_sort(array, *args, **kwargs)
+
+        table = self._table("int", card, seed=4)
+        monkeypatch.setattr(np, "sort", spy)
+        for keys in (["a"], ["b"]):
+            assert table.dictionary(keys[0])[0].itemsize <= 2
+            result = group_by(table, keys, COUNT_AND_SUM, strategy="sort")
+            assert_matches_brute_force(result, table, keys)
+        assert sorted_itemsizes and min(sorted_itemsizes) >= 2
+
+
+class TestStoredCodesFitFourBytes:
+    """Below 2^32 distinct values, every stored code array is at most
+    four bytes per row: base dictionaries, a materialized temp's
+    realised dictionary and the estimator's sample codes."""
+
+    @pytest.mark.parametrize("make", [make_sales, make_lineitem])
+    def test_stored_codes(self, make, monkeypatch):
+        table = make(20_000, seed=3)
+        table.build_dictionaries()
+        stored = [table.dictionary(column) for column in table.column_names]
+
+        run_materialize = PlanExecutor._run_materialize
+
+        def spy(self, physical, op, env, metrics):
+            run_materialize(self, physical, op, env, metrics)
+            for key in physical.op(op.source).keys:
+                stored.append(env[op.source].cached_dictionary(key))
+
+        monkeypatch.setattr(PlanExecutor, "_run_materialize", spy)
+        session = Session.for_table(table, statistics="sampled")
+        first, second = table.column_names[:2]
+        both = frozenset([first, second])
+        plan = LogicalPlan(
+            session.base_table,
+            (
+                SubPlan(
+                    PlanNode(both),
+                    tuple(SubPlan.leaf(frozenset([c])) for c in both),
+                    required=True,
+                ),
+            ),
+            frozenset({both, frozenset([first]), frozenset([second])}),
+        )
+        session.execute(plan, parallelism=1)
+        assert len(stored) == len(table.column_names) + 2
+        for codes, values in stored:
+            assert codes.dtype == code_dtype(len(values))
+            assert codes.itemsize <= 4
+        estimator = session.estimator
+        for column in table.column_names:
+            estimator.rows(frozenset([column, first]))
+            codes, _ = estimator._sample_codes.codes(column)
+            assert codes.dtype == table.dictionary(column)[0].dtype
+            assert len(codes) == estimator.sample_size

@@ -8,12 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.engine.dictcache import legacy_encode
 from repro.stats.cardinality import (
     COUNT_WIDTH,
     ExactCardinalityEstimator,
     SampledCardinalityEstimator,
 )
+from repro.stats.distinct import estimate_from_profile, sample_profile
+from repro.stats.sampler import TableSampler
 from repro.stats.whatif import HypotheticalTable, WhatIfRegistry
+from repro.workloads.queries import two_column_queries
+from repro.workloads.sales import make_sales
+from repro.workloads.tpch import make_lineitem
 from tests.conftest import brute_force_group_by
 
 
@@ -98,6 +105,78 @@ class TestSampledEstimator:
         exact = ExactCardinalityEstimator(table)
         true_rows = exact.rows(fs("high", "mid"))
         assert estimator.rows(fs("high", "mid")) >= true_rows / 2
+
+
+def reference_sample_estimates(table, column_sets, seed):
+    """The estimates as a sample ``Table`` re-encoded by ``np.unique``
+    gives them: the statistics path before the sample became row
+    indices.  Single columns first, so each set's cap is at hand."""
+    sample = TableSampler(table, sample_rows=10_000, seed=seed).sample()
+    codes = {c: legacy_encode(sample[c])[0] for c in table.column_names}
+    estimates = {}
+
+    def estimate(columns):
+        stacked = np.rec.fromarrays([codes[c] for c in sorted(columns)])
+        profile = sample_profile(np.unique(stacked, return_inverse=True)[1])
+        value = estimate_from_profile(
+            profile, sample.num_rows, table.num_rows, "hybrid"
+        )
+        cap = float(table.num_rows)
+        if len(columns) > 1:
+            product = 1.0
+            for column in sorted(columns):
+                product *= estimates[frozenset([column])][0]
+                if product >= cap:
+                    break
+            cap = min(product, cap)
+        return min(value, cap), profile[:2]
+
+    for columns in sorted(column_sets, key=len):
+        estimates[columns] = estimate(columns)
+    return estimates
+
+
+class TestSampleIsRowIndices:
+    """Sample codes are the built codes at the sampled rows (or an encode
+    of the sampled values alone); every estimate and ``(d, f1)`` profile
+    equals the re-encoded sample ``Table``'s, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("built", [True, False])
+    @pytest.mark.parametrize(
+        "make", [make_sales, make_lineitem], ids=["sales", "lineitem"]
+    )
+    def test_estimates_equal_the_sample_table_path(self, make, built, seed):
+        table = make(30_000, seed=seed)
+        if built:
+            table.build_dictionaries()
+        columns = table.column_names
+        column_sets = [frozenset([c]) for c in columns] + [
+            frozenset(pair) for pair in two_column_queries(list(columns[:8]))
+        ] + [frozenset(columns[:4]), frozenset(columns)]
+        estimator = SampledCardinalityEstimator(table, seed=seed)
+        expected = reference_sample_estimates(table, column_sets, seed)
+        for columns_ in column_sets:
+            want, profile = expected[columns_]
+            assert estimator.rows(columns_) == want
+            assert estimator.profile(columns_) == profile
+        assert estimator.sample_size == min(10_000, table.num_rows)
+        # Only the sampled rows were ever encoded: no dictionary was
+        # built on the table that had none.
+        assert all(
+            (table.cached_dictionary(c) is not None) == built for c in columns
+        )
+
+    def test_plans_equal_with_and_without_built_dictionaries(self):
+        plain, built = make_sales(30_000, seed=7), make_sales(30_000, seed=7)
+        built.build_dictionaries()
+        queries = two_column_queries(list(plain.column_names[:8]))
+        runs = [
+            Session.for_table(t, statistics="sampled", seed=7).optimize(queries)
+            for t in (plain, built)
+        ]
+        assert runs[0].plan == runs[1].plan
+        assert runs[0].cost == runs[1].cost
 
 
 class TestWhatIf:
