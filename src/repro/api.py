@@ -404,8 +404,8 @@ class Session:
                 session tracer).
             parallelism: worker threads for parallel execution; None
                 (the default) is every CPU the process may use
-                (:func:`~repro.engine.morsel.usable_cpus`), 1 runs the
-                linear schedule serially.  Parallel runs produce
+                (:func:`~repro.engine.morsel.usable_cpus`), 1 runs every
+                wave on the calling thread.  Parallel runs produce
                 bit-identical results and equal metrics totals.
             memory_budget_bytes: plan-wide transient-memory budget for
                 the lowering; groupings estimated over it are demoted to
@@ -413,16 +413,13 @@ class Session:
                 Results stay bit-identical.
             mode: execution mode — 'auto' (default), 'serial',
                 'wavefront', or 'morsel'.  The lowering resolves 'auto'
-                (:func:`~repro.physical.lowering.lower`): serial for
-                ``parallelism=1``, under a memory budget, or below the
-                cost model's row and grouping floors (so parallel
-                execution never regresses small inputs); otherwise the
-                cheaper of serial and wavefront as :meth:`~repro.
-                costmodel.engine_model.EngineCostModel.
-                execution_mode_choice` prices the plan's depth ranks
-                and edges.  'morsel' runs only when forced.  The
-                resolved mode is reported on ``result.metrics.mode``
-                and ``result.physical.mode_reason`` says why.
+                (:func:`~repro.physical.lowering.lower`): serial, in
+                the Section 4.4.1 storage order, under a memory budget;
+                otherwise wavefront, the plan's depth ranks as waves,
+                at every worker count.  'morsel' runs only when
+                forced.  The resolved mode is reported on
+                ``result.metrics.mode`` and
+                ``result.physical.mode_reason`` says why.
         """
         executor = self._executor(
             aggregates, tracer, parallelism, memory_budget_bytes, mode

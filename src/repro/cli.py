@@ -536,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=("auto", *EXECUTION_MODES),
             default="auto",
-            help="execution mode; auto picks the cheaper of serial and "
-            "wavefront as the engine cost model prices the plan, and "
-            "morsel runs only when forced (default auto)",
+            help="execution mode; auto runs serial under a memory budget "
+            "and wavefront otherwise, and morsel runs only when forced "
+            "(default auto)",
         )
         p.add_argument(
             "--memory-budget-bytes",

@@ -15,12 +15,11 @@ wall-clock seconds; only relative costs matter for plan choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.plan import LogicalPlan, NodeKind, PlanNode
-from repro.core.scheduling import Step, depth_ranks
+from repro.core.plan import NodeKind, PlanNode
 from repro.engine.catalog import Catalog
 from repro.stats.cardinality import CardinalityEstimator, rows_lower_bound_of
 from repro.stats.whatif import WhatIfRegistry
@@ -62,18 +61,6 @@ HASH_SLOT_BYTES = 16.0
 #: Bytes of transient state per input row in the sort regime (the int64
 #: composite-code array plus its sorted copy).
 SORT_ROW_BYTES = 16.0
-#: Minimum base-relation rows before parallel execution is worth its
-#: scheduling overhead; auto mode runs serial below it (the fix for
-#: wavefront's small-workload ``speedup_parallel < 1`` losses).
-MORSEL_MIN_ROWS = 32_768
-#: Minimum groupings before parallel execution pays off — a single
-#: grouping shares no scan and has no sibling to run beside.
-MORSEL_MIN_GROUPINGS = 2
-#: Fixed cost per pipeline a wavefront run hands to its thread pool:
-#: the submit, and the wait for the interpreter lock that the
-#: pipeline's Python steps hold (≈ 200 µs on a 2-vCPU VM, where a
-#: 12-pipeline plan over 40k rows ran slower in waves than serially).
-WAVEFRONT_DISPATCH_COST = 1_500_000.0
 
 
 def _spool_cost(rows, width, ncols):
@@ -103,42 +90,6 @@ class GroupingChoice:
     sort_cost: float
     domain: float
     mem_bytes: float
-
-
-@dataclass(frozen=True)
-class ModeChoice:
-    """The costed execution-mode decision for one plan run.
-
-    Attributes:
-        mode: ``'serial'`` or ``'wavefront'`` — the cheaper priced
-            mode, or serial where a floor, a memory budget or a single
-            worker rules wavefront out.
-        serial_cost / wavefront_cost: the plan's price under each mode.
-        reason: one-line explanation of the decision.
-    """
-
-    mode: str
-    serial_cost: float
-    wavefront_cost: float
-    reason: str
-
-
-def default_execution_mode(
-    base_rows: int, n_groupings: int, parallelism: int
-) -> str:
-    """Threshold-only auto mode choice when no cost model is bound.
-
-    Mirrors :meth:`EngineCostModel.execution_mode_choice`'s floors:
-    parallel execution must clear both a minimum input size and a
-    minimum number of scan-sharing groupings, otherwise serial wins.
-    """
-    if (
-        parallelism >= 1
-        and base_rows >= MORSEL_MIN_ROWS
-        and n_groupings >= MORSEL_MIN_GROUPINGS
-    ):
-        return "wavefront"
-    return "serial"
 
 
 class EngineCostModel:
@@ -352,112 +303,6 @@ class EngineCostModel:
     def materialize_op_cost(self, columns: frozenset[str]) -> float:
         """Cost of one physical Materialize (write + key encode)."""
         return self._materialize_cost(columns, None)
-
-    def execution_mode_choice(
-        self,
-        plan: LogicalPlan,
-        parallelism: int,
-        memory_budget_bytes: float | None = None,
-    ) -> ModeChoice:
-        """Price ``plan`` as serial and as wavefront and pick the cheaper.
-
-        Both prices are built from the plan's own edge costs, walked in
-        :func:`~repro.core.scheduling.depth_ranks` — the ranks a
-        wavefront run's waves hold:
-
-        * serial pays every edge, one after another;
-        * wavefront pays, per wave, one read of each input that two or
-          more of the wave's plain groupings share, spread over the
-          workers; then every pipeline's edge less that shared read,
-          as the largest pipeline or the total spread over the
-          workers, whichever is more; plus
-          :data:`WAVEFRONT_DISPATCH_COST` per pipeline.
-
-        One worker, a memory budget (checked per operator, so k
-        concurrent operators could each fill it), fewer base rows than
-        :data:`MORSEL_MIN_ROWS` or fewer groupings than
-        :data:`MORSEL_MIN_GROUPINGS` run serial whatever the prices.
-        A tie goes to serial, the simpler mode.  Morsel execution is
-        never chosen: it runs only when forced.
-        """
-        k = max(int(parallelism), 1)
-        rows = max(float(self._estimator.base_rows), 0.0)
-        serial_cost = wavefront_cost = 0.0
-        groupings = 0
-        for steps in depth_ranks(plan):
-            edges = [
-                self.edge_cost(step.parent, step.node, step.materialize)
-                for step in steps
-            ]
-            serial_cost += sum(edges)
-            wavefront_cost += self._wavefront_wave_cost(steps, edges, k)
-            groupings += len(edges)
-        if k == 1:
-            mode, reason = "serial", "one worker"
-        elif memory_budget_bytes is not None:
-            mode, reason = "serial", (
-                "a memory budget bounds each operator, and concurrent "
-                "operators could each fill it"
-            )
-        elif rows < MORSEL_MIN_ROWS:
-            mode, reason = "serial", (
-                f"base rows {int(rows)} below the parallel floor "
-                f"{MORSEL_MIN_ROWS}"
-            )
-        elif groupings < MORSEL_MIN_GROUPINGS:
-            mode, reason = "serial", (
-                f"{groupings} grouping(s): nothing to run side by side"
-            )
-        else:
-            mode = "wavefront" if wavefront_cost < serial_cost else "serial"
-            reason = (
-                f"{groupings} groupings on {k} workers: "
-                f"serial {serial_cost:.3g}, wavefront {wavefront_cost:.3g}"
-            )
-        return ModeChoice(
-            mode=mode,
-            serial_cost=serial_cost,
-            wavefront_cost=wavefront_cost,
-            reason=reason,
-        )
-
-    def _wavefront_wave_cost(
-        self, steps: Sequence[Step], edges: Sequence[float], k: int
-    ) -> float:
-        """One wave's price under wavefront execution (see the caller).
-
-        Mirrors the executor: an input that two or more of the wave's
-        plain groupings read is read once, split over the workers, and
-        its readers' pipelines then pay their edge without that read.
-        CUBE and ROLLUP pipelines pay their whole edge.
-        """
-        readers: dict[PlanNode | None, list[float]] = {}
-        pipelines: list[float] = []
-        for step, edge in zip(steps, edges):
-            if step.node.kind is NodeKind.GROUP_BY:
-                readers.setdefault(step.parent, []).append(edge)
-            else:
-                pipelines.append(edge)
-        shared = 0.0
-        for parent, members in readers.items():
-            if len(members) < 2:
-                pipelines.extend(members)
-                continue
-            if parent is None:
-                read = float(self._estimator.base_rows) * self._base_row_width
-            else:
-                read = self._rows(parent.columns, None) * (
-                    self._estimator.row_width(parent.columns)
-                )
-            read *= READ_BYTE
-            shared += read
-            # Clamped: an index-served edge reads less than the input.
-            pipelines.extend(max(edge - read, 0.0) for edge in members)
-        return (
-            shared / k
-            + max(max(pipelines, default=0.0), sum(pipelines) / k)
-            + len(edges) * WAVEFRONT_DISPATCH_COST
-        )
 
     # -- public API -------------------------------------------------------------
 

@@ -38,11 +38,9 @@ wave holds and how it pays for its inputs:
   single-pass kernels on the pass it paid.
 
 ``mode="auto"`` (the default) is resolved per plan by the lowering:
-serial when ``parallelism`` is 1, under a memory budget, or below the
-cost model's row and grouping floors (small inputs never regress);
-otherwise whichever of serial and wavefront the cost model prices
-cheaper for this plan.  ``parallelism`` defaults to every CPU the
-process may use.
+serial under a memory budget, wavefront otherwise, at every worker
+count (one worker runs each wave's pipelines on the calling thread).
+``parallelism`` defaults to every CPU the process may use.
 
 Either way, one plan-wide
 :class:`~repro.engine.dictcache.DictionaryCache` is threaded through
@@ -163,16 +161,15 @@ class PlanExecutor:
             are identical with it on or off.
         parallelism: worker threads for wavefront or morsel execution;
             None (the default) is every CPU the process may use
-            (:func:`~repro.engine.morsel.usable_cpus`).  1 executes the
-            lowered linear schedule serially; >= 2 may run concurrently
+            (:func:`~repro.engine.morsel.usable_cpus`).  1 runs every
+            wave on the calling thread; >= 2 may run concurrently
             (a wave's pipelines, and its shared input passes split into
             row ranges), producing bit-identical tables and equal
             metrics totals.
         mode: execution mode — ``auto`` (the default) or one of
             :data:`~repro.physical.plan.EXECUTION_MODES`.  The lowering
             resolves ``auto`` (:func:`~repro.physical.lowering.lower`):
-            serial for ``parallelism=1``, otherwise the cheaper of
-            serial and wavefront as the cost model prices the plan.
+            serial under a memory budget, otherwise wavefront.
             ``serial``, ``wavefront``, and ``morsel`` force that mode;
             ``morsel`` runs only when forced.
         dictionary_cache: a shared plan-wide dictionary cache.  By

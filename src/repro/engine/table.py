@@ -12,6 +12,10 @@ from repro.engine.types import SchemaError, coerce_column, value_width
 #: A deferred dictionary derivation: builds (codes, distinct_values).
 DictionaryThunk = Callable[[], tuple[np.ndarray, np.ndarray]]
 
+#: Fewest rows :meth:`Table.build_dictionaries` encodes on a pool of
+#: threads; below it the pool costs more than the overlap saves.
+PARALLEL_LOAD_MIN_ROWS = 32_768
+
 
 class Table:
     """An immutable, in-memory, columnar relation.
@@ -181,10 +185,9 @@ class Table:
         so the longest encode starts at once and the short ones fill
         in behind it.  Nothing is stored unless every encode succeeds.
         Serial with one usable CPU, one column to encode, or fewer than
-        ``MORSEL_MIN_ROWS`` rows.  Deferred dictionaries are realised
+        :data:`PARALLEL_LOAD_MIN_ROWS` rows.  Deferred dictionaries are realised
         by their re-rank, never re-encoded.
         """
-        from repro.costmodel.engine_model import MORSEL_MIN_ROWS
         from repro.engine import morsel
         from repro.engine.dictcache import encode_column
 
@@ -200,7 +203,7 @@ class Table:
         )
         arrays = [self._columns[column] for column in columns]
         parallelism = min(morsel.usable_cpus(), len(columns))
-        if parallelism > 1 and self._num_rows >= MORSEL_MIN_ROWS:
+        if parallelism > 1 and self._num_rows >= PARALLEL_LOAD_MIN_ROWS:
             with morsel.Workers(parallelism, "repro-load") as workers:
                 encoded = workers.map(
                     lambda index: encode_column(arrays[index]), len(arrays)

@@ -26,9 +26,9 @@ onto a pipeline of :mod:`repro.physical.plan` operators:
   :class:`~repro.physical.plan.Materialize` / :class:`~repro.physical.
   plan.DropTemp` operators;
 * how the plan runs is decided here, once: the pipelines follow the
-  caller's one linear schedule in every mode, ``auto`` is priced from
-  the plan's depth ranks, and a parallel plan's waves are those ranks
-  mapped onto the pipelines.
+  caller's one linear schedule in every mode, ``auto`` runs serial
+  under a memory budget and wavefront otherwise, and a parallel plan's
+  waves are the plan's depth ranks mapped onto the pipelines.
 
 Without an estimator the lowering is purely structural (hash-preferred
 groupings, zero estimates) — the naive baseline path.
@@ -43,11 +43,7 @@ from repro.cache import ResultCache, aggregate_signature
 from repro.core.extensions import AggregatesByQuery, per_query_aggregates
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
 from repro.core.scheduling import Step, depth_first_schedule, depth_ranks
-from repro.costmodel.engine_model import (
-    SORT_ROW_BYTES,
-    EngineCostModel,
-    default_execution_mode,
-)
+from repro.costmodel.engine_model import SORT_ROW_BYTES, EngineCostModel
 from repro.engine.aggregation import AggregateSpec, state_specs
 from repro.engine.catalog import Catalog
 from repro.engine.executor import temp_name_for
@@ -608,31 +604,21 @@ class _Lowering:
     def choose_mode(self, requested: str) -> tuple[str, str]:
         """(mode, reason) the plan runs under.
 
-        A forced mode passes through.  ``auto`` runs serial with one
-        worker; otherwise the cost model's :meth:`~repro.costmodel.
-        engine_model.EngineCostModel.execution_mode_choice` prices the
-        plan as serial and as wavefront and picks the cheaper — serial
-        below its row and grouping floors and under a memory budget, so
-        parallel execution never regresses small workloads.  Without
-        an estimator only the floors decide.
+        A forced mode passes through.  ``auto`` runs serial, in the
+        §4.4.1 storage order, under a memory budget: the budget bounds
+        each operator, so concurrent operators could each fill it.
+        Otherwise it runs the plan's depth ranks as waves, one shared
+        pass per input, at every worker count (one worker runs them on
+        the calling thread).
         """
         if requested != "auto":
             return requested, "forced"
-        if self.parallelism <= 1:
-            return "serial", "one worker"
-        if self.model is not None:
-            choice = self.model.execution_mode_choice(
-                self.plan, self.parallelism, self.budget
-            )
-            return choice.mode, choice.reason
         if self.budget is not None:
-            return "serial", "a memory budget and no statistics"
-        rows = self.catalog.get(self.base_table).num_rows
-        nodes = self.plan.node_count()
-        return default_execution_mode(rows, nodes, self.parallelism), (
-            f"no statistics: {rows} base rows, {nodes} groupings "
-            "against the parallel floors"
-        )
+            return "serial", (
+                "a memory budget bounds each operator, and concurrent "
+                "operators could each fill it"
+            )
+        return "wavefront", "no memory budget: the depth-rank waves"
 
     def rank_waves(self) -> tuple[PhysicalWave, ...]:
         """The plan's depth ranks as waves over the lowered pipelines:
@@ -693,9 +679,9 @@ def lower(
             covering-index resolution and the cache signature.
         use_indexes: allow covering-index access paths.
         estimator: column statistics the lowering builds its
-            :class:`EngineCostModel` from, for the hash-vs-sort choice,
-            operator estimates and the ``auto`` mode price; None lowers
-            structurally (hash-preferred groupings, zero estimates).
+            :class:`EngineCostModel` from, for the hash-vs-sort choice
+            and operator estimates; None lowers structurally
+            (hash-preferred groupings, zero estimates).
         memory_budget_bytes: plan-wide transient-memory budget; grouping
             operators estimated over it are demoted hash -> sort ->
             partitioned execution.
@@ -710,8 +696,7 @@ def lower(
             (:func:`~repro.core.scheduling.depth_ranks`) as waves;
             ``morsel`` additionally splits grouping inputs into
             row-range morsels sized from ``parallelism``.
-        parallelism: worker count ``auto`` prices and the morsel split
-            targets.
+        parallelism: worker count the morsel split targets.
         result_cache: semantic result cache to probe for exact and
             derivable hits; None (the default) lowers cache-unaware —
             bit-identical to the pre-cache behavior.

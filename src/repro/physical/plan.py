@@ -405,8 +405,8 @@ class PhysicalPlan:
             lowering honored, or None for unbounded.
         mode: one of :data:`EXECUTION_MODES`.
         mode_reason: why the plan runs in ``mode`` — the lowering's
-            ``auto`` decision (:class:`~repro.costmodel.engine_model.
-            ModeChoice` ``reason``), or ``"forced"``.
+            ``auto`` rule (:meth:`~repro.physical.lowering._Lowering.
+            choose_mode`), or ``"forced"``.
     """
 
     relation: str

@@ -29,7 +29,6 @@ class TableSampler:
         self._target = min(int(sample_rows), table.num_rows)
         self._seed = seed
         self._indices: np.ndarray | None = None
-        self._sample: Table | None = None
         self.rows_scanned_for_sample = 0
 
     @property
@@ -60,10 +59,3 @@ class TableSampler:
             self.rows_scanned_for_sample = n
         return self._indices
 
-    def sample(self) -> Table:
-        """The sampled rows of every column as a table, cached."""
-        if self._sample is None:
-            self._sample = self._table.take(
-                self.indices(), name=f"{self._table.name}__sample"
-            )
-        return self._sample

@@ -111,8 +111,7 @@ class TestAnalyzePlan:
         assert "unknown physical rule" in capsys.readouterr().err
 
     def test_parallel_lowering_clean(self, capsys, monkeypatch):
-        # 800 rows is below the morsel floor, where auto lowers a serial
-        # plan: force each parallel mode and check the plan carries it.
+        # Force each parallel mode and check the plan carries it.
         lowered = []
         lower = Session.lower
 

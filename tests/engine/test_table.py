@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.costmodel.engine_model import MORSEL_MIN_ROWS
 from repro.engine import dictcache, morsel
 from repro.engine.dictcache import encode_column
-from repro.engine.table import Table
+from repro.engine.table import PARALLEL_LOAD_MIN_ROWS, Table
 from repro.engine.types import INT_NULL, SchemaError
 from repro.workloads.sales import make_sales
 from repro.workloads.tpch import make_lineitem
@@ -262,7 +261,7 @@ class TestParallelLoad:
 
     def test_below_floor_opens_no_pool(self, pools, monkeypatch):
         monkeypatch.setattr(morsel, "usable_cpus", lambda: 4)
-        table = make_sales(MORSEL_MIN_ROWS - 1)
+        table = make_sales(PARALLEL_LOAD_MIN_ROWS - 1)
         table.build_dictionaries()
         assert pools == []
         for column in table.column_names:

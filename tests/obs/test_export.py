@@ -65,7 +65,6 @@ class TestRoundTrip:
         )
         queries = combi_workload(list(table.column_names)[:3], 2)
         result = session.optimize(queries)
-        # 1,500 rows is below the morsel floor, where auto runs serial.
         run = session.execute(result.plan, parallelism=2, mode="wavefront")
         assert run.metrics.mode == "wavefront"
         assert any(span.name == "execute.wave" for span in tracer.spans)

@@ -235,7 +235,7 @@ class TestSessionWiring:
         plan = session.optimize(queries).plan
         session.execute(plan)
         assert registry.value("repro_executor_runs_total",
-                              relation="sales", mode="serial") == 1
+                              relation="sales", mode="wavefront") == 1
         assert registry.value("repro_executor_queries_total",
                               relation="sales") >= len(queries)
         assert registry.value("repro_optimizer_runs_total",
@@ -250,6 +250,6 @@ class TestSessionWiring:
         assert math.isfinite(
             registry.histogram(
                 "repro_executor_run_seconds",
-                relation="sales", mode="serial",
+                relation="sales", mode="wavefront",
             ).quantile(0.5)
         )

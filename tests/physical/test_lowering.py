@@ -6,7 +6,6 @@ import pytest
 from repro.api import Session
 from repro.core.optimizer import OptimizerOptions
 from repro.core.plan import naive_plan
-from repro.costmodel.engine_model import EngineCostModel
 from repro.engine.executor import PlanExecutor
 from repro.physical.lowering import lower
 from repro.physical.plan import (
@@ -226,39 +225,62 @@ class TestStructure:
 class TestModeDecision:
     """``lower`` decides how the plan runs and says why."""
 
+    BUDGET_REASON = (
+        "a memory budget bounds each operator, and concurrent operators "
+        "could each fill it"
+    )
+    WAVES_REASON = "no memory budget: the depth-rank waves"
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        session = Session.for_table(make_sales(4000), statistics="sampled")
+        return session, session.optimize(sales_queries()).plan
+
     def test_forced_mode_says_forced(self, session):
         plan = naive_plan("r", [fs("low"), fs("mid")])
         for mode in ("serial", "wavefront", "morsel"):
             physical = session.lower(plan, parallelism=2, mode=mode)
             assert (physical.mode, physical.mode_reason) == (mode, "forced")
 
-    def test_one_worker_runs_serial(self, session):
-        physical = session.lower(naive_plan("r", [fs("low")]), parallelism=1)
-        assert (physical.mode, physical.mode_reason) == ("serial", "one worker")
+    @pytest.mark.parametrize(
+        "statistics", ["sampled", None], ids=["sampled", "no-stats"]
+    )
+    @pytest.mark.parametrize(
+        "budget", [None, 64 * 1024.0], ids=["no-budget", "budget"]
+    )
+    @pytest.mark.parametrize("parallelism", [1, 2], ids=["k1", "k2"])
+    def test_auto_rule(self, sampled, parallelism, budget, statistics):
+        """A memory budget runs serial; anything else runs the waves,
+        whatever the worker count and with or without statistics, and
+        gives forced serial's results and metrics."""
+        session, plan = sampled
+        estimator = session.estimator if statistics else None
 
-    def test_auto_reason_is_the_priced_choice(self, session):
-        plan = session.optimize(containment_workload(["low", "mid"])).plan
-        choice = EngineCostModel(
-            session.estimator,
-            catalog=session.catalog,
-            base_table=session.base_table,
-        ).execution_mode_choice(plan, parallelism=2)
-        physical = session.lower(plan, parallelism=2)
-        assert physical.mode == choice.mode
-        assert physical.mode_reason == choice.reason
-        assert f"mode reason: {choice.reason}" in physical.render()
+        def run(mode):
+            return PlanExecutor(
+                session.catalog,
+                session.base_table,
+                estimator=estimator,
+                memory_budget_bytes=budget,
+                parallelism=parallelism,
+                mode=mode,
+            ).execute(plan)
 
-    def test_without_statistics_only_the_floors_decide(self, session):
-        physical = lower(
-            naive_plan("r", [fs("low"), fs("mid")]),
-            catalog=session.catalog,
-            base_table="r",
-            aggregates=[],
-            mode="auto",
-            parallelism=2,
+        auto, serial = run("auto"), run("serial")
+        expected = (
+            ("serial", self.BUDGET_REASON)
+            if budget is not None
+            else ("wavefront", self.WAVES_REASON)
         )
-        assert physical.mode == "serial"
-        assert physical.mode_reason.startswith("no statistics")
+        assert (auto.physical.mode, auto.physical.mode_reason) == expected
+        assert auto.metrics.mode == expected[0]
+        assert f"mode reason: {expected[1]}" in auto.physical.render()
+        assert set(auto.results) == set(serial.results)
+        for query in serial.results:
+            assert_tables_identical(serial.results[query], auto.results[query])
+        assert auto.metrics.as_dict(per_query=True) == (
+            serial.metrics.as_dict(per_query=True)
+        )
 
 
 class TestCubeRollup:

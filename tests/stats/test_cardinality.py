@@ -111,7 +111,9 @@ def reference_sample_estimates(table, column_sets, seed):
     """The estimates as a sample ``Table`` re-encoded by ``np.unique``
     gives them: the statistics path before the sample became row
     indices.  Single columns first, so each set's cap is at hand."""
-    sample = TableSampler(table, sample_rows=10_000, seed=seed).sample()
+    sample = table.take(
+        TableSampler(table, sample_rows=10_000, seed=seed).indices()
+    )
     codes = {c: legacy_encode(sample[c])[0] for c in table.column_names}
     estimates = {}
 

@@ -85,19 +85,19 @@ class TestColumnStats:
 class TestSampler:
     def test_sample_size(self, random_table):
         sampler = TableSampler(random_table, sample_rows=100)
-        assert sampler.sample().num_rows == 100
+        assert random_table.take(sampler.indices()).num_rows == 100
 
     def test_sample_capped_at_table(self, tiny_table):
         sampler = TableSampler(tiny_table, sample_rows=1_000)
-        assert sampler.sample().num_rows == 12
+        assert tiny_table.take(sampler.indices()).num_rows == 12
 
     def test_sample_cached(self, random_table):
         sampler = TableSampler(random_table, sample_rows=50)
-        assert sampler.sample() is sampler.sample()
+        assert sampler.indices() is sampler.indices()
 
     def test_deterministic_given_seed(self, random_table):
-        s1 = TableSampler(random_table, 50, seed=7).sample()
-        s2 = TableSampler(random_table, 50, seed=7).sample()
+        s1 = random_table.take(TableSampler(random_table, 50, seed=7).indices())
+        s2 = random_table.take(TableSampler(random_table, 50, seed=7).indices())
         assert s1.to_rows() == s2.to_rows()
 
     def test_fraction(self, random_table):

@@ -204,7 +204,8 @@ def sales_40k():
 
 
 class TestWorkersByDefault:
-    """``parallelism`` defaults to the usable CPUs; ``auto`` prices modes."""
+    """``parallelism`` defaults to the usable CPUs; ``auto`` runs the
+    waves unless a memory budget asks for serial."""
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         import os
@@ -220,7 +221,7 @@ class TestWorkersByDefault:
         assert morsel.usable_cpus() == 1
 
     @pytest.mark.parametrize(
-        "cpus, modes", [(1, {"serial"}), (2, {"wavefront", "morsel"})]
+        "cpus, modes", [(1, {"wavefront"}), (2, {"wavefront"})]
     )
     def test_default_follows_usable_cpus(
         self, monkeypatch, sales_40k, cpus, modes
@@ -274,10 +275,10 @@ class TestWorkersByDefault:
         assert forced.metrics.mode == "morsel"
 
     def test_requested_schedule_survives_workers(self):
-        """Every run lowers the Section 4.4.1 storage order: ``auto``
-        resolving to serial on two workers keeps it, and a forced
-        parallel run's pipelines follow it too.  An executor without
-        the session lowers depth-first."""
+        """Every run lowers the Section 4.4.1 storage order: a serial
+        run keeps it, and the pipelines of ``auto``'s waves on two
+        workers follow it too.  An executor without the session lowers
+        depth-first."""
         from repro.engine.executor import PlanExecutor
         from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
 
@@ -289,15 +290,15 @@ class TestWorkersByDefault:
         def order(physical):
             return [op.describe() for op in physical.iter_ops()]
 
-        serial = session.lower(plan, parallelism=1)
+        serial = session.lower(plan, parallelism=1, mode="serial")
         assert serial.mode == "serial"
         storage = order(serial)
         auto = session.lower(plan, parallelism=2)
-        assert auto.mode == "serial"
+        assert auto.mode == "wavefront"
         assert order(auto) == storage
-        assert order(session.lower(plan, parallelism=2, mode="wavefront")) == (
-            storage
-        )
+        budgeted = session.lower(plan, parallelism=2, memory_budget_bytes=1e9)
+        assert budgeted.mode == "serial"
+        assert order(budgeted) == storage
         depth_first = PlanExecutor(
             session.catalog,
             session.base_table,

@@ -339,7 +339,7 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "EXPLAIN ANALYZE" in out
         assert "actual rows=" in out
-        # 2,000 rows is below the morsel floor: auto would run serial.
+        # Forced: auto never picks morsel.
         assert "mode=morsel" in out
 
 
