@@ -208,7 +208,7 @@ def _plan_join_pushdown(
     results = []
     for original, pushed in zip(expr.sets, pushed_sets):
         tag = ",".join(sorted(pushed))
-        mine = joined.take(joined["grp_tag"] == tag)
+        mine = joined.take(joined["grp_tag"] == tag.encode())
         upper = group_by(
             mine,
             sorted(original),

@@ -204,41 +204,22 @@ def pad_and_union(
     padded = []
     for columns, table in results:
         data: dict[str, np.ndarray] = {}
-        tag = ",".join(sorted(columns))
-        data[GRP_TAG] = np.full(table.num_rows, tag, dtype=f"<U{max(len(tag), 1)}")
+        tag = ",".join(sorted(columns)).encode()
+        data[GRP_TAG] = np.full(table.num_rows, tag, dtype=f"S{max(len(tag), 1)}")
         for column in all_columns:
             if column in columns:
                 data[column] = table[column]
             else:
-                null = null_value(dtype_source[column].dtype)
-                if isinstance(null, str):
-                    data[column] = np.full(table.num_rows, null, dtype="<U1")
-                else:
-                    dtype = dtype_source[column].dtype
-                    data[column] = np.full(table.num_rows, null, dtype=dtype)
+                dtype = dtype_source[column].dtype
+                if dtype.kind in "SU":
+                    # The column's own string form at one character:
+                    # the union widens it to the set columns' width.
+                    dtype = np.dtype((dtype.type, 1))
+                data[column] = np.full(table.num_rows, null_value(dtype), dtype=dtype)
         for column in table.column_names:
             if column not in columns:
                 data[column] = table[column]
         padded.append(Table.wrap("grouping_set", data))
-    # Widen string columns to a common dtype before union.
-    for column in list(padded[0].column_names):
-        arrays = [t[column] for t in padded]
-        if arrays[0].dtype.kind == "U":
-            width = max(a.dtype.itemsize // 4 for a in arrays)
-            padded = [
-                Table.wrap(
-                    t.name,
-                    {
-                        c: (
-                            t[c].astype(f"<U{width}")
-                            if c == column
-                            else t[c]
-                        )
-                        for c in t.column_names
-                    },
-                )
-                for t in padded
-            ]
     return union_all(padded, name="grouping_sets", metrics=metrics)
 
 
@@ -251,7 +232,7 @@ class TagFilterExpr(Expr):
 
     def evaluate(self, catalog, metrics=None):
         table = self.child.evaluate(catalog, metrics)
-        mask = table[GRP_TAG] == self.tag
+        mask = table[GRP_TAG] == self.tag.encode()
         return table.take(mask)
 
     def describe(self):

@@ -489,7 +489,7 @@ def _extreme(
     reduce = np.maximum if largest else np.minimum
     null = null_mask(values)
     has_null = bool(null.any())
-    strings = values.dtype.kind == "U"
+    strings = values.dtype.kind in "SU"
     if groups.starts is not None and not has_null and not strings:
         return reduce.reduceat(values, groups.starts)
     ids = groups.ids

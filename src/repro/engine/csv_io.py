@@ -4,7 +4,8 @@ The data-quality scenario the paper motivates starts from files an
 analyst has on hand; this module loads a delimited file into a
 :class:`~repro.engine.table.Table` with simple type inference (int,
 then float, then string; empty fields become NULL) and writes result
-tables back out.
+tables back out.  Files are read and written as UTF-8, and a string
+column holds each field's UTF-8 bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _infer_column(values: list[str]) -> np.ndarray:
         except ValueError:
             pass
     return np.array(
-        [STR_NULL if v == "" else v for v in values], dtype=str
+        [STR_NULL if v == "" else v.encode() for v in values], dtype=np.bytes_
     )
 
 
@@ -59,7 +60,7 @@ def load_csv(
         SchemaError: on an empty file or ragged rows.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
@@ -88,7 +89,7 @@ def load_csv(
 def save_csv(table: Table, path: str | Path, delimiter: str = ",") -> None:
     """Write a table to a delimited file with a header row."""
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(table.column_names)
         writer.writerows(table.to_rows())

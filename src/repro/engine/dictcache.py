@@ -11,9 +11,9 @@ constant); now:
   runs in O(n) — one ``min``/``max`` pass, one boolean-presence scatter,
   one rank gather — and produces the code and distinct values of
   ``np.unique(..., return_inverse=True)`` (codes follow the sorted order
-  of the distinct values).  String columns are packed into big-endian
-  integer words and ranked word by word (integer sorts, never a sort of
-  the strings themselves), with the same output.  Floats and wide-range
+  of the distinct values).  String columns' UTF-8 bytes are packed
+  into big-endian integer words and ranked word by word (integer
+  sorts, never a sort of the strings themselves), with the same output.  Floats and wide-range
   integers take the sort-based path.  Every path writes its codes in
   :func:`code_dtype`, the narrowest unsigned dtype that holds them —
   the one width choice for every code array the engine stores.
@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.types import utf8_bytes
 from repro.obs.metrics import MetricsRegistry, get_metrics
 
 if TYPE_CHECKING:  # import cycle guard: Table.dictionary uses our kernels
@@ -156,30 +157,29 @@ def _dense_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _encode_strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factorize a ``U`` column by ranking packed integer words.
+    """Factorize a string column by ranking packed integer words.
 
-    Each character is narrowed to the fewest big-endian bytes that hold
-    the column's largest code point, and each row is zero-padded to
-    whole 8-byte words read as big-endian integers, so integer order
-    of the word tuple is numpy's code-point order of the strings
-    (trailing-NUL padding and ``""`` included).  Words are folded in
-    from the most significant: ``codes * k_j + rank(word_j)``, widened
-    to ``int64`` first, stays below ``n**2`` and is re-ranked densely,
-    and the fold stops once every row is its own group.  Words equal on
-    every row are skipped, and so is a word constant within every group
-    told apart so far (it would re-rank the codes to themselves).
+    The UTF-8 bytes of each row — an ``S`` column's own, a ``<U*``
+    column's after :func:`~repro.engine.types.utf8_bytes` narrows it —
+    are zero-padded to whole 8-byte words read as big-endian integers,
+    so integer order of the word tuple is the bytes' order, which is
+    numpy's code-point order of the strings (trailing-NUL padding and
+    ``""`` included).  Words are folded in from the most significant:
+    ``codes * k_j + rank(word_j)``, widened to ``int64`` first, stays
+    below ``n**2`` and is re-ranked densely, and the fold stops once
+    every row is its own group.  Words equal on every row are skipped,
+    and so is a word constant within every group told apart so far (it
+    would re-rank the codes to themselves).  The distinct values are
+    rows of ``array`` itself, so they keep its dtype.
     """
     n = len(array)
-    native = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("="))
-    chars = native.view(np.uint32).reshape(n, native.dtype.itemsize // 4)
-    top = int(chars.max(initial=0))
-    char_bytes = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
-    width = chars.shape[1] * char_bytes
+    data = np.ascontiguousarray(
+        utf8_bytes(array) if array.dtype.kind == "U" else array
+    )
+    width = data.dtype.itemsize
     n_words = -(-width // 8)
     packed = np.zeros((n, n_words * 8), dtype=np.uint8)
-    packed[:, :width] = (
-        chars.astype(f">u{char_bytes}").view(np.uint8).reshape(n, width)
-    )
+    packed[:, :width] = data.view(np.uint8).reshape(n, width)
     words = packed.view(">u8").T.astype(np.uint64, order="C")
     # The last word's padding bytes are zero on every row: shifting them
     # out keeps its order and lets a narrow tail take the dense path.
@@ -218,10 +218,10 @@ def encode_column(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     budget take the O(n) path.  A column containing the ``INT_NULL``
     sentinel (``int64`` min) has an astronomically wide span and thus
     falls back to the sort path automatically — no special-casing.
-    String columns of any byte order or stride take
+    String columns (``S``, or ``<U*`` of any byte order or stride) take
     :func:`_encode_strings`.
     """
-    if array.dtype.kind == "U":
+    if array.dtype.kind in "SU":
         return _encode_strings(array)
     if len(array) and np.issubdtype(array.dtype, np.integer):
         lo = int(array.min())

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from repro.engine.table import Table
-from repro.engine.types import SchemaError, null_mask
+from repro.engine.types import SchemaError, char_lengths, null_mask
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,19 @@ class Predicate:
     }
 
     def mask(self, table: Table) -> np.ndarray:
-        """Evaluate to a boolean row mask over ``table``."""
+        """Evaluate to a boolean row mask over ``table``.
+
+        A ``str`` value compared with a string column of UTF-8 bytes is
+        encoded first; byte order is code-point order, so ``<`` and
+        ``>`` order values as they do the decoded strings.
+        """
         if self.op not in self._OPS:
             raise SchemaError(f"unsupported predicate operator {self.op!r}")
-        return self._OPS[self.op](table[self.column], self.value)
+        column = table[self.column]
+        value = self.value
+        if isinstance(value, str) and column.dtype.kind == "S":
+            value = value.encode()
+        return self._OPS[self.op](column, value)
 
     def describe(self) -> str:
         value = f"'{self.value}'" if isinstance(self.value, str) else self.value
@@ -76,7 +85,7 @@ class DerivedColumn:
     def evaluate(self, table: Table) -> np.ndarray:
         column = table[self.source]
         if self.expr == "len":
-            return np.char.str_len(column.astype(str)).astype(np.int64)
+            return char_lengths(column)
         if self.expr == "is_null":
             return null_mask(column).astype(np.int64)
         if self.expr == "custom":

@@ -256,8 +256,9 @@ class Table:
         total = 0
         for name in names:
             array = self._columns[name][start:stop]
-            if array.dtype.kind == "U":
-                view = np.ascontiguousarray(array).view(np.uint32)
+            if array.dtype.kind in "SU":
+                # Strings have no add loop: read their bytes.
+                view = np.ascontiguousarray(array).view(np.uint8)
             else:
                 view = array
             if len(view):
@@ -295,9 +296,16 @@ class Table:
         return cls(name, columns)
 
     def to_rows(self, columns: Sequence[str] | None = None) -> list[tuple[object, ...]]:
-        """Materialize rows as python tuples (tests/examples only)."""
+        """Materialize rows as python tuples (tests/examples only).
+
+        String values come back as ``str``, decoded from the column's
+        UTF-8 bytes, so ``from_rows`` and ``to_rows`` round-trip.
+        """
         names = self.column_names if columns is None else tuple(columns)
-        arrays = [self[c] for c in names]
+        arrays = [
+            np.char.decode(a, "utf-8") if a.dtype.kind == "S" else a
+            for a in (self[c] for c in names)
+        ]
         return [tuple(a[i].item() for a in arrays) for i in range(self._num_rows)]
 
     def iter_rows(self) -> Iterator[tuple[object, ...]]:

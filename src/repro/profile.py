@@ -22,6 +22,11 @@ from repro.engine.table import Table
 from repro.stats.column_stats import exact_column_stats
 
 
+def _decoded(value: object) -> object:
+    """A value as the report shows it: a string column's bytes as ``str``."""
+    return value.decode() if isinstance(value, bytes) else value
+
+
 @dataclass(frozen=True)
 class ColumnProfile:
     """Distribution summary of one column."""
@@ -162,15 +167,16 @@ def profile_table(
         stats = exact_column_stats(table, column, with_histogram=False)
         order = np.argsort(groups["cnt"])[::-1][:top_k]
         top_values = tuple(
-            (groups[column][i].item(), int(groups["cnt"][i])) for i in order
+            (_decoded(groups[column][i].item()), int(groups["cnt"][i]))
+            for i in order
         )
         report.columns.append(
             ColumnProfile(
                 column=column,
                 n_distinct=groups.num_rows,
                 null_fraction=stats.null_fraction,
-                min_value=stats.min_value,
-                max_value=stats.max_value,
+                min_value=_decoded(stats.min_value),
+                max_value=_decoded(stats.max_value),
                 top_values=top_values,
                 density=groups.num_rows / max(table.num_rows, 1),
             )

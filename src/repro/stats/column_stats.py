@@ -60,7 +60,7 @@ def exact_column_stats(
     else:
         avg_width = float(value_width(values))
     if kind == "str":
-        # numpy's min/max ufuncs have no unicode loop; sort instead.
+        # numpy's min/max ufuncs have no string loop; sort instead.
         ordered = np.sort(values)
         ordered_min, ordered_max = ordered[0].item(), ordered[-1].item()
     else:

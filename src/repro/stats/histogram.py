@@ -34,7 +34,15 @@ class EquiDepthHistogram:
     total_rows: int
 
     def estimate_rows_between(self, low, high) -> float:
-        """Rows with low <= value <= high, assuming uniformity in buckets."""
+        """Rows with low <= value <= high, assuming uniformity in buckets.
+
+        A string column's bounds are its UTF-8 bytes; ``str`` bounds
+        are encoded to compare with them.
+        """
+        low, high = (
+            bound.encode() if isinstance(bound, str) else bound
+            for bound in (low, high)
+        )
         total = 0.0
         for bucket in self.buckets:
             if bucket.high < low or bucket.low > high:

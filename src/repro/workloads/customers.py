@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.engine.table import Table
 from repro.engine.types import INT_NULL, STR_NULL
+from repro.workloads.zipf import decimal_bytes
 
 #: 49 plausible states plus one suspicious placeholder value.
 STATES = tuple(f"S{i:02d}" for i in range(49)) + ("XX",)
@@ -41,19 +42,21 @@ def make_customers(
         name: relation name.
     """
     rng = np.random.default_rng(seed)
-    last = np.char.add("family", rng.integers(0, max(rows // 6, 1), rows).astype(str))
-    first = np.char.add("given", rng.integers(0, 400, rows).astype(str))
-    middle = rng.choice(np.array(["A", "B", "C", "J", "M"]), rows)
+    last = np.char.add(
+        b"family", decimal_bytes(rng.integers(0, max(rows // 6, 1), rows))
+    )
+    first = np.char.add(b"given", decimal_bytes(rng.integers(0, 400, rows)))
+    middle = rng.choice(np.array(["A", "B", "C", "J", "M"], dtype="S"), rows)
     middle[rng.random(rows) < middle_null_rate] = STR_NULL
-    gender = rng.choice(np.array(["F", "M"]), rows)
+    gender = rng.choice(np.array(["F", "M"], dtype="S"), rows)
     gender[rng.random(rows) < gender_null_rate] = STR_NULL
-    city = np.char.add("city_", rng.integers(0, 400, rows).astype(str))
-    state = rng.choice(np.array(STATES), rows)
+    city = np.char.add(b"city_", decimal_bytes(rng.integers(0, 400, rows)))
+    state = rng.choice(np.array(STATES, dtype="S"), rows)
     zipcode = rng.integers(10_000, 99_999, rows)
     zipcode[rng.random(rows) < zip_null_rate] = INT_NULL
     address = np.char.add(
-        np.char.add(rng.integers(1, 9_999, rows).astype(str), " main st apt "),
-        rng.integers(1, 300, rows).astype(str),
+        np.char.add(decimal_bytes(rng.integers(1, 9_999, rows)), b" main st apt "),
+        decimal_bytes(rng.integers(1, 300, rows)),
     )
 
     if duplicate_rate > 0 and rows > 1:

@@ -28,8 +28,8 @@ NREF_COLUMNS = (
     "reviewed",
 )
 
-_SOURCES = np.array(["PIR", "SWISS", "TREMBL", "GENPEPT", "PDB"])
-_METHODS = np.array(["blast", "fasta", "hmm"])
+_SOURCES = np.array(["PIR", "SWISS", "TREMBL", "GENPEPT", "PDB"], dtype="S")
+_METHODS = np.array(["blast", "fasta", "hmm"], dtype="S")
 
 
 def make_neighboring_seq(

@@ -34,8 +34,10 @@ SALES_COLUMNS = (
     "quantity",
 )
 
-_CHANNELS = np.array(["web", "store", "phone", "partner"])
-_PAYMENTS = np.array(["card", "cash", "wire", "voucher", "credit", "gift"])
+_CHANNELS = np.array(["web", "store", "phone", "partner"], dtype="S")
+_PAYMENTS = np.array(
+    ["card", "cash", "wire", "voucher", "credit", "gift"], dtype="S"
+)
 
 
 def make_sales(n_rows: int, z: float = 0.0, seed: int = 7, name: str = "sales") -> Table:

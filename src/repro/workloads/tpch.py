@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.table import Table
-from repro.workloads.zipf import zipf_indices
+from repro.workloads.zipf import decimal_bytes, zipf_indices
 
 #: The 12 non-floating-point columns used by the paper's SC workload.
 LINEITEM_SC_COLUMNS = (
@@ -41,12 +41,14 @@ LINEITEM_SC_COLUMNS = (
     "l_comment",
 )
 
-_RETURN_FLAGS = np.array(["A", "N", "R"])
-_LINE_STATUS = np.array(["O", "F"])
+_RETURN_FLAGS = np.array(["A", "N", "R"], dtype="S")
+_LINE_STATUS = np.array(["O", "F"], dtype="S")
 _SHIP_INSTRUCT = np.array(
-    ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"]
+    ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"], dtype="S"
 )
-_SHIP_MODE = np.array(["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"])
+_SHIP_MODE = np.array(
+    ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"], dtype="S"
+)
 
 #: Distinct ship dates in TPC-H (1992-01-02 .. 1998-12-01).
 _N_SHIP_DATES = 2526
@@ -120,7 +122,7 @@ def make_lineitem(
 
     # l_comment is text with near-key cardinality (~90% of rows unique).
     comment_ids = _draw(rng, n, max(int(n * 0.9), 1), z)
-    comment = np.char.add("regular deposits haggle ", comment_ids.astype(str))
+    comment = np.char.add(b"regular deposits haggle ", decimal_bytes(comment_ids))
 
     extendedprice = np.round(
         (quantity * (90_000.0 + 100.0 * partkey % 100_000) / 100.0), 2

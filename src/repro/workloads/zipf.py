@@ -3,7 +3,8 @@
 The paper regenerates TPC-H with Zipf factors z in {0, 0.5, ..., 3}.
 ``zipf_indices`` draws value *indices* from a truncated Zipf
 distribution over ``n_values`` ranks: P(rank k) proportional to 1/k^z,
-with z = 0 degenerating to uniform.
+with z = 0 degenerating to uniform.  ``decimal_bytes`` is the other
+value helper the generators share: numbered strings as bytes.
 """
 
 from __future__ import annotations
@@ -50,3 +51,10 @@ def effective_distinct(n: int, n_values: int, z: float) -> float:
     """
     weights = zipf_weights(n_values, z)
     return float(np.sum(1.0 - (1.0 - weights) ** n))
+
+
+def decimal_bytes(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as ASCII decimal ``S`` values, at the width
+    of the largest: the generators' numbered strings, one byte a digit."""
+    digits = len(str(int(values.max(initial=0))))
+    return values.astype(f"S{digits}")

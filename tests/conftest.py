@@ -50,12 +50,13 @@ def session(random_table) -> Session:
 
 
 #: The engine's NULL sentinels, restated: ``INT_NULL`` for integers,
-#: NaN for floats (the only value unequal to itself), ``""`` for strings.
-NULL_OF_KIND = {"i": -(2**63), "f": float("nan"), "U": ""}
+#: NaN for floats (the only value unequal to itself), ``b""`` for
+#: strings (``""`` in a ``<U*`` array that skipped coercion).
+NULL_OF_KIND = {"i": -(2**63), "f": float("nan"), "S": b"", "U": ""}
 
 
 def _is_null(value) -> bool:
-    return value != value or value in (-(2**63), "")
+    return value != value or value in (-(2**63), b"", "")
 
 
 def _key_value(value):

@@ -44,7 +44,7 @@ def catalog():
 
 def gs_rows(table, grouping):
     """Extract one grouping's rows from a GROUPING SETS result."""
-    tag = ",".join(sorted(grouping))
+    tag = ",".join(sorted(grouping)).encode()
     mask = table[GRP_TAG] == tag
     selected = table.take(mask)
     return {
@@ -73,8 +73,9 @@ class TestGroupingSetsExpr:
         )
         result = expr.evaluate(catalog)
         # rows of the (region) grouping have NULL status
-        mask = result[GRP_TAG] == "region"
-        assert set(result.take(mask)["status"]) == {""}
+        mask = result[GRP_TAG] == b"region"
+        assert result["status"].dtype.kind == "S"
+        assert set(result.take(mask)["status"]) == {b""}
 
     def test_describe(self, catalog):
         expr = GroupingSetsExpr(RelationExpr("orders"), (("region",),))
@@ -159,7 +160,7 @@ class TestExprPlumbing:
     def test_tag_filter(self, catalog):
         gs = GroupingSetsExpr(RelationExpr("orders"), (("region",), ("status",)))
         filtered = TagFilterExpr(gs, "region").evaluate(catalog)
-        assert set(filtered[GRP_TAG]) == {"region"}
+        assert set(filtered[GRP_TAG]) == {b"region"}
 
     def test_group_by_expr_with_count_column(self, catalog):
         # SUM of partial counts equals direct COUNT(*).

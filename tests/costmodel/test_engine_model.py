@@ -1,7 +1,5 @@
 """Unit tests for the engine ("query optimizer") cost model."""
 
-import pytest
-
 from repro.core.plan import PlanNode
 from repro.costmodel.engine_model import (
     EngineCostModel,
@@ -136,32 +134,3 @@ class TestCubeRollup:
         single = model.edge_cost(None, PlanNode(fs("b", "c")), True)
         assert model.edge_cost(None, rollup, True) > single
 
-
-class TestBenchmarkPlanModes:
-    """``auto`` on the two plan workloads of the end-to-end benchmark,
-    at its scale and seed on two CPUs: both run wavefront.  Pins the
-    rule against a change that would quietly send either workload back
-    to serial."""
-
-    @pytest.mark.parametrize("workload", ["sales_tc", "lineitem_sc"])
-    def test_auto_picks_wavefront(self, workload, monkeypatch):
-        from repro.api import Session
-        from repro.engine import executor, morsel
-        from repro.workloads.queries import (
-            single_column_queries,
-            two_column_queries,
-        )
-        from repro.workloads.sales import SALES_COLUMNS, make_sales
-        from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
-
-        monkeypatch.setattr(morsel, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
-        if workload == "sales_tc":
-            table = make_sales(250_000, seed=0)
-            queries = two_column_queries(SALES_COLUMNS)
-        else:
-            table = make_lineitem(500_000, seed=0)
-            queries = single_column_queries(LINEITEM_SC_COLUMNS)
-        session = Session.for_table(table, statistics="sampled", seed=0)
-        plan = session.optimize(queries).plan
-        assert session.lower(plan).mode == "wavefront"

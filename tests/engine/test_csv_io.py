@@ -21,13 +21,14 @@ class TestLoad:
         assert table.name == "data"
         assert table["a"].dtype == np.int64
         assert table["b"].dtype == np.float64
-        assert table["c"].dtype.kind == "U"
+        assert table["c"].dtype.kind == "S"
+        assert list(table["c"]) == [b"x", b"y"]
 
     def test_empty_fields_become_null(self, tmp_path):
         path = write(tmp_path, "a,s\n1,x\n,\n")
         table = load_csv(path)
         assert table["a"][1] == INT_NULL
-        assert table["s"][1] == ""
+        assert table["s"][1] == b""
 
     def test_mixed_int_float_promotes(self, tmp_path):
         path = write(tmp_path, "v\n1\n2.5\n")
@@ -61,3 +62,12 @@ class TestRoundTrip:
         save_csv(table, path)
         reloaded = load_csv(path)
         assert reloaded.to_rows() == table.to_rows()
+
+    def test_utf8_strings_and_nulls_round_trip(self, tmp_path):
+        table = Table("t", {"x": [1, 2, 3], "s": ["é", None, "日本"]})
+        path = tmp_path / "out.csv"
+        save_csv(table, path)
+        assert path.read_bytes() == "x,s\r\n1,é\r\n2,\r\n3,日本\r\n".encode()
+        reloaded = load_csv(path)
+        assert reloaded["s"].dtype.kind == "S"
+        assert reloaded["s"].tolist() == table["s"].tolist()

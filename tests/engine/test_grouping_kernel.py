@@ -135,7 +135,7 @@ class TestUnusedCode:
             "t",
             {"s": ["b", "a", "b", "a"], "k": [1, 2, 2, 1], "v": [5, 6, 7, 8]},
         )
-        self.with_extra_unique(table, "s", "c")
+        self.with_extra_unique(table, "s", b"c")
         result = assert_matches_reference(table, ["s", "k"])
         assert result.num_rows == 4
 

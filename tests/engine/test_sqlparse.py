@@ -120,7 +120,7 @@ class TestExecution:
             "GROUP BY GROUPING SETS ((low), (mid))"
         )
         result = parsed.to_expression().evaluate(catalog)
-        low_rows = result.take(result["grp_tag"] == "low")
+        low_rows = result.take(result["grp_tag"] == b"low")
         expected = brute_force_group_by(random_table, ["low"])
         got = {
             (low_rows["low"][i].item(),): int(low_rows["cnt"][i])

@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_object_column_with_none_becomes_null_string(self):
         table = Table("t", {"s": np.array(["a", None, "b"], dtype=object)})
-        assert table["s"][1] == ""
+        assert table["s"][1] == b""
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(SchemaError):

@@ -73,7 +73,8 @@ class TestDegenerateTables:
         )
         run = run_pipeline(table)
         result = run.results[frozenset(["s"])]
-        values = dict(zip(result["s"], result["cnt"]))
+        assert result["s"].dtype.kind == "S"
+        values = dict(result.to_rows(["s", "cnt"]))
         assert int(values["héllo"]) == 2
         assert int(values["日本語テキスト"]) == 1
 

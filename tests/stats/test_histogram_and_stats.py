@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.table import Table
+from repro.engine.types import coerce_column
 from repro.stats.column_stats import exact_column_stats
 from repro.stats.histogram import build_histogram
 from repro.stats.manager import StatisticsManager
@@ -36,6 +37,13 @@ class TestHistogram:
     def test_selectivity_empty_range(self):
         histogram = build_histogram("x", np.arange(100), n_buckets=5)
         assert histogram.selectivity(1000, 2000) == 0.0
+
+    def test_string_bounds_take_str(self):
+        values = coerce_column(["b", "é", "a", "b"] * 10)
+        histogram = build_histogram("s", values, n_buckets=4)
+        assert histogram.buckets[0].low == b"a"
+        assert histogram.selectivity("a", "b") == pytest.approx(0.75)
+        assert histogram.selectivity(b"a", b"b") == pytest.approx(0.75)
 
     def test_empty_column(self):
         histogram = build_histogram("x", np.array([], dtype=np.int64))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.workloads.customers import make_customers
 from repro.workloads.nref import NREF_COLUMNS, make_neighboring_seq
 from repro.workloads.sales import SALES_COLUMNS, make_sales
 from repro.workloads.tpch import LINEITEM_SC_COLUMNS, make_lineitem
@@ -43,6 +44,19 @@ class TestZipf:
         lower = effective_distinct(5_000, 500, z1)
         higher = effective_distinct(5_000, 500, z1 + delta)
         assert higher <= lower + 1e-6
+
+
+@pytest.mark.parametrize(
+    "make", [make_lineitem, make_sales, make_neighboring_seq, make_customers]
+)
+def test_string_columns_are_tight_utf8_bytes(make):
+    """Every string column is ``S``, as wide as its longest value."""
+    table = make(2_000)
+    strings = [table[c] for c in table.column_names if table[c].dtype.kind in "SU"]
+    assert strings
+    for column in strings:
+        assert column.dtype.kind == "S"
+        assert column.dtype.itemsize == np.char.str_len(column).max()
 
 
 class TestLineitem:
@@ -165,7 +179,7 @@ class TestCustomers:
         assert 0.003 < zipcode.null_fraction < 0.03
 
     def test_suspicious_state_present(self, table):
-        assert "XX" in set(table["state"])
+        assert b"XX" in set(table["state"])
 
     def test_duplicates_defeat_key_check(self, table):
         from repro.engine.aggregation import AggregateSpec, group_by
